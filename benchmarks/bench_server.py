@@ -13,7 +13,10 @@ throughput below ``BENCH_SERVER_FLOOR`` (default 0.25x) of the
 single-session rate, and no query may be shed at the bench's capacity.
 
 ``BENCH_SERVER_COUNT`` overrides per-relation cardinality;
-``BENCH_SERVER_QUERIES`` the total query volume per scenario.
+``BENCH_SERVER_QUERIES`` the total query volume per scenario.  A run
+sized down through either is a smoke run: it records the ratio and the
+floor in the artifact (``bound_checked: false``) and asserts only that
+nothing was shed.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import time
 
 import pytest
 
-from benchmarks.artifacts import emit_bench_artifact
+from benchmarks.artifacts import emit_bench_artifact, sized_down
 from repro.cache import QueryCache
 from repro.geometry import Rect
 from repro.predicates.theta import Overlaps
@@ -41,6 +44,8 @@ UNIVERSE = Rect(0.0, 0.0, 1000.0, 1000.0)
 COUNT = int(os.environ.get("BENCH_SERVER_COUNT", "800"))
 TOTAL_QUERIES = int(os.environ.get("BENCH_SERVER_QUERIES", "240"))
 FLOOR = float(os.environ.get("BENCH_SERVER_FLOOR", "0.25"))
+#: A sized-down run measures and records the ratio, unasserted.
+BOUND_CHECKED = not sized_down("BENCH_SERVER_COUNT", "BENCH_SERVER_QUERIES")
 SESSIONS = 8
 
 SCHEMA = Schema([Column("oid", ColumnType.INT), Column("shape", ColumnType.RECT)])
@@ -147,6 +152,8 @@ def test_session_scaling(benchmark):
         "fan_sessions": SESSIONS,
         "fan_qps": fan_qps,
         "ratio": fan_qps / solo_qps,
+        "floor": FLOOR,
+        "bound_checked": BOUND_CHECKED,
         "shed": shed,
         "conflicts": conflicts,
     })
@@ -155,7 +162,8 @@ def test_session_scaling(benchmark):
     # Capacity matched the session count, so nothing may have been shed;
     # session fan-out must not collapse aggregate throughput.
     assert shed == 0
-    assert fan_qps >= FLOOR * solo_qps, (
-        f"8-session throughput collapsed: {fan_qps:.1f} qps vs "
-        f"{solo_qps:.1f} solo (floor {FLOOR}x)"
-    )
+    if BOUND_CHECKED:
+        assert fan_qps >= FLOOR * solo_qps, (
+            f"8-session throughput collapsed: {fan_qps:.1f} qps vs "
+            f"{solo_qps:.1f} solo (floor {FLOOR}x)"
+        )

@@ -27,6 +27,10 @@ per_record_graft_cost``, asserted below 3% of the untraced kernel.  The
 untraced dispatch path ships no spans at all, so its budget stays the
 single-process 2%.
 
+A run sized down through ``BENCH_TRACE_COUNT`` or ``BENCH_DIST_COUNT`` is a
+smoke run: it records both overheads and their tolerances in the
+artifact (``bound_checked: false``) and asserts neither bound.
+
 ``BENCH_TRACE_COUNT`` overrides the per-relation cardinality,
 ``BENCH_TRACE_TOLERANCE`` the asserted overhead fraction (default 0.02);
 ``BENCH_DIST_SHARDS``, ``BENCH_DIST_COUNT`` and
@@ -39,7 +43,7 @@ import time
 
 import pytest
 
-from benchmarks.artifacts import emit_bench_artifact
+from benchmarks.artifacts import emit_bench_artifact, sized_down
 from repro.geometry import Rect
 from repro.join.sync_join import sync_tree_join
 from repro.join.zorder_merge import zorder_merge_join
@@ -55,6 +59,8 @@ TOLERANCE = float(os.environ.get("BENCH_TRACE_TOLERANCE", "0.02"))
 DIST_SHARDS = int(os.environ.get("BENCH_DIST_SHARDS", "8"))
 DIST_COUNT = int(os.environ.get("BENCH_DIST_COUNT", "4000"))
 DIST_TOLERANCE = float(os.environ.get("BENCH_DIST_TRACE_TOLERANCE", "0.03"))
+#: A sized-down run measures and records the overheads, unasserted.
+BOUND_CHECKED = not sized_down("BENCH_TRACE_COUNT", "BENCH_DIST_COUNT")
 REPEATS = 5
 NULL_SPAN_SAMPLES = 20_000
 GRAFT_SAMPLES = 200
@@ -145,12 +151,14 @@ def test_disabled_tracer_overhead_is_bounded(relations, kernel):
         "null_span_seconds_per_site": per_site,
         "overhead_fraction": fraction,
         "tolerance": TOLERANCE,
+        "bound_checked": BOUND_CHECKED,
         "pairs": len(result.pairs),
     })
-    assert fraction < TOLERANCE, (
-        f"{kernel}: disabled-tracer overhead {fraction:.4%} exceeds "
-        f"{TOLERANCE:.0%}"
-    )
+    if BOUND_CHECKED:
+        assert fraction < TOLERANCE, (
+            f"{kernel}: disabled-tracer overhead {fraction:.4%} exceeds "
+            f"{TOLERANCE:.0%}"
+        )
 
 
 @pytest.mark.smoke
@@ -272,8 +280,10 @@ def test_distributed_tracing_overhead_is_bounded(shard_fleet):
         "span_seconds_per_site": per_span,
         "overhead_fraction": fraction,
         "tolerance": DIST_TOLERANCE,
+        "bound_checked": BOUND_CHECKED,
     })
-    assert fraction < DIST_TOLERANCE, (
-        f"distributed-tracing overhead {fraction:.4%} exceeds "
-        f"{DIST_TOLERANCE:.0%}"
-    )
+    if BOUND_CHECKED:
+        assert fraction < DIST_TOLERANCE, (
+            f"distributed-tracing overhead {fraction:.4%} exceeds "
+            f"{DIST_TOLERANCE:.0%}"
+        )

@@ -960,14 +960,8 @@ class SpatialQueryExecutor:
 
     def _common_universe(self, rel_r: Relation, column_r: str,
                          rel_s: Relation, column_s: str):
-        from repro.geometry.rect import Rect
+        from repro.relational.columns import data_universe, extract_columns
 
-        mbrs = [t[column_r].mbr() for t in rel_r.scan()]
-        mbrs += [t[column_s].mbr() for t in rel_s.scan()]
-        if not mbrs:
-            return Rect(0.0, 0.0, 1.0, 1.0)
-        u = Rect.union_of(mbrs)
-        # Grow degenerate extents so the z-grid has positive area.
-        pad_x = 1.0 if u.width == 0 else 0.0
-        pad_y = 1.0 if u.height == 0 else 0.0
-        return Rect(u.xmin, u.ymin, u.xmax + pad_x, u.ymax + pad_y)
+        return data_universe(
+            extract_columns(rel_r, column_r), extract_columns(rel_s, column_s)
+        )

@@ -22,8 +22,8 @@ from repro.costmodel.distributions import make_distribution
 from repro.costmodel.estimation import (
     IntervalResolutionEstimate,
     SelectivityEstimate,
-    estimate_interval_resolution,
-    estimate_join_selectivity,
+    sample_interval_resolution,
+    sample_join_selectivity,
 )
 from repro.costmodel.join_costs import (
     d_join_index,
@@ -35,6 +35,7 @@ from repro.costmodel.join_costs import (
 )
 from repro.costmodel.parameters import ModelParameters
 from repro.predicates.theta import Overlaps, ThetaOperator
+from repro.relational.columns import data_universe, extract_columns
 from repro.relational.relation import Relation
 
 
@@ -180,9 +181,14 @@ def plan_join(
     ``plan.use_interval`` when the chosen strategy's filtered variant is
     cheaper.  The base ranking -- and thus ``plan.strategy`` -- is
     computed exactly as without ``interval``.
+
+    Each relation is read once: both samplers and the default interval
+    grid's universe work off one columnar extraction per operand.
     """
-    estimate = estimate_join_selectivity(
-        rel_r, column_r, rel_s, column_s, theta,
+    columns_r = extract_columns(rel_r, column_r)
+    columns_s = extract_columns(rel_s, column_s)
+    estimate = sample_join_selectivity(
+        columns_r.geoms, columns_s.geoms, theta,
         sample_pairs=sample_pairs, seed=seed,
     )
     params = fit_parameters(rel_r, column_r, estimate.p, memory_pages=memory_pages)
@@ -208,9 +214,13 @@ def plan_join(
     resolution: IntervalResolutionEstimate | None = None
     spec = None
     if interval and isinstance(theta, Overlaps):
-        spec = _resolve_interval_spec(interval, rel_r, column_r, rel_s, column_s)
-        resolution = estimate_interval_resolution(
-            rel_r, column_r, rel_s, column_s, spec,
+        from repro.intermediate.filter import IntervalSpec
+
+        spec = interval
+        if not isinstance(spec, IntervalSpec):
+            spec = IntervalSpec(universe=data_universe(columns_r, columns_s))
+        resolution = sample_interval_resolution(
+            columns_r.geoms, columns_s.geoms, spec,
             sample_pairs=interval_sample_pairs, seed=seed,
         )
         candidates = (
@@ -249,24 +259,6 @@ def plan_join(
 #: refiner (tree traversals and the partition sweep; the blocked scan
 #: and the join index have no refine site to replace).
 _INTERVAL_CAPABLE = frozenset({"D_PAR", "D_IIa", "D_IIb"})
-
-
-def _resolve_interval_spec(interval, rel_r, column_r, rel_s, column_s):
-    """An ``IntervalSpec``: the caller's, or a data-fitted default grid."""
-    from repro.geometry.rect import Rect
-    from repro.intermediate.filter import IntervalSpec
-
-    if isinstance(interval, IntervalSpec):
-        return interval
-    mbrs = [t[column_r].mbr() for t in rel_r.scan()]
-    mbrs += [t[column_s].mbr() for t in rel_s.scan()]
-    universe = Rect.union_of(mbrs) if mbrs else Rect(0.0, 0.0, 1.0, 1.0)
-    pad_x = 1.0 if universe.width == 0 else 0.0
-    pad_y = 1.0 if universe.height == 0 else 0.0
-    if pad_x or pad_y:
-        universe = Rect(universe.xmin, universe.ymin,
-                        universe.xmax + pad_x, universe.ymax + pad_y)
-    return IntervalSpec(universe=universe)
 
 
 def executable_strategy(plan: JoinPlan) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import CostModelError
 from repro.predicates.theta import ThetaOperator
@@ -60,19 +61,29 @@ def estimate_join_selectivity(
     Sampling is with replacement over the cross product; the estimator is
     unbiased for the true match fraction.  Empty relations yield p = 0.
     """
+    return sample_join_selectivity(
+        [t[column_r] for t in rel_r.scan()], [t[column_s] for t in rel_s.scan()],
+        theta, sample_pairs=sample_pairs, seed=seed,
+    )
+
+
+def sample_join_selectivity(
+    geoms_r: Sequence, geoms_s: Sequence, theta: ThetaOperator,
+    *, sample_pairs: int, seed: int,
+) -> SelectivityEstimate:
+    """:func:`estimate_join_selectivity` over two columns already read
+    (in file order -- the draws index into them)."""
     if sample_pairs < 1:
         raise CostModelError(f"sample_pairs must be positive, got {sample_pairs}")
-    tuples_r = list(rel_r.scan())
-    tuples_s = list(rel_s.scan())
-    if not tuples_r or not tuples_s:
+    if not geoms_r or not geoms_s:
         return SelectivityEstimate(p=0.0, sample_pairs=0, matches=0)
 
     rng = random.Random(seed)
     matches = 0
     for _ in range(sample_pairs):
-        r = rng.choice(tuples_r)
-        s = rng.choice(tuples_s)
-        if theta(r[column_r], s[column_s]):
+        r = rng.choice(geoms_r)
+        s = rng.choice(geoms_s)
+        if theta(r, s):
             matches += 1
     if matches == 0:
         # Rule of three: a plausible upper bound instead of hard zero.
@@ -120,14 +131,22 @@ def estimate_interval_resolution(
     feeds :func:`~repro.costmodel.join_costs.interval_filter_delta`,
     letting ``plan_join`` decide per query whether the second tier pays.
     """
+    return sample_interval_resolution(
+        [t[column_r] for t in rel_r.scan()], [t[column_s] for t in rel_s.scan()],
+        spec, sample_pairs=sample_pairs, seed=seed,
+    )
+
+
+def sample_interval_resolution(
+    geoms_r: Sequence, geoms_s: Sequence, spec, *, sample_pairs: int, seed: int
+) -> IntervalResolutionEstimate:
+    """:func:`estimate_interval_resolution` over two columns already read."""
     from repro.intermediate.approx import AMBIGUOUS, classify
     from repro.intermediate.raster import rasterize
 
     if sample_pairs < 1:
         raise CostModelError(f"sample_pairs must be positive, got {sample_pairs}")
-    tuples_r = list(rel_r.scan())
-    tuples_s = list(rel_s.scan())
-    if not tuples_r or not tuples_s:
+    if not geoms_r or not geoms_s:
         return IntervalResolutionEstimate(
             mbr_fraction=0.0, resolve_fraction=0.0,
             sample_pairs=0, candidates=0, resolved=0,
@@ -144,8 +163,8 @@ def estimate_interval_resolution(
     candidates = 0
     resolved = 0
     for _ in range(sample_pairs):
-        r_geom = rng.choice(tuples_r)[column_r]
-        s_geom = rng.choice(tuples_s)[column_s]
+        r_geom = rng.choice(geoms_r)
+        s_geom = rng.choice(geoms_s)
         r_mbr, s_mbr = r_geom.mbr(), s_geom.mbr()
         if (r_mbr.xmin > s_mbr.xmax or s_mbr.xmin > r_mbr.xmax
                 or r_mbr.ymin > s_mbr.ymax or s_mbr.ymin > r_mbr.ymax):

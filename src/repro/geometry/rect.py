@@ -245,6 +245,21 @@ class Rect:
             return None
         return Rect(xmin, ymin, xmax, ymax)
 
+    def with_positive_extent(self) -> "Rect":
+        """This rectangle with a zero width and/or height grown by 1.0.
+
+        Grids (the partition tiling, the z-order and interval rasters)
+        divide the data universe into cells and need it to have area; a
+        universe of collinear or coincident objects gets unit extent.
+        """
+        if self.width > 0 and self.height > 0:
+            return self
+        return Rect(
+            self.xmin, self.ymin,
+            self.xmax + (1.0 if self.width == 0 else 0.0),
+            self.ymax + (1.0 if self.height == 0 else 0.0),
+        )
+
     def northwest_quadrant(self, bound: float = 1e12) -> "Rect":
         """The NW quadrant formed by this rectangle's tangents (Figure 5).
 

@@ -6,8 +6,10 @@ partition-parallel evaluation of Tsitsigkos & Mamoulis et al. (2019):
 uniform grid partitioning with the reference-point duplicate-avoidance
 rule (:mod:`repro.parallel.partitioner`), a forward plane-sweep kernel
 per tile (:mod:`repro.parallel.plane_sweep`), and a worker pool merging
-per-worker cost meters (:mod:`repro.parallel.pool`).  The executor
-exposes it as the ``partition`` strategy.
+per-worker cost meters (:mod:`repro.parallel.pool`).  The Theta side
+(scatter, sweep, result ordering) runs on flat numpy arrays; the theta
+side refines candidate pairs one by one on the stored geometries.  The
+executor exposes it as the ``partition`` strategy.
 """
 
 from repro.parallel.join import partition_join
@@ -19,7 +21,7 @@ from repro.parallel.partitioner import (
     reference_point,
     scatter,
 )
-from repro.parallel.plane_sweep import sweep_tile
+from repro.parallel.plane_sweep import sweep_task
 from repro.parallel.pool import (
     ChunkRecovery,
     PoolReport,
@@ -39,5 +41,5 @@ __all__ = [
     "reference_point",
     "run_partitions",
     "scatter",
-    "sweep_tile",
+    "sweep_task",
 ]

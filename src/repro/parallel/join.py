@@ -3,9 +3,10 @@
 End-to-end driver tying the subsystem together:
 
 1. stream both relations once through pools sharing the paper's ``M``-page
-   budget, extracting ``(tid, mbr, geometry)`` entries;
+   budget, extracting each into MBR / record-id arrays and a geometry
+   list (:func:`~repro.relational.columns.extract_columns`);
 2. tile the data universe with a uniform :class:`GridSpec` and replicate
-   each entry into every tile its MBR intersects;
+   each row into every tile its MBR intersects;
 3. sweep the tiles -- sequentially or on a worker pool -- with the
    reference-point rule guaranteeing each result pair is emitted by
    exactly one tile (no dedup pass anywhere);
@@ -22,50 +23,31 @@ from __future__ import annotations
 from repro.errors import JoinError
 from repro.geometry.rect import Rect
 from repro.join.result import JoinResult
-from repro.parallel.partitioner import Entry, GridSpec, partition_pair
+from repro.parallel.partitioner import GridSpec, partition_pair
 from repro.parallel.pool import run_partitions
 from repro.predicates.theta import ThetaOperator
+from repro.relational.columns import Columns, data_universe, extract_columns
 from repro.relational.relation import Relation
-from repro.storage.buffer import BufferPool, paired_pools
+from repro.storage.buffer import paired_pools
 from repro.storage.costs import CostMeter
-from repro.storage.record import RecordId
-
-
-def _extract_entries(relation: Relation, column: str, pool: BufferPool) -> list[Entry]:
-    """One sequential pass: every tuple's ``(tid, mbr, geometry)``."""
-    entries: list[Entry] = []
-    for pid in relation.page_ids:
-        page = pool.fetch(pid)
-        for slot, record in enumerate(page.slots):
-            if record is None:
-                continue
-            geom = record[column]
-            entries.append((RecordId(pid, slot), geom.mbr(), geom))
-    return entries
 
 
 def _resolve_grid(
     grid: GridSpec | int | None,
     universe: Rect | None,
-    entries_r: list[Entry],
-    entries_s: list[Entry],
+    columns_r: Columns,
+    columns_s: Columns,
     workers: int,
 ) -> GridSpec:
     if isinstance(grid, GridSpec):
         return grid
     if universe is None:
-        mbrs = [e[1] for e in entries_r] + [e[1] for e in entries_s]
-        universe = Rect.union_of(mbrs) if mbrs else Rect(0.0, 0.0, 1.0, 1.0)
-    pad_x = 1.0 if universe.width == 0 else 0.0
-    pad_y = 1.0 if universe.height == 0 else 0.0
-    if pad_x or pad_y:
-        universe = Rect(universe.xmin, universe.ymin,
-                        universe.xmax + pad_x, universe.ymax + pad_y)
+        universe = data_universe(columns_r, columns_s)
     if grid is None:
         return GridSpec.for_workload(
-            universe, len(entries_r) + len(entries_s), workers
+            universe, len(columns_r) + len(columns_s), workers
         )
-    return GridSpec(universe, grid, grid)
+    return GridSpec(universe.with_positive_extent(), grid, grid)
 
 
 def partition_join(
@@ -123,17 +105,17 @@ def partition_join(
         rel_r.buffer_pool.disk, rel_s.buffer_pool.disk, memory_pages, meter
     )
     with tracer.span("partition.extract", meter=meter) as span:
-        entries_r = _extract_entries(rel_r, column_r, pool_r)
-        entries_s = _extract_entries(rel_s, column_s, pool_s)
-        span.set_tag("entries_r", len(entries_r))
-        span.set_tag("entries_s", len(entries_s))
+        columns_r = extract_columns(rel_r, column_r, pool_r)
+        columns_s = extract_columns(rel_s, column_s, pool_s)
+        span.set_tag("entries_r", len(columns_r))
+        span.set_tag("entries_s", len(columns_s))
 
     from repro.core.cancel import check_cancel
 
     check_cancel(cancel)
     with tracer.span("partition.scatter", meter=meter) as span:
-        spec = _resolve_grid(grid, universe, entries_r, entries_s, workers)
-        tasks = partition_pair(entries_r, entries_s, spec)
+        spec = _resolve_grid(grid, universe, columns_r, columns_s, workers)
+        tasks = partition_pair(columns_r, columns_s, spec)
         span.set_tag("grid", f"{spec.nx}x{spec.ny}")
         span.set_tag("tiles", len(tasks))
 
@@ -148,7 +130,7 @@ def partition_join(
         span.set_tag("pairs", len(pairs))
 
     result = JoinResult(strategy="partition-sweep")
-    result.pairs = sorted(pairs)
+    result.pairs = pairs  # run_partitions returns them sorted
     if collect_tuples:
         for r_tid, s_tid in result.pairs:
             r_record = pool_r.fetch(r_tid.page_id).get(r_tid.slot)

@@ -13,20 +13,28 @@ reported only by the tile that owns that point.  Ownership is half-open
 (a point on an interior tile seam belongs to the tile on its upper-right)
 so exactly one tile owns any reference point, and since the reference
 point lies inside both MBRs, the owning tile received both entries.
+
+The scatter runs on flat MBR arrays (:mod:`repro.relational.columns`):
+cell ranges, replication and the sort by cell then ``xmin`` are numpy
+operations over whole relations, and a tile is a slice of the sorted
+arrays.  numpy is imported inside the functions that compute with it,
+so importing this package costs a process that never joins nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 from repro.errors import JoinError
 from repro.geometry.rect import Rect
+from repro.relational.columns import Columns
 from repro.storage.record import RecordId
 
-#: One replicated index entry: ``(tid, mbr, geometry)``.  Plain tuples so
-#: shipping partitions to worker processes pickles fast.
+#: One index entry in object form: ``(tid, mbr, geometry)``.  What
+#: :func:`~repro.parallel.plane_sweep.sweep_sorted` walks, and what
+#: :func:`partition_pair` still accepts (see :func:`as_columns`).
 Entry = tuple[RecordId, Rect, Any]
 
 
@@ -74,6 +82,21 @@ class GridSpec:
         iy = min(self.ny - 1, max(0, int((y - self.universe.ymin) / self.cell_height)))
         return ix, iy
 
+    def owner_cells(self, xs, ys):
+        """:meth:`owner_cell` of many points: two int64 arrays ``ix, iy``."""
+        import numpy as np
+
+        def along(values, low, step, n):
+            q = values - low
+            q /= step
+            return np.clip(q, 0, n - 1, out=q).astype(np.int64)
+
+        u = self.universe
+        return (
+            along(xs, u.xmin, self.cell_width, self.nx),
+            along(ys, u.ymin, self.cell_height, self.ny),
+        )
+
     def covering_cells(self, mbr: Rect) -> Iterator[tuple[int, int]]:
         """All cells whose closed rectangle intersects ``mbr``.
 
@@ -96,35 +119,49 @@ class GridSpec:
         sweeps stay cache-friendly, with at least enough tiles to keep
         ``workers`` busy; degenerate universes are padded to unit extent.
         """
-        pad_x = 1.0 if universe.width == 0 else 0.0
-        pad_y = 1.0 if universe.height == 0 else 0.0
-        if pad_x or pad_y:
-            universe = Rect(universe.xmin, universe.ymin,
-                            universe.xmax + pad_x, universe.ymax + pad_y)
         by_load = math.isqrt(max(0, n_entries) // max(1, target_per_cell))
         by_workers = math.isqrt(4 * max(1, workers) - 1) + 1
         n = min(128, max(1, by_load, by_workers))
-        return cls(universe, n, n)
+        return cls(universe.with_positive_extent(), n, n)
 
 
 @dataclass(slots=True)
 class PartitionTask:
-    """One grid tile's independent join problem.
+    """One grid tile's independent join problem, as array slices.
 
-    ``entries_r``/``entries_s`` are x-sorted (by ``mbr.xmin``) slices of
-    the two relations' replicated entry lists -- the plane-sweep kernel
-    relies on that order.
+    ``rows_r`` / ``rows_s`` are integer arrays of row numbers into the two
+    relations' :class:`Columns` ``r`` / ``s``, sorted by ``xmin`` (the
+    sweep relies on that order).  Tasks of one scatter share the columns
+    and own only their slice of the sorted row numbers; the sweep gathers
+    a tile's boxes when it gets there.
     """
 
     ix: int
     iy: int
-    entries_r: list[Entry]
-    entries_s: list[Entry]
+    r: Columns
+    rows_r: Any
+    s: Columns
+    rows_s: Any
 
     @property
     def load(self) -> int:
         """Work estimate used by the pool's greedy load balancing."""
-        return len(self.entries_r) + len(self.entries_s)
+        return len(self.rows_r) + len(self.rows_s)
+
+    def detached(self) -> "PartitionTask":
+        """A copy holding this tile's rows only -- what a worker process
+        is sent, so a chunk pickles its tiles' buffers, not the relations."""
+        import numpy as np
+
+        def own(columns: Columns, rows) -> tuple[Columns, Any]:
+            return Columns(
+                columns.box_array()[rows].ravel(), columns.id_array()[rows].ravel(),
+                [columns.geoms[i] for i in rows.tolist()],
+            ), np.arange(len(rows))
+
+        return PartitionTask(
+            self.ix, self.iy, *own(self.r, self.rows_r), *own(self.s, self.rows_s)
+        )
 
 
 def reference_point(mbr_a: Rect, mbr_b: Rect) -> tuple[float, float]:
@@ -132,35 +169,75 @@ def reference_point(mbr_a: Rect, mbr_b: Rect) -> tuple[float, float]:
     return max(mbr_a.xmin, mbr_b.xmin), max(mbr_a.ymin, mbr_b.ymin)
 
 
-def scatter(entries: Sequence[Entry], grid: GridSpec) -> dict[tuple[int, int], list[Entry]]:
-    """Replicate entries into every grid cell their MBR intersects.
+def as_columns(entries: Columns | Iterable[Entry]) -> Columns:
+    """``entries`` in columnar form: passed through when they already
+    are, else built from ``(tid, mbr, geometry)`` triples."""
+    if isinstance(entries, Columns):
+        return entries
+    columns = Columns()
+    for tid, mbr, geom in entries:
+        columns.boxes.extend((mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax))
+        columns.ids.extend((tid.page_id, tid.slot))
+        columns.geoms.append(geom)
+    return columns
 
-    Input order is preserved per cell, so x-sorted input yields x-sorted
-    per-cell lists.
+
+def scatter(columns: Columns, grid: GridSpec) -> dict[int, Any]:
+    """Replicate rows into every grid cell their MBR intersects.
+
+    Returns ``{ix * ny + iy: rows}`` for the non-empty cells: the row
+    numbers of the cell's entries, sorted by ``xmin``.  Cell ranges come
+    from :meth:`GridSpec.owner_cells` of the two MBR corners, so
+    replication is :meth:`GridSpec.covering_cells` row for row.
     """
-    cells: dict[tuple[int, int], list[Entry]] = {}
-    for entry in entries:
-        for cell in grid.covering_cells(entry[1]):
-            cells.setdefault(cell, []).append(entry)
-    return cells
+    import numpy as np
+
+    boxes = columns.box_array()
+    ix0, iy0 = grid.owner_cells(boxes[:, 0], boxes[:, 1])
+    # Width and cell count of each row's range, computed in the arrays of
+    # the max corner's cells (a relation-sized array is ~1 MiB per 100k
+    # rows, and the pipeline's peak memory is this function's).
+    width, copies = grid.owner_cells(boxes[:, 2], boxes[:, 3])
+    width -= ix0
+    width += 1
+    copies -= iy0
+    copies += 1
+    copies *= width
+    # Most rows sit in one cell; only the others are replicated, the k-th
+    # copy of a row going to the k-th cell of its range.
+    several = np.flatnonzero(copies > 1)
+    rows = np.repeat(several, copies[several])
+    first = np.cumsum(copies[several]) - copies[several]
+    k = np.arange(len(rows)) - np.repeat(first, copies[several])
+    cells = (ix0[rows] + k % width[rows]) * grid.ny + iy0[rows] + k // width[rows]
+    once = np.flatnonzero(copies == 1)
+    # Row and cell numbers in the narrowest unsigned type that holds them:
+    # these are the arrays the sort copies around.
+    rows = np.concatenate((once, rows)).astype(np.min_scalar_type(len(boxes)))
+    cells = np.concatenate((ix0[once] * grid.ny + iy0[once], cells)).astype(
+        np.min_scalar_type(grid.num_cells)
+    )
+    del ix0, iy0, width, copies, once, k
+
+    order = np.lexsort((boxes[rows, 0], cells))
+    rows, cells = rows[order], cells[order]
+    distinct, starts = np.unique(cells, return_index=True)
+    return dict(zip(distinct.tolist(), np.split(rows, starts[1:])))
 
 
 def partition_pair(
-    entries_r: Sequence[Entry],
-    entries_s: Sequence[Entry],
+    entries_r: Columns | Iterable[Entry],
+    entries_s: Columns | Iterable[Entry],
     grid: GridSpec,
 ) -> list[PartitionTask]:
-    """Build the per-tile join tasks for two entry lists.
+    """Build the per-tile join tasks for two relations' entries.
 
-    Entries are x-sorted once up front (the per-cell lists inherit the
-    order); tiles where either side is empty produce no task -- they
-    cannot contribute a pair.
+    Tiles where either side is empty produce no task -- they cannot
+    contribute a pair.  Tasks come in ``(ix, iy)`` order.
     """
-    sorted_r = sorted(entries_r, key=lambda e: e[1].xmin)
-    sorted_s = sorted(entries_s, key=lambda e: e[1].xmin)
-    cells_r = scatter(sorted_r, grid)
-    cells_s = scatter(sorted_s, grid)
+    r, s = as_columns(entries_r), as_columns(entries_s)
+    cells_r, cells_s = scatter(r, grid), scatter(s, grid)
     return [
-        PartitionTask(ix, iy, cells_r[(ix, iy)], cells_s[(ix, iy)])
-        for ix, iy in sorted(set(cells_r) & set(cells_s))
+        PartitionTask(*divmod(cell, grid.ny), r, cells_r[cell], s, cells_s[cell])
+        for cell in sorted(cells_r.keys() & cells_s.keys())
     ]

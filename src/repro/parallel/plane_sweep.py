@@ -16,18 +16,25 @@ predicate.  Without a refiner an
 :class:`~repro.intermediate.filter.ExactRefiner` is constructed, which
 is byte-identical to the historical behavior.
 
-:func:`sweep_sorted` is the generalized kernel: ownership is an
-arbitrary predicate over the reference point, so the same pass serves
-grid tiles (:func:`sweep_tile`) and z-order range shards
-(:mod:`repro.shard.worker`), which partition the universe differently
-but deduplicate identically.
+:func:`sweep_sorted` is that pass over ``(tid, mbr, geometry)`` entry
+lists, with ownership an arbitrary predicate over the reference point;
+the z-order range shards (:mod:`repro.shard.worker`) run it, and the
+tests keep it as the reference for the grid.  :func:`sweep_task` is the
+same pass over one grid tile's MBR arrays: candidate generation, the y
+test and the ownership test are array operations, and only refinement
+touches objects.  Both charge the same counters for the same input.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.parallel.partitioner import Entry, GridSpec, reference_point
+from repro.parallel.partitioner import (
+    Entry,
+    GridSpec,
+    PartitionTask,
+    reference_point,
+)
 from repro.predicates.theta import ThetaOperator
 from repro.storage.costs import CostMeter
 from repro.storage.record import RecordId
@@ -99,26 +106,69 @@ def sweep_sorted(
     return pairs
 
 
-def sweep_tile(
+def _ranges(lo, hi):
+    """Index pairs ``(i, j)`` for every ``j`` in ``lo[i]:hi[i]``."""
+    import numpy as np
+
+    counts = hi - lo
+    outer = np.repeat(np.arange(len(lo)), counts)
+    inner = np.arange(len(outer)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    return outer, inner
+
+
+def sweep_task(
     grid: GridSpec,
-    ix: int,
-    iy: int,
-    entries_r: Sequence[Entry],
-    entries_s: Sequence[Entry],
+    task: PartitionTask,
     theta: ThetaOperator,
     meter: CostMeter,
     refiner=None,
-) -> list[tuple[RecordId, RecordId]]:
-    """All matching (tid_r, tid_s) pairs owned by tile ``(ix, iy)``.
+):
+    """Matching pairs owned by ``task``'s tile, as integer rows
+    ``page_r, slot_r, page_s, slot_s``.
 
-    Emits each qualifying pair exactly once across the whole grid: pairs
-    whose reference point falls in another tile are skipped here and
-    reported there.
+    :func:`sweep_sorted` over the tile's arrays.  The forward scan
+    becomes two ``searchsorted`` ranges -- for each ``r`` the ``s`` with
+    ``r.xmin <= s.xmin <= r.xmax`` (``r`` opens first; ties go to ``r``),
+    for each ``s`` the ``r`` with ``s.xmin < r.xmin <= s.xmax`` -- whose
+    total size is the Theta-filter evaluations the merge loop charges one
+    by one.  The y test and the reference-point ownership test run on
+    the candidate arrays; survivors are refined one pair at a time on
+    the stored geometries, exactly as in the scalar kernel.  Candidates
+    never outlive the tile.
     """
-    cell = (ix, iy)
-    owner = grid.owner_cell
+    import numpy as np
 
-    def owns(x: float, y: float) -> bool:
-        return owner(x, y) == cell
+    if refiner is None:
+        from repro.intermediate.filter import ExactRefiner
 
-    return sweep_sorted(entries_r, entries_s, theta, meter, owns, refiner)
+        refiner = ExactRefiner(theta)
+    boxes_r = task.r.box_array()[task.rows_r]
+    boxes_s = task.s.box_array()[task.rows_s]
+    xmin_r, xmin_s = boxes_r[:, 0], boxes_s[:, 0]
+    r_first, s_after = _ranges(
+        np.searchsorted(xmin_s, xmin_r, "left"),
+        np.searchsorted(xmin_s, boxes_r[:, 2], "right"),
+    )
+    s_first, r_after = _ranges(
+        np.searchsorted(xmin_r, xmin_s, "right"),
+        np.searchsorted(xmin_r, boxes_s[:, 2], "right"),
+    )
+    i = np.concatenate((r_first, r_after))
+    j = np.concatenate((s_after, s_first))
+    meter.record_filter_eval(len(i))
+
+    r, s = boxes_r[i], boxes_s[j]
+    cx, cy = grid.owner_cells(
+        np.maximum(r[:, 0], s[:, 0]), np.maximum(r[:, 1], s[:, 1])
+    )
+    owned = (
+        (s[:, 1] <= r[:, 3]) & (r[:, 1] <= s[:, 3])
+        & (cx == task.ix) & (cy == task.iy)
+    )
+    i, j = task.rows_r[i[owned]], task.rows_s[j[owned]]
+    geoms_r, geoms_s = task.r.geoms, task.s.geoms
+    hits = [
+        refiner.matches(geoms_r[a], geoms_s[b], meter)
+        for a, b in zip(i.tolist(), j.tolist())
+    ]
+    return np.hstack((task.r.id_array()[i[hits]], task.s.id_array()[j[hits]]))

@@ -35,11 +35,11 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import JoinError, WorkerError
 from repro.parallel.partitioner import GridSpec, PartitionTask
-from repro.parallel.plane_sweep import sweep_tile
+from repro.parallel.plane_sweep import sweep_task
 from repro.predicates.theta import ThetaOperator
 from repro.storage.costs import CostMeter
 from repro.storage.record import RecordId
@@ -88,8 +88,11 @@ def _run_chunk(
     fault_plan: "FaultPlan | None" = None,
     chunk_index: int = 0,
     refiner=None,
-) -> tuple[list[tuple[RecordId, RecordId]], CostMeter]:
+) -> tuple[Any, CostMeter]:
     """One worker's share: sweep every assigned tile on a private meter.
+
+    Returns the tiles' result rows (see :func:`sweep_task`) as one integer
+    array -- which is also what a worker process ships home.
 
     ``refiner`` (an :class:`~repro.intermediate.filter.IntervalFilter`,
     or ``None`` for exact refinement) is pickled along with the tasks on
@@ -97,16 +100,28 @@ def _run_chunk(
     approximation memo, and the interval counters ride home on the
     private meter like every other counter.
     """
+    import numpy as np
+
     if fault_plan is not None and fault_plan.should_crash_chunk(chunk_index):
         raise WorkerError(f"injected crash of worker chunk {chunk_index}")
     meter = CostMeter()
-    pairs: list[tuple[RecordId, RecordId]] = []
-    for task in tasks:
-        pairs.extend(
-            sweep_tile(grid, task.ix, task.iy, task.entries_r, task.entries_s,
-                       theta, meter, refiner)
-        )
-    return pairs, meter
+    rows = [sweep_task(grid, task, theta, meter, refiner) for task in tasks]
+    return np.concatenate(rows), meter
+
+
+def _record_pairs(chunk_rows: list) -> list[tuple[RecordId, RecordId]]:
+    """The chunks' result rows as ``(tid_r, tid_s)`` pairs in sorted order.
+
+    Sorting happens on the integer rows, so :class:`RecordId` objects
+    are built for the result only and never compared.
+    """
+    import numpy as np
+
+    if not chunk_rows:
+        return []
+    rows = np.concatenate(chunk_rows)
+    page_r, slot_r, page_s, slot_s = rows[np.lexsort(rows.T[::-1])].T.tolist()
+    return list(zip(map(RecordId, page_r, slot_r), map(RecordId, page_s, slot_s)))
 
 
 def balance_tasks(
@@ -133,7 +148,7 @@ def _run_chunks_sequentially(
     metrics=None,
     cancel=None,
     refiner=None,
-) -> list[tuple[list[tuple[RecordId, RecordId]], CostMeter]]:
+) -> list[tuple[Any, CostMeter]]:
     """Run every chunk in-process, recovering injected crashes per chunk."""
     from repro.core.cancel import check_cancel
 
@@ -210,9 +225,7 @@ def run_partitions(
         reports = _run_chunks_sequentially([chunk] if chunk else [], grid, theta,
                                            fault_plan, report, metrics, cancel,
                                            refiner)
-        pairs = [p for chunk_pairs, _ in reports for p in chunk_pairs]
-        _publish_recoveries(metrics, report)
-        return pairs, CostMeter.merge([m for _, m in reports]), report
+        return _finish(reports, metrics, report)
 
     check_cancel(cancel)
     chunks = balance_tasks(tasks, workers)
@@ -227,18 +240,18 @@ def run_partitions(
         report.degrade_reason = f"{type(exc).__name__}: {exc}"
         reports = _run_chunks_sequentially(chunks, grid, theta, fault_plan,
                                            report, metrics, cancel, refiner)
-        pairs = [p for chunk_pairs, _ in reports for p in chunk_pairs]
-        _publish_recoveries(metrics, report)
-        return pairs, CostMeter.merge([m for _, m in reports]), report
+        return _finish(reports, metrics, report)
 
-    results: list[tuple[list[tuple[RecordId, RecordId]], CostMeter] | None] = []
+    results: list[tuple[Any, CostMeter] | None] = []
     causes: list[str | None] = []
     outstanding = 0
     try:
         dispatched = time.perf_counter()
         handles = [
-            mp_pool.apply_async(_run_chunk,
-                                (chunk, grid, theta, fault_plan, i, refiner))
+            mp_pool.apply_async(
+                _run_chunk,
+                ([t.detached() for t in chunk], grid, theta, fault_plan, i, refiner),
+            )
             for i, chunk in enumerate(chunks)
         ]
         outstanding = len(handles)
@@ -289,12 +302,12 @@ def run_partitions(
         if fault_plan is not None:
             fault_plan.note_worker_crash(i, recovered=True)
 
-    completed = [r for r in results if r is not None]
-    pairs = [p for chunk_pairs, _ in completed for p in chunk_pairs]
-    _publish_recoveries(metrics, report)
-    return pairs, CostMeter.merge([m for _, m in completed]), report
+    return _finish([r for r in results if r is not None], metrics, report)
 
 
-def _publish_recoveries(metrics, report: PoolReport) -> None:
+def _finish(completed, metrics, report: PoolReport):
+    """``run_partitions``' return value from the completed chunks."""
     if metrics is not None and report.recoveries:
         metrics.counter("parallel.chunk_recoveries").inc(len(report.recoveries))
+    pairs = _record_pairs([rows for rows, _ in completed])
+    return pairs, CostMeter.merge([m for _, m in completed]), report

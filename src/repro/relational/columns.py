@@ -1,0 +1,87 @@
+"""One spatial column of a relation as flat arrays (the Theta side).
+
+Every Theta-filter of Table 1 is a test on minimum bounding rectangles,
+so the consumers that look at *all* of a relation's MBRs -- the
+partition join's scatter and sweep, the planner's sampler, the data
+universe of the z-order grid and the interval tier -- read the column
+once into :class:`Columns` instead of materialising tuple lists.  The
+theta side is untouched: ``geoms`` holds the stored geometry objects,
+and exact refinement still runs on them one pair at a time.
+
+The buffers are plain :mod:`array` objects, so building and reading them
+needs no third-party import; numpy views them without copying
+(``numpy.frombuffer``) where a consumer wants vectorised arithmetic.
+"""
+
+from __future__ import annotations
+
+from array import array
+from dataclasses import dataclass, field
+from typing import Any
+
+from repro.geometry.rect import Rect
+from repro.relational.relation import Relation
+from repro.storage.buffer import BufferPool
+
+
+@dataclass(slots=True)
+class Columns:
+    """Row ``i`` is ``boxes[4i:4i+4]`` = ``xmin, ymin, xmax, ymax``
+    (doubles), ``ids[2i:2i+2]`` = ``page_id, slot`` (unsigned ints: both
+    are small counters, and :mod:`array` raises ``OverflowError`` rather
+    than wrap) and ``geoms[i]``, in file order."""
+
+    boxes: array = field(default_factory=lambda: array("d"))
+    ids: array = field(default_factory=lambda: array("I"))
+    geoms: list[Any] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.geoms)
+
+    def box_array(self):
+        """``boxes`` as a float64 ``(n, 4)`` numpy view (no copy)."""
+        import numpy as np
+
+        return np.frombuffer(self.boxes, dtype=np.float64).reshape(-1, 4)
+
+    def id_array(self):
+        """``ids`` as an unsigned ``(n, 2)`` numpy view (no copy)."""
+        import numpy as np
+
+        return np.frombuffer(self.ids, dtype=np.uintc).reshape(-1, 2)
+
+
+def extract_columns(
+    relation: Relation, column: str, pool: BufferPool | None = None
+) -> Columns:
+    """One sequential pass over ``relation``'s pages, fetched through
+    ``pool`` (default: the relation's own, exactly as ``scan`` reads)."""
+    if pool is None:
+        pool = relation.buffer_pool
+    columns = Columns()
+    boxes, ids, geoms = columns.boxes, columns.ids, columns.geoms
+    for pid in relation.page_ids:
+        page = pool.fetch(pid)
+        for slot, record in enumerate(page.slots):
+            if record is None:
+                continue
+            geom = record[column]
+            mbr = geom.mbr()
+            boxes.extend((mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax))
+            ids.extend((pid, slot))
+            geoms.append(geom)
+    return columns
+
+
+def data_universe(*columns: Columns) -> Rect:
+    """Union of every MBR in ``columns``, grown to positive area; the
+    unit square when there is no row at all."""
+    filled = [c.boxes for c in columns if c.boxes]
+    if not filled:
+        return Rect(0.0, 0.0, 1.0, 1.0)
+    return Rect(
+        min(min(b[0::4]) for b in filled),
+        min(min(b[1::4]) for b in filled),
+        max(max(b[2::4]) for b in filled),
+        max(max(b[3::4]) for b in filled),
+    ).with_positive_extent()

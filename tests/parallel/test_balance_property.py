@@ -10,8 +10,8 @@ from repro.parallel.pool import balance_tasks
 
 
 def make_task(ix: int, iy: int, nr: int, ns: int) -> PartitionTask:
-    # Only lengths matter to the balancer; entry contents are irrelevant.
-    return PartitionTask(ix=ix, iy=iy, entries_r=[0] * nr, entries_s=[0] * ns)
+    # Only row counts matter to the balancer; the columns stay unset.
+    return PartitionTask(ix=ix, iy=iy, r=None, rows_r=[0] * nr, s=None, rows_s=[0] * ns)
 
 
 task_specs = st.lists(

@@ -1,0 +1,227 @@
+"""Differential tests: the columnar partition pipeline vs the scalar one.
+
+The columnar pipeline (``partition_pair`` on arrays, ``sweep_task`` per
+tile, integer result rows) replaced a per-object pipeline that now lives
+in :mod:`tests.parallel.reference`.  Both must return the same pair list
+*and* charge the same Theta-filter, exact and interval counters -- the
+vectorised forward scan counts ``|{r.xmin <= s.xmin <= r.xmax}| +
+|{s.xmin < r.xmin <= s.xmax}|`` per tile, which is what the merge loop
+charges one candidate at a time.
+
+Coordinates are drawn from a lattice that contains every seam of every
+grid up to 8 x 8 over the universe, so equal ``xmin`` ties, zero-area
+rectangles, seam-touching and universe-protruding MBRs are the common
+case rather than a measure-zero accident.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.faults import FaultPlan
+from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
+from repro.geometry.rect import Rect
+from repro.intermediate import IntervalFilter, IntervalSpec
+from repro.parallel.partitioner import GridSpec, as_columns, partition_pair, scatter
+from repro.parallel.pool import run_partitions
+from repro.predicates.theta import Overlaps
+from repro.storage.costs import COUNTER_FIELDS
+from repro.storage.record import RecordId
+
+from tests.parallel.reference import scalar_join, scalar_scatter, tids
+
+UNIVERSE = Rect(0.0, 0.0, 100.0, 100.0)
+#: Multiples of 100/48 hit the seams of 2, 3, 4, 6 and 8 column grids
+#: exactly (in floats: the seams are computed as ``k * (100 / n)``, so
+#: some land one ulp off -- both sides of a seam get exercised).
+LATTICE = [k * 100.0 / 48.0 for k in range(-6, 55)]
+
+coordinate = st.one_of(
+    st.sampled_from(LATTICE),
+    st.floats(min_value=-15.0, max_value=115.0, allow_nan=False),
+)
+extent = st.one_of(
+    st.just(0.0),
+    st.sampled_from([k * 100.0 / 48.0 for k in range(1, 14)]),
+    st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
+)
+
+
+@st.composite
+def geometries(draw, polygons: bool):
+    x, y, w, h = draw(coordinate), draw(coordinate), draw(extent), draw(extent)
+    box = Rect(x, y, x + w, y + h)
+    if polygons and min(box.width, box.height) > 1e-3 and draw(st.booleans()):
+        # A diamond through the side midpoints: same MBR, half the area,
+        # so MBR candidates exist that exact refinement rejects.  (Not
+        # for sliver boxes: a denormal-sized polygon has no centroid.)
+        cx, cy = (box.xmin + box.xmax) / 2, (box.ymin + box.ymax) / 2
+        return Polygon([
+            Point(box.xmin, cy), Point(cx, box.ymin),
+            Point(box.xmax, cy), Point(cx, box.ymax),
+        ])
+    return box
+
+
+def entry_lists(polygons: bool):
+    def to_entries(page):
+        return lambda geoms: [
+            (RecordId(page + i // 7, i % 7), g.mbr(), g) for i, g in enumerate(geoms)
+        ]
+
+    return (
+        st.lists(geometries(polygons), max_size=30).map(to_entries(1)),
+        st.lists(geometries(polygons), max_size=30).map(to_entries(40)),
+    )
+
+
+grids = st.builds(
+    GridSpec, st.just(UNIVERSE),
+    st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8),
+)
+
+
+def columnar_join(entries_r, entries_s, grid, refiner=None, **pool_args):
+    tasks = partition_pair(entries_r, entries_s, grid)
+    pairs, meter, report = run_partitions(
+        tasks, grid, Overlaps(), refiner=refiner, **pool_args
+    )
+    return pairs, meter, report
+
+
+def counters(meter) -> dict:
+    return {name: getattr(meter, name) for name in COUNTER_FIELDS}
+
+
+@pytest.mark.parametrize("polygons", [False, True], ids=["rects", "polygons"])
+@given(data=st.data(), grid=grids)
+@settings(max_examples=80, deadline=None)
+def test_pairs_and_counters_match_the_scalar_pipeline(polygons, data, grid):
+    entries_r, entries_s = (data.draw(s) for s in entry_lists(polygons))
+    expected_pairs, expected_meter = scalar_join(entries_r, entries_s, grid, Overlaps())
+    pairs, meter, _ = columnar_join(entries_r, entries_s, grid)
+    assert pairs == expected_pairs
+    assert counters(meter) == counters(expected_meter)
+
+
+@given(data=st.data(), grid=grids, level=st.integers(min_value=2, max_value=6))
+@settings(max_examples=50, deadline=None)
+def test_interval_filter_counters_match_the_scalar_pipeline(data, grid, level):
+    """With the raster tier on, probes / sure hits / saved evals and the
+    remaining exact evals are the scalar pipeline's; MBRs protruding
+    from the interval universe fall through to exact on both sides."""
+    entries_r, entries_s = (data.draw(s) for s in entry_lists(polygons=True))
+    spec = IntervalSpec(universe=UNIVERSE, level=level)
+    expected_pairs, expected_meter = scalar_join(
+        entries_r, entries_s, grid, Overlaps(), IntervalFilter(Overlaps(), spec)
+    )
+    pairs, meter, _ = columnar_join(
+        entries_r, entries_s, grid, IntervalFilter(Overlaps(), spec)
+    )
+    assert pairs == expected_pairs
+    assert counters(meter) == counters(expected_meter)
+    plain_pairs, _, _ = columnar_join(entries_r, entries_s, grid)
+    assert pairs == plain_pairs
+
+
+@given(data=st.data(), grid=grids)
+@settings(max_examples=40, deadline=None)
+def test_scatter_replicates_exactly_like_covering_cells(data, grid):
+    entries, _ = (data.draw(s) for s in entry_lists(polygons=False))
+    expected = {
+        ix * grid.ny + iy: sorted((e[1].xmin, e[0]) for e in cell)
+        for (ix, iy), cell in scalar_scatter(entries, grid).items()
+    }
+    columns = as_columns(entries)
+    boxes, ids = columns.box_array(), columns.id_array()
+    cells = scatter(columns, grid)
+    assert {
+        cell: sorted(zip(boxes[rows, 0].tolist(), tids(ids[rows])))
+        for cell, rows in cells.items()
+    } == expected
+    for rows in cells.values():
+        assert boxes[rows, 0].tolist() == sorted(boxes[rows, 0].tolist())
+
+
+@given(
+    xs=st.lists(coordinate, min_size=1, max_size=20),
+    ys=st.lists(coordinate, min_size=1, max_size=20),
+    grid=grids,
+)
+def test_owner_cells_is_owner_cell_elementwise(xs, ys, grid):
+    n = min(len(xs), len(ys))
+    ix, iy = grid.owner_cells(np.array(xs[:n]), np.array(ys[:n]))
+    assert list(zip(ix.tolist(), iy.tolist())) == [
+        grid.owner_cell(x, y) for x, y in zip(xs[:n], ys[:n])
+    ]
+
+
+# ----------------------------------------------------------------------
+# One fixed workload through the pool's other paths
+# ----------------------------------------------------------------------
+
+
+def fixed_workload():
+    import random
+
+    rng = random.Random(15)
+
+    def entries(page, count):
+        out = []
+        for i in range(count):
+            x, y = rng.choice(LATTICE), rng.uniform(-5, 95)
+            g = Rect(x, y, x + rng.choice([0.0, 6.25, 12.5, 9.0]), y + rng.uniform(0, 14))
+            out.append((RecordId(page + i // 9, i % 9), g, g))
+        return out
+
+    return entries(1, 160), entries(60, 140), GridSpec(UNIVERSE, 4, 4)
+
+
+def test_two_workers_equal_one_worker():
+    entries_r, entries_s, grid = fixed_workload()
+    pairs_1, meter_1, _ = columnar_join(entries_r, entries_s, grid, workers=1)
+    pairs_2, meter_2, report = columnar_join(entries_r, entries_s, grid, workers=2)
+    assert pairs_2 == pairs_1 == scalar_join(entries_r, entries_s, grid, Overlaps())[0]
+    assert counters(meter_2) == counters(meter_1)
+    assert report.requested_workers == 2
+
+
+def test_injected_chunk_crash_recovers_with_identical_counters():
+    entries_r, entries_s, grid = fixed_workload()
+    clean_pairs, clean_meter, _ = columnar_join(entries_r, entries_s, grid)
+    for workers in (1, 2):
+        plan = FaultPlan(seed=0, worker_crashes={0})
+        pairs, meter, report = columnar_join(
+            entries_r, entries_s, grid, workers=workers, fault_plan=plan
+        )
+        assert pairs == clean_pairs
+        assert counters(meter) == counters(clean_meter)
+        assert report.retried_chunks == 1
+        assert plan.summary() == {"injected": 1, "consumed": 1, "outstanding": 0}
+
+
+def test_entry_sequences_and_columns_build_the_same_tasks():
+    """``partition_pair`` takes ``(tid, mbr, geom)`` sequences (lists,
+    tuples, generators) through one adapter and yields the tasks the
+    columnar form yields."""
+    entries_r, entries_s, grid = fixed_workload()
+    from_columns = partition_pair(as_columns(entries_r), as_columns(entries_s), grid)
+    for form in (list, tuple, iter):
+        tasks = partition_pair(form(entries_r), form(entries_s), grid)
+        assert len(tasks) == len(from_columns) > 1
+        for got, want in zip(tasks, from_columns):
+            for f in dataclasses.fields(got):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert np.array_equal(a, b) if hasattr(a, "shape") else a == b
+            assert got.load == len(got.rows_r) + len(got.rows_s)
+            # What a worker process receives is the same tile, self-contained.
+            own = got.detached()
+            assert (own.ix, own.iy, own.load) == (got.ix, got.iy, got.load)
+            assert len(own.r) == len(got.rows_r) and len(own.s) == len(got.rows_s)
+            assert np.array_equal(
+                own.r.box_array()[own.rows_r], got.r.box_array()[got.rows_r]
+            )

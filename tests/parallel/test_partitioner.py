@@ -8,11 +8,14 @@ from repro.errors import JoinError
 from repro.geometry.rect import Rect
 from repro.parallel.partitioner import (
     GridSpec,
+    as_columns,
     partition_pair,
     reference_point,
     scatter,
 )
 from repro.storage.record import RecordId
+
+from tests.parallel.reference import tids
 
 UNIVERSE = Rect(0.0, 0.0, 100.0, 100.0)
 
@@ -99,9 +102,10 @@ class TestScatterAndPartition:
     def test_scatter_preserves_order_per_cell(self):
         grid = GridSpec(UNIVERSE, 2, 1)
         entries = [entry(0, 0, 0, 60, 5), entry(1, 10, 0, 20, 5), entry(2, 55, 0, 70, 5)]
-        cells = scatter(entries, grid)
-        assert [e[0].slot for e in cells[(0, 0)]] == [0, 1]
-        assert [e[0].slot for e in cells[(1, 0)]] == [0, 2]
+        cells = scatter(as_columns(entries), grid)
+        # Cells are numbered ix * ny + iy and hold row numbers.
+        assert cells[0].tolist() == [0, 1]
+        assert cells[1].tolist() == [0, 2]
 
     def test_partition_pair_drops_one_sided_cells(self):
         grid = GridSpec(UNIVERSE, 2, 1)
@@ -117,4 +121,7 @@ class TestScatterAndPartition:
             grid,
         )
         assert len(tasks) == 1
-        assert [e[1].xmin for e in tasks[0].entries_r] == [5, 50]
+        task = tasks[0]
+        assert task.r.box_array()[task.rows_r, 0].tolist() == [5, 50]
+        assert [t.slot for t in tids(task.r.id_array()[task.rows_r])] == [1, 0]
+        assert task.load == 3

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.rect import Rect
-from repro.parallel.partitioner import GridSpec, partition_pair
-from repro.parallel.plane_sweep import sweep_tile
+from repro.parallel.partitioner import GridSpec
 from repro.predicates.theta import Overlaps
-from repro.storage.costs import CostMeter
 from repro.storage.record import RecordId
+
+from tests.parallel.reference import columnar_sweep
 
 UNIVERSE = Rect(0.0, 0.0, 100.0, 100.0)
 
@@ -34,16 +34,8 @@ def brute(entries_r, entries_s, theta):
     }
 
 
-def sweep_all(entries_r, entries_s, grid, theta, meter=None):
-    if meter is None:
-        meter = CostMeter()
-    pairs = []
-    for task in partition_pair(entries_r, entries_s, grid):
-        pairs.extend(
-            sweep_tile(grid, task.ix, task.iy, task.entries_r, task.entries_s,
-                       theta, meter)
-        )
-    return pairs, meter
+def sweep_all(entries_r, entries_s, grid, theta):
+    return columnar_sweep(entries_r, entries_s, grid, theta)
 
 
 class TestSingleTile:

@@ -125,14 +125,14 @@ class TestTimeoutRecovery:
 
         import repro.parallel.pool as pool_mod
 
-        real_sweep = pool_mod.sweep_tile
+        real_sweep = pool_mod.sweep_task
 
         def stalling_sweep(*args, **kwargs):
             if multiprocessing.current_process().daemon:
                 time.sleep(60.0)
             return real_sweep(*args, **kwargs)
 
-        monkeypatch.setattr(pool_mod, "sweep_tile", stalling_sweep)
+        monkeypatch.setattr(pool_mod, "sweep_task", stalling_sweep)
         pairs, _, report = run_partitions(
             tasks, spec, Overlaps(), workers=2, chunk_timeout=0.2
         )

@@ -75,7 +75,13 @@ def test_partition_bench_runs_tiny():
 
 @pytest.mark.smoke
 def test_trace_overhead_bench_runs_tiny(tmp_path):
-    """Trace-overhead bench end to end, artifact JSON included."""
+    """Trace-overhead bench end to end, artifact JSON included.
+
+    Tier-1 checks that the bench ran and emitted a well-formed artifact;
+    it asserts no wall-clock bound.  Sized down, the bench itself skips
+    its bounds too and says so (``bound_checked``); at its default size
+    (``pytest benchmarks/bench_trace_overhead.py``) it enforces them.
+    """
     import json
 
     env = dict(os.environ)
@@ -96,9 +102,11 @@ def test_trace_overhead_bench_runs_tiny(tmp_path):
     payload = json.loads(artifact.read_text())
     assert payload["exit_status"] == 0
     assert set(payload["payloads"]) >= {"zorder", "sync-join", "metrics_snapshot"}
-    for kernel in ("zorder", "sync-join"):
-        stats = payload["payloads"][kernel]
-        assert stats["overhead_fraction"] < stats["tolerance"]
+    for key in ("zorder", "sync-join", "distributed"):
+        stats = payload["payloads"][key]
+        assert stats["overhead_fraction"] >= 0.0
+        assert stats["tolerance"] > 0.0
+        assert stats["bound_checked"] is False
     assert all(t["outcome"] == "passed" for t in payload["tests"])
 
 
