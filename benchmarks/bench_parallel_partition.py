@@ -1,15 +1,11 @@
-"""The partition-parallel plane-sweep join: scaling and rivals.
+"""The partition plane-sweep join: granularity and rivals.
 
-Three questions, answered empirically on uniform rectangle workloads:
+Two questions, answered empirically on uniform rectangle workloads
+(wall-clock at scale is ``perf/``'s ``join_mbr_uniform``):
 
-1. *Scaling* -- wall-clock for the same join at workers 1 / 2 / 4.  On a
-   multi-core host the 4-worker run must beat the sequential one; on a
-   single-core container (``os.cpu_count() < 4``), or sized down through
-   ``BENCH_PARTITION_COUNT``, the speedup assertion is skipped and the
-   timings are merely reported.
-2. *Granularity* -- how the tile count moves sweep work (filter evals)
+1. *Granularity* -- how the tile count moves sweep work (filter evals)
    and the replication overhead.
-3. *Rivals* -- the same join via the synchronized tree join and the
+2. *Rivals* -- the same join via the synchronized tree join and the
    z-order merge; all three must return the identical pair set.
 
 ``BENCH_PARTITION_COUNT`` overrides the per-relation cardinality (the
@@ -21,7 +17,7 @@ import time
 
 import pytest
 
-from benchmarks.artifacts import emit_bench_artifact, sized_down
+from benchmarks.artifacts import emit_bench_artifact
 from repro.geometry import Rect
 from repro.join.sync_join import sync_tree_join
 from repro.join.zorder_merge import zorder_merge_join
@@ -32,7 +28,6 @@ from repro.workloads.assembly import build_indexed_relation
 
 UNIVERSE = Rect(0, 0, 1024, 1024)
 COUNT = int(os.environ.get("BENCH_PARTITION_COUNT", "10000"))
-WORKER_SWEEP = (1, 2, 4)
 GRID_SWEEP = (1, 4, 16, 48)
 
 
@@ -50,53 +45,6 @@ def timed_partition_join(rel_r, rel_s, **kwargs):
         rel_r, rel_s, "shape", "shape", Overlaps(), meter=meter, **kwargs
     )
     return result, time.perf_counter() - start, meter
-
-
-def test_worker_scaling(benchmark, relations):
-    ir_r, ir_s = relations
-    rows = []
-    reference = None
-    for workers in WORKER_SWEEP:
-        result, elapsed, _ = timed_partition_join(
-            ir_r.relation, ir_s.relation, workers=workers
-        )
-        rows.append((workers, result.stats["workers"], elapsed, len(result.pairs)))
-        if reference is None:
-            reference = result.pairs
-        else:
-            # Identical sorted pair list at every degree of parallelism.
-            assert result.pairs == reference
-
-    benchmark.pedantic(
-        timed_partition_join,
-        args=(ir_r.relation, ir_s.relation),
-        kwargs={"workers": WORKER_SWEEP[-1]},
-        rounds=1, iterations=1,
-    )
-
-    print(f"\n{COUNT} x {COUNT} rects, {len(reference)} matches")
-    print(f"{'workers':>9}{'effective':>11}{'seconds':>10}")
-    for workers, effective, elapsed, _ in rows:
-        print(f"{workers:>9}{effective:>11}{elapsed:>10.3f}")
-    emit_bench_artifact("bench_parallel_partition", "worker_scaling", {
-        "count": COUNT,
-        "matches": len(reference),
-        "rows": [
-            {"workers": w, "effective": e, "seconds": s}
-            for w, e, s, _ in rows
-        ],
-    })
-
-    seq = rows[0][2]
-    par = rows[-1][2]
-    if (os.cpu_count() and os.cpu_count() >= 4 and rows[-1][1] >= 4
-            and not sized_down("BENCH_PARTITION_COUNT")):
-        assert par < seq, (
-            f"4 workers ({par:.3f}s) not faster than sequential ({seq:.3f}s)"
-        )
-    else:
-        print(f"(speedup assertion skipped: {os.cpu_count()} CPUs, "
-              f"effective workers {rows[-1][1]}, {COUNT} objects)")
 
 
 def test_grid_granularity(benchmark, relations):

@@ -57,7 +57,10 @@ UNIVERSE = Rect(0, 0, 1024, 1024)
 COUNT = int(os.environ.get("BENCH_TRACE_COUNT", "1200"))
 TOLERANCE = float(os.environ.get("BENCH_TRACE_TOLERANCE", "0.02"))
 DIST_SHARDS = int(os.environ.get("BENCH_DIST_SHARDS", "8"))
-DIST_COUNT = int(os.environ.get("BENCH_DIST_COUNT", "4000"))
+#: 12,000 x 12,000 rows, an untraced 8-shard join of ~70 ms: at 4,000 x
+#: 4,000 it takes ~7 ms, and two dozen fixed-cost spans are not small
+#: against that.
+DIST_COUNT = int(os.environ.get("BENCH_DIST_COUNT", "12000"))
 DIST_TOLERANCE = float(os.environ.get("BENCH_DIST_TRACE_TOLERANCE", "0.03"))
 #: A sized-down run measures and records the overheads, unasserted.
 BOUND_CHECKED = not sized_down("BENCH_TRACE_COUNT", "BENCH_DIST_COUNT")

@@ -8,7 +8,7 @@ asynchronously; instead the executor calls :meth:`CancellationToken.check`
 at well-defined boundaries --
 
 * before every strategy attempt of the fallback chain,
-* before every partition-parallel worker chunk,
+* before every tile of a partition join's sweep,
 * at every tree level of Algorithm SELECT / Algorithm JOIN (and per
   node pop on the DFS path),
 * once more after a strategy returns, before its result may be admitted
@@ -18,7 +18,7 @@ at well-defined boundaries --
 ``check`` raises :class:`~repro.errors.DeadlineExceeded` when the
 token's own deadline has passed and :class:`~repro.errors.QueryCancelled`
 when :meth:`cancel` was called (drain, client abort, watchdog).  Both
-are ``retryable=False`` and deliberately *not* storage/worker errors, so
+are ``retryable=False`` and deliberately *not* storage errors, so
 they unwind straight through the executor's fallback chain instead of
 triggering another (equally doomed) strategy.
 

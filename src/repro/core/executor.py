@@ -22,7 +22,7 @@ from typing import Any
 
 from repro.core.cancel import CancellationToken, check_cancel
 from repro.core.report import AttemptRecord, ExecutionReport
-from repro.errors import ExecutionError, JoinError, StorageError, WorkerError
+from repro.errors import ExecutionError, JoinError, StorageError
 from repro.join.accessor import RelationAccessor
 from repro.join.index_join import (
     index_nested_loop_join,
@@ -79,17 +79,16 @@ INTERVAL_STRATEGIES: tuple[str, ...] = ("tree", "zorder", "partition")
 class SpatialQueryExecutor:
     """Executes spatial selections and joins with pluggable strategies.
 
-    ``workers`` sets the default degree of parallelism for the
-    ``partition`` strategy (1 = fully in-process); per-join overrides go
-    through :meth:`join`.  ``chunk_timeout`` bounds each parallel worker
-    chunk in wall-clock seconds (``None`` = unbounded); a chunk that
-    exceeds it is re-executed sequentially.
+    ``workers`` is a sizing input of the ``partition`` strategy (the
+    minimum tile count of its grid and the divisor of the planner's
+    ``D_PAR``); per-join overrides go through :meth:`join`.  The join
+    itself always runs in this process.
 
     ``tracer`` (a :class:`~repro.obs.trace.Tracer`) makes every
     select/join emit a strategy-level span with per-phase and per-level
     children; ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
     collects buffer-pool hit ratios, Theta prune rates, QualPairs
-    lengths and parallel chunk timings from the layers underneath.  Both
+    lengths and partition sweep timings from the layers underneath.  Both
     default to off and cost nothing when off.
 
     ``cache`` (a :class:`~repro.cache.QueryCache`) short-circuits
@@ -126,7 +125,6 @@ class SpatialQueryExecutor:
         memory_pages: int = 4000,
         workers: int = 1,
         *,
-        chunk_timeout: float | None = None,
         tracer=None,
         metrics=None,
         cache=None,
@@ -138,7 +136,6 @@ class SpatialQueryExecutor:
             raise JoinError(f"workers must be positive, got {workers}")
         self.memory_pages = memory_pages
         self.workers = workers
-        self.chunk_timeout = chunk_timeout
         self.tracer = coalesce(tracer)
         self.metrics = metrics
         self.cache = cache
@@ -414,7 +411,7 @@ class SpatialQueryExecutor:
         ``tracer``/``metrics``/``cache`` override the instance handles
         for this call (per-session tracing over shared state).
         ``cancel`` is checked on entry, at tree-level and
-        partition-chunk boundaries inside the strategies, and once more
+        partition-tile boundaries inside the strategies, and once more
         before admission (no post-deadline cache fills).
         """
         check_cancel(cancel)
@@ -564,8 +561,6 @@ class SpatialQueryExecutor:
                 rel_r, rel_s, column_r, column_s, theta,
                 workers=workers, meter=meter, memory_pages=self.memory_pages,
                 collect_tuples=collect_tuples,
-                fault_plan=self._fault_plan_for(rel_r, rel_s),
-                chunk_timeout=self.chunk_timeout,
                 tracer=tracer, metrics=metrics, cancel=cancel,
                 refiner=interval_filter,
             )
@@ -598,9 +593,8 @@ class SpatialQueryExecutor:
         """Join with a strategy-fallback chain and a full execution report.
 
         The requested (or auto-picked) strategy runs first; if it dies on
-        a storage or worker failure -- a transient fault that outlasted
-        the buffer pool's retry budget, a permanently lost page, a worker
-        crash that sequential re-execution could not absorb -- the next
+        a storage failure -- a transient fault that outlasted the buffer
+        pool's retry budget, a permanently lost page -- the next
         applicable strategy of :data:`FALLBACK_CHAIN` is tried, until one
         succeeds or the chain is exhausted (:class:`ExecutionError`).
 
@@ -682,7 +676,7 @@ class SpatialQueryExecutor:
                     tracer=tracer, metrics=metrics, cache=cache,
                     cancel=cancel, interval=interval,
                 )
-            except (StorageError, WorkerError) as exc:
+            except StorageError as exc:
                 meter.absorb(attempt_meter)
                 report.attempts.append(AttemptRecord(
                     strategy=strat, ok=False,

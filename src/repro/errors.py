@@ -79,14 +79,6 @@ class WALError(StorageError):
     """
 
 
-class WorkerError(ReproError):
-    """A parallel worker chunk crashed or timed out.
-
-    The pool recovers by re-executing the chunk sequentially; this error
-    escapes only when that recovery itself fails.
-    """
-
-
 class BufferPoolError(StorageError):
     """Buffer-pool misuse: over-pinning, eviction of a pinned page, ..."""
 

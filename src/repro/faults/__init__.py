@@ -6,7 +6,7 @@ first-class, *reproducible* input:
 
 * :class:`~repro.faults.plan.FaultPlan` -- a seeded schedule of
   transient read/write failures, torn writes, permanent page losses and
-  parallel-worker crashes, with an audit log of every injected fault and
+  shard-worker kills, with an audit log of every injected fault and
   whether recovery consumed it;
 * :class:`~repro.faults.disk.FaultyDisk` -- a drop-in
   :class:`~repro.storage.disk.SimulatedDisk` that executes the plan and
@@ -16,9 +16,9 @@ first-class, *reproducible* input:
   garbled and partial reply lines) between a query client and server.
 
 Recovery lives in the layers above: the buffer pool retries transient
-faults with bounded virtual-clock backoff, the worker pool re-executes
-crashed chunks sequentially, and the executor falls back across join
-strategies -- each step recorded in an
+faults with bounded virtual-clock backoff, the shard supervisor restarts
+killed workers from their write-ahead log, and the executor falls back
+across join strategies -- each step recorded in an
 :class:`~repro.core.report.ExecutionReport`.
 """
 

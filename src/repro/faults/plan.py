@@ -1,7 +1,7 @@
 """Deterministic fault plans: *what* fails, *when*, reproducibly.
 
-A :class:`FaultPlan` is the single source of truth for injected storage
-and worker failures.  It is seeded, so two runs with the same seed and
+A :class:`FaultPlan` is the single source of truth for injected storage,
+network and shard failures.  It is seeded, so two runs with the same seed and
 the same access sequence inject the identical fault sequence -- the
 property every "survives faults" test relies on.
 
@@ -35,7 +35,6 @@ class FaultKind(str, Enum):
     TRANSIENT_WRITE = "transient-write"
     TORN_WRITE = "torn-write"
     PERMANENT_READ = "permanent-read"
-    WORKER_CRASH = "worker-crash"
     CRASH = "crash"
     NET_DROP = "net-drop"
     NET_STALL = "net-stall"
@@ -67,9 +66,7 @@ class FaultEvent:
 
     def describe(self) -> str:
         state = "consumed" if self.consumed else "outstanding"
-        if self.kind is FaultKind.WORKER_CRASH:
-            noun = "chunk"
-        elif self.kind is FaultKind.CRASH:
+        if self.kind is FaultKind.CRASH:
             noun = "physical write"
         elif self.kind in NET_FAULT_KINDS:
             noun = "connection"
@@ -81,18 +78,17 @@ class FaultEvent:
 
 
 class FaultPlan:
-    """Seeded schedule of storage and worker faults.
+    """Seeded schedule of storage, network and shard faults.
 
     ``read_rate`` / ``write_rate`` / ``torn_rate`` are per-access
     Bernoulli probabilities for transient read failures, transient write
     failures and torn writes.  ``lost_pages`` are permanently
     unreadable.  ``read_outages`` maps a page id to an exact count of
     forced transient read failures (consumed first, before any random
-    draw).  ``worker_crashes`` names parallel chunk indices whose worker
-    dies on first execution.  ``crash_at_write`` schedules a whole-process
-    crash at an exact physical-write index (``crash_torn_tail`` lands the
-    in-flight write torn), freezing the disk's durable image for
-    crash-recovery testing.
+    draw).  ``crash_at_write`` schedules a whole-process crash at an
+    exact physical-write index (``crash_torn_tail`` lands the in-flight
+    write torn), freezing the disk's durable image for crash-recovery
+    testing.
 
     The ``net_*`` knobs drive the network side
     (:class:`~repro.faults.net.ChaosProxy`): per-line Bernoulli rates for
@@ -126,7 +122,6 @@ class FaultPlan:
         torn_rate: float = 0.0,
         lost_pages: frozenset[int] | set[int] = frozenset(),
         read_outages: dict[int, int] | None = None,
-        worker_crashes: frozenset[int] | set[int] = frozenset(),
         max_burst: int = 3,
         crash_at_write: int | None = None,
         crash_torn_tail: bool = False,
@@ -161,7 +156,6 @@ class FaultPlan:
         self.torn_rate = torn_rate
         self.lost_pages = set(lost_pages)
         self.read_outages = dict(read_outages or {})
-        self.worker_crashes = set(worker_crashes)
         self.max_burst = max_burst
         #: Physical-write index (successful writes so far) at which the
         #: disk crashes: the scheduled write does not complete and the
@@ -203,7 +197,7 @@ class FaultPlan:
         self._pending: dict[tuple[str, int], list[FaultEvent]] = {}
 
     # ------------------------------------------------------------------
-    # Decision points (called by FaultyDisk / the worker pool)
+    # Decision points (called by FaultyDisk / the shard runtime)
     # ------------------------------------------------------------------
 
     def is_lost(self, page_id: int) -> bool:
@@ -351,15 +345,6 @@ class FaultPlan:
         survived; consume them and reset the burst counter."""
         self.note_success("heartbeat", shard_id)
 
-    def should_crash_chunk(self, chunk_index: int) -> bool:
-        """Pure decision: does this parallel chunk's worker die?
-
-        No event is logged here -- the decision may be evaluated inside a
-        forked worker whose plan copy is discarded.  The parent logs the
-        crash via :meth:`note_worker_crash` when it observes the failure.
-        """
-        return self.enabled and chunk_index in self.worker_crashes
-
     # ------------------------------------------------------------------
     # Outcome notifications
     # ------------------------------------------------------------------
@@ -372,12 +357,6 @@ class FaultPlan:
             self._bursts.pop(("torn", page_id), None)
         for ev in self._pending.pop((op, page_id), []):
             ev.consumed = True
-
-    def note_worker_crash(self, chunk_index: int, recovered: bool) -> FaultEvent:
-        """Log an observed worker crash; ``recovered`` marks it consumed."""
-        ev = self._log(FaultKind.WORKER_CRASH, chunk_index, pending=False)
-        ev.consumed = recovered
-        return ev
 
     def note_crash(self, write_index: int) -> FaultEvent:
         """Log the disk crash itself (once, by the disk that froze).

@@ -214,7 +214,13 @@ class Polygon:
         if not self._mbr.intersects(rect):
             return False
         if rect.area() <= 0:
-            return self.contains_point(rect.centerpoint())
+            # A point or an axis-parallel segment: inside, or crossing an edge.
+            low, high = Point(rect.xmin, rect.ymin), Point(rect.xmax, rect.ymax)
+            if self.contains_point(low):
+                return True
+            return low != high and any(
+                e.intersects(Segment(low, high)) for e in self.edges()
+            )
         return self.overlaps(Polygon.from_rect(rect))
 
     # ------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 The paper's Algorithm JOIN and the Section 4.4 strategies are inherently
 single-threaded page-at-a-time designs.  This subsystem adds the
-partition-parallel evaluation of Tsitsigkos & Mamoulis et al. (2019):
-uniform grid partitioning with the reference-point duplicate-avoidance
+partition-based evaluation of Tsitsigkos & Mamoulis et al. (2019), minus
+the shared-memory threads CPython does not offer: uniform grid
+partitioning with the reference-point duplicate-avoidance
 rule (:mod:`repro.parallel.partitioner`), a forward plane-sweep kernel
-per tile (:mod:`repro.parallel.plane_sweep`), and a worker pool merging
-per-worker cost meters (:mod:`repro.parallel.pool`).  The Theta side
+per tile (:mod:`repro.parallel.plane_sweep`), and the loop that sweeps
+the tiles on one cost meter (:mod:`repro.parallel.pool`).  The Theta side
 (scatter, sweep, result ordering) runs on flat numpy arrays; the theta
 side refines candidate pairs one by one on the stored geometries.  The
 executor exposes it as the ``partition`` strategy.
@@ -22,20 +23,13 @@ from repro.parallel.partitioner import (
     scatter,
 )
 from repro.parallel.plane_sweep import sweep_task
-from repro.parallel.pool import (
-    ChunkRecovery,
-    PoolReport,
-    balance_tasks,
-    run_partitions,
-)
+from repro.parallel.pool import PoolReport, run_partitions
 
 __all__ = [
-    "ChunkRecovery",
     "Entry",
     "GridSpec",
     "PartitionTask",
     "PoolReport",
-    "balance_tasks",
     "partition_join",
     "partition_pair",
     "reference_point",

@@ -1,4 +1,4 @@
-"""The partition-parallel spatial join: grid scatter + per-tile sweeps.
+"""The partition spatial join: grid scatter + per-tile sweeps.
 
 End-to-end driver tying the subsystem together:
 
@@ -7,11 +7,11 @@ End-to-end driver tying the subsystem together:
    list (:func:`~repro.relational.columns.extract_columns`);
 2. tile the data universe with a uniform :class:`GridSpec` and replicate
    each row into every tile its MBR intersects;
-3. sweep the tiles -- sequentially or on a worker pool -- with the
-   reference-point rule guaranteeing each result pair is emitted by
-   exactly one tile (no dedup pass anywhere);
-4. merge the workers' private cost meters into the caller's meter and
-   return one :class:`JoinResult` with combined stats.
+3. sweep the tiles one after another, the reference-point rule
+   guaranteeing each result pair is emitted by exactly one tile (no
+   dedup pass anywhere);
+4. absorb the sweep's cost meter into the caller's meter and return one
+   :class:`JoinResult` with combined stats.
 
 Applicability matches the z-order merge: the MBR-intersection filter the
 sweep uses is conservative for ``overlaps`` (and operators whose filter
@@ -63,8 +63,6 @@ def partition_join(
     memory_pages: int = 4000,
     meter: CostMeter | None = None,
     collect_tuples: bool = False,
-    fault_plan=None,
-    chunk_timeout: float | None = None,
     tracer=None,
     metrics=None,
     cancel=None,
@@ -74,20 +72,13 @@ def partition_join(
 
     ``grid`` may be a full :class:`GridSpec`, an integer ``n`` for an
     ``n x n`` grid over the data universe, or ``None`` for a workload-fitted
-    grid.  ``workers=1`` runs fully in-process and deterministically;
-    ``workers>1`` spreads tiles over a process pool (falling back to the
-    sequential path where processes are unavailable).  Result pairs are
-    returned in sorted order, identical for every worker count.
-
-    ``fault_plan`` forwards a :class:`~repro.faults.plan.FaultPlan` to
-    the worker pool (injected worker crashes are recovered by sequential
-    chunk re-execution); ``chunk_timeout`` bounds each worker chunk.
-    The returned stats report how the pool actually ran: effective
-    worker count, degrade reason (if any), and recovered chunks.
+    grid.  The join runs in this process, deterministically; ``workers``
+    only raises the workload-fitted grid's minimum tile count.  Result
+    pairs are returned in sorted order.
 
     ``cancel`` (a :class:`~repro.core.cancel.CancellationToken`) is
-    checked between the extract/scatter/sweep phases and at every
-    worker-chunk boundary inside the pool.
+    checked between the extract/scatter/sweep phases and before every
+    tile of the sweep.
 
     ``refiner`` (see :mod:`repro.intermediate.filter`) replaces the
     exact refinement step inside every tile sweep; ``None`` keeps the
@@ -120,12 +111,11 @@ def partition_join(
         span.set_tag("tiles", len(tasks))
 
     with tracer.span("partition.sweep", meter=meter, workers=workers) as span:
-        pairs, worker_meter, pool_report = run_partitions(
+        pairs, sweep_meter, pool_report = run_partitions(
             tasks, spec, theta, workers=workers,
-            fault_plan=fault_plan, chunk_timeout=chunk_timeout,
             metrics=metrics, cancel=cancel, refiner=refiner,
         )
-        meter.absorb(worker_meter)
+        meter.absorb(sweep_meter)
         span.set_tag("effective_workers", pool_report.effective_workers)
         span.set_tag("pairs", len(pairs))
 
@@ -141,13 +131,5 @@ def partition_join(
         grid_nx=spec.nx, grid_ny=spec.ny,
         partitions=len(tasks), workers=pool_report.effective_workers,
         requested_workers=pool_report.requested_workers,
-        chunk_retries=pool_report.retried_chunks,
     )
-    if pool_report.degrade_reason is not None:
-        result.stats["degrade_reason"] = pool_report.degrade_reason
-    if pool_report.recoveries:
-        result.stats["recovered_chunks"] = [
-            f"chunk {r.chunk} ({r.tiles} tiles): {r.cause}"
-            for r in pool_report.recoveries
-        ]
     return result

@@ -1,9 +1,9 @@
 """Uniform grid partitioning with the reference-point rule.
 
-The partition-parallel join (after Tsitsigkos & Mamoulis et al., *Parallel
+The partition join (after Tsitsigkos & Mamoulis et al., *Parallel
 In-Memory Evaluation of Spatial Joins*, 2019) tiles the universe with a
 uniform grid and replicates every MBR into each tile it intersects.  The
-tiles are then independent join problems -- the unit of parallelism.
+tiles are then independent join problems, swept one at a time.
 
 Replication would normally produce duplicate result pairs (one per tile
 two objects share).  The *reference-point rule* removes them without any
@@ -32,8 +32,7 @@ from repro.geometry.rect import Rect
 from repro.relational.columns import Columns
 from repro.storage.record import RecordId
 
-#: One index entry in object form: ``(tid, mbr, geometry)``.  What
-#: :func:`~repro.parallel.plane_sweep.sweep_sorted` walks, and what
+#: One index entry in object form: ``(tid, mbr, geometry)``, which
 #: :func:`partition_pair` still accepts (see :func:`as_columns`).
 Entry = tuple[RecordId, Rect, Any]
 
@@ -97,6 +96,13 @@ class GridSpec:
             along(ys, u.ymin, self.cell_height, self.ny),
         )
 
+    def owners(self, xs, ys):
+        """The owning tile ``ix * ny + iy`` of many points -- the one
+        question a sweep asks its keyspace (see
+        :func:`~repro.parallel.plane_sweep.sweep_task`)."""
+        ix, iy = self.owner_cells(xs, ys)
+        return ix * self.ny + iy
+
     def covering_cells(self, mbr: Rect) -> Iterator[tuple[int, int]]:
         """All cells whose closed rectangle intersects ``mbr``.
 
@@ -127,17 +133,19 @@ class GridSpec:
 
 @dataclass(slots=True)
 class PartitionTask:
-    """One grid tile's independent join problem, as array slices.
+    """One partition's independent join problem, as array slices.
 
-    ``rows_r`` / ``rows_s`` are integer arrays of row numbers into the two
-    relations' :class:`Columns` ``r`` / ``s``, sorted by ``xmin`` (the
-    sweep relies on that order).  Tasks of one scatter share the columns
-    and own only their slice of the sorted row numbers; the sweep gathers
-    a tile's boxes when it gets there.
+    ``key`` is the partition's id in its keyspace: tile ``ix * ny + iy``
+    of a :class:`GridSpec`, or the shard id of a
+    :class:`~repro.shard.keyspace.ShardMap`.  ``rows_r`` / ``rows_s`` are
+    integer arrays of row numbers into the two relations'
+    :class:`Columns` ``r`` / ``s``, sorted by ``xmin`` (the sweep relies
+    on that order).  Tasks of one scatter share the columns and own only
+    their slice of the sorted row numbers; the sweep gathers a tile's
+    boxes when it gets there.
     """
 
-    ix: int
-    iy: int
+    key: int
     r: Columns
     rows_r: Any
     s: Columns
@@ -145,23 +153,8 @@ class PartitionTask:
 
     @property
     def load(self) -> int:
-        """Work estimate used by the pool's greedy load balancing."""
+        """Entries replicated into this partition, both sides."""
         return len(self.rows_r) + len(self.rows_s)
-
-    def detached(self) -> "PartitionTask":
-        """A copy holding this tile's rows only -- what a worker process
-        is sent, so a chunk pickles its tiles' buffers, not the relations."""
-        import numpy as np
-
-        def own(columns: Columns, rows) -> tuple[Columns, Any]:
-            return Columns(
-                columns.box_array()[rows].ravel(), columns.id_array()[rows].ravel(),
-                [columns.geoms[i] for i in rows.tolist()],
-            ), np.arange(len(rows))
-
-        return PartitionTask(
-            self.ix, self.iy, *own(self.r, self.rows_r), *own(self.s, self.rows_s)
-        )
 
 
 def reference_point(mbr_a: Rect, mbr_b: Rect) -> tuple[float, float]:
@@ -175,10 +168,8 @@ def as_columns(entries: Columns | Iterable[Entry]) -> Columns:
     if isinstance(entries, Columns):
         return entries
     columns = Columns()
-    for tid, mbr, geom in entries:
-        columns.boxes.extend((mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax))
-        columns.ids.extend((tid.page_id, tid.slot))
-        columns.geoms.append(geom)
+    for entry in entries:
+        columns.append(*entry)
     return columns
 
 
@@ -233,11 +224,12 @@ def partition_pair(
     """Build the per-tile join tasks for two relations' entries.
 
     Tiles where either side is empty produce no task -- they cannot
-    contribute a pair.  Tasks come in ``(ix, iy)`` order.
+    contribute a pair.  Tasks come in ``(ix, iy)`` order, keyed
+    ``ix * ny + iy``.
     """
     r, s = as_columns(entries_r), as_columns(entries_s)
     cells_r, cells_s = scatter(r, grid), scatter(s, grid)
     return [
-        PartitionTask(*divmod(cell, grid.ny), r, cells_r[cell], s, cells_s[cell])
+        PartitionTask(cell, r, cells_r[cell], s, cells_s[cell])
         for cell in sorted(cells_r.keys() & cells_s.keys())
     ]

@@ -22,21 +22,46 @@ from typing import Any
 from repro.geometry.rect import Rect
 from repro.relational.relation import Relation
 from repro.storage.buffer import BufferPool
+from repro.storage.record import RecordId
 
 
 @dataclass(slots=True)
 class Columns:
     """Row ``i`` is ``boxes[4i:4i+4]`` = ``xmin, ymin, xmax, ymax``
-    (doubles), ``ids[2i:2i+2]`` = ``page_id, slot`` (unsigned ints: both
-    are small counters, and :mod:`array` raises ``OverflowError`` rather
-    than wrap) and ``geoms[i]``, in file order."""
+    (doubles), ``ids[2i:2i+2]`` = ``page_id, slot`` (signed 32-bit ints:
+    both are small counters, the shard runtime mints live-insert ids on
+    page ``-1``, and :mod:`array` raises ``OverflowError`` rather than
+    wrap) and ``geoms[i]``, in file order."""
 
     boxes: array = field(default_factory=lambda: array("d"))
-    ids: array = field(default_factory=lambda: array("I"))
+    ids: array = field(default_factory=lambda: array("i"))
     geoms: list[Any] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.geoms)
+
+    def append(self, tid: RecordId, mbr: Rect, geom: Any) -> None:
+        self.boxes.extend((mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax))
+        self.ids.extend((tid.page_id, tid.slot))
+        self.geoms.append(geom)
+
+    def extend(self, other: "Columns") -> None:
+        self.boxes.extend(other.boxes)
+        self.ids.extend(other.ids)
+        self.geoms.extend(other.geoms)
+
+    def remove(self, tid: RecordId) -> int:
+        """Drop every row whose id is ``tid``; returns how many went."""
+        ids = self.ids
+        rows = [
+            i for i in range(len(self))
+            if ids[2 * i] == tid.page_id and ids[2 * i + 1] == tid.slot
+        ]
+        for i in reversed(rows):
+            del self.boxes[4 * i:4 * i + 4]
+            del ids[2 * i:2 * i + 2]
+            del self.geoms[i]
+        return len(rows)
 
     def box_array(self):
         """``boxes`` as a float64 ``(n, 4)`` numpy view (no copy)."""
@@ -45,10 +70,10 @@ class Columns:
         return np.frombuffer(self.boxes, dtype=np.float64).reshape(-1, 4)
 
     def id_array(self):
-        """``ids`` as an unsigned ``(n, 2)`` numpy view (no copy)."""
+        """``ids`` as a signed ``(n, 2)`` numpy view (no copy)."""
         import numpy as np
 
-        return np.frombuffer(self.ids, dtype=np.uintc).reshape(-1, 2)
+        return np.frombuffer(self.ids, dtype=np.intc).reshape(-1, 2)
 
 
 def extract_columns(

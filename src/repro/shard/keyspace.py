@@ -1,31 +1,32 @@
 """Z-order keyspace partitioning for the shard runtime.
 
-A :class:`ShardMap` divides the universe into ``2^bits x 2^bits`` grid
-cells, orders the cells along the Peano/z-order curve (Figure 1 of the
-paper), and cuts the curve into contiguous intervals -- one standing
-shard per interval.  Every shard therefore owns a compact set of cells,
-and routing a point is two integer operations: quantize to a cell,
-bisect the cut points.
+A :class:`ShardMap` lays a ``2^bits x 2^bits``
+:class:`~repro.parallel.partitioner.GridSpec` over the universe, orders
+its cells along the Peano/z-order curve (Figure 1 of the paper), and
+cuts the curve into contiguous intervals -- one standing shard per
+interval.  Every shard therefore owns a compact set of cells, and
+routing a point is two steps: the grid's owner cell, then a bisection of
+the cut points.
 
-Replication and deduplication mirror :class:`~repro.parallel.partitioner.
-GridSpec` exactly: an MBR is replicated to every shard whose cell region
-it touches (closed-set corner semantics, clamped at the universe border)
-and a candidate pair is owned by the single shard owning its reference
-point.  Because cell assignment is the same clamped floor in both
-directions, the owner cell of a reference point always lies inside the
-corner ranges of both MBRs -- so the owning shard is guaranteed to hold
-both entries, and each qualifying pair is reported exactly once across
-the shard fleet with no dedup pass.
+The grid supplies the one cell-assignment rule (clamped floor, half-open
+seams) and the one replication rule (closed-set corner semantics): an
+MBR is replicated to every shard whose cell region it touches and a
+candidate pair is owned by the single shard owning its reference point.
+The owner cell of a reference point always lies inside the corner ranges
+of both MBRs -- so the owning shard is guaranteed to hold both entries,
+and each qualifying pair is reported exactly once across the shard fleet
+with no dedup pass.  All this module adds is the z-order cut.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ShardError
 from repro.geometry.rect import Rect
 from repro.geometry.zorder import interleave
+from repro.parallel.partitioner import GridSpec
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,6 +42,8 @@ class ShardMap:
     universe: Rect
     bits: int
     boundaries: tuple[int, ...]
+    #: The cells the curve runs over; derived from ``universe`` / ``bits``.
+    grid: GridSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.bits < 1:
@@ -58,6 +61,8 @@ class ShardMap:
                     f"got {self.boundaries}"
                 )
             previous = b
+        n = 1 << self.bits
+        object.__setattr__(self, "grid", GridSpec(self.universe, n, n))
 
     @classmethod
     def split_uniform(
@@ -87,12 +92,8 @@ class ShardMap:
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         """Grid cell owning point ``(x, y)``; clamped at the border so
-        protruding geometries still have an owner (GridSpec semantics)."""
-        n = self.cells_per_axis
-        u = self.universe
-        gx = min(n - 1, max(0, int((x - u.xmin) / u.width * n)))
-        gy = min(n - 1, max(0, int((y - u.ymin) / u.height * n)))
-        return gx, gy
+        protruding geometries still have an owner."""
+        return self.grid.owner_cell(x, y)
 
     def z_of(self, x: float, y: float) -> int:
         gx, gy = self.cell_of(x, y)
@@ -101,6 +102,19 @@ class ShardMap:
     def owner_shard(self, x: float, y: float) -> int:
         """The unique shard owning point ``(x, y)``."""
         return bisect_right(self.boundaries, self.z_of(x, y))
+
+    def owners(self, xs, ys):
+        """:meth:`owner_shard` of many points, as an integer array --
+        what :func:`~repro.parallel.plane_sweep.sweep_task` compares
+        with a shard's id."""
+        import numpy as np
+
+        gx, gy = self.grid.owner_cells(xs, ys)
+        z = np.zeros_like(gx)
+        for i in range(self.bits):  # interleave(), on arrays
+            z |= ((gx >> i) & 1) << (2 * i)
+            z |= ((gy >> i) & 1) << (2 * i + 1)
+        return np.searchsorted(self.boundaries, z, "right")
 
     def zrange(self, shard_id: int) -> tuple[int, int]:
         """Closed z-value interval ``[lo, hi]`` owned by ``shard_id``."""
@@ -125,14 +139,10 @@ class ShardMap:
         replicated to both neighbours, so the owner of any reference
         point on the seam holds both entries of the pair.
         """
-        gx0, gy0 = self.cell_of(mbr.xmin, mbr.ymin)
-        gx1, gy1 = self.cell_of(mbr.xmax, mbr.ymax)
-        shards: set[int] = set()
-        for gy in range(gy0, gy1 + 1):
-            for gx in range(gx0, gx1 + 1):
-                z = interleave(gx, gy, self.bits)
-                shards.add(bisect_right(self.boundaries, z))
-        return sorted(shards)
+        return sorted({
+            bisect_right(self.boundaries, interleave(gx, gy, self.bits))
+            for gx, gy in self.grid.covering_cells(mbr)
+        })
 
     def describe(self) -> str:
         ranges = ", ".join(

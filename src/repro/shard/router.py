@@ -41,6 +41,7 @@ from repro.errors import JoinError, ShardCrashed, ShardUnavailable
 from repro.geometry.rect import Rect
 from repro.join.result import JoinResult, SelectResult
 from repro.obs.context import TraceContext
+from repro.parallel.pool import record_pairs
 from repro.predicates.theta import Overlaps, ThetaOperator
 from repro.storage.costs import CostMeter
 from repro.storage.record import RecordId
@@ -236,17 +237,15 @@ class ShardRouter:
             payload["interval"] = interval
         if trace is not None:
             payload["trace"] = trace.to_wire()
-        pairs: list[tuple[RecordId, RecordId]] = []
-        for shard in runtime.shards:
-            result = self._call(
-                shard, "join", payload, cancel,
-                meter=meter, tracer=tracer,
-            )
-            pairs.extend(result["pairs"])
-        pairs.sort()
+        rows = [
+            self._call(
+                shard, "join", payload, cancel, meter=meter, tracer=tracer,
+            )["pairs"]
+            for shard in runtime.shards
+        ]
         return JoinResult(
             strategy=f"shard-partition[{len(runtime.shards)}]",
-            pairs=pairs,
+            pairs=record_pairs(rows),
         )
 
     # ------------------------------------------------------------------

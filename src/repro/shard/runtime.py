@@ -10,7 +10,8 @@ Each shard pairs two halves:
   what survives a crash and what :func:`repro.wal.recover` replays;
 * a **volatile half**: a standing worker (a real child process, or an
   in-process stand-in when process support is unavailable or determinism
-  is preferred) holding the hot entry lists that serve selects and
+  is preferred) holding the hot per-table
+  :class:`~repro.relational.columns.Columns` that serve selects and
   shard-local joins.
 
 Killing a shard therefore loses only the volatile half.  The supervisor
@@ -38,7 +39,7 @@ from repro.errors import ShardCrashed, ShardError, ShardUnavailable
 from repro.geometry.rect import Rect
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.partitioner import Entry
+from repro.relational.columns import Columns
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, ColumnType, Schema
 from repro.shard.keyspace import ShardMap
@@ -49,8 +50,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.record import RecordId
 from repro.wal.log import WriteAheadLog
 
-#: Exceptions that mean "this platform cannot start worker processes" --
-#: the same set the parallel pool degrades on.
+#: Exceptions that mean "this platform cannot start worker processes".
 _SPAWN_ERRORS = (OSError, PermissionError, ValueError, ImportError)
 
 
@@ -244,8 +244,8 @@ class ShardRuntime:
     ``processes=False`` (default) runs every shard on the inline
     transport -- fully deterministic, no IPC.  ``processes=True`` spawns
     real worker processes and degrades shard-by-shard to inline (with
-    ``degrade_reason`` recorded) where the platform refuses, mirroring
-    the parallel pool's policy of degrading loudly, never silently.
+    ``degrade_reason`` recorded) where the platform refuses: loudly,
+    never silently.
 
     The runtime is also a context manager; ``close()`` guarantees no
     worker process outlives it.
@@ -303,8 +303,7 @@ class ShardRuntime:
             try:
                 return ProcessTransport(shard_id, generation, self.shard_map)
             except _SPAWN_ERRORS as exc:
-                # Same contract as the parallel pool: degrade to the
-                # in-process path and say why, never silently.
+                # Degrade to the in-process path and say why.
                 self.degrade_reason = f"{type(exc).__name__}: {exc}"
         return InlineTransport(shard_id, generation, self.shard_map)
 
@@ -494,8 +493,8 @@ class ShardRuntime:
         """
         name = relation.name if table is None else table
         self.create_table(name, relation.schema, column)
-        batches: dict[int, tuple[list[Entry], list[list[Any]]]] = {
-            shard.shard_id: ([], []) for shard in self.shards
+        batches: dict[int, tuple[Columns, list[list[Any]]]] = {
+            shard.shard_id: (Columns(), []) for shard in self.shards
         }
         count = 0
         for t in relation.scan():
@@ -504,15 +503,15 @@ class ShardRuntime:
             mbr = geom.mbr()
             row = [t.tid.page_id, t.tid.slot, *t.values]
             for shard_id in self.shard_map.covering_shards(mbr):
-                entries, rows = batches[shard_id]
-                entries.append((t.tid, mbr, geom))
+                columns, rows = batches[shard_id]
+                columns.append(t.tid, mbr, geom)
                 rows.append(row)
         for shard in self.shards:
-            entries, rows = batches[shard.shard_id]
+            columns, rows = batches[shard.shard_id]
             shard.relations[name].insert_all(rows)
-            if entries:
+            if rows:
                 self._mutate(
-                    shard, "load", {"table": name, "entries": entries}
+                    shard, "load", {"table": name, "columns": columns}
                 )
         return count
 

@@ -31,6 +31,7 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.errors import ShardCrashed
+from repro.relational.columns import Columns
 from repro.storage.record import RecordId
 from repro.wal.recovery import recover
 
@@ -196,16 +197,14 @@ class ShardSupervisor:
         runtime = self.runtime
         for table, rel in sorted(shard.relations.items()):
             column = runtime.columns[table]
-            entries = []
+            columns = Columns()
             for t in rel.scan():
                 geom = t[column]
-                entries.append(
-                    (RecordId(t["pid"], t["slot"]), geom.mbr(), geom)
-                )
+                columns.append(RecordId(t["pid"], t["slot"]), geom.mbr(), geom)
             self._worker_call(shard, "create", {"table": table})
-            if entries:
+            if columns:
                 self._worker_call(
-                    shard, "load", {"table": table, "entries": entries}
+                    shard, "load", {"table": table, "columns": columns}
                 )
 
     def _worker_call(self, shard: "ShardHandle", op: str, payload: dict) -> None:

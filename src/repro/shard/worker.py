@@ -1,7 +1,8 @@
 """The shard worker: the compute half of one standing shard.
 
-A worker holds the *volatile* copy of its shard's data -- per-table entry
-lists ``(tid, mbr, geometry)`` replicated from the durable, parent-side
+A worker holds the *volatile* copy of its shard's data -- one
+:class:`~repro.relational.columns.Columns` per table (flat MBR and id
+arrays plus the geometries), replicated from the durable, parent-side
 heap/WAL -- and evaluates selections and shard-local partition joins
 against it.  Killing the worker process loses nothing durable: the
 supervisor replays the shard's WAL into a fresh relation image and
@@ -13,10 +14,12 @@ transport calls it directly.  Replies are ``(status, generation,
 payload)`` triples; the worker echoes the generation it was spawned with
 so a router can discard stale replies from a pre-crash incarnation.
 
-Join evaluation reuses the generalized plane-sweep kernel
-(:func:`~repro.parallel.plane_sweep.sweep_sorted`) with shard ownership
-of the reference point as the dedup predicate: each qualifying pair is
-reported by exactly one shard of the fleet.
+Join evaluation is the partition join's plane-sweep kernel
+(:func:`~repro.parallel.plane_sweep.sweep_task`) with the shard map as
+its keyspace: a pair is kept by the one shard that owns its reference
+point, so each qualifying pair is reported exactly once across the
+fleet.  Only a join imports numpy; a select is a scalar pass over the
+resident boxes.
 
 Tracing: when a dispatch payload carries a ``"trace"`` context (see
 :class:`~repro.obs.context.TraceContext`), select/join ops record their
@@ -35,12 +38,14 @@ from typing import Any
 
 from repro.errors import ShardError
 from repro.obs.context import TraceContext
-from repro.obs.trace import Tracer
-from repro.parallel.partitioner import Entry
-from repro.parallel.plane_sweep import sweep_sorted
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.parallel.partitioner import PartitionTask
+from repro.parallel.plane_sweep import sweep_task
 from repro.predicates.theta import Overlaps
+from repro.relational.columns import Columns
 from repro.shard.keyspace import ShardMap
 from repro.storage.costs import CostMeter
+from repro.storage.record import RecordId
 
 
 class ShardWorkerState:
@@ -56,7 +61,7 @@ class ShardWorkerState:
         self.shard_id = shard_id
         self.shard_map = shard_map
         self.generation = generation
-        self.tables: dict[str, list[Entry]] = {}
+        self.tables: dict[str, Columns] = {}
         #: Interval filters by spec: a join payload carrying an
         #: ``IntervalSpec`` reuses (or builds) this incarnation's filter
         #: for that grid, so replica geometries are rasterized once per
@@ -74,8 +79,9 @@ class ShardWorkerState:
 
     def _request_tracer(
         self, payload: dict[str, Any]
-    ) -> tuple[Tracer | None, TraceContext | None]:
-        """A per-request tracer when the payload carries a trace context.
+    ) -> tuple[Tracer | NullTracer, dict[str, Any]]:
+        """A per-request tracer and the request span's identity tags when
+        the payload carries a trace context; the null tracer otherwise.
 
         The context is read with ``get`` (never popped): the inline
         transport hands the router's own payload dict straight in, and a
@@ -83,18 +89,27 @@ class ShardWorkerState:
         """
         wire = payload.get("trace")
         if wire is None:
-            return None, None
+            return NULL_TRACER, {}
         ctx = wire if isinstance(wire, TraceContext) \
             else TraceContext.from_wire(wire)
-        return Tracer(process=self.process_label,
-                      first_id=self._span_seq), ctx
+        return Tracer(process=self.process_label, first_id=self._span_seq), {
+            "shard": self.shard_id, "generation": self.generation,
+            "trace_id": ctx.trace_id, "seq": ctx.seq,
+        }
 
-    def _export_spans(self, tracer: Tracer) -> list[dict[str, Any]]:
-        """Export a request tracer's spans, advancing the id sequence."""
-        self._span_seq = tracer._next_id
-        return tracer.to_records()
+    def _reply(
+        self, result: dict[str, Any], meter: CostMeter,
+        tracer: Tracer | NullTracer,
+    ) -> dict[str, Any]:
+        """``result`` plus the request's meter and, when it was traced,
+        its exported spans (advancing this incarnation's id sequence)."""
+        result["meter"] = meter
+        if tracer.enabled:
+            self._span_seq = tracer._next_id
+            result["spans"] = tracer.to_records()
+        return result
 
-    def _table(self, name: str) -> list[Entry]:
+    def _table(self, name: str) -> Columns:
         try:
             return self.tables[name]
         except KeyError:
@@ -107,22 +122,18 @@ class ShardWorkerState:
         if op == "ping":
             return {"pong": True, "shard": self.shard_id}
         if op == "create":
-            self.tables.setdefault(payload["table"], [])
+            self.tables.setdefault(payload["table"], Columns())
             return {"created": payload["table"]}
         if op == "load":
-            entries = self.tables.setdefault(payload["table"], [])
-            entries.extend(payload["entries"])
-            return {"loaded": len(payload["entries"])}
+            self.tables.setdefault(payload["table"], Columns()).extend(
+                payload["columns"]
+            )
+            return {"loaded": len(payload["columns"])}
         if op == "insert":
-            self._table(payload["table"]).append(payload["entry"])
+            self._table(payload["table"]).append(*payload["entry"])
             return {"inserted": True}
         if op == "delete":
-            entries = self._table(payload["table"])
-            tid = payload["tid"]
-            kept = [e for e in entries if e[0] != tid]
-            removed = len(entries) - len(kept)
-            self.tables[payload["table"]] = kept
-            return {"deleted": removed}
+            return {"deleted": self._table(payload["table"]).remove(payload["tid"])}
         if op == "select":
             return self._select(payload)
         if op == "join":
@@ -148,36 +159,28 @@ class ShardWorkerState:
         window = payload["window"]
         theta = payload["theta"]
         meter = CostMeter()
-        tracer, ctx = self._request_tracer(payload)
-        tids = []
+        tracer, tags = self._request_tracer(payload)
         prefilter = isinstance(theta, Overlaps)
-
-        def scan(entries: list[Entry]) -> None:
-            for tid, mbr, geom in entries:
+        columns = self._table(payload["table"])
+        boxes, ids = columns.boxes, columns.ids
+        tids = []
+        with tracer.span(
+            "shard.select", meter=meter, **tags, table=payload["table"]
+        ) as span:
+            for i, geom in enumerate(columns.geoms):
                 if prefilter:
                     meter.record_filter_eval()
+                    xmin, ymin, xmax, ymax = boxes[4 * i:4 * i + 4]
                     if (
-                        mbr.xmin > window.xmax or window.xmin > mbr.xmax
-                        or mbr.ymin > window.ymax or window.ymin > mbr.ymax
+                        xmin > window.xmax or window.xmin > xmax
+                        or ymin > window.ymax or window.ymin > ymax
                     ):
                         continue
                 meter.record_exact_eval()
                 if theta(window, geom):
-                    tids.append(tid)
-
-        entries = self._table(payload["table"])
-        if tracer is None:
-            scan(entries)
-            return {"tids": tids, "meter": meter}
-        with tracer.span(
-            "shard.select", meter=meter,
-            shard=self.shard_id, generation=self.generation,
-            trace_id=ctx.trace_id, seq=ctx.seq, table=payload["table"],
-        ) as span:
-            scan(entries)
+                    tids.append(RecordId(ids[2 * i], ids[2 * i + 1]))
             span.set_tag("matches", len(tids))
-        return {"tids": tids, "meter": meter,
-                "spans": self._export_spans(tracer)}
+        return self._reply({"tids": tids}, meter, tracer)
 
     def _interval_refiner(self, payload: dict[str, Any], theta: Any) -> Any:
         """This incarnation's interval filter for the payload's spec.
@@ -200,47 +203,30 @@ class ShardWorkerState:
         return flt
 
     def _join(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Shard-local partition join: sweep the x-sorted replica lists,
-        keeping only pairs whose reference point this shard owns."""
+        """Shard-local partition join: one sweep over the two resident
+        tables in ``xmin`` order, keeping the pairs whose reference point
+        this shard owns.  Replies integer result rows (see
+        :func:`~repro.parallel.plane_sweep.sweep_task`)."""
+        import numpy as np
+
         theta = payload["theta"]
         meter = CostMeter()
-        tracer, ctx = self._request_tracer(payload)
+        tracer, tags = self._request_tracer(payload)
         refiner = self._interval_refiner(payload, theta)
-        owner = self.shard_map.owner_shard
-        me = self.shard_id
-
-        def owns(x: float, y: float) -> bool:
-            return owner(x, y) == me
-
-        if tracer is None:
-            entries_r = sorted(
-                self._table(payload["table_r"]), key=lambda e: e[1].xmin
-            )
-            entries_s = sorted(
-                self._table(payload["table_s"]), key=lambda e: e[1].xmin
-            )
-            pairs = sweep_sorted(entries_r, entries_s, theta, meter, owns,
-                                 refiner)
-            return {"pairs": pairs, "meter": meter}
-        with tracer.span(
-            "shard.join", meter=meter,
-            shard=self.shard_id, generation=self.generation,
-            trace_id=ctx.trace_id, seq=ctx.seq,
-        ) as span:
+        r = self._table(payload["table_r"])
+        s = self._table(payload["table_s"])
+        with tracer.span("shard.join", meter=meter, **tags) as span:
             with tracer.span("shard.join.sort", meter=meter):
-                entries_r = sorted(
-                    self._table(payload["table_r"]), key=lambda e: e[1].xmin
-                )
-                entries_s = sorted(
-                    self._table(payload["table_s"]), key=lambda e: e[1].xmin
+                task = PartitionTask(
+                    self.shard_id,
+                    r, np.argsort(r.box_array()[:, 0]),
+                    s, np.argsort(s.box_array()[:, 0]),
                 )
             with tracer.span("shard.join.sweep", meter=meter) as sweep:
-                pairs = sweep_sorted(entries_r, entries_s, theta, meter, owns,
-                                     refiner)
-                sweep.set_tag("pairs", len(pairs))
-            span.set_tag("pairs", len(pairs))
-        return {"pairs": pairs, "meter": meter,
-                "spans": self._export_spans(tracer)}
+                rows = sweep_task(self.shard_map, task, theta, meter, refiner)
+                sweep.set_tag("pairs", len(rows))
+            span.set_tag("pairs", len(rows))
+        return self._reply({"pairs": rows}, meter, tracer)
 
 
 def shard_worker_main(

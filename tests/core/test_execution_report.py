@@ -183,35 +183,6 @@ class TestFallbackChain:
         assert "zorder" not in tried[1:]
 
 
-class TestWorkerRecoveryThroughExecutor:
-    def test_crashed_chunk_recovered_and_meter_matches_reference(
-        self, clean_reference
-    ):
-        plan = FaultPlan(seed=9, worker_crashes={0})
-        rel_r, rel_s = build_pair(FaultyDisk(plan))
-        executor = SpatialQueryExecutor(workers=3)
-        meter = CostMeter()
-        res, report = executor.execute_join(
-            rel_r, "shape", rel_s, "shape", Overlaps(),
-            strategy="partition", meter=meter,
-        )
-        assert res.pair_set() == clean_reference
-        assert res.stats["chunk_retries"] == 1
-        assert report.fault_summary == {
-            "injected": 1, "consumed": 1, "outstanding": 0,
-        }
-        # No fallback was needed -- recovery happened inside the pool.
-        assert report.fallbacks == 0
-        # The merged meter still covers each relation page exactly once,
-        # like the nested-loop reference.
-        ref_meter = CostMeter()
-        executor.join(
-            rel_r, "shape", rel_s, "shape", Overlaps(),
-            strategy="scan", meter=ref_meter,
-        )
-        assert meter.page_reads == ref_meter.page_reads
-
-
 class TestAttemptRecord:
     def test_describe_success_form(self):
         rec = AttemptRecord(strategy="tree", ok=True, io_retries=2)

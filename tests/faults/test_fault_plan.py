@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import FaultKind, FaultPlan
+from repro.faults import FaultPlan
 
 
 class TestDeterminism:
@@ -68,15 +68,6 @@ class TestAudit:
         plan.note_success("read", 2)
         assert plan.summary() == {"injected": 2, "consumed": 2, "outstanding": 0}
 
-    def test_worker_crash_event(self):
-        plan = FaultPlan(seed=0, worker_crashes={1})
-        assert plan.should_crash_chunk(1)
-        assert not plan.should_crash_chunk(0)
-        assert plan.injected == 0  # pure decision, no log yet
-        ev = plan.note_worker_crash(1, recovered=True)
-        assert ev.kind is FaultKind.WORKER_CRASH
-        assert plan.summary() == {"injected": 1, "consumed": 1, "outstanding": 0}
-
     def test_lost_page_logged_once(self):
         plan = FaultPlan(seed=0, lost_pages={9})
         assert plan.is_lost(9)
@@ -85,11 +76,10 @@ class TestAudit:
         assert plan.outstanding == 1  # permanent losses are never consumed
 
     def test_disabled_plan_injects_nothing(self):
-        plan = FaultPlan(seed=0, read_rate=1.0, lost_pages={1}, worker_crashes={0})
+        plan = FaultPlan(seed=0, read_rate=1.0, lost_pages={1})
         plan.enabled = False
         assert plan.draw_read_fault(1) is None
         assert not plan.is_lost(1)
-        assert not plan.should_crash_chunk(0)
 
     def test_describe_events(self):
         plan = FaultPlan(seed=0, read_outages={3: 1})

@@ -185,6 +185,18 @@ class TestContainment:
         assert t.intersects_rect(Rect(0, 0, 1, 1))
         assert not t.intersects_rect(Rect(5, 5, 6, 6))
 
+    def test_intersects_zero_area_rect_as_a_segment(self):
+        """A zero-width rectangle is a segment, not its centerpoint
+        (regression: found by the columnar differential's lattice)."""
+        diamond = Polygon([Point(0, 3), Point(2, 0), Point(4, 3), Point(2, 6)])
+        # Enters through the top vertex; its centre (2, 7.5) is outside.
+        assert diamond.intersects_rect(Rect(2, 5, 2, 10))
+        # Crosses two edges with both endpoints outside.
+        assert diamond.intersects_rect(Rect(-1, 3, 5, 3))
+        assert not diamond.intersects_rect(Rect(3.5, 5, 3.5, 6))
+        assert diamond.intersects_rect(Rect(2, 3, 2, 3))
+        assert not diamond.intersects_rect(Rect(0, 0, 0, 0))
+
     def test_concave_vertices_in_but_not_contained(self):
         # A U-shaped polygon: a bar across the opening has all vertices
         # inside the U's MBR-ish arms but crosses the notch.

@@ -8,6 +8,11 @@ vectorised forward scan counts ``|{r.xmin <= s.xmin <= r.xmax}| +
 |{s.xmin < r.xmin <= s.xmax}|`` per tile, which is what the merge loop
 charges one candidate at a time.
 
+The same kernel runs under a second keyspace: a shard worker sweeps its
+replicas with the :class:`ShardMap` answering ``owners``.  The real
+:class:`ShardWorkerState` join is compared, over 1-5 shards, with the
+scalar merge loop under ``owner_shard``.
+
 Coordinates are drawn from a lattice that contains every seam of every
 grid up to 8 x 8 over the universe, so equal ``xmin`` ties, zero-area
 rectangles, seam-touching and universe-protruding MBRs are the common
@@ -15,24 +20,32 @@ case rather than a measure-zero accident.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultPlan
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 from repro.intermediate import IntervalFilter, IntervalSpec
+from repro.parallel import plane_sweep
 from repro.parallel.partitioner import GridSpec, as_columns, partition_pair, scatter
 from repro.parallel.pool import run_partitions
 from repro.predicates.theta import Overlaps
+from repro.shard.keyspace import ShardMap
 from repro.storage.costs import COUNTER_FIELDS
 from repro.storage.record import RecordId
 
-from tests.parallel.reference import scalar_join, scalar_scatter, tids
+from tests.parallel.reference import (
+    scalar_join,
+    scalar_scatter,
+    scalar_shard_join,
+    tids,
+    worker_shard_join,
+)
 
 UNIVERSE = Rect(0.0, 0.0, 100.0, 100.0)
 #: Multiples of 100/48 hit the seams of 2, 3, 4, 6 and 8 column grids
@@ -85,6 +98,13 @@ grids = st.builds(
 )
 
 
+#: 1-5 shards over the 16 x 16 z-order cells of the universe (seams at
+#: multiples of 100/16, a quarter of which are lattice points).
+shard_maps = st.builds(
+    ShardMap.split_uniform, st.just(UNIVERSE), st.integers(min_value=1, max_value=5)
+)
+
+
 def columnar_join(entries_r, entries_s, grid, refiner=None, **pool_args):
     tasks = partition_pair(entries_r, entries_s, grid)
     pairs, meter, report = run_partitions(
@@ -128,6 +148,45 @@ def test_interval_filter_counters_match_the_scalar_pipeline(data, grid, level):
     assert pairs == plain_pairs
 
 
+@pytest.mark.parametrize("polygons", [False, True], ids=["rects", "polygons"])
+@given(
+    data=st.data(), shard_map=shard_maps,
+    block=st.sampled_from([1, 7, plane_sweep.BLOCK]),
+)
+@settings(max_examples=60, deadline=None)
+def test_shard_workers_match_the_scalar_sweep_under_owner_shard(
+    polygons, data, shard_map, block
+):
+    """A shard sweeps its whole table pair as one partition, in blocks of
+    ``BLOCK`` candidates; tiny blocks put a block edge in every range."""
+    entries_r, entries_s = (data.draw(s) for s in entry_lists(polygons))
+    expected_pairs, expected_meter = scalar_shard_join(
+        entries_r, entries_s, shard_map, Overlaps()
+    )
+    with mock.patch.object(plane_sweep, "BLOCK", block):
+        pairs, meter = worker_shard_join(entries_r, entries_s, shard_map, Overlaps())
+    assert pairs == expected_pairs
+    assert counters(meter) == counters(expected_meter)
+
+
+@given(
+    data=st.data(), shard_map=shard_maps, level=st.integers(min_value=2, max_value=6)
+)
+@settings(max_examples=40, deadline=None)
+def test_shard_workers_match_the_scalar_sweep_with_the_interval_filter(
+    data, shard_map, level
+):
+    entries_r, entries_s = (data.draw(s) for s in entry_lists(polygons=True))
+    spec = IntervalSpec(universe=UNIVERSE, level=level)
+    expected_pairs, expected_meter = scalar_shard_join(
+        entries_r, entries_s, shard_map, Overlaps(), spec
+    )
+    pairs, meter = worker_shard_join(entries_r, entries_s, shard_map, Overlaps(), spec)
+    assert pairs == expected_pairs
+    assert counters(meter) == counters(expected_meter)
+    assert pairs == worker_shard_join(entries_r, entries_s, shard_map, Overlaps())[0]
+
+
 @given(data=st.data(), grid=grids)
 @settings(max_examples=40, deadline=None)
 def test_scatter_replicates_exactly_like_covering_cells(data, grid):
@@ -161,7 +220,7 @@ def test_owner_cells_is_owner_cell_elementwise(xs, ys, grid):
 
 
 # ----------------------------------------------------------------------
-# One fixed workload through the pool's other paths
+# One fixed workload
 # ----------------------------------------------------------------------
 
 
@@ -182,26 +241,14 @@ def fixed_workload():
 
 
 def test_two_workers_equal_one_worker():
+    """``workers`` selects no execution path: on a given grid every value
+    sweeps the same tiles on one meter in this process."""
     entries_r, entries_s, grid = fixed_workload()
     pairs_1, meter_1, _ = columnar_join(entries_r, entries_s, grid, workers=1)
     pairs_2, meter_2, report = columnar_join(entries_r, entries_s, grid, workers=2)
     assert pairs_2 == pairs_1 == scalar_join(entries_r, entries_s, grid, Overlaps())[0]
     assert counters(meter_2) == counters(meter_1)
-    assert report.requested_workers == 2
-
-
-def test_injected_chunk_crash_recovers_with_identical_counters():
-    entries_r, entries_s, grid = fixed_workload()
-    clean_pairs, clean_meter, _ = columnar_join(entries_r, entries_s, grid)
-    for workers in (1, 2):
-        plan = FaultPlan(seed=0, worker_crashes={0})
-        pairs, meter, report = columnar_join(
-            entries_r, entries_s, grid, workers=workers, fault_plan=plan
-        )
-        assert pairs == clean_pairs
-        assert counters(meter) == counters(clean_meter)
-        assert report.retried_chunks == 1
-        assert plan.summary() == {"injected": 1, "consumed": 1, "outstanding": 0}
+    assert (report.requested_workers, report.effective_workers) == (2, 1)
 
 
 def test_entry_sequences_and_columns_build_the_same_tasks():
@@ -218,10 +265,3 @@ def test_entry_sequences_and_columns_build_the_same_tasks():
                 a, b = getattr(got, f.name), getattr(want, f.name)
                 assert np.array_equal(a, b) if hasattr(a, "shape") else a == b
             assert got.load == len(got.rows_r) + len(got.rows_s)
-            # What a worker process receives is the same tile, self-contained.
-            own = got.detached()
-            assert (own.ix, own.iy, own.load) == (got.ix, got.iy, got.load)
-            assert len(own.r) == len(got.rows_r) and len(own.s) == len(got.rows_s)
-            assert np.array_equal(
-                own.r.box_array()[own.rows_r], got.r.box_array()[got.rows_r]
-            )

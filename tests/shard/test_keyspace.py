@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ShardError
 from repro.geometry.rect import Rect
-from repro.parallel.partitioner import reference_point
+from repro.parallel.partitioner import GridSpec, reference_point
 from repro.shard import ShardMap
 
 UNIVERSE = Rect(0.0, 0.0, 100.0, 100.0)
@@ -92,3 +92,55 @@ class TestOwnership:
         owner = smap.owner_shard(rx, ry)
         assert owner in smap.covering_shards(mbr_a)
         assert owner in smap.covering_shards(mbr_b)
+
+
+class TestOneKeyspaceRule:
+    """The shard map adds only the z-order cut: its cells are a
+    ``2^bits x 2^bits`` :class:`GridSpec`'s, and the vectorised
+    ownership the sweep kernel asks for is the scalar rule."""
+
+    #: Cell seams of the 2^bits grids below, and the floats next to them.
+    seams = st.builds(
+        lambda k, n, ulps: _nudge(UNIVERSE.xmin + k * (UNIVERSE.width / n), ulps),
+        st.integers(min_value=0, max_value=32),
+        st.sampled_from([2, 4, 8, 16, 32]),
+        st.integers(min_value=-2, max_value=2),
+    )
+    points = st.one_of(coords, seams)
+    maps = st.builds(
+        ShardMap.split_uniform,
+        st.just(UNIVERSE),
+        st.integers(min_value=1, max_value=4),
+        bits=st.integers(min_value=1, max_value=5),
+    )
+
+    @given(smap=maps, x=points, y=points)
+    def test_cell_of_is_the_grid_owner_cell(self, smap, x, y):
+        n = smap.cells_per_axis
+        assert smap.grid == GridSpec(UNIVERSE, n, n)
+        assert smap.cell_of(x, y) == smap.grid.owner_cell(x, y)
+
+    @given(smap=maps, mbr=rects(points, points))
+    def test_covering_shards_are_the_owners_of_the_covering_cells(self, smap, mbr):
+        centers = (
+            smap.grid.cell_rect(gx, gy).centerpoint()
+            for gx, gy in smap.grid.covering_cells(mbr)
+        )
+        assert smap.covering_shards(mbr) == sorted(
+            {smap.owner_shard(c.x, c.y) for c in centers}
+        )
+
+    @given(smap=maps, xy=st.lists(st.tuples(points, points), min_size=1, max_size=30))
+    def test_owners_is_owner_shard_elementwise(self, smap, xy):
+        import numpy as np
+
+        xs, ys = (np.array(v) for v in zip(*xy))
+        assert smap.owners(xs, ys).tolist() == [smap.owner_shard(x, y) for x, y in xy]
+
+
+def _nudge(x: float, ulps: int) -> float:
+    import math
+
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else -math.inf)
+    return x

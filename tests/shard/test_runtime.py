@@ -102,6 +102,36 @@ class TestMutations:
             result = runtime.router.select("r", WINDOW, Overlaps())
             assert victim not in [t for t, _ in result.matches]
 
+    @pytest.mark.parametrize("processes", [False, True], ids=["inline", "process"])
+    def test_live_insert_and_delete_in_columnar_workers(self, processes):
+        """Live-insert tids sit on page -1 (regression: the workers' id
+        buffer was unsigned and the first sharded insert overflowed).
+        Bulk load + live insert + delete, then join and select equal the
+        unsharded oracle over the same logical rows."""
+        runtime, rel_r, rel_s = loaded_runtime(3, processes=processes)
+        # On a seam of the 3-shard cut, so the row is replicated.
+        shape = Rect(20.0, 20.0, 70.0, 70.0)
+        victim = oracle_select(rel_r, WINDOW, Overlaps())[0]
+        with runtime:
+            tid = runtime.insert("r", [9999, shape])
+            assert tid == RecordId(-1, 1)
+            assert runtime.delete("r", victim) >= 1
+            join = runtime.router.join("r", "s", Overlaps())
+            select = runtime.router.select("r", WINDOW, Overlaps())
+            # ... and a live-inserted row can be deleted again.
+            assert runtime.delete("r", tid) >= 2
+            without = runtime.router.select("r", WINDOW, Overlaps())
+        rows_r = [(tid, shape)] + [
+            (t.tid, t["shape"]) for t in rel_r.scan() if t.tid != victim
+        ]
+        assert join.pairs == sorted(
+            (a, t.tid) for a, ga in rows_r for t in rel_s.scan()
+            if Overlaps()(ga, t["shape"])
+        )
+        expected = sorted(a for a, ga in rows_r if Overlaps()(WINDOW, ga))
+        assert [t for t, _ in select.matches] == expected and tid in expected
+        assert [t for t, _ in without.matches] == [t for t in expected if t != tid]
+
     def test_rejects_schema_with_reserved_identity_columns(self):
         schema = Schema([
             Column("pid", ColumnType.INT),

@@ -59,7 +59,8 @@ def test_bench_suite_collects():
 
 @pytest.mark.smoke
 def test_partition_bench_runs_tiny():
-    """The new bench end to end, with a tiny workload via its env knob."""
+    """The partition bench (granularity, rivals) end to end, with a tiny
+    workload via its env knob."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env["BENCH_PARTITION_COUNT"] = "40"
