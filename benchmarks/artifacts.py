@@ -22,6 +22,15 @@ import os
 from pathlib import Path
 from typing import Any
 
+from repro.geometry import Rect
+from repro.relational.relation import Relation
+from repro.relational.schema import Column, ColumnType, Schema
+from repro.storage.buffer import BufferPool
+from repro.storage.costs import CostMeter
+from repro.storage.disk import SimulatedDisk
+from repro.trees.rtree import RTree
+from repro.workloads.generators import clustered_rects
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: module name -> {"tests": [...], "payloads": {...}}
@@ -42,6 +51,29 @@ def sized_down(*size_overrides: str) -> bool:
     assert the bound.  At its default size the bound is asserted.
     """
     return any(name in os.environ for name in size_overrides)
+
+
+def build_clustered_relation(
+    name: str, count: int, seed: int, *, clusters: int, max_width: float
+) -> Relation:
+    """An R-tree-indexed ``[oid INT, shape RECT]`` relation of clustered
+    rectangles (the HI-LOC locality profile) on the unit-thousand universe.
+
+    Shared by the cache, server, resilience and interval-filter benches,
+    which differ in ``clusters`` and ``max_width`` only; every asserted
+    model-cost bound depends on this insertion order and these seeds.
+    """
+    schema = Schema([Column("oid", ColumnType.INT), Column("shape", ColumnType.RECT)])
+    pool = BufferPool(SimulatedDisk(), capacity=4000, meter=CostMeter())
+    rel = Relation(name, schema, pool)
+    rects = clustered_rects(
+        count, Rect(0.0, 0.0, 1000.0, 1000.0), clusters=clusters, spread=40.0,
+        max_width=max_width, max_height=max_width, rng=seed,
+    )
+    for i, r in enumerate(rects):
+        rel.insert([i, r])
+    rel.attach_index("shape", RTree(max_entries=10))
+    return rel
 
 
 def emit_bench_artifact(module: str, key: str, payload: Any) -> None:

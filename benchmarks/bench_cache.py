@@ -22,25 +22,16 @@ import os
 
 import pytest
 
-from benchmarks.artifacts import emit_bench_artifact
+from benchmarks.artifacts import build_clustered_relation, emit_bench_artifact
 from repro.cache import QueryCache
 from repro.core.executor import SpatialQueryExecutor
 from repro.geometry import Rect
 from repro.predicates.theta import Overlaps
-from repro.relational.relation import Relation
-from repro.relational.schema import Column, ColumnType, Schema
-from repro.storage.buffer import BufferPool
 from repro.storage.costs import CostMeter
-from repro.storage.disk import SimulatedDisk
-from repro.trees.rtree import RTree
-from repro.workloads.generators import clustered_rects
 
-UNIVERSE = Rect(0.0, 0.0, 1000.0, 1000.0)
 COUNT = int(os.environ.get("BENCH_CACHE_COUNT", "2000"))
 SPEEDUP = float(os.environ.get("BENCH_CACHE_SPEEDUP", "5.0"))
 ROUNDS = 8
-
-SCHEMA = Schema([Column("oid", ColumnType.INT), Column("shape", ColumnType.RECT)])
 
 #: The hot set: windows over the clustered universe, each with a
 #: shrunken variant that exercises the containment tier on warm rounds.
@@ -56,23 +47,11 @@ SHRUNKEN = [
 ]
 
 
-def build_hiloc_relation(name: str, count: int, seed: int) -> Relation:
-    """An R-tree-indexed relation of cluster-anchored rectangles."""
-    pool = BufferPool(SimulatedDisk(), capacity=4000, meter=CostMeter())
-    rel = Relation(name, SCHEMA, pool)
-    rects = clustered_rects(count, UNIVERSE, clusters=12, spread=40.0,
-                            max_width=12.0, max_height=12.0, rng=seed)
-    for i, r in enumerate(rects):
-        rel.insert([i, r])
-    rel.attach_index("shape", RTree(max_entries=10))
-    return rel
-
-
 @pytest.fixture(scope="module")
 def relations():
     return (
-        build_hiloc_relation("r", COUNT, seed=901),
-        build_hiloc_relation("s", COUNT, seed=902),
+        build_clustered_relation("r", COUNT, seed=901, clusters=12, max_width=12.0),
+        build_clustered_relation("s", COUNT, seed=902, clusters=12, max_width=12.0),
     )
 
 

@@ -22,21 +22,14 @@ import time
 
 import pytest
 
-from benchmarks.artifacts import emit_bench_artifact
+from benchmarks.artifacts import build_clustered_relation, emit_bench_artifact
 from repro.core.executor import SpatialQueryExecutor
 from repro.geometry.rect import Rect
 from repro.intermediate import IntervalSpec
 from repro.predicates.theta import Overlaps
-from repro.relational.relation import Relation
-from repro.relational.schema import Column, ColumnType, Schema
-from repro.storage.buffer import BufferPool
 from repro.storage.costs import CostMeter
-from repro.storage.disk import SimulatedDisk
-from repro.trees.rtree import RTree
-from repro.workloads.generators import clustered_rects
 
 UNIVERSE = Rect(0.0, 0.0, 1000.0, 1000.0)
-SCHEMA = Schema([Column("oid", ColumnType.INT), Column("shape", ColumnType.RECT)])
 
 #: 128x128 grid: fine enough that HI-LOC rects (extents up to 60 units)
 #: contain FULL cells, which is what turns candidates into sure hits.
@@ -53,25 +46,11 @@ MIN_REDUCTION = 0.30
 STRATEGIES = ("tree", "partition", "zorder")
 
 
-def build_hiloc_relation(name: str, count: int, seed: int) -> Relation:
-    """Clustered rectangles (the HI-LOC locality profile), R-tree indexed."""
-    pool = BufferPool(SimulatedDisk(), capacity=4000, meter=CostMeter())
-    rel = Relation(name, SCHEMA, pool)
-    rects = clustered_rects(
-        count, UNIVERSE, clusters=8, spread=40.0,
-        max_width=60.0, max_height=60.0, rng=seed,
-    )
-    for i, r in enumerate(rects):
-        rel.insert([i, r])
-    rel.attach_index("shape", RTree(max_entries=10))
-    return rel
-
-
 @pytest.fixture(scope="module")
 def relations():
     return (
-        build_hiloc_relation("r", N_R, seed=301),
-        build_hiloc_relation("s", N_S, seed=302),
+        build_clustered_relation("r", N_R, seed=301, clusters=8, max_width=60.0),
+        build_clustered_relation("s", N_S, seed=302, clusters=8, max_width=60.0),
     )
 
 

@@ -24,29 +24,18 @@ import time
 
 import pytest
 
-from benchmarks.artifacts import emit_bench_artifact
+from benchmarks.artifacts import build_clustered_relation, emit_bench_artifact
 from repro.core.cancel import CancellationToken
 from repro.core.executor import SpatialQueryExecutor
 from repro.errors import QueryCancelled
 from repro.geometry import Rect
 from repro.predicates.theta import Overlaps
-from repro.relational.relation import Relation
-from repro.relational.schema import Column, ColumnType, Schema
 from repro.server import QueryServer, QueryService, StateManager
-from repro.storage.buffer import BufferPool
-from repro.storage.costs import CostMeter
-from repro.storage.disk import SimulatedDisk
-from repro.trees.rtree import RTree
-from repro.workloads.generators import clustered_rects
 
 UNIVERSE = Rect(0.0, 0.0, 1000.0, 1000.0)
 COUNT = int(os.environ.get("BENCH_RESILIENCE_COUNT", "600"))
 QUERIES = int(os.environ.get("BENCH_RESILIENCE_QUERIES", "120"))
 FLOOR = float(os.environ.get("BENCH_RESILIENCE_FLOOR", "0.5"))
-
-SCHEMA = Schema(
-    [Column("oid", ColumnType.INT), Column("shape", ColumnType.RECT)]
-)
 
 WINDOWS = [
     Rect(80.0, 80.0, 380.0, 380.0),
@@ -54,17 +43,6 @@ WINDOWS = [
     Rect(150.0, 550.0, 460.0, 900.0),
     Rect(560.0, 540.0, 920.0, 880.0),
 ]
-
-
-def build_relation(name: str, count: int, seed: int) -> Relation:
-    pool = BufferPool(SimulatedDisk(), capacity=4000, meter=CostMeter())
-    rel = Relation(name, SCHEMA, pool)
-    rects = clustered_rects(count, UNIVERSE, clusters=10, spread=40.0,
-                            max_width=12.0, max_height=12.0, rng=seed)
-    for i, r in enumerate(rects):
-        rel.insert([i, r])
-    rel.attach_index("shape", RTree(max_entries=10))
-    return rel
 
 
 def run_selects(executor, rel, cancel) -> float:
@@ -78,7 +56,7 @@ def run_selects(executor, rel, cancel) -> float:
 
 @pytest.mark.smoke
 def test_cancellation_check_overhead(benchmark):
-    rel = build_relation("r", COUNT, seed=907)
+    rel = build_clustered_relation("r", COUNT, seed=907, clusters=10, max_width=12.0)
     executor = SpatialQueryExecutor()
     bare_qps = run_selects(executor, rel, cancel=None)
 
@@ -116,7 +94,7 @@ class SlowTheta(Overlaps):
 @pytest.mark.smoke
 def test_graceful_drain_is_bounded_by_cooperation():
     state = StateManager()
-    state.register(build_relation("r", 60, seed=908))
+    state.register(build_clustered_relation("r", 60, seed=908, clusters=10, max_width=12.0))
     service = QueryService(state)
     server = QueryServer(service).start()
 

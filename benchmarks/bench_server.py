@@ -27,28 +27,22 @@ import time
 
 import pytest
 
-from benchmarks.artifacts import emit_bench_artifact, sized_down
+from benchmarks.artifacts import (
+    build_clustered_relation,
+    emit_bench_artifact,
+    sized_down,
+)
 from repro.cache import QueryCache
 from repro.geometry import Rect
 from repro.predicates.theta import Overlaps
-from repro.relational.relation import Relation
-from repro.relational.schema import Column, ColumnType, Schema
 from repro.server import QueryService, ServiceConfig, StateManager
-from repro.storage.buffer import BufferPool
-from repro.storage.costs import CostMeter
-from repro.storage.disk import SimulatedDisk
-from repro.trees.rtree import RTree
-from repro.workloads.generators import clustered_rects
 
-UNIVERSE = Rect(0.0, 0.0, 1000.0, 1000.0)
 COUNT = int(os.environ.get("BENCH_SERVER_COUNT", "800"))
 TOTAL_QUERIES = int(os.environ.get("BENCH_SERVER_QUERIES", "240"))
 FLOOR = float(os.environ.get("BENCH_SERVER_FLOOR", "0.25"))
 #: A sized-down run measures and records the ratio, unasserted.
 BOUND_CHECKED = not sized_down("BENCH_SERVER_COUNT", "BENCH_SERVER_QUERIES")
 SESSIONS = 8
-
-SCHEMA = Schema([Column("oid", ColumnType.INT), Column("shape", ColumnType.RECT)])
 
 WINDOWS = [
     Rect(80.0, 80.0, 380.0, 380.0),
@@ -58,21 +52,10 @@ WINDOWS = [
 ]
 
 
-def build_relation(name: str, count: int, seed: int) -> Relation:
-    pool = BufferPool(SimulatedDisk(), capacity=4000, meter=CostMeter())
-    rel = Relation(name, SCHEMA, pool)
-    rects = clustered_rects(count, UNIVERSE, clusters=12, spread=40.0,
-                            max_width=12.0, max_height=12.0, rng=seed)
-    for i, r in enumerate(rects):
-        rel.insert([i, r])
-    rel.attach_index("shape", RTree(max_entries=10))
-    return rel
-
-
 def build_service() -> QueryService:
     state = StateManager()
-    state.register(build_relation("r", COUNT, seed=901))
-    state.register(build_relation("s", COUNT, seed=902))
+    state.register(build_clustered_relation("r", COUNT, seed=901, clusters=12, max_width=12.0))
+    state.register(build_clustered_relation("s", COUNT, seed=902, clusters=12, max_width=12.0))
     return QueryService(
         state,
         cache=QueryCache(byte_budget=8 << 20),

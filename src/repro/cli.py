@@ -352,16 +352,36 @@ def cmd_trace(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
+def _demo_relations(size: int) -> dict:
+    """The served / sharded demo pair: indexed relations ``r`` and ``s``."""
+    from repro.workloads.assembly import build_indexed_relation
+
+    return {
+        name: build_indexed_relation(size, seed=seed, name=name)
+        for name, seed in (("r", 1), ("s", 2))
+    }
+
+
+def _kill_plan(args: argparse.Namespace):
+    """The ``--kill-at INDEX[:SHARD]`` schedule as a fault plan, if any."""
+    from repro.faults.plan import FaultPlan
+
+    if not args.kill_at:
+        return None
+    schedule = {}
+    for spec in args.kill_at:
+        index, _, shard = spec.partition(":")
+        schedule[int(index)] = int(shard) if shard else -1
+    return FaultPlan(args.fault_seed, kill_shard_at=schedule)
+
+
 def _build_service(size: int, cache_budget: int, config=None):
     """A QueryService over two freshly built demo relations ``r`` and ``s``."""
     from repro.cache import QueryCache
     from repro.server import QueryService, StateManager
-    from repro.workloads.assembly import build_indexed_relation
 
     state = StateManager()
-    for name, seed in (("r", 1), ("s", 2)):
-        ir = build_indexed_relation(size, seed=seed)
-        ir.relation.name = name
+    for ir in _demo_relations(size).values():
         state.register(ir.relation)
     return QueryService(
         state, cache=QueryCache(byte_budget=cache_budget), config=config
@@ -444,25 +464,12 @@ def cmd_shards(args: argparse.Namespace) -> str:
     audit, so a kill that was absorbed is visibly consumed.
     """
     from repro.core.executor import SpatialQueryExecutor
-    from repro.faults.plan import FaultPlan
     from repro.geometry.rect import Rect
     from repro.predicates.theta import Overlaps
     from repro.shard import ShardRuntime
-    from repro.workloads.assembly import build_indexed_relation
 
-    plan = None
-    if args.kill_at:
-        schedule = {}
-        for spec in args.kill_at:
-            index, _, shard = spec.partition(":")
-            schedule[int(index)] = int(shard) if shard else -1
-        plan = FaultPlan(args.fault_seed, kill_shard_at=schedule)
-
-    relations = {}
-    for name, seed in (("r", 1), ("s", 2)):
-        ir = build_indexed_relation(args.size, seed=seed)
-        ir.relation.name = name
-        relations[name] = ir
+    plan = _kill_plan(args)
+    relations = _demo_relations(args.size)
     universe = relations["r"].universe
     theta = Overlaps()
     window = Rect(100.0, 100.0, 400.0, 400.0)
@@ -541,28 +548,15 @@ def cmd_obs(args: argparse.Namespace) -> str:
     """
     from repro.core.executor import SpatialQueryExecutor
     from repro.core.optimizer import plan_join
-    from repro.faults.plan import FaultPlan
     from repro.geometry.rect import Rect
     from repro.obs import sum_cost_self
     from repro.obs.drift import drift_from_plan
     from repro.predicates.theta import Overlaps
     from repro.server import QueryService
     from repro.shard import ShardRuntime
-    from repro.workloads.assembly import build_indexed_relation
 
-    plan = None
-    if args.kill_at:
-        schedule = {}
-        for spec in args.kill_at:
-            index, _, shard = spec.partition(":")
-            schedule[int(index)] = int(shard) if shard else -1
-        plan = FaultPlan(args.fault_seed, kill_shard_at=schedule)
-
-    relations = {}
-    for name, seed in (("r", 1), ("s", 2)):
-        ir = build_indexed_relation(args.size, seed=seed)
-        ir.relation.name = name
-        relations[name] = ir
+    plan = _kill_plan(args)
+    relations = _demo_relations(args.size)
     universe = relations["r"].universe
     theta = Overlaps()
     window = Rect(100.0, 100.0, 400.0, 400.0)
@@ -704,6 +698,8 @@ def cmd_obs(args: argparse.Namespace) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.strategies import JOIN_STRATEGIES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -768,9 +764,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--size", type=int, default=300, help="tuples per relation")
     trace.add_argument("--seed", type=int, default=11, help="workload seed")
     trace.add_argument(
-        "--strategy", default="auto",
-        choices=("auto", "scan", "tree", "zorder", "partition", "index-nl"),
-        help="join strategy to trace (default: optimizer's pick)",
+        "--strategy", default="auto", choices=("auto", *JOIN_STRATEGIES),
+        help="join strategy to trace (default: picked by which indices "
+        "exist and whether the operands fit in memory)",
     )
     trace.add_argument(
         "--trace-out", default=None, metavar="FILE.jsonl",
@@ -861,28 +857,8 @@ def build_parser() -> argparse.ArgumentParser:
         "shards", help="supervised shard fleet demo with optional chaos"
     )
     shards.add_argument(
-        "--shards", type=int, default=4, dest="shards",
-        help="number of standing shard workers",
-    )
-    shards.add_argument(
-        "--size", type=int, default=200, help="tuples per relation"
-    )
-    shards.add_argument(
-        "--bits", type=int, default=4,
-        help="z-order resolution bits per axis for the key space",
-    )
-    shards.add_argument(
         "--processes", action="store_true",
         help="run shards as real worker processes (default: inline)",
-    )
-    shards.add_argument(
-        "--kill-at", action="append", default=None, metavar="INDEX[:SHARD]",
-        help="kill a shard at this dispatch index (repeatable); "
-        "omit :SHARD to kill whichever shard is being dispatched to",
-    )
-    shards.add_argument(
-        "--fault-seed", type=int, default=7,
-        help="seed for the deterministic fault plan (with --kill-at)",
     )
     shards.set_defaults(handler=cmd_shards)
 
@@ -890,34 +866,36 @@ def build_parser() -> argparse.ArgumentParser:
         "obs", help="distributed-observability dashboard over a shard fleet"
     )
     obs.add_argument(
-        "--shards", type=int, default=4,
-        help="number of standing shard workers",
-    )
-    obs.add_argument(
-        "--size", type=int, default=200, help="tuples per relation"
-    )
-    obs.add_argument(
-        "--bits", type=int, default=4,
-        help="z-order resolution bits per axis for the key space",
-    )
-    obs.add_argument(
         "--top", type=int, default=8,
         help="how many spans to show in the hot-span table",
-    )
-    obs.add_argument(
-        "--kill-at", action="append", default=None, metavar="INDEX[:SHARD]",
-        help="kill a shard at this dispatch index (repeatable); "
-        "omit :SHARD to kill whichever shard is being dispatched to",
-    )
-    obs.add_argument(
-        "--fault-seed", type=int, default=7,
-        help="seed for the deterministic fault plan (with --kill-at)",
     )
     obs.add_argument(
         "--trace-out", default=None, metavar="FILE.jsonl",
         help="write the grafted distributed trace as JSON Lines",
     )
     obs.set_defaults(handler=cmd_obs)
+
+    for fleet in (shards, obs):
+        fleet.add_argument(
+            "--shards", type=int, default=4,
+            help="number of standing shard workers",
+        )
+        fleet.add_argument(
+            "--size", type=int, default=200, help="tuples per relation"
+        )
+        fleet.add_argument(
+            "--bits", type=int, default=4,
+            help="z-order resolution bits per axis for the key space",
+        )
+        fleet.add_argument(
+            "--kill-at", action="append", default=None, metavar="INDEX[:SHARD]",
+            help="kill a shard at this dispatch index (repeatable); "
+            "omit :SHARD to kill whichever shard is being dispatched to",
+        )
+        fleet.add_argument(
+            "--fault-seed", type=int, default=7,
+            help="seed for the deterministic fault plan (with --kill-at)",
+        )
 
     return parser
 

@@ -19,9 +19,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.obs.drift import DriftReport
 from repro.core.executor import SpatialQueryExecutor
 from repro.core.report import ExecutionReport
+from repro.core.strategies import JoinOperands, applicable
 from repro.join.result import JoinResult, SelectResult
 from repro.predicates.dispatch import SpatialObject
-from repro.predicates.theta import Overlaps, ThetaOperator
+from repro.predicates.theta import ThetaOperator
 from repro.relational.relation import Relation
 from repro.storage.costs import COUNTER_FIELDS, CostMeter
 
@@ -170,12 +171,17 @@ class StrategyComparison:
         *,
         include_join_index: bool = True,
         include_zorder: bool = False,
-        include_partition: bool = True,
         resilient: bool = False,
         check_drift: bool = False,
         interval=None,
     ) -> ComparisonReport:
-        """Run every applicable join strategy; verify agreement.
+        """Run every applicable registered join strategy; verify agreement.
+
+        ``scan`` is the reference and runs first, the rest follow in
+        table order.  ``zorder`` is opt-in, ``include_join_index``
+        precomputes (or skips) the join index, and ``index-nl-swapped``
+        -- ``index-nl`` with the operand roles exchanged -- is left out:
+        one row per algorithm.
 
         With ``resilient=True`` each strategy runs through
         :meth:`SpatialQueryExecutor.execute_join` -- transient storage
@@ -194,16 +200,19 @@ class StrategyComparison:
         every strategy run (see :meth:`SpatialQueryExecutor.join`); the
         agreement check then doubles as a filter-exactness check.
         """
-        report = ComparisonReport(
-            query=(
-                f"JOIN {rel_r.name}.{column_r} {theta.name} {rel_s.name}.{column_s}"
+        executor = self.executor
+        ji = executor.join_index_for(rel_r, rel_s, column_r, column_s, theta)
+        if include_join_index and ji is None:
+            ji = executor.precompute_join_index(
+                rel_r, rel_s, column_r, column_s, theta
             )
-        )
+        ops = JoinOperands(rel_r, column_r, rel_s, column_s, theta, join_index=ji)
+        report = ComparisonReport(query=ops.query)
 
         def run(strategy: str) -> JoinResult:
             meter = CostMeter()
             if resilient:
-                res, exec_report = self.executor.execute_join(
+                res, exec_report = executor.execute_join(
                     rel_r, column_r, rel_s, column_s, theta,
                     strategy=strategy, meter=meter, interval=interval,
                 )
@@ -213,7 +222,7 @@ class StrategyComparison:
                 stats = dict(res.stats)
                 stats.update(meter.snapshot())
             else:
-                res = self.executor.join(
+                res = executor.join(
                     rel_r, column_r, rel_s, column_s, theta,
                     strategy=strategy, meter=meter, interval=interval,
                 )
@@ -223,27 +232,18 @@ class StrategyComparison:
 
         reference = run("scan").pair_set()
 
-        candidates = []
-        if rel_r.has_index_on(column_r) and rel_s.has_index_on(column_s):
-            candidates.append("tree")
-        if rel_r.has_index_on(column_r):
-            candidates.append("index-nl")
-        if include_join_index:
-            if self.executor.join_index_for(rel_r, rel_s, column_r, column_s, theta) is None:
-                self.executor.precompute_join_index(
-                    rel_r, rel_s, column_r, column_s, theta
-                )
-            candidates.append("join-index")
-        if include_zorder and isinstance(theta, Overlaps):
-            candidates.append("zorder")
-        if include_partition and isinstance(theta, Overlaps):
-            candidates.append("partition")
-
-        for strategy in candidates:
-            res = run(strategy)
+        skipped = {"scan", "index-nl-swapped"}
+        if not include_zorder:
+            skipped.add("zorder")
+        if not include_join_index:
+            skipped.add("join-index")
+        for strategy in applicable(ops):
+            if strategy.name in skipped:
+                continue
+            res = run(strategy.name)
             if res.pair_set() != reference:
                 raise JoinError(
-                    f"strategy disagreement: {strategy} found "
+                    f"strategy disagreement: {strategy.name} found "
                     f"{len(res.pair_set())} pairs, scan {len(reference)}"
                 )
 
@@ -251,14 +251,11 @@ class StrategyComparison:
             from repro.core.optimizer import plan_join
             from repro.obs.drift import drift_from_measurements
 
-            ji = self.executor.join_index_for(
-                rel_r, rel_s, column_r, column_s, theta
-            )
             plan = plan_join(
-                rel_r, column_r, rel_s, column_s, theta,
-                join_index_available=ji is not None,
-                memory_pages=self.executor.memory_pages,
-                workers=self.executor.workers,
+                *ops.positional,
+                join_index_available=ops.join_index is not None,
+                memory_pages=executor.memory_pages,
+                workers=executor.workers,
             )
             report.drift = drift_from_measurements(
                 plan,

@@ -1,41 +1,36 @@
 """The spatial query executor: one entry point, every strategy.
 
-Strategy names follow the paper's numbering:
-
-========== =====================================================
-``scan``        strategy I (nested loop / exhaustive search)
-``tree``        strategy II (Algorithm SELECT / Algorithm JOIN)
-``join-index``  strategy III (precomputed Valduriez index)
-``index-nl``    index-supported join (scan S, probe R's tree)
-``zorder``      Orenstein sort-merge (``overlaps`` joins only)
-``partition``   partition-parallel grid + plane sweep (``overlaps``)
-``auto``        pick by what is available and a selectivity guess
-========== =====================================================
+Which strategies exist, what each applies to and what it costs is the
+table in :mod:`repro.core.strategies`; this module is everything around
+a strategy run -- handle resolution, the ``auto`` pick, tracing spans,
+the query cache, the interval tier, cancellation and the fallback chain.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from typing import Any
 
 from repro.core.cancel import CancellationToken, check_cancel
+from repro.core.optimizer import executable_strategy, plan_join
 from repro.core.report import AttemptRecord, ExecutionReport
-from repro.errors import ExecutionError, JoinError, StorageError
-from repro.join.accessor import RelationAccessor
-from repro.join.index_join import (
-    index_nested_loop_join,
-    index_nested_loop_join_swapped,
+from repro.core.strategies import (
+    JOIN_STRATEGIES,
+    SELECT_STRATEGIES,
+    ExecContext,
+    JoinOperands,
+    JoinStrategy,
+    applicable,
+    lookup,
 )
+from repro.errors import ExecutionError, JoinError, StorageError
 from repro.join.join_index import JoinIndex
-from repro.join.nested_loop import RESERVED_PAGES, nested_loop_join, nested_loop_select
+from repro.join.nested_loop import RESERVED_PAGES
 from repro.join.result import JoinResult, SelectResult
-from repro.join.select import spatial_select
-from repro.join.tree_join import tree_join
-from repro.join.zorder_merge import zorder_merge_join
+from repro.obs.drift import drift_from_plan
 from repro.obs.trace import coalesce
-from repro.parallel.join import partition_join
 from repro.predicates.dispatch import SpatialObject
 from repro.predicates.theta import Overlaps, ThetaOperator
 from repro.relational.relation import Relation
@@ -62,18 +57,6 @@ class _RegisteredIndex:
             self.rel_r.modification_count != self.mod_r
             or self.rel_s.modification_count != self.mod_s
         )
-
-
-#: Order in which :meth:`SpatialQueryExecutor.execute_join` falls back
-#: when a strategy dies on a storage or worker failure: the partition
-#: sweep first (fastest when applicable), then the synchronized tree
-#: join, the z-order merge, and finally the always-applicable nested
-#: loop.
-FALLBACK_CHAIN: tuple[str, ...] = ("partition", "tree", "zorder", "scan")
-
-#: Executor strategies that can thread the raster-interval refiner
-#: between their Theta-filter and exact refinement.
-INTERVAL_STRATEGIES: tuple[str, ...] = ("tree", "zorder", "partition")
 
 
 class SpatialQueryExecutor:
@@ -105,9 +88,9 @@ class SpatialQueryExecutor:
     ``True`` rasterizes on a data-fitted default grid, an
     :class:`~repro.intermediate.filter.IntervalSpec` fixes the grid,
     ``None``/``False`` keeps the historical exact refinement.  The tier
-    applies to the ``tree``, ``zorder`` and ``partition`` strategies
-    under the ``overlaps`` operator; every other strategy/operator pair
-    ignores it.  Per-object approximations are cached in epoch-pinned
+    applies to the strategies whose table entry threads the refiner
+    (tree traversals, the z-order merge, the partition sweep) under the
+    ``overlaps`` operator; every other strategy/operator pair ignores it.  Per-object approximations are cached in epoch-pinned
     per-grid stores shared across queries, so a mutated relation is
     re-rasterized and never filtered through stale intervals.
 
@@ -152,12 +135,30 @@ class SpatialQueryExecutor:
         self._interval_stores: dict[Any, Any] = {}
         self._interval_lock = threading.Lock()
 
-    def _handles(self, tracer, metrics, cache):
-        """Resolve per-call observability/cache overrides (None = default)."""
-        return (
-            self.tracer if tracer is None else coalesce(tracer),
-            self.metrics if metrics is None else metrics,
-            self.cache if cache is None else cache,
+    def _context(
+        self, *, meter=None, tracer=None, metrics=None, cache=None,
+        cancel=None, workers=None, interval=None, order="bfs",
+        collect_tuples=False,
+    ) -> ExecContext:
+        """The per-query context: each per-call override, or the instance
+        default where the caller passed ``None``, resolved exactly once."""
+        return ExecContext(
+            meter=CostMeter() if meter is None else meter,
+            tracer=self.tracer if tracer is None else coalesce(tracer),
+            metrics=self.metrics if metrics is None else metrics,
+            cache=self.cache if cache is None else cache,
+            cancel=cancel,
+            memory_pages=self.memory_pages,
+            workers=self.workers if workers is None else workers,
+            order=order,
+            collect_tuples=collect_tuples,
+            interval=self.interval if interval is None else interval,
+        )
+
+    def _operands(self, rel_r, column_r, rel_s, column_s, theta) -> JoinOperands:
+        return JoinOperands(
+            rel_r, column_r, rel_s, column_s, theta,
+            join_index=self.join_index_for(rel_r, rel_s, column_r, column_s, theta),
         )
 
     # ------------------------------------------------------------------
@@ -253,45 +254,34 @@ class SpatialQueryExecutor:
         once more before admission -- a result that finished past its
         deadline is discarded, never cached.
         """
-        from repro.gridfile.gridfile import GridFile
-
         check_cancel(cancel)
-        tracer, metrics, cache = self._handles(tracer, metrics, cache)
-        if meter is None:
-            meter = CostMeter()
         if strategy == "auto":
-            if relation.has_index_on(column):
-                index = relation.index_on(column)
-                strategy = "grid" if isinstance(index, GridFile) else "tree"
-            else:
-                strategy = "scan"
-        with tracer.span(
+            strategy = "tree" if relation.has_index_on(column) else "scan"
+        run = lookup(SELECT_STRATEGIES, strategy, "selection")
+        ctx = self._context(
+            meter=meter, tracer=tracer, metrics=metrics, cache=cache,
+            cancel=cancel, order=order,
+        )
+        meter, cache = ctx.meter, ctx.cache
+        with ctx.tracer.span(
             "executor.select", meter=meter, strategy=strategy
         ) as span:
+            want_candidates = False
             if cache is not None:
-                with tracer.span("cache.probe", meter=meter) as probe:
-                    tier, served = cache.probe_select(
-                        relation, column, query, theta,
-                        strategy=strategy, order=order, meter=meter,
-                    )
-                    probe.set_tag("tier", tier or "miss")
+                served = _probe(
+                    ctx, span, cache.probe_select,
+                    relation, column, query, theta,
+                    strategy=strategy, order=order,
+                )
                 if served is not None:
-                    span.set_tag("cache", tier)
                     return served
-                span.set_tag("cache", "miss")
-            candidates: list | None = None
-            if cache is not None and strategy == "tree":
                 from repro.cache.keys import window_monotone
 
-                if window_monotone(theta):
-                    candidates = []
+                want_candidates = window_monotone(theta)
             epoch = relation.modification_count
             cost_before = meter.total()
-            result = self._dispatch_select(
-                relation, column, query, theta,
-                strategy=strategy, order=order, meter=meter,
-                candidates_out=candidates, tracer=tracer, metrics=metrics,
-                cancel=cancel,
+            result, candidates = run(
+                ctx, relation, column, query, theta, want_candidates
             )
             check_cancel(cancel)  # a post-deadline result must not be cached
             if cache is not None:
@@ -303,62 +293,6 @@ class SpatialQueryExecutor:
                     epoch=epoch,
                 )
             return result
-
-    def _dispatch_select(
-        self,
-        relation: Relation,
-        column: str,
-        query: SpatialObject,
-        theta: ThetaOperator,
-        *,
-        strategy: str,
-        order: str,
-        meter: CostMeter,
-        candidates_out: list | None = None,
-        tracer=None,
-        metrics=None,
-        cancel: CancellationToken | None = None,
-    ) -> SelectResult:
-        from repro.gridfile.gridfile import GridFile
-
-        tracer = self.tracer if tracer is None else tracer
-        metrics = self.metrics if metrics is None else metrics
-        if strategy == "scan":
-            return nested_loop_select(
-                relation, column, query, theta,
-                meter=meter, memory_pages=self.memory_pages,
-            )
-        if strategy == "tree":
-            tree = relation.index_on(column)
-            return spatial_select(
-                tree, query, theta,
-                accessor=self._cold_accessor(relation, meter, metrics),
-                meter=meter, order=order,
-                tracer=tracer, metrics=metrics,
-                candidates_out=candidates_out,
-                cancel=cancel,
-            )
-        if strategy == "grid":
-            from repro.gridfile.join import grid_select
-
-            grid = relation.index_on(column)
-            if not isinstance(grid, GridFile):
-                raise JoinError(
-                    f"index on {relation.name}.{column} is not a grid file"
-                )
-            return grid_select(grid, query, theta, meter=meter)
-        raise JoinError(f"unknown selection strategy {strategy!r}")
-
-    def _cold_accessor(
-        self, relation: Relation, meter: CostMeter, metrics=None
-    ) -> RelationAccessor:
-        """A relation accessor over a fresh pool charging to ``meter``."""
-        from repro.storage.buffer import BufferPool
-
-        pool = BufferPool(relation.buffer_pool.disk, self.memory_pages, meter)
-        if metrics is not None:
-            pool.attach_metrics(metrics, pool=relation.name)
-        return RelationAccessor(relation, pool)
 
     # ------------------------------------------------------------------
     # Join
@@ -377,7 +311,6 @@ class SpatialQueryExecutor:
         collect_tuples: bool = False,
         order: str = "bfs",
         workers: int | None = None,
-        predicted_cost: float | None = None,
         tracer=None,
         metrics=None,
         cache=None,
@@ -400,11 +333,7 @@ class SpatialQueryExecutor:
         identities and epochs, same predicate, same strategy) is served
         from the stored pair list at zero page reads; symmetric
         operators share one entry across both operand orders.  Misses
-        execute normally and are offered to the admission policy, which
-        records the strategy this call actually dispatched (callers in
-        the fallback chain pass the strategy that *ran*, never the one
-        originally requested) alongside ``predicted_cost`` -- the model
-        price of that same strategy, when the caller planned one.
+        execute normally and are offered to the admission policy.
         Admission pins both operand epochs before dispatch; results
         computed while either operand mutated are refused.
 
@@ -415,156 +344,69 @@ class SpatialQueryExecutor:
         before admission (no post-deadline cache fills).
         """
         check_cancel(cancel)
-        tracer, metrics, cache = self._handles(tracer, metrics, cache)
-        if meter is None:
-            meter = CostMeter()
-        if workers is None:
-            workers = self.workers
-        if interval is None:
-            interval = self.interval
-        if strategy == "auto":
-            strategy = self._pick_join_strategy(rel_r, column_r, rel_s, column_s, theta)
+        ops = self._operands(rel_r, column_r, rel_s, column_s, theta)
+        ctx = self._context(
+            meter=meter, collect_tuples=collect_tuples, order=order,
+            workers=workers, tracer=tracer, metrics=metrics, cache=cache,
+            cancel=cancel, interval=interval,
+        )
+        return self._attempt(ctx, ops, self._strategy_for(strategy, ops))
 
-        with tracer.span(
-            "executor.join", meter=meter, strategy=strategy
+    def _attempt(
+        self,
+        ctx: ExecContext,
+        ops: JoinOperands,
+        strategy: JoinStrategy,
+        plan=None,
+    ) -> JoinResult:
+        """One strategy run: span, cache probe, run, post-deadline check,
+        epoch-pinned admission.
+
+        The entry is admitted under the strategy that *ran* (in a
+        fallback chain never the one originally requested), priced by
+        ``plan``'s prediction for that same strategy -- the
+        ``<model>+INT`` one when the interval refiner was threaded --
+        so admission never sees strategy A labelled with B's cost.
+        """
+        meter, cache = ctx.meter, ctx.cache
+        with ctx.tracer.span(
+            "executor.join", meter=meter, strategy=strategy.name
         ) as span:
             if cache is not None:
-                with tracer.span("cache.probe", meter=meter) as probe:
-                    tier, served = cache.probe_join(
-                        rel_r, column_r, rel_s, column_s, theta,
-                        strategy=strategy, collect_tuples=collect_tuples,
-                        meter=meter,
-                    )
-                    probe.set_tag("tier", tier or "miss")
+                served = _probe(
+                    ctx, span, cache.probe_join, *ops.positional,
+                    strategy=strategy.name, collect_tuples=ctx.collect_tuples,
+                )
                 if served is not None:
-                    span.set_tag("cache", tier)
                     return served
-                span.set_tag("cache", "miss")
-            interval_filter = self._resolve_interval(
-                interval, strategy, rel_r, column_r, rel_s, column_s, theta
-            )
-            if interval_filter is not None:
-                span.set_tag("interval", interval_filter.spec.level)
-            epoch_r = rel_r.modification_count
-            epoch_s = rel_s.modification_count
+            reason = strategy.refusal(ops)
+            if reason is not None:
+                raise JoinError(reason)
+            filtered = strategy.filters(ctx.interval, ops.theta)
+            if filtered:
+                refiner = self._interval_filter(ctx.interval, ops)
+                span.set_tag("interval", refiner.spec.level)
+                ctx = replace(ctx, refiner=refiner)
+            epoch_r = ops.rel_r.modification_count
+            epoch_s = ops.rel_s.modification_count
             cost_before = meter.total()
-            result = self._dispatch_join(
-                rel_r, column_r, rel_s, column_s, theta,
-                strategy=strategy, meter=meter,
-                collect_tuples=collect_tuples, order=order, workers=workers,
-                tracer=tracer, metrics=metrics, cancel=cancel,
-                interval_filter=interval_filter,
-            )
-            check_cancel(cancel)  # a post-deadline result must not be cached
+            result = strategy.run(ctx, ops)
+            check_cancel(ctx.cancel)  # a post-deadline result must not be cached
             if cache is not None:
+                price = None
+                if plan is not None:
+                    model = strategy.model_in(plan.predicted_costs, filtered)
+                    if model is not None:
+                        price = plan.predicted_costs[model]
                 cache.admit_join(
-                    rel_r, column_r, rel_s, column_s, theta,
-                    strategy=strategy, result=result,
-                    collect_tuples=collect_tuples,
+                    *ops.positional,
+                    strategy=strategy.name, result=result,
+                    collect_tuples=ctx.collect_tuples,
                     measured_cost=meter.total() - cost_before,
-                    predicted_cost=predicted_cost,
+                    predicted_cost=price,
                     epoch_r=epoch_r, epoch_s=epoch_s,
                 )
             return result
-
-    def _dispatch_join(
-        self,
-        rel_r: Relation,
-        column_r: str,
-        rel_s: Relation,
-        column_s: str,
-        theta: ThetaOperator,
-        *,
-        strategy: str,
-        meter: CostMeter,
-        collect_tuples: bool,
-        order: str,
-        workers: int,
-        tracer=None,
-        metrics=None,
-        cancel: CancellationToken | None = None,
-        interval_filter=None,
-    ) -> JoinResult:
-        tracer = self.tracer if tracer is None else tracer
-        metrics = self.metrics if metrics is None else metrics
-        if strategy == "scan":
-            return nested_loop_join(
-                rel_r, rel_s, column_r, column_s, theta,
-                memory_pages=self.memory_pages, meter=meter,
-                collect_tuples=collect_tuples,
-            )
-        if strategy == "tree":
-            tree_r = rel_r.index_on(column_r)
-            tree_s = rel_s.index_on(column_s)
-            return tree_join(
-                tree_r, tree_s, theta,
-                accessor_r=self._cold_accessor(rel_r, meter, metrics),
-                accessor_s=self._cold_accessor(rel_s, meter, metrics),
-                meter=meter, order=order, collect_tuples=collect_tuples,
-                tracer=tracer, metrics=metrics, cancel=cancel,
-                refiner=interval_filter,
-            )
-        if strategy == "index-nl":
-            tree_r = rel_r.index_on(column_r)
-            return index_nested_loop_join(
-                rel_s, column_s, tree_r, theta,
-                accessor_r=self._cold_accessor(rel_r, meter, metrics),
-                meter=meter, memory_pages=self.memory_pages, order=order,
-            )
-        if strategy == "index-nl-swapped":
-            tree_s = rel_s.index_on(column_s)
-            return index_nested_loop_join_swapped(
-                rel_r, column_r, tree_s, theta,
-                accessor_s=self._cold_accessor(rel_s, meter, metrics),
-                meter=meter, memory_pages=self.memory_pages, order=order,
-            )
-        if strategy == "join-index":
-            ji = self.join_index_for(rel_r, rel_s, column_r, column_s, theta)
-            if ji is None:
-                raise JoinError(
-                    "no join index registered for this join; call "
-                    "precompute_join_index first"
-                )
-            return ji.join(
-                meter=meter, memory_pages=self.memory_pages,
-                collect_tuples=collect_tuples,
-            )
-        if strategy == "grid":
-            from repro.gridfile.gridfile import GridFile
-            from repro.gridfile.join import grid_join
-
-            grid_r = rel_r.index_on(column_r)
-            grid_s = rel_s.index_on(column_s)
-            if not isinstance(grid_r, GridFile) or not isinstance(grid_s, GridFile):
-                raise JoinError("grid join requires grid-file indices on both sides")
-            return grid_join(grid_r, grid_s, theta, meter=meter)
-        if strategy == "zorder":
-            if not isinstance(theta, Overlaps):
-                raise JoinError(
-                    "the z-order sort-merge strategy applies to the "
-                    "'overlaps' operator only (Section 2.2)"
-                )
-            universe = self._common_universe(rel_r, column_r, rel_s, column_s)
-            return zorder_merge_join(
-                rel_r, rel_s, column_r, column_s,
-                universe=universe, meter=meter, memory_pages=self.memory_pages,
-                tracer=tracer, refiner=interval_filter,
-            )
-        if strategy == "partition":
-            if not isinstance(theta, Overlaps):
-                raise JoinError(
-                    "the partition-parallel strategy applies to the "
-                    "'overlaps' operator only (its plane-sweep filter is "
-                    "MBR intersection)"
-                )
-            return partition_join(
-                rel_r, rel_s, column_r, column_s, theta,
-                workers=workers, meter=meter, memory_pages=self.memory_pages,
-                collect_tuples=collect_tuples,
-                tracer=tracer, metrics=metrics, cancel=cancel,
-                refiner=interval_filter,
-            )
-        raise JoinError(f"unknown join strategy {strategy!r}")
 
     # ------------------------------------------------------------------
     # Resilient execution
@@ -595,7 +437,8 @@ class SpatialQueryExecutor:
         The requested (or auto-picked) strategy runs first; if it dies on
         a storage failure -- a transient fault that outlasted the buffer
         pool's retry budget, a permanently lost page -- the next
-        applicable strategy of :data:`FALLBACK_CHAIN` is tried, until one
+        applicable fallback link of
+        :data:`~repro.core.strategies.JOIN_STRATEGIES` is tried, until one
         succeeds or the chain is exhausted (:class:`ExecutionError`).
 
         Every attempt is recorded in the returned
@@ -613,14 +456,11 @@ class SpatialQueryExecutor:
         ``plan`` (a :class:`~repro.core.optimizer.JoinPlan`) enables
         model-vs-measured drift detection: the winning attempt's metered
         total is compared against the cost formula that prices the
-        strategy which actually ran, and the resulting
+        strategy which actually ran -- its ``<model>+INT`` prediction
+        when that attempt ran the interval filter -- and the resulting
         :class:`~repro.obs.drift.DriftReport` is attached to the
-        execution report (``report.drift``).
-
-        With a cache attached, each attempt is admitted under the
-        strategy it actually ran (the attempt's own), priced by the
-        plan's prediction *for that strategy* -- a fallback's entry
-        never carries the requested strategy's label or cost.
+        execution report (``report.drift``).  With a cache attached the
+        same per-attempt price drives admission.
 
         ``cancel`` is re-checked before every attempt of the chain, and
         :class:`~repro.errors.QueryCancelled` /
@@ -630,74 +470,53 @@ class SpatialQueryExecutor:
         straight out of the chain.
 
         ``interval`` forwards the second-tier setting to every attempt
-        (see :meth:`join`).  When the winning attempt actually ran the
-        filter, drift detection and admission pricing look up the plan's
-        ``<model>+INT`` prediction -- the model is held to the cost of
-        the path that executed, not the unfiltered one.
+        (see :meth:`join`).
         """
-        tracer, metrics, cache = self._handles(tracer, metrics, cache)
-        if meter is None:
-            meter = CostMeter()
-        if interval is None:
-            interval = self.interval
-        first = strategy
-        if first == "auto":
-            first = self._pick_join_strategy(rel_r, column_r, rel_s, column_s, theta)
-        chain = [first] + [
-            s for s in FALLBACK_CHAIN
-            if s != first
-            and self._strategy_applicable(s, rel_r, column_r, rel_s, column_s, theta)
-        ]
+        ops = self._operands(rel_r, column_r, rel_s, column_s, theta)
+        ctx = self._context(
+            meter=meter, collect_tuples=collect_tuples, order=order,
+            workers=workers, tracer=tracer, metrics=metrics, cache=cache,
+            cancel=cancel, interval=interval,
+        )
+        return self._chain(ctx, ops, strategy, plan)
 
-        fault_plan = self._fault_plan_for(rel_r, rel_s)
+    def _chain(
+        self, ctx: ExecContext, ops: JoinOperands, requested: str, plan
+    ) -> tuple[JoinResult, ExecutionReport]:
+        """:meth:`_attempt` down the fallback chain, with the report."""
+        first = self._strategy_for(requested, ops)
+        chain = [first] + [
+            s for s in applicable(ops) if s.fallback and s is not first
+        ]
+        meter = ctx.meter
+
+        fault_plan = self._fault_plan_for(ops.rel_r, ops.rel_s)
         events_before = len(fault_plan.events) if fault_plan is not None else 0
 
-        report = ExecutionReport(
-            query=(
-                f"JOIN {rel_r.name}.{column_r} {theta.name} "
-                f"{rel_s.name}.{column_s}"
-            ),
-            requested_strategy=strategy,
-        )
+        report = ExecutionReport(query=ops.query, requested_strategy=requested)
         result: JoinResult | None = None
-        for strat in chain:
-            check_cancel(cancel)
+        for strategy in chain:
+            check_cancel(ctx.cancel)
             attempt_meter = CostMeter(charges=meter.charges)
-            attempt_label = (
-                strat + "+interval"
-                if self._interval_active(interval, strat, theta) else strat
-            )
+            failure: StorageError | None = None
             try:
-                result = self.join(
-                    rel_r, column_r, rel_s, column_s, theta,
-                    strategy=strat, meter=attempt_meter,
-                    collect_tuples=collect_tuples, order=order, workers=workers,
-                    predicted_cost=self._planned_cost(plan, attempt_label),
-                    tracer=tracer, metrics=metrics, cache=cache,
-                    cancel=cancel, interval=interval,
+                result = self._attempt(
+                    replace(ctx, meter=attempt_meter), ops, strategy, plan
                 )
             except StorageError as exc:
-                meter.absorb(attempt_meter)
-                report.attempts.append(AttemptRecord(
-                    strategy=strat, ok=False,
-                    error_type=type(exc).__name__, error=str(exc),
-                    io_retries=attempt_meter.io_retries,
-                    backoff_steps=attempt_meter.backoff_steps,
-                    stats=attempt_meter.snapshot(),
-                ))
-                continue
+                failure = exc
             meter.absorb(attempt_meter)
             report.attempts.append(AttemptRecord(
-                strategy=strat, ok=True,
+                strategy=strategy.name, ok=failure is None,
+                error_type=None if failure is None else type(failure).__name__,
+                error=None if failure is None else str(failure),
                 io_retries=attempt_meter.io_retries,
                 backoff_steps=attempt_meter.backoff_steps,
                 stats=attempt_meter.snapshot(),
             ))
-            if result.strategy.startswith("cached-"):
-                # Served by the query cache inside :meth:`join`: record
-                # the tier so reports and the CLI can show it.
-                report.cached = result.strategy[len("cached-"):]
-            break
+            if failure is None:
+                winner = strategy
+                break
 
         if fault_plan is not None:
             new_events = fault_plan.events[events_before:]
@@ -715,43 +534,22 @@ class SpatialQueryExecutor:
                 report,
             )
 
-        if plan is not None and report.cached is None:
+        if result.strategy.startswith("cached-"):
+            # Served by the query cache inside the attempt: record the
+            # tier so reports and the CLI can show it.
+            report.cached = result.strategy[len("cached-"):]
+        elif plan is not None:
             # Drift compares the model against a *measured execution*;
             # a cache hit measured ~zero by design, which is savings,
             # not model drift -- cached runs are skipped.
-            from repro.obs.drift import drift_from_plan
-
-            winner = next(a for a in report.attempts if a.ok)
-            winner_label = (
-                winner.strategy + "+interval"
-                if self._interval_active(interval, winner.strategy, theta)
-                else winner.strategy
-            )
             report.drift = drift_from_plan(
-                plan, winner_label, winner.stats.get("total", 0.0),
+                plan, winner.name, report.attempts[-1].stats.get("total", 0.0),
+                interval=winner.filters(ctx.interval, ops.theta),
                 query=report.query,
             )
-        if metrics is not None:
-            metrics.absorb_meter(meter, strategy=report.strategy)
+        if ctx.metrics is not None:
+            ctx.metrics.absorb_meter(meter, strategy=report.strategy)
         return result, report
-
-    @staticmethod
-    def _planned_cost(plan, strategy: str) -> float | None:
-        """The plan's predicted cost for the strategy this attempt runs.
-
-        A plan prices every applicable model; the fallback chain may
-        execute a different strategy than the plan chose, so the price
-        is looked up per attempt -- admission must never see strategy A
-        labelled with strategy B's cost.
-        """
-        if plan is None:
-            return None
-        from repro.obs.drift import model_for_strategy
-
-        model = model_for_strategy(strategy, plan.predicted_costs)
-        if model is None:
-            return None
-        return plan.predicted_costs[model]
 
     def plan_and_execute_join(
         self,
@@ -765,10 +563,11 @@ class SpatialQueryExecutor:
         """Optimize with the Section 4 formulas, execute, check for drift.
 
         Convenience wrapper: runs :func:`~repro.core.optimizer.plan_join`
-        (telling it whether a fresh join index is registered), executes
-        the plan's strategy through :meth:`execute_join`, and returns the
-        result with a drift-annotated report.  Extra keyword arguments
-        are forwarded to :meth:`execute_join`.
+        (telling it whether a fresh join index is registered, and at the
+        ``workers`` / ``cache`` this call runs with), executes the plan's
+        strategy down the same chain as :meth:`execute_join`, and returns
+        the result with a drift-annotated report.  Keyword arguments are
+        :meth:`execute_join`'s, minus ``strategy`` and ``plan``.
 
         When the executor (or the call) enables the interval tier, the
         planner weighs its probe/build/save delta per query
@@ -776,43 +575,21 @@ class SpatialQueryExecutor:
         the *plan's* verdict decides whether the filter actually runs --
         ``plan.use_interval`` wins over the blanket setting.
         """
-        from repro.core.optimizer import executable_strategy, plan_join
-
-        ji = self.join_index_for(rel_r, rel_s, column_r, column_s, theta)
-        cache = kwargs.get("cache") or self.cache
-        interval = kwargs.pop("interval", None)
-        if interval is None:
-            interval = self.interval
+        ops = self._operands(rel_r, column_r, rel_s, column_s, theta)
+        ctx = self._context(**kwargs)
         plan = plan_join(
-            rel_r, column_r, rel_s, column_s, theta,
-            join_index_available=ji is not None,
-            memory_pages=self.memory_pages,
-            workers=self.workers,
-            cache=cache,
-            interval=interval or None,
+            *ops.positional,
+            join_index_available=ops.join_index is not None,
+            memory_pages=ctx.memory_pages,
+            workers=ctx.workers,
+            cache=ctx.cache,
+            interval=ctx.interval or None,
         )
-        if interval:
-            kwargs["interval"] = plan.interval_spec if plan.use_interval else False
-        return self.execute_join(
-            rel_r, column_r, rel_s, column_s, theta,
-            strategy=executable_strategy(plan), plan=plan, **kwargs,
-        )
-
-    def _strategy_applicable(
-        self,
-        strategy: str,
-        rel_r: Relation,
-        column_r: str,
-        rel_s: Relation,
-        column_s: str,
-        theta: ThetaOperator,
-    ) -> bool:
-        """Can this fallback strategy run at all on these operands?"""
-        if strategy in ("partition", "zorder"):
-            return isinstance(theta, Overlaps)
-        if strategy == "tree":
-            return rel_r.has_index_on(column_r) and rel_s.has_index_on(column_s)
-        return strategy == "scan"
+        if ctx.interval:
+            ctx = replace(
+                ctx, interval=plan.interval_spec if plan.use_interval else False
+            )
+        return self._chain(ctx, ops, executable_strategy(plan), plan)
 
     @staticmethod
     def _fault_plan_for(rel_r: Relation, rel_s: Relation):
@@ -845,30 +622,27 @@ class SpatialQueryExecutor:
         from repro.trees.knn import nearest_neighbors
         from repro.trees.rtree import RTree
 
-        if meter is None:
-            meter = CostMeter()
+        ctx = self._context(meter=meter)
         index = relation.index_on(column)
         if not isinstance(index, RTree):
             raise JoinError(
                 f"nearest-neighbor search needs an R-tree index on "
                 f"{relation.name}.{column}"
             )
-        accessor = self._cold_accessor(relation, meter, self.metrics)
-        found = nearest_neighbors(index, query, k=k, meter=meter)
+        accessor = ctx.cold_accessor(relation)
+        found = nearest_neighbors(index, query, k=k, meter=ctx.meter)
         return [(dist, accessor.visit(tid, None)) for dist, tid in found]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _pick_join_strategy(
-        self,
-        rel_r: Relation,
-        column_r: str,
-        rel_s: Relation,
-        column_s: str,
-        theta: ThetaOperator,
-    ) -> str:
+    def _strategy_for(self, name: str, ops: JoinOperands) -> JoinStrategy:
+        if name == "auto":
+            name = self._pick_join_strategy(ops)
+        return lookup(JOIN_STRATEGIES, name, "join")
+
+    def _pick_join_strategy(self, ops: JoinOperands) -> str:
         """Availability-driven pick, mirroring the paper's conclusions.
 
         A registered join index wins outright (lookup is cheapest when it
@@ -880,82 +654,62 @@ class SpatialQueryExecutor:
         trees enable the generalization-tree join, one tree the
         index-supported join, and the nested loop remains the fallback.
         """
-        if self.join_index_for(rel_r, rel_s, column_r, column_s, theta) is not None:
+        if ops.join_index is not None:
             return "join-index"
-        if isinstance(theta, Overlaps) and self._fits_in_memory(rel_r, rel_s):
+        if isinstance(ops.theta, Overlaps) and self._fits_in_memory(ops):
             return "partition"
-        has_r = rel_r.has_index_on(column_r)
-        has_s = rel_s.has_index_on(column_s)
+        has_r = ops.rel_r.has_index_on(ops.column_r)
+        has_s = ops.rel_s.has_index_on(ops.column_s)
         if has_r and has_s:
             return "tree"
         if has_r:
             return "index-nl"
         if has_s:
-            # Probe S's tree while scanning R: same strategy, swapped roles.
             return "index-nl-swapped"
         return "scan"
 
-    def _fits_in_memory(self, rel_r: Relation, rel_s: Relation) -> bool:
+    def _fits_in_memory(self, ops: JoinOperands) -> bool:
         """True when both operands fit the usable ``M - 10`` page budget."""
-        return rel_r.num_pages + rel_s.num_pages <= self.memory_pages - RESERVED_PAGES
-
-    @staticmethod
-    def _interval_active(interval, strategy: str, theta: ThetaOperator) -> bool:
-        """Would the second tier run for this (setting, strategy, theta)?"""
         return (
-            bool(interval)
-            and strategy in INTERVAL_STRATEGIES
-            and isinstance(theta, Overlaps)
+            ops.rel_r.num_pages + ops.rel_s.num_pages
+            <= self.memory_pages - RESERVED_PAGES
         )
 
-    def _resolve_interval(
-        self,
-        interval,
-        strategy: str,
-        rel_r: Relation,
-        column_r: str,
-        rel_s: Relation,
-        column_s: str,
-        theta: ThetaOperator,
-    ):
-        """The :class:`~repro.intermediate.filter.IntervalFilter` for this
-        call, or ``None`` for the exact path.
+    def _interval_filter(self, interval, ops: JoinOperands):
+        """A fresh :class:`~repro.intermediate.filter.IntervalFilter` for
+        one attempt under the (truthy) second-tier setting ``interval``.
 
         The filter's memo is seeded from the executor's per-grid
         :class:`~repro.intermediate.store.ApproximationStore`, which pins
         each relation's ``modification_count`` at build time -- a mutated
         operand re-rasterizes instead of reusing stale intervals.  The
-        filter itself is a throwaway per-call object (its on-demand memo
-        may absorb tree node regions that the shared store must not
+        filter itself is a throwaway per-attempt object (its on-demand
+        memo may absorb tree node regions that the shared store must not
         retain across epochs).
         """
-        if not self._interval_active(interval, strategy, theta):
-            return None
         from repro.intermediate import (
             ApproximationStore,
             IntervalFilter,
             IntervalSpec,
         )
 
-        if isinstance(interval, IntervalSpec):
-            spec = interval
-        else:
-            spec = IntervalSpec(
-                universe=self._common_universe(rel_r, column_r, rel_s, column_s)
-            )
+        spec = interval
+        if not isinstance(spec, IntervalSpec):
+            spec = IntervalSpec(universe=ops.universe())
         with self._interval_lock:
             store = self._interval_stores.get(spec)
             if store is None:
                 store = ApproximationStore(spec)
                 self._interval_stores[spec] = store
-            tables = dict(store.table_for(rel_r, column_r))
-            tables.update(store.table_for(rel_s, column_s))
-        return IntervalFilter(theta, spec, tables)
+            tables = dict(store.table_for(ops.rel_r, ops.column_r))
+            tables.update(store.table_for(ops.rel_s, ops.column_s))
+        return IntervalFilter(ops.theta, spec, tables)
 
-    def _common_universe(self, rel_r: Relation, column_r: str,
-                         rel_s: Relation, column_s: str):
-        from repro.relational.columns import data_universe, extract_columns
 
-        return data_universe(
-            extract_columns(rel_r, column_r), extract_columns(rel_s, column_s)
-        )
+def _probe(ctx: ExecContext, span, probe, *query, **key):
+    """A cache hit for this query or ``None``, tagged on both spans."""
+    with ctx.tracer.span("cache.probe", meter=ctx.meter) as probe_span:
+        tier, served = probe(*query, meter=ctx.meter, **key)
+        probe_span.set_tag("tier", tier or "miss")
+    span.set_tag("cache", tier or "miss")
+    return served

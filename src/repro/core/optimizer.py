@@ -17,7 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.errors import JoinError
+from repro.core.strategies import (
+    INTERVAL_SUFFIX,
+    JOIN_STRATEGIES,
+    JoinOperands,
+    applicable,
+)
 from repro.costmodel.distributions import make_distribution
 from repro.costmodel.estimation import (
     IntervalResolutionEstimate,
@@ -25,14 +30,7 @@ from repro.costmodel.estimation import (
     sample_interval_resolution,
     sample_join_selectivity,
 )
-from repro.costmodel.join_costs import (
-    d_join_index,
-    d_nested_loop,
-    d_partition,
-    d_tree_clustered,
-    d_tree_unclustered,
-    with_interval_filter,
-)
+from repro.costmodel.join_costs import with_interval_filter
 from repro.costmodel.parameters import ModelParameters
 from repro.predicates.theta import Overlaps, ThetaOperator
 from repro.relational.columns import data_universe, extract_columns
@@ -92,16 +90,6 @@ class JoinPlan:
         return "\n".join(lines)
 
 
-#: Model-strategy name -> executor strategy name.
-_EXECUTABLE = {
-    "D_I": "scan",
-    "D_IIa": "tree",
-    "D_IIb": "tree",
-    "D_III": "join-index",
-    "D_PAR": "partition",
-}
-
-
 def fit_parameters(
     rel_r: Relation,
     column_r: str,
@@ -156,10 +144,12 @@ def plan_join(
 ) -> JoinPlan:
     """Estimate, predict, rank -- and return the full decision record.
 
-    Only executable strategies are ranked: the tree strategies require
-    indices on both columns, the join-index strategy requires
-    ``join_index_available``, and the partition-parallel sweep (``D_PAR``,
-    predicted at ``workers`` workers) requires the ``overlaps`` operator.
+    Only executable strategies are ranked -- each applicable entry of
+    :data:`~repro.core.strategies.JOIN_STRATEGIES` prices itself: the
+    tree strategies require indices on both columns, the join-index
+    strategy requires ``join_index_available``, and the
+    partition-parallel sweep (``D_PAR``, predicted at ``workers``
+    workers) requires the ``overlaps`` operator.
     The UNIFORM distribution is the sensible default when nothing is
     known about the operator's locality.
 
@@ -194,20 +184,17 @@ def plan_join(
     params = fit_parameters(rel_r, column_r, estimate.p, memory_pages=memory_pages)
     dist = make_distribution(distribution, params)
 
-    costs: dict[str, float] = {"D_I": d_nested_loop(params)}
-    if isinstance(theta, Overlaps):
-        costs["D_PAR"] = d_partition(params, workers=workers)
-    if rel_r.has_index_on(column_r) and rel_s.has_index_on(column_s):
-        clustered = rel_r.is_clustered and rel_s.is_clustered
-        if clustered:
-            costs["D_IIb"] = d_tree_clustered(dist)
-        else:
-            costs["D_IIa"] = d_tree_unclustered(dist)
-    if join_index_available:
-        costs["D_III"] = d_join_index(dist)
-
-    if not costs:
-        raise JoinError("no executable strategy to rank")
+    ops = JoinOperands(
+        rel_r, column_r, rel_s, column_s, theta,
+        join_index=join_index_available or None,
+    )
+    costs: dict[str, float] = {}
+    filterable: list[str] = []
+    for strategy in applicable(ops):
+        priced = strategy.price(ops, dist, workers)
+        costs.update(priced)
+        if strategy.interval:
+            filterable += priced
     best = min(costs, key=lambda name: costs[name])
 
     use_interval = False
@@ -227,14 +214,14 @@ def plan_join(
             resolution.mbr_fraction * float(len(rel_r)) * float(len(rel_s))
         )
         build_objects = float(len(rel_r) + len(rel_s))
-        for name in [n for n in costs if n in _INTERVAL_CAPABLE]:
-            costs[name + "+INT"] = with_interval_filter(
+        for name in filterable:
+            costs[name + INTERVAL_SUFFIX] = with_interval_filter(
                 costs[name], params,
                 candidates=candidates,
                 resolve_fraction=resolution.resolve_fraction,
                 build_objects=build_objects,
             )
-        filtered = costs.get(best + "+INT")
+        filtered = costs.get(best + INTERVAL_SUFFIX)
         use_interval = filtered is not None and filtered < costs[best]
 
     hit_p = 0.0
@@ -255,12 +242,8 @@ def plan_join(
     )
 
 
-#: Model strategies whose executor counterpart can thread the interval
-#: refiner (tree traversals and the partition sweep; the blocked scan
-#: and the join index have no refine site to replace).
-_INTERVAL_CAPABLE = frozenset({"D_PAR", "D_IIa", "D_IIb"})
-
-
 def executable_strategy(plan: JoinPlan) -> str:
     """The :class:`SpatialQueryExecutor` strategy name for a plan."""
-    return _EXECUTABLE[plan.strategy]
+    return next(
+        s.name for s in JOIN_STRATEGIES.values() if plan.strategy in s.models
+    )

@@ -35,21 +35,6 @@ FLOOR = 1e-12
 #: :func:`repro.costmodel.fitting._fit_error`.
 DEFAULT_DRIFT_TOLERANCE = math.log(10.0) ** 2
 
-#: Executor strategy name -> model cost names that can predict it, in
-#: preference order (the plan carries whichever was computable).
-_MODELS_FOR_STRATEGY: dict[str, tuple[str, ...]] = {
-    "scan": ("D_I",),
-    "tree": ("D_IIb", "D_IIa"),
-    "join-index": ("D_III",),
-    "partition": ("D_PAR",),
-    # A sharded join is the same grid-partition sweep with the grid
-    # spread across workers; the Section-4 partition formula prices the
-    # *fleet-merged* meter (the router concatenates shard-local work),
-    # not any single shard's share.
-    "shard-partition": ("D_PAR",),
-}
-
-
 def log_error(predicted: float, measured: float) -> float:
     """Squared natural-log error, fitting.py's agreement metric."""
     return (
@@ -57,29 +42,24 @@ def log_error(predicted: float, measured: float) -> float:
     ) ** 2
 
 
-def model_for_strategy(strategy: str, predicted_costs: dict[str, float]) -> str | None:
+def model_for_strategy(
+    strategy: str, predicted_costs: dict[str, float], interval: bool = False
+) -> str | None:
     """The model formula in ``predicted_costs`` that prices ``strategy``.
 
-    Parameterised strategy names (``"partition[8]"``,
-    ``"shard-partition[3]"`` -- the bracket suffix carries the worker or
-    shard count) normalise to their base name: the formula prices the
-    total work, which the reference-point rule keeps invariant under the
-    split.
-
-    A ``"+interval"`` suffix (the executor's drift label for a run with
-    the raster-interval tier enabled) prefers the matching ``<model>+INT``
-    entry -- the plan's prediction *with* the filter's probe/build/save
-    delta -- and falls back to the base formula when the plan never
-    priced the filter.
+    ``strategy`` is an executor strategy name or a router label such as
+    ``"shard-partition[3]"``; the registry resolves both and declares
+    which formulas price each strategy.  ``interval`` says the run
+    threaded the raster-interval refiner, which prefers the matching
+    ``<model>+INT`` entry (see
+    :meth:`~repro.core.strategies.JoinStrategy.model_in`).
     """
-    base, _, flag = strategy.partition("+")
-    base = base.split("[", 1)[0]
-    for model in _MODELS_FOR_STRATEGY.get(base, ()):
-        if flag == "interval" and model + "+INT" in predicted_costs:
-            return model + "+INT"
-        if model in predicted_costs:
-            return model
-    return None
+    from repro.core.strategies import strategy_for_label
+
+    descriptor = strategy_for_label(strategy)
+    if descriptor is None:
+        return None
+    return descriptor.model_in(predicted_costs, interval)
 
 
 @dataclass(slots=True)
@@ -149,49 +129,35 @@ class DriftReport:
         return "\n".join(lines)
 
 
-def _drift_row(strategy: str, model: str, predicted: float, measured: float,
-               threshold: float) -> DriftRow:
-    err = log_error(predicted, measured)
-    return DriftRow(
-        strategy=strategy,
-        model=model,
-        predicted=predicted,
-        measured=measured,
-        log_error=err,
-        drifted=err > threshold,
-    )
-
-
 def drift_from_plan(
     plan: "JoinPlan",
     strategy: str,
     measured_total: float,
     *,
+    interval: bool = False,
     query: str = "",
     threshold: float = DEFAULT_DRIFT_TOLERANCE,
 ) -> DriftReport:
     """One-row drift report for an executed plan.
 
     ``strategy`` is the executor strategy that actually ran (it may
-    differ from the plan's pick after a fallback); ``measured_total`` is
-    the weighted meter total of the winning attempt.  When the executed
-    strategy has no formula in the plan, the report has zero rows and
-    never flags -- absence of a model is not drift.
+    differ from the plan's pick after a fallback), ``interval`` whether
+    it ran the raster-interval tier; ``measured_total`` is the weighted
+    meter total of the winning attempt.  When the executed strategy has
+    no formula in the plan, the report has zero rows and never flags --
+    absence of a model is not drift.
     """
-    report = DriftReport(query=query, threshold=threshold)
-    model = model_for_strategy(strategy, plan.predicted_costs)
-    if model is not None:
-        report.rows.append(
-            _drift_row(strategy, model, plan.predicted_costs[model],
-                       measured_total, threshold)
-        )
-    return report
+    return drift_from_measurements(
+        plan, [(strategy, measured_total)],
+        interval=interval, query=query, threshold=threshold,
+    )
 
 
 def drift_from_measurements(
     plan: "JoinPlan",
     measurements: Iterable[tuple[str, float]],
     *,
+    interval: bool = False,
     query: str = "",
     threshold: float = DEFAULT_DRIFT_TOLERANCE,
 ) -> DriftReport:
@@ -203,11 +169,17 @@ def drift_from_measurements(
     """
     report = DriftReport(query=query, threshold=threshold)
     for strategy, measured in measurements:
-        model = model_for_strategy(strategy, plan.predicted_costs)
+        model = model_for_strategy(strategy, plan.predicted_costs, interval)
         if model is None:
             continue
-        report.rows.append(
-            _drift_row(strategy, model, plan.predicted_costs[model],
-                       measured, threshold)
-        )
+        predicted = plan.predicted_costs[model]
+        err = log_error(predicted, measured)
+        report.rows.append(DriftRow(
+            strategy=strategy,
+            model=model,
+            predicted=predicted,
+            measured=measured,
+            log_error=err,
+            drifted=err > threshold,
+        ))
     return report

@@ -180,8 +180,13 @@ def _deadline_from_request(request: dict[str, Any]) -> float | None:
     return float(value)
 
 
-def _require_str(request: dict[str, Any], field: str) -> str:
-    value = request.get(field)
+def _require_str(
+    request: dict[str, Any], field: str, default: str | None = None
+) -> str:
+    """A name field (``default`` when absent); anything but a non-empty
+    string is refused here -- a list reaching the executor would key a
+    cache probe and fail there, untyped."""
+    value = request.get(field, default)
     if not isinstance(value, str) or not value:
         raise ProtocolError(f"field {field!r} must be a non-empty string")
     return value
@@ -234,8 +239,8 @@ def handle_request(session: Any, request: dict[str, Any]) -> dict[str, Any]:
         window = rect_from_request(request)
         result, epoch = session.select(
             relation, column, window, theta,
-            strategy=request.get("strategy", "auto"),
-            order=request.get("order", "bfs"),
+            strategy=_require_str(request, "strategy", "auto"),
+            order=_require_str(request, "order", "bfs"),
             deadline_ms=_deadline_from_request(request),
         )
         oids = _oids_of(result.matches)
@@ -266,7 +271,7 @@ def handle_request(session: Any, request: dict[str, Any]) -> dict[str, Any]:
         theta = theta_from_request(request)
         result, (epoch_r, epoch_s) = session.join(
             rel_r, column_r, rel_s, column_s, theta,
-            strategy=request.get("strategy", "auto"),
+            strategy=_require_str(request, "strategy", "auto"),
             deadline_ms=_deadline_from_request(request),
         )
         return {

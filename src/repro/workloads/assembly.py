@@ -51,8 +51,9 @@ def build_indexed_relation(
     fanout: int = 10,
     disk: SimulatedDisk | None = None,
     meter: CostMeter | None = None,
+    name: str = "objects",
 ) -> IndexedRelation:
-    """An R-tree-indexed relation of ``count`` random rectangles.
+    """An R-tree-indexed relation ``name`` of ``count`` random rectangles.
 
     With ``clustered=True`` the relation is rebuilt in the tree's BFS
     order after loading (strategy IIb's layout); otherwise insertion
@@ -66,7 +67,7 @@ def build_indexed_relation(
     if disk is None:
         disk = SimulatedDisk()
     pool = BufferPool(disk, memory_pages, meter)
-    relation = Relation("objects", OBJECT_SCHEMA, pool)
+    relation = Relation(name, OBJECT_SCHEMA, pool)
 
     rng = random.Random(seed)
     rects = uniform_rects(count, universe, max_extent, max_extent, rng)

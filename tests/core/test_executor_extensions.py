@@ -1,4 +1,4 @@
-"""Tests for the executor's grid-file and nearest-neighbor extensions."""
+"""Tests for the executor's nearest-neighbor extension."""
 
 import random
 
@@ -8,13 +8,12 @@ from repro.core.executor import SpatialQueryExecutor
 from repro.errors import JoinError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.gridfile import GridFile
-from repro.predicates.theta import WithinDistance
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, ColumnType, Schema
 from repro.storage.buffer import BufferPool
 from repro.storage.costs import CostMeter
 from repro.storage.disk import SimulatedDisk
+from repro.trees.balanced import BalancedKTree
 from repro.trees.rtree import RTree
 
 UNIVERSE = Rect(0, 0, 100, 100)
@@ -35,52 +34,6 @@ def executor():
     return SpatialQueryExecutor(memory_pages=200)
 
 
-class TestGridStrategies:
-    def test_grid_select_auto(self, executor):
-        rel = point_relation(200, seed=21)
-        grid = GridFile(rel.buffer_pool, UNIVERSE, bucket_capacity=8)
-        rel.attach_index("loc", grid)
-        theta = WithinDistance(10.0)
-        q = Point(40, 40)
-        res = executor.select(rel, "loc", q, theta)  # auto -> grid
-        assert res.strategy == "grid-select"
-        want = {t.tid for t in rel.scan() if theta(q, t["loc"])}
-        assert set(res.tids) == want
-
-    def test_grid_join_explicit(self, executor):
-        rel_r = point_relation(120, seed=22)
-        rel_s = point_relation(120, seed=23)
-        rel_r.attach_index("loc", GridFile(rel_r.buffer_pool, UNIVERSE, 8))
-        rel_s.attach_index("loc", GridFile(rel_s.buffer_pool, UNIVERSE, 8))
-        theta = WithinDistance(8.0)
-        res = executor.join(rel_r, "loc", rel_s, "loc", theta, strategy="grid")
-        want = {
-            (r.tid, s.tid)
-            for r in rel_r.scan()
-            for s in rel_s.scan()
-            if theta(r["loc"], s["loc"])
-        }
-        assert res.pair_set() == want
-
-    def test_grid_join_needs_grids_on_both_sides(self, executor):
-        rel_r = point_relation(10, seed=24)
-        rel_s = point_relation(10, seed=25)
-        rel_r.attach_index("loc", GridFile(rel_r.buffer_pool, UNIVERSE, 8))
-        rel_s.attach_index("loc", RTree())
-        with pytest.raises(JoinError):
-            executor.join(
-                rel_r, "loc", rel_s, "loc", WithinDistance(5), strategy="grid"
-            )
-
-    def test_grid_select_on_rtree_rejected(self, executor):
-        rel = point_relation(10, seed=26)
-        rel.attach_index("loc", RTree())
-        with pytest.raises(JoinError):
-            executor.select(
-                rel, "loc", Point(0, 0), WithinDistance(5), strategy="grid"
-            )
-
-
 class TestNearest:
     def test_k_nearest_tuples(self, executor):
         rel = point_relation(300, seed=27)
@@ -97,7 +50,7 @@ class TestNearest:
 
     def test_requires_rtree(self, executor):
         rel = point_relation(10, seed=28)
-        rel.attach_index("loc", GridFile(rel.buffer_pool, UNIVERSE, 8))
+        rel.attach_index("loc", BalancedKTree(2, 1, UNIVERSE), backfill=False)
         with pytest.raises(JoinError):
             executor.nearest(rel, "loc", Point(0, 0))
 

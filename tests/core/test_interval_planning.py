@@ -160,16 +160,16 @@ class TestDriftLabels:
     COSTS = {"D_PAR": 100.0, "D_PAR+INT": 80.0, "D_IIa": 200.0}
 
     def test_interval_label_prefers_filtered_model(self):
-        assert model_for_strategy("partition+interval", self.COSTS) == "D_PAR+INT"
+        assert model_for_strategy("partition", self.COSTS, interval=True) == "D_PAR+INT"
         assert model_for_strategy("partition", self.COSTS) == "D_PAR"
 
     def test_interval_label_falls_back_to_base(self):
         # Plan never priced the filter: the base formula still applies.
-        assert model_for_strategy("tree+interval", self.COSTS) == "D_IIa"
+        assert model_for_strategy("tree", self.COSTS, interval=True) == "D_IIa"
 
     def test_parameterized_and_filtered_compose(self):
         assert (
-            model_for_strategy("shard-partition[3]+interval", self.COSTS)
+            model_for_strategy("shard-partition[3]", self.COSTS, interval=True)
             == "D_PAR+INT"
         )
 

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.cache import QueryCache
 from repro.errors import ProtocolError, ServerBusy
 from repro.server import QueryClient, QueryServer
 from repro.server.protocol import (
@@ -159,6 +160,54 @@ class TestRoundTrips:
             t.join(timeout=30.0)
         assert not errors
         assert len(set(results)) == 1  # nobody mutated; all agree
+
+
+class TestMalformedNames:
+    """A non-string ``strategy`` / ``order`` is refused at the boundary.
+
+    Unvalidated, a list reached ``QueryCache.probe_*`` as part of a dict
+    key and raised an untyped ``TypeError`` the transport does not turn
+    into an ``ERR`` line: the client read ``b''`` and the connection was
+    dead.
+    """
+
+    SELECT = dict(op="select", relation="r", column="shape",
+                  rect=[0, 0, 50, 50], theta="overlaps")
+    JOIN = dict(op="join", relation_r="r", column_r="shape",
+                relation_s="s", column_s="shape", theta="overlaps")
+
+    @pytest.mark.parametrize("request_fields", [
+        dict(SELECT, strategy=["x"]),
+        dict(SELECT, order=["x"]),
+        dict(SELECT, strategy=None),
+        dict(JOIN, strategy=["x"]),
+        dict(JOIN, strategy={"name": "tree"}),
+    ], ids=["select-strategy-list", "select-order-list", "select-strategy-null",
+            "join-strategy-list", "join-strategy-object"])
+    def test_typed_refusal_connection_survives_and_nothing_is_probed(
+        self, request_fields
+    ):
+        cache = QueryCache()
+        service, _ = build_service(count=30, cache=cache)
+        with QueryServer(service) as server, \
+                QueryClient(*server.address) as client:
+            with pytest.raises(ProtocolError) as exc_info:
+                client.request(**request_fields)
+            assert exc_info.value.server_type == "ProtocolError"
+            assert client.request(op="ping")["pong"] is True
+        assert cache.stats.probes == 0
+
+    def test_unknown_strategy_name_is_refused_before_the_cache(self):
+        cache = QueryCache()
+        service, _ = build_service(count=30, cache=cache)
+        with QueryServer(service) as server, \
+                QueryClient(*server.address) as client:
+            for request_fields in (self.SELECT, self.JOIN):
+                with pytest.raises(ProtocolError) as exc_info:
+                    client.request(**dict(request_fields, strategy="nope"))
+                assert exc_info.value.server_type == "JoinError"
+            assert client.request(op="ping")["pong"] is True
+        assert cache.stats.probes == 0
 
 
 def _wait_for(predicate, timeout=5.0):
