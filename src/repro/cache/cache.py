@@ -17,17 +17,18 @@ tiers:
 * **miss** -- the query executes normally and is admitted under the
   cost-model-aware policy of :mod:`repro.cache.policy`.
 
-Invalidation is *epoch-based*, reusing the PR-1 join-index registry
-scheme: every entry captures the operand relations' monotonic
-``modification_count`` at admission, and any insert, delete, recluster
-or WAL-recovery replay bumps that counter -- stale entries are dropped
-on the next probe (and by :meth:`QueryCache.purge_stale`), never
-served.  Entries are keyed on :attr:`~repro.relational.relation.Relation.uid`
--- a stable, never-recycled instance id -- and hold their relations by
-*weak* reference: dropping a relation releases its cached results (and
-their geometry payloads) instead of pinning them forever, and a
-same-named reload gets a fresh uid so it can never be served another
-relation's answers.
+Invalidation is *epoch-based* (DESIGN.md, "Epochs and derived state"):
+entries live in *groups* -- one query shape over the same operands at
+the same epochs -- and each group carries one
+:class:`~repro.relational.relation.EpochPin`.  Any insert, delete,
+recluster or WAL-recovery replay makes the pin stale, and a stale group
+is dropped whole the next time it is touched (and by
+:meth:`QueryCache.purge_stale`), never served.  Keys embed
+:attr:`~repro.relational.relation.Relation.uid` -- a stable,
+never-recycled instance id -- and the pin holds its relations weakly:
+dropping a relation releases its cached results (and their geometry
+payloads) instead of pinning them forever, and a same-named reload gets
+a fresh uid so it can never be served another relation's answers.
 
 The cache is safe to share across threads: one re-entrant lock guards
 every probe, admission, eviction and sweep, which is what lets the
@@ -42,9 +43,8 @@ order swapped on the way out.
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.cache.keys import (
     exact_monotone,
@@ -60,7 +60,7 @@ from repro.cache.policy import (
 from repro.geometry.rect import Rect
 from repro.join.result import JoinResult, SelectResult
 from repro.predicates.theta import ThetaOperator
-from repro.relational.relation import Relation
+from repro.relational.relation import EpochPin, Relation
 from repro.storage.costs import CostMeter
 
 
@@ -100,57 +100,38 @@ class CacheStats:
 
 
 @dataclass(slots=True)
-class _SelectEntry:
-    """One cached spatial selection.
+class _Group:
+    """The entries of one query shape over the same operands at the same
+    epochs: they go stale together, so they share one pin.
 
-    ``relation_ref`` is a weak reference: the entry must never keep its
+    The pin holds the operands weakly -- a group must never keep a
     relation alive (a dropped relation would otherwise be pinned by its
-    own cached answers, forever, keyed under an id that can recycle).
+    own cached answers, forever).
     """
 
-    relation_ref: weakref.ref
-    column: str
-    epoch: int
-    theta: ThetaOperator
+    pin: EpochPin
+    keys: set[tuple] = field(default_factory=set)
+
+
+@dataclass(slots=True)
+class _Entry:
+    """One cached selection, or one cached join in canonical orientation."""
+
+    #: The owning group's ``pin.fresh``.
+    fresh: Callable[[], bool]
+    #: A selection's query geometry; ``None`` for a join.
     query: Any
-    strategy: str
-    order: str
+    #: The answer: a selection's ``(tid, payload)`` matches, a join's
+    #: ``(tid_r, tid_s)`` pairs.
     matches: list[tuple[Any, Any]]
-    candidates: list[tuple[Any, Any, Any]] | None
+    #: The by-product, when collected: a selection's Theta-candidates
+    #: ``(tid, region, payload)``, a join's tuple pairs.
+    extra: list | None
+    #: Can an exact-monotone operator re-test the matches' payloads?
     refinable_matches: bool
     predicted_cost: float
     nbytes: int
     tick: int = 0
-
-    def fresh(self) -> bool:
-        rel = self.relation_ref()
-        return rel is not None and rel.modification_count == self.epoch
-
-
-@dataclass(slots=True)
-class _JoinEntry:
-    """One cached spatial join, stored in canonical orientation."""
-
-    rel_r_ref: weakref.ref
-    rel_s_ref: weakref.ref
-    epoch_r: int
-    epoch_s: int
-    theta: ThetaOperator
-    pairs: list[tuple[Any, Any]]
-    tuples: list[tuple[Any, Any]] | None
-    predicted_cost: float
-    nbytes: int
-    tick: int = 0
-
-    def fresh(self) -> bool:
-        rel_r = self.rel_r_ref()
-        rel_s = self.rel_s_ref()
-        return (
-            rel_r is not None
-            and rel_s is not None
-            and rel_r.modification_count == self.epoch_r
-            and rel_s.modification_count == self.epoch_s
-        )
 
 
 class QueryCache:
@@ -182,18 +163,18 @@ class QueryCache:
             policy = CachePolicy(**kwargs)
         self.policy = policy
         self.stats = CacheStats()
-        self._entries: dict[tuple, _SelectEntry | _JoinEntry] = {}
-        #: (kind-specific group key) -> set of entry keys, for the
-        #: containment scan and the optimizer's hit-probability probe.
-        self._groups: dict[tuple, set[tuple]] = {}
+        #: entry key = the entry's group shape + one discriminator (a
+        #: selection's query fingerprint, a join's strategy).
+        self._entries: dict[tuple, _Entry] = {}
+        self._groups: dict[tuple, _Group] = {}
         self._tick = 0
         self._metrics = None
         self._lock = threading.RLock()
-        #: Uids of relations whose weakref died; their entries are
-        #: purged at the next probe/admit/sweep.  The weakref callback
-        #: only appends (atomic), never touches cache structures -- it
-        #: may fire inside garbage collection on any thread.
-        self._dead_uids: list[int] = []
+        #: Shapes of groups with a dead operand, purged at the next
+        #: probe/admit/sweep.  A pin's death callback only appends
+        #: (atomic), never touches cache structures -- it may fire
+        #: inside garbage collection on any thread.
+        self._dead: list[tuple] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -206,7 +187,7 @@ class QueryCache:
     def total_bytes(self) -> int:
         return sum(e.nbytes for e in self._entries.values())
 
-    def entries(self) -> list[_SelectEntry | _JoinEntry]:
+    def entries(self) -> list[_Entry]:
         """Live entries (fresh or not-yet-purged stale), for tests."""
         with self._lock:
             return list(self._entries.values())
@@ -218,44 +199,103 @@ class QueryCache:
             self._publish_gauges()
 
     # ------------------------------------------------------------------
-    # Relation liveness
+    # The core: lookup, hit, miss, admit
     # ------------------------------------------------------------------
 
-    def _track(self, relation: Relation) -> weakref.ref:
-        """A weak reference whose death schedules the uid for purging."""
-        dead = self._dead_uids
-        uid = relation.uid
-        return weakref.ref(relation, lambda _ref: dead.append(uid))
+    def _lookup(
+        self, shape: tuple, discriminator: Any, meter: CostMeter
+    ) -> tuple[_Group | None, _Entry | None]:
+        """Count one probe; the shape's fresh group and its exact entry."""
+        self._purge_dead()
+        self.stats.probes += 1
+        meter.record_cache_probe()
+        group = self._live_group(shape)
+        if group is None:
+            return None, None
+        return group, self._entries.get(shape + (discriminator,))
 
-    def _purge_dead(self) -> None:
-        """Drop entries whose relation was garbage-collected.
+    def _live_group(self, shape: tuple) -> _Group | None:
+        """The shape's group if fresh; a stale one is dropped, never served."""
+        group = self._groups.get(shape)
+        if group is not None and not group.pin.fresh():
+            self._invalidate(shape)
+            return None
+        return group
 
-        Runs under the lock at every probe/admit/sweep; keyed on the
-        stable uid the dead relation carried, so the sweep touches
-        exactly the entries that can never be served again.
+    def _hit(self, entry: _Entry, tier: str, kind: str, meter: CostMeter) -> None:
+        self._tick += 1
+        entry.tick = self._tick
+        if tier == "exact":
+            self.stats.exact_hits += 1
+        else:
+            self.stats.containment_hits += 1
+        meter.record_cache_hit()
+        self._count("cache.hits", tier=tier, kind=kind)
+
+    def _miss(self, kind: str) -> tuple[None, None]:
+        self.stats.misses += 1
+        self._count("cache.misses", kind=kind)
+        return None, None
+
+    def _admit(
+        self,
+        shape: tuple,
+        discriminator: Any,
+        relations: tuple[Relation, ...],
+        epochs: tuple[int | None, ...],
+        cost: float,
+        nbytes: int,
+        *,
+        query: Any,
+        matches: list[tuple[Any, Any]],
+        extra: list | None,
+        swapped: bool = False,
+    ) -> bool:
+        """Store one entry unless an operand moved or the policy refuses.
+
+        ``epochs`` are the operands' modification counts *pinned before
+        execution* (``None`` = now): when a relation mutated while the
+        query ran (a concurrent writer), the result may mix states,
+        belongs to no single epoch and is refused rather than cached.
         """
-        if not self._dead_uids:
-            return
-        dead: set[int] = set()
-        while self._dead_uids:
-            dead.add(self._dead_uids.pop())
-        doomed = [
-            key for key in self._entries
-            if not dead.isdisjoint(self._key_uids(key))
-        ]
-        for key in doomed:
-            self._drop(key)
-            self.stats.invalidations += 1
-            self._count("cache.invalidations")
-        if doomed:
+        with self._lock:
+            self._purge_dead()
+            dead = self._dead
+            pin = EpochPin.of(
+                *relations,
+                epochs=[
+                    rel.modification_count if epoch is None else epoch
+                    for rel, epoch in zip(relations, epochs)
+                ],
+                on_death=lambda _ref: dead.append(shape),
+            )
+            if not pin.fresh() or not self.policy.admits(cost, nbytes):
+                self.stats.rejections += 1
+                return False
+            group = self._live_group(shape)
+            if group is None:
+                group = self._groups[shape] = _Group(pin)
+            key = shape + (discriminator,)
+            self._tick += 1
+            self._entries[key] = _Entry(
+                fresh=group.pin.fresh,
+                query=query,
+                matches=_oriented(matches, swapped),
+                extra=None if extra is None else _oriented(extra, swapped),
+                # Only a selection's matches are ever re-tested.
+                refinable_matches=query is not None and all(
+                    hasattr(payload, "__getitem__") for _tid, payload in matches
+                ),
+                predicted_cost=cost,
+                nbytes=nbytes,
+                tick=self._tick,
+            )
+            group.keys.add(key)
+            self._evict_over_budget(protect=key)
+            self.stats.admissions += 1
+            self._count("cache.admissions")
             self._publish_gauges()
-
-    @staticmethod
-    def _key_uids(key: tuple) -> tuple[int, ...]:
-        """The relation uids embedded in an entry key."""
-        if key[0] == "select":
-            return (key[1],)
-        return (key[1], key[3])
+            return True
 
     # ------------------------------------------------------------------
     # Selections
@@ -279,88 +319,60 @@ class QueryCache:
         real traversal would do at the leaves -- and zero page reads.
         """
         with self._lock:
-            self._purge_dead()
-            self.stats.probes += 1
-            meter.record_cache_probe()
-
-            key = self._select_key(relation, column, theta, strategy, order, query)
-            entry = self._entries.get(key)
-            if entry is not None and not self._validate(key, entry):
-                entry = None
+            group, entry = self._lookup(
+                self._select_shape(relation, column, theta, strategy, order),
+                geometry_fingerprint(query), meter,
+            )
             if entry is not None:
-                assert isinstance(entry, _SelectEntry)
-                self._touch(entry)
-                self.stats.exact_hits += 1
-                meter.record_cache_hit()
-                self._count("cache.hits", tier="exact", kind="select")
+                self._hit(entry, "exact", "select", meter)
                 result = SelectResult(
                     strategy="cached-exact", matches=list(entry.matches)
                 )
                 result.stats = meter.snapshot()
                 return "exact", result
-
-            served = self._containment_lookup(
-                relation, column, query, theta, strategy, order, meter
-            )
+            served = self._containment_lookup(group, column, query, theta, meter)
             if served is not None:
                 return "containment", served
-
-            self.stats.misses += 1
-            self._count("cache.misses", kind="select")
-            return None, None
+            return self._miss("select")
 
     def _containment_lookup(
         self,
-        relation: Relation,
+        group: _Group | None,
         column: str,
         query: Any,
         theta: ThetaOperator,
-        strategy: str,
-        order: str,
         meter: CostMeter,
     ) -> SelectResult | None:
         """Serve ``query`` from a cached strictly-larger window, if any."""
-        if not isinstance(query, Rect):
+        if group is None or not isinstance(query, Rect):
             return None
         if not (window_monotone(theta) or exact_monotone(theta)):
             return None
-        group = self._groups.get(
-            self._select_group(relation, column, theta, strategy, order)
-        )
-        if not group:
-            return None
-        best: _SelectEntry | None = None
-        for entry_key in sorted(group):
-            entry = self._entries.get(entry_key)
-            if entry is None:
-                continue
-            assert isinstance(entry, _SelectEntry)
-            if not self._validate(entry_key, entry):
-                continue
+        best: _Entry | None = None
+        for entry_key in sorted(group.keys):
+            # The group is fresh, so each of its entries is.
+            entry = self._entries[entry_key]
             window = entry.query
             if not isinstance(window, Rect) or not window.contains_rect(query):
                 continue
             usable = (
-                entry.candidates is not None and window_monotone(theta)
+                entry.extra is not None and window_monotone(theta)
             ) or (entry.refinable_matches and exact_monotone(theta))
             if not usable:
                 continue
             # Prefer the entry needing the least refinement work.
-            work = (
-                len(entry.candidates)
-                if entry.candidates is not None and window_monotone(theta)
-                else len(entry.matches)
-            )
-            if best is None or work < self._refine_work(best, theta):
+            if best is None or (
+                self._refine_work(entry, theta) < self._refine_work(best, theta)
+            ):
                 best = entry
         if best is None:
             return None
 
         result = SelectResult(strategy="cached-containment")
-        if best.candidates is not None and window_monotone(theta):
+        if best.extra is not None and window_monotone(theta):
             # Theta-filter contract: every filter-hit of the shrunken
             # window is among W's stored candidates; refine exactly.
-            for tid, region, payload in best.candidates:
+            for tid, region, payload in best.extra:
                 meter.record_exact_eval()
                 if theta(query, region):
                     result.matches.append((tid, payload))
@@ -371,17 +383,14 @@ class QueryCache:
                 meter.record_exact_eval()
                 if theta(query, payload[column]):
                     result.matches.append((tid, payload))
-        self._touch(best)
-        self.stats.containment_hits += 1
-        meter.record_cache_hit()
-        self._count("cache.hits", tier="containment", kind="select")
+        self._hit(best, "containment", "select", meter)
         result.stats = meter.snapshot()
         return result
 
     @staticmethod
-    def _refine_work(entry: _SelectEntry, theta: ThetaOperator) -> int:
-        if entry.candidates is not None and window_monotone(theta):
-            return len(entry.candidates)
+    def _refine_work(entry: _Entry, theta: ThetaOperator) -> int:
+        if entry.extra is not None and window_monotone(theta):
+            return len(entry.extra)
         return len(entry.matches)
 
     def admit_select(
@@ -404,52 +413,20 @@ class QueryCache:
         ``predicted_cost`` is the Section 4 model prediction when the
         caller planned the query; the metered actual of this execution
         is the fallback predictor.  ``epoch`` is the relation's
-        modification count *pinned before execution*: when the relation
-        mutated while the query ran (a concurrent writer), the result
-        may mix states and is refused rather than cached.  Returns True
-        when admitted.
+        modification count pinned before execution (see :meth:`_admit`).
+        Returns True when admitted.
         """
-        with self._lock:
-            self._purge_dead()
-            if epoch is None:
-                epoch = relation.modification_count
-            elif epoch != relation.modification_count:
-                # The operand moved mid-execution: this answer belongs
-                # to no single epoch and must never be served.
-                self.stats.rejections += 1
-                return False
-            cost = predicted_cost if predicted_cost is not None else measured_cost
-            nbytes = estimate_select_bytes(
+        return self._admit(
+            self._select_shape(relation, column, theta, strategy, order),
+            geometry_fingerprint(query), (relation,), (epoch,),
+            predicted_cost if predicted_cost is not None else measured_cost,
+            estimate_select_bytes(
                 len(result.matches),
                 len(candidates) if candidates is not None else 0,
                 relation.record_size,
-            )
-            if not self.policy.admits(cost, nbytes):
-                self.stats.rejections += 1
-                return False
-            refinable = all(
-                hasattr(payload, "__getitem__") for _tid, payload in result.matches
-            )
-            entry = _SelectEntry(
-                relation_ref=self._track(relation),
-                column=column,
-                epoch=epoch,
-                theta=theta,
-                query=query,
-                strategy=strategy,
-                order=order,
-                matches=list(result.matches),
-                candidates=list(candidates) if candidates is not None else None,
-                refinable_matches=refinable,
-                predicted_cost=cost,
-                nbytes=nbytes,
-            )
-            key = self._select_key(relation, column, theta, strategy, order, query)
-            self._store(
-                key, entry,
-                self._select_group(relation, column, theta, strategy, order),
-            )
-            return True
+            ),
+            query=query, matches=result.matches, extra=candidates,
+        )
 
     # ------------------------------------------------------------------
     # Joins
@@ -469,42 +446,18 @@ class QueryCache:
     ) -> tuple[str, JoinResult] | tuple[None, None]:
         """Look up a join result; joins have the exact tier only."""
         with self._lock:
-            self._purge_dead()
-            self.stats.probes += 1
-            meter.record_cache_probe()
-            key, swapped = self._join_key(
-                rel_r, column_r, rel_s, column_s, theta, strategy
+            shape, swapped = self._join_shape(
+                rel_r, column_r, rel_s, column_s, theta
             )
-            entry = self._entries.get(key)
-            if entry is not None and not self._validate(key, entry):
-                entry = None
-            if (
-                entry is None
-                or not isinstance(entry, _JoinEntry)
-                or (collect_tuples and entry.tuples is None)
-            ):
-                self.stats.misses += 1
-                self._count("cache.misses", kind="join")
-                return None, None
-            self._touch(entry)
-            self.stats.exact_hits += 1
-            meter.record_cache_hit()
-            self._count("cache.hits", tier="exact", kind="join")
-            if swapped:
-                pairs = [(b, a) for a, b in entry.pairs]
-                tuples = (
-                    [(b, a) for a, b in entry.tuples]
-                    if collect_tuples and entry.tuples is not None
-                    else []
-                )
-            else:
-                pairs = list(entry.pairs)
-                tuples = (
-                    list(entry.tuples)
-                    if collect_tuples and entry.tuples is not None
-                    else []
-                )
-            result = JoinResult(strategy="cached-exact", pairs=pairs, tuples=tuples)
+            _, entry = self._lookup(shape, strategy, meter)
+            if entry is None or (collect_tuples and entry.extra is None):
+                return self._miss("join")
+            self._hit(entry, "exact", "join", meter)
+            pairs, tuples = entry.matches, entry.extra if collect_tuples else []
+            result = JoinResult(
+                strategy="cached-exact",
+                pairs=_oriented(pairs, swapped), tuples=_oriented(tuples, swapped),
+            )
             result.stats = meter.snapshot()
             return "exact", result
 
@@ -528,61 +481,21 @@ class QueryCache:
 
         ``epoch_r``/``epoch_s`` are the operands' modification counts
         pinned before execution; a result computed while either operand
-        mutated is refused (see :meth:`admit_select`).
+        mutated is refused (see :meth:`_admit`).
         """
-        with self._lock:
-            self._purge_dead()
-            if epoch_r is None:
-                epoch_r = rel_r.modification_count
-            elif epoch_r != rel_r.modification_count:
-                self.stats.rejections += 1
-                return False
-            if epoch_s is None:
-                epoch_s = rel_s.modification_count
-            elif epoch_s != rel_s.modification_count:
-                self.stats.rejections += 1
-                return False
-            cost = predicted_cost if predicted_cost is not None else measured_cost
-            nbytes = estimate_join_bytes(
+        shape, swapped = self._join_shape(rel_r, column_r, rel_s, column_s, theta)
+        return self._admit(
+            shape, strategy, (rel_r, rel_s), (epoch_r, epoch_s),
+            predicted_cost if predicted_cost is not None else measured_cost,
+            estimate_join_bytes(
                 len(result.pairs),
                 len(result.tuples) if collect_tuples else 0,
                 rel_r.record_size,
                 rel_s.record_size,
-            )
-            if not self.policy.admits(cost, nbytes):
-                self.stats.rejections += 1
-                return False
-            key, swapped = self._join_key(
-                rel_r, column_r, rel_s, column_s, theta, strategy
-            )
-            if swapped:
-                pairs = [(b, a) for a, b in result.pairs]
-                tuples = (
-                    [(b, a) for a, b in result.tuples] if collect_tuples else None
-                )
-                first, second = rel_s, rel_r
-                epoch_first, epoch_second = epoch_s, epoch_r
-            else:
-                pairs = list(result.pairs)
-                tuples = list(result.tuples) if collect_tuples else None
-                first, second = rel_r, rel_s
-                epoch_first, epoch_second = epoch_r, epoch_s
-            entry = _JoinEntry(
-                rel_r_ref=self._track(first),
-                rel_s_ref=self._track(second),
-                epoch_r=epoch_first,
-                epoch_s=epoch_second,
-                theta=theta,
-                pairs=pairs,
-                tuples=tuples,
-                predicted_cost=cost,
-                nbytes=nbytes,
-            )
-            self._store(
-                key, entry,
-                self._join_group(rel_r, column_r, rel_s, column_s, theta),
-            )
-            return True
+            ),
+            query=None, matches=result.pairs,
+            extra=result.tuples if collect_tuples else None, swapped=swapped,
+        )
 
     def join_hit_probability(
         self,
@@ -601,14 +514,10 @@ class QueryCache:
         """
         with self._lock:
             self._purge_dead()
-            group = self._groups.get(
-                self._join_group(rel_r, column_r, rel_s, column_s, theta)
-            )
-            if group:
-                for entry_key in sorted(group):
-                    entry = self._entries.get(entry_key)
-                    if entry is not None and self._validate(entry_key, entry):
-                        return 1.0
+            shape, _ = self._join_shape(rel_r, column_r, rel_s, column_s, theta)
+            # A group is never empty: a fresh one holds a fresh entry.
+            if self._live_group(shape) is not None:
+                return 1.0
             return self.stats.hit_ratio
 
     # ------------------------------------------------------------------
@@ -625,13 +534,10 @@ class QueryCache:
         with self._lock:
             before = self.stats.invalidations
             self._purge_dead()
-            stale = [k for k, e in self._entries.items() if not e.fresh()]
-            for key in stale:
-                self._drop(key)
-                self.stats.invalidations += 1
-                self._count("cache.invalidations")
-            if stale:
-                self._publish_gauges()
+            for shape in [
+                s for s, g in self._groups.items() if not g.pin.fresh()
+            ]:
+                self._invalidate(shape)
             return self.stats.invalidations - before
 
     def clear(self) -> int:
@@ -645,26 +551,24 @@ class QueryCache:
             self._publish_gauges()
             return count
 
-    def _validate(self, key: tuple, entry: _SelectEntry | _JoinEntry) -> bool:
-        """Freshness check; stale entries are dropped, never served."""
-        if entry.fresh():
-            return True
-        self._drop(key)
-        self.stats.invalidations += 1
-        self._count("cache.invalidations")
-        self._publish_gauges()
-        return False
+    def _purge_dead(self) -> None:
+        """Drop the groups whose operand was garbage-collected.
 
-    def _store(
-        self, key: tuple, entry: _SelectEntry | _JoinEntry, group: tuple
-    ) -> None:
-        self._tick += 1
-        entry.tick = self._tick
-        self._entries[key] = entry
-        self._groups.setdefault(group, set()).add(key)
-        self._evict_over_budget(protect=key)
-        self.stats.admissions += 1
-        self._count("cache.admissions")
+        Runs under the lock at every probe/admit/sweep and touches
+        exactly the groups that can never be served again.
+        """
+        while self._dead:
+            self._invalidate(self._dead.pop())
+
+    def _invalidate(self, shape: tuple) -> None:
+        """Drop a whole group (an operand moved or died), if still there."""
+        group = self._groups.pop(shape, None)
+        if group is None:
+            return
+        for key in group.keys:
+            del self._entries[key]
+            self.stats.invalidations += 1
+            self._count("cache.invalidations")
         self._publish_gauges()
 
     def _evict_over_budget(self, protect: tuple) -> None:
@@ -688,39 +592,18 @@ class QueryCache:
             self._count("cache.evictions")
 
     def _drop(self, key: tuple) -> None:
-        self._entries.pop(key, None)
-        for members in self._groups.values():
-            members.discard(key)
-
-    def _touch(self, entry: _SelectEntry | _JoinEntry) -> None:
-        self._tick += 1
-        entry.tick = self._tick
+        del self._entries[key]
+        keys = self._groups[key[:-1]].keys
+        keys.remove(key)
+        if not keys:
+            del self._groups[key[:-1]]
 
     # ------------------------------------------------------------------
     # Keys
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _select_key(
-        relation: Relation,
-        column: str,
-        theta: ThetaOperator,
-        strategy: str,
-        order: str,
-        query: Any,
-    ) -> tuple:
-        return (
-            "select",
-            relation.uid,
-            column,
-            theta_cache_key(theta),
-            strategy,
-            order,
-            geometry_fingerprint(query),
-        )
-
-    @staticmethod
-    def _select_group(
+    def _select_shape(
         relation: Relation,
         column: str,
         theta: ThetaOperator,
@@ -731,55 +614,22 @@ class QueryCache:
                 strategy, order)
 
     @staticmethod
-    def _join_orientation(
+    def _join_shape(
         rel_r: Relation,
         column_r: str,
         rel_s: Relation,
         column_s: str,
         theta: ThetaOperator,
-    ) -> bool:
-        """True when a symmetric join should be stored S-first."""
-        return theta.symmetric and (rel_s.uid, column_s) < (rel_r.uid, column_r)
-
-    @classmethod
-    def _join_key(
-        cls,
-        rel_r: Relation,
-        column_r: str,
-        rel_s: Relation,
-        column_s: str,
-        theta: ThetaOperator,
-        strategy: str,
     ) -> tuple[tuple, bool]:
-        swapped = cls._join_orientation(rel_r, column_r, rel_s, column_s, theta)
+        """The join's group shape, and whether a symmetric join is stored
+        S-first (``swapped``) so both operand orders share one entry."""
+        swapped = theta.symmetric and (rel_s.uid, column_s) < (rel_r.uid, column_r)
         if swapped:
             rel_r, rel_s = rel_s, rel_r
             column_r, column_s = column_s, column_r
-        key = (
-            "join",
-            rel_r.uid,
-            column_r,
-            rel_s.uid,
-            column_s,
-            theta_cache_key(theta),
-            strategy,
-        )
-        return key, swapped
-
-    @classmethod
-    def _join_group(
-        cls,
-        rel_r: Relation,
-        column_r: str,
-        rel_s: Relation,
-        column_s: str,
-        theta: ThetaOperator,
-    ) -> tuple:
-        if cls._join_orientation(rel_r, column_r, rel_s, column_s, theta):
-            rel_r, rel_s = rel_s, rel_r
-            column_r, column_s = column_s, column_r
-        return ("join", rel_r.uid, column_r, rel_s.uid, column_s,
-                theta_cache_key(theta))
+        shape = ("join", rel_r.uid, column_r, rel_s.uid, column_s,
+                 theta_cache_key(theta))
+        return shape, swapped
 
     # ------------------------------------------------------------------
     # Metrics plumbing
@@ -808,3 +658,8 @@ class QueryCache:
             f"misses={s.misses} evictions={s.evictions} "
             f"invalidations={s.invalidations}"
         )
+
+
+def _oriented(pairs: list[tuple[Any, Any]], swapped: bool) -> list[tuple[Any, Any]]:
+    """A copy of ``pairs``, each flipped when the join is stored S-first."""
+    return [(b, a) for a, b in pairs] if swapped else list(pairs)

@@ -8,8 +8,7 @@ the query cache, the interval tier, cancellation and the fallback chain.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from typing import Any
 
@@ -33,30 +32,8 @@ from repro.obs.drift import drift_from_plan
 from repro.obs.trace import coalesce
 from repro.predicates.dispatch import SpatialObject
 from repro.predicates.theta import Overlaps, ThetaOperator
-from repro.relational.relation import Relation
+from repro.relational.relation import EpochPin, Relation
 from repro.storage.costs import CostMeter
-
-
-@dataclass(slots=True)
-class _RegisteredIndex:
-    """A join index plus the snapshot it was computed from.
-
-    The relation references keep the operands alive and the captured
-    modification counts detect staleness: a mutated base relation
-    invalidates the entry.
-    """
-
-    rel_r: Relation
-    rel_s: Relation
-    mod_r: int
-    mod_s: int
-    index: JoinIndex
-
-    def is_stale(self) -> bool:
-        return (
-            self.rel_r.modification_count != self.mod_r
-            or self.rel_s.modification_count != self.mod_s
-        )
 
 
 class SpatialQueryExecutor:
@@ -90,17 +67,19 @@ class SpatialQueryExecutor:
     ``None``/``False`` keeps the historical exact refinement.  The tier
     applies to the strategies whose table entry threads the refiner
     (tree traversals, the z-order merge, the partition sweep) under the
-    ``overlaps`` operator; every other strategy/operator pair ignores it.  Per-object approximations are cached in epoch-pinned
-    per-grid stores shared across queries, so a mutated relation is
-    re-rasterized and never filtered through stale intervals.
+    ``overlaps`` operator; every other strategy/operator pair ignores it.
+    Per-object approximations are kept per grid in each relation's
+    epoch-scoped memo, so a mutated relation is re-rasterized and never
+    filtered through stale intervals.
 
     The executor is *reentrant*: :meth:`select`, :meth:`join` and
     :meth:`execute_join` accept per-call ``tracer``/``metrics``/``cache``
-    overrides (falling back to the instance-level handles), keep no
-    per-query mutable state on ``self``, and guard the join-index
-    registry with a lock -- one executor instance can serve many
-    concurrent sessions, each tracing into its own tracer while sharing
-    one cache and one metrics registry (see :mod:`repro.server`).
+    overrides (falling back to the instance-level handles) and keep no
+    mutable state on ``self`` -- registered join indices and interval
+    tables live on the relations they derive from -- so one executor
+    instance can serve many concurrent sessions, each tracing into its
+    own tracer while sharing one cache and one metrics registry (see
+    :mod:`repro.server`).
     """
 
     def __init__(
@@ -125,15 +104,6 @@ class SpatialQueryExecutor:
         self.interval = interval
         if cache is not None and metrics is not None:
             cache.attach_metrics(metrics)
-        self._join_indices: dict[
-            tuple[int, int, str, str, str], _RegisteredIndex
-        ] = {}
-        self._registry_lock = threading.Lock()
-        #: Per-grid approximation stores (IntervalSpec -> store), shared
-        #: across queries so relation rasterization happens once per
-        #: epoch, guarded like the join-index registry.
-        self._interval_stores: dict[Any, Any] = {}
-        self._interval_lock = threading.Lock()
 
     def _context(
         self, *, meter=None, tracer=None, metrics=None, cache=None,
@@ -173,15 +143,18 @@ class SpatialQueryExecutor:
         column_s: str,
         theta: ThetaOperator,
     ) -> JoinIndex:
-        """Build and register a join index for later ``join-index`` runs."""
+        """Build and register a join index for later ``join-index`` runs.
+
+        The index is part of the data (Section 4.2 maintains it with its
+        base relations): it is kept in ``rel_r``'s epoch-scoped memo with
+        a pin on ``rel_s``, so every executor over the same relation
+        objects finds it and it is released with them.
+        """
+        epoch_r, pin_s = rel_r.modification_count, EpochPin.of(rel_s)
         ji = JoinIndex.precompute(rel_r, rel_s, column_r, column_s, theta)
-        with self._registry_lock:
-            self._join_indices[
-                self._key(rel_r, rel_s, column_r, column_s, theta)
-            ] = _RegisteredIndex(
-                rel_r, rel_s,
-                rel_r.modification_count, rel_s.modification_count, ji,
-            )
+        rel_r.keep_derived(
+            self._key(rel_s, column_r, column_s, theta), (ji, pin_s), epoch_r
+        )
         return ji
 
     def join_index_for(
@@ -194,28 +167,24 @@ class SpatialQueryExecutor:
     ) -> JoinIndex | None:
         """The registered, still-fresh index for this join, or None.
 
-        Entries whose base relations mutated since precomputation are
-        dropped on lookup -- a stale join index silently returns wrong
+        An index whose base relations mutated since precomputation is
+        never returned -- a stale join index silently returns wrong
         answers, which is worse than recomputing.
         """
-        key = self._key(rel_r, rel_s, column_r, column_s, theta)
-        with self._registry_lock:
-            entry = self._join_indices.get(key)
-            if entry is None:
-                return None
-            if entry.is_stale():
-                del self._join_indices[key]
-                return None
-            return entry.index
+        kept = rel_r.derived(self._key(rel_s, column_r, column_s, theta))
+        if kept is None or not kept[1].fresh():
+            return None
+        return kept[0]
 
     @staticmethod
-    def _key(rel_r: Relation, rel_s: Relation, column_r: str, column_s: str,
-             theta: ThetaOperator) -> tuple[int, int, str, str, str]:
-        # Relation *identity*, not name: two distinct relations may share
-        # a name, and a registry keyed by name would serve one relation's
-        # index for the other's join.  The never-recycled ``uid`` (not
-        # ``id()``) keeps the key unambiguous for the process lifetime.
-        return (rel_r.uid, rel_s.uid, column_r, column_s, theta.name)
+    def _key(rel_s: Relation, column_r: str, column_s: str,
+             theta: ThetaOperator) -> tuple[str, int, str, str, str]:
+        # The second operand's *identity*, not its name: two distinct
+        # relations may share a name, and a key by name would serve one
+        # relation's index for the other's join.  The never-recycled
+        # ``uid`` (not ``id()``) keeps the key unambiguous for the
+        # process lifetime.
+        return ("join-index", rel_s.uid, column_r, column_s, theta.name)
 
     # ------------------------------------------------------------------
     # Selection
@@ -679,30 +648,25 @@ class SpatialQueryExecutor:
         """A fresh :class:`~repro.intermediate.filter.IntervalFilter` for
         one attempt under the (truthy) second-tier setting ``interval``.
 
-        The filter's memo is seeded from the executor's per-grid
-        :class:`~repro.intermediate.store.ApproximationStore`, which pins
-        each relation's ``modification_count`` at build time -- a mutated
-        operand re-rasterizes instead of reusing stale intervals.  The
-        filter itself is a throwaway per-attempt object (its on-demand
-        memo may absorb tree node regions that the shared store must not
-        retain across epochs).
+        The filter's memo is seeded from each operand's
+        :func:`~repro.intermediate.store.approximation_table`, which
+        lives in the relation's epoch-scoped memo -- a mutated operand
+        re-rasterizes instead of reusing stale intervals.  The filter
+        itself is a throwaway per-attempt object (its on-demand memo may
+        absorb tree node regions that the shared tables must not retain
+        across epochs).
         """
         from repro.intermediate import (
-            ApproximationStore,
             IntervalFilter,
             IntervalSpec,
+            approximation_table,
         )
 
         spec = interval
         if not isinstance(spec, IntervalSpec):
             spec = IntervalSpec(universe=ops.universe())
-        with self._interval_lock:
-            store = self._interval_stores.get(spec)
-            if store is None:
-                store = ApproximationStore(spec)
-                self._interval_stores[spec] = store
-            tables = dict(store.table_for(ops.rel_r, ops.column_r))
-            tables.update(store.table_for(ops.rel_s, ops.column_s))
+        tables = dict(approximation_table(ops.rel_r, ops.column_r, spec))
+        tables.update(approximation_table(ops.rel_s, ops.column_s, spec))
         return IntervalFilter(ops.theta, spec, tables)
 
 

@@ -6,7 +6,7 @@ FULL/PARTIAL z-order cell intervals (:mod:`~repro.intermediate.raster`,
 :mod:`~repro.intermediate.approx`), the merge-style pair classification
 kernel (:func:`~repro.intermediate.approx.classify`), the refiner
 objects join strategies thread through their refine sites
-(:mod:`~repro.intermediate.filter`), and epoch-invalidated per-relation
+(:mod:`~repro.intermediate.filter`), and epoch-scoped per-relation
 approximation tables with sidecar persistence
 (:mod:`~repro.intermediate.store`).
 """
@@ -25,7 +25,12 @@ from repro.intermediate.filter import (
     IntervalSpec,
 )
 from repro.intermediate.raster import rasterize
-from repro.intermediate.store import ApproximationStore, sidecar_path
+from repro.intermediate.store import (
+    approximation_table,
+    load_sidecar,
+    save_sidecar,
+    sidecar_path,
+)
 
 __all__ = [
     "AMBIGUOUS",
@@ -38,6 +43,8 @@ __all__ = [
     "IntervalFilter",
     "IntervalSpec",
     "rasterize",
-    "ApproximationStore",
+    "approximation_table",
+    "load_sidecar",
+    "save_sidecar",
     "sidecar_path",
 ]

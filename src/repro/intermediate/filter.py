@@ -51,8 +51,8 @@ DEFAULT_INTERVAL_LEVEL = 6
 class IntervalSpec:
     """The grid a filter rasterizes on: data universe + quadtree depth.
 
-    Hashable (keys the executor's per-grid approximation stores) and
-    picklable (travels in shard join payloads).
+    Hashable (keys each relation's approximation tables) and picklable
+    (travels in shard join payloads).
     """
 
     universe: Rect
@@ -94,8 +94,8 @@ class IntervalFilter:
     """Second-tier refiner backed by raster-interval approximations.
 
     ``tables`` optionally seeds the per-geometry approximation memo
-    (e.g. from an :class:`~repro.intermediate.store.ApproximationStore`
-    so relation-resident objects are rasterized once per epoch, not once
+    (e.g. from :func:`~repro.intermediate.store.approximation_table` so
+    relation-resident objects are rasterized once per epoch, not once
     per query).  Unknown geometries -- tree node regions, ad-hoc query
     windows -- are rasterized on demand and memoized by value (all
     geometry types hash by value).

@@ -1,12 +1,12 @@
-"""Per-relation approximation tables: epoch-invalidated, persistable.
+"""Per-relation approximation tables: epoch-scoped, persistable.
 
-An :class:`ApproximationStore` holds, per ``(relation uid, column)``, the
+:func:`approximation_table` is, per ``(relation, column, spec)``, the
 mapping ``geometry -> IntervalApprox`` of every object stored in that
 column, rasterized on one fixed :class:`~repro.intermediate.filter.IntervalSpec`
-grid.  Invalidation follows the PR 5 query-cache convention: the
-relation's ``modification_count`` is pinned when the table is built, and
-a lookup under a moved epoch rebuilds -- a mutated relation can never be
-filtered through stale approximations.
+grid.  It lives in the relation's epoch-scoped memo
+(:meth:`~repro.relational.relation.Relation.derive`): built once per
+epoch, gone when the relation mutates or dies -- a mutated relation can
+never be filtered through stale approximations.
 
 Tables can be persisted *beside the relation* as a JSON sidecar
 (``<snapshot>.intervals.json``) carrying the spec, the pinned epoch and
@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import IntermediateError
-from repro.geometry.rect import Rect
 from repro.intermediate.approx import IntervalApprox
 from repro.intermediate.filter import IntervalSpec
 from repro.intermediate.raster import rasterize
@@ -35,148 +33,115 @@ from repro.relational.relation import Relation
 _SIDECAR_FORMAT = "repro-intervals"
 _SIDECAR_SUFFIX = ".intervals.json"
 
-
-@dataclass(slots=True)
-class _StoreEntry:
-    """One relation-column's table plus the epoch it was built under."""
-
-    epoch: int
-    table: dict[SpatialObject, IntervalApprox | None]
+Table = dict[SpatialObject, IntervalApprox | None]
 
 
-@dataclass(slots=True)
-class ApproximationStore:
-    """Builds and caches per-relation approximation tables on one grid."""
+def approximation_table(
+    relation: Relation, column: str, spec: IntervalSpec
+) -> Table:
+    """The column's geometry->approximation map at the current epoch,
+    built on first request; objects sharing a geometry value share one
+    entry."""
 
-    spec: IntervalSpec
-    #: Tables rebuilt because none existed or the epoch moved.
-    builds: int = 0
-    #: Lookups served from a still-fresh table.
-    fresh_hits: int = 0
-    _entries: dict[tuple[int, str], _StoreEntry] = field(default_factory=dict)
-
-    def table_for(
-        self, relation: Relation, column: str
-    ) -> dict[SpatialObject, IntervalApprox | None]:
-        """The column's geometry->approximation map at the current epoch.
-
-        Rebuilds when the relation's ``modification_count`` no longer
-        matches the pinned epoch (the relation mutated) or no table
-        exists yet.  Objects sharing a geometry value share one entry.
-        """
-        key = (relation.uid, column)
-        entry = self._entries.get(key)
-        if entry is not None and entry.epoch == relation.modification_count:
-            self.fresh_hits += 1
-            return entry.table
-        epoch = relation.modification_count
-        table: dict[SpatialObject, IntervalApprox | None] = {}
+    def build() -> Table:
+        table: Table = {}
         for t in relation.scan():
             geom = t[column]
             if geom not in table:
-                table[geom] = rasterize(geom, self.spec.universe, self.spec.level)
-        self._entries[key] = _StoreEntry(epoch=epoch, table=table)
-        self.builds += 1
+                table[geom] = rasterize(geom, spec.universe, spec.level)
         return table
 
-    def invalidate(self, relation: Relation, column: str | None = None) -> None:
-        """Drop cached tables for a relation (one column or all)."""
-        if column is not None:
-            self._entries.pop((relation.uid, column), None)
-            return
-        for key in [k for k in self._entries if k[0] == relation.uid]:
-            del self._entries[key]
+    return relation.derive(("intervals", column, spec), build)
 
-    # ------------------------------------------------------------------
-    # Sidecar persistence (beside the relation snapshot)
-    # ------------------------------------------------------------------
 
-    def save_sidecar(
-        self, path: str | Path, relation: Relation, column: str
-    ) -> Path:
-        """Write the column's table as ``<path>.intervals.json``.
+def save_sidecar(
+    path: str | Path, relation: Relation, column: str, spec: IntervalSpec
+) -> Path:
+    """Write the column's table as ``<path>.intervals.json``.
 
-        ``path`` is the relation's snapshot path (or any stem); the
-        sidecar records the spec and the relation epoch the table was
-        built under so a later load can refuse stale data.
-        """
-        table = self.table_for(relation, column)
-        sidecar = sidecar_path(path)
-        payload = {
-            "format": _SIDECAR_FORMAT,
-            "relation": relation.name,
-            "column": column,
-            "epoch": relation.modification_count,
-            "spec": {
-                "universe": list(self.spec.universe.as_tuple()),
-                "level": self.spec.level,
-            },
-            "items": [
-                {
-                    "geometry": geometry_to_dict(geom),
-                    "approx": (
-                        None if apx is None
-                        else base64.b64encode(apx.to_bytes()).decode("ascii")
-                    ),
-                }
-                for geom, apx in table.items()
-            ],
-        }
-        sidecar.write_text(json.dumps(payload))
-        return sidecar
+    ``path`` is the relation's snapshot path (or any stem); the
+    sidecar records the spec and the relation epoch the table was
+    built under so a later load can refuse stale data.
+    """
+    table = approximation_table(relation, column, spec)
+    sidecar = sidecar_path(path)
+    payload = {
+        "format": _SIDECAR_FORMAT,
+        "relation": relation.name,
+        "column": column,
+        "epoch": relation.modification_count,
+        "spec": {
+            "universe": list(spec.universe.as_tuple()),
+            "level": spec.level,
+        },
+        "items": [
+            {
+                "geometry": geometry_to_dict(geom),
+                "approx": (
+                    None if apx is None
+                    else base64.b64encode(apx.to_bytes()).decode("ascii")
+                ),
+            }
+            for geom, apx in table.items()
+        ],
+    }
+    sidecar.write_text(json.dumps(payload))
+    return sidecar
 
-    def load_sidecar(
-        self, path: str | Path, relation: Relation, column: str
-    ) -> bool:
-        """Adopt a sidecar's table if it matches spec, column and epoch.
 
-        Returns ``True`` when the table was adopted.  A missing sidecar,
-        a different grid spec, or a pinned epoch that no longer matches
-        the relation's ``modification_count`` returns ``False`` -- the
-        caller rebuilds from the live data instead.  A sidecar that
-        *claims* the right epoch but is structurally corrupt raises
-        :class:`~repro.errors.IntermediateError`.
-        """
-        sidecar = sidecar_path(path)
-        if not sidecar.exists():
-            return False
-        try:
-            payload = json.loads(sidecar.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise IntermediateError(
-                f"unreadable interval sidecar {sidecar}: {exc}"
-            ) from exc
-        if payload.get("format") != _SIDECAR_FORMAT:
-            raise IntermediateError(
-                f"not an interval sidecar: {sidecar} "
-                f"(format={payload.get('format')!r})"
-            )
-        spec = payload.get("spec", {})
-        if (
-            payload.get("column") != column
-            or spec.get("level") != self.spec.level
-            or tuple(spec.get("universe", ())) != self.spec.universe.as_tuple()
-        ):
-            return False
-        if payload.get("epoch") != relation.modification_count:
-            return False  # stale: the relation mutated since the save
-        try:
-            table: dict[SpatialObject, IntervalApprox | None] = {}
-            for item in payload["items"]:
-                geom = geometry_from_dict(item["geometry"])
-                raw = item["approx"]
-                table[geom] = (
-                    None if raw is None
-                    else IntervalApprox.from_bytes(base64.b64decode(raw))
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IntermediateError(
-                f"corrupt interval sidecar {sidecar}: {exc}"
-            ) from exc
-        self._entries[(relation.uid, column)] = _StoreEntry(
-            epoch=relation.modification_count, table=table
+def load_sidecar(
+    path: str | Path, relation: Relation, column: str, spec: IntervalSpec
+) -> bool:
+    """Adopt a sidecar's table if it matches spec, column and epoch.
+
+    Returns ``True`` when the table was adopted into the relation's
+    memo.  A missing sidecar, a different grid spec, or a pinned epoch
+    that no longer matches the relation's ``modification_count`` returns
+    ``False`` -- the caller rebuilds from the live data instead.  A
+    sidecar that *claims* the right epoch but is structurally corrupt
+    raises :class:`~repro.errors.IntermediateError`.
+    """
+    sidecar = sidecar_path(path)
+    if not sidecar.exists():
+        return False
+    try:
+        payload = json.loads(sidecar.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise IntermediateError(
+            f"unreadable interval sidecar {sidecar}: {exc}"
+        ) from exc
+    if payload.get("format") != _SIDECAR_FORMAT:
+        raise IntermediateError(
+            f"not an interval sidecar: {sidecar} "
+            f"(format={payload.get('format')!r})"
         )
-        return True
+    saved = payload.get("spec", {})
+    if (
+        payload.get("column") != column
+        or saved.get("level") != spec.level
+        or tuple(saved.get("universe", ())) != spec.universe.as_tuple()
+    ):
+        return False
+    # A direct compare, not an EpochPin: the epoch comes from a file, and
+    # an absent or non-integer one is a refusal, never "now".
+    epoch = payload.get("epoch")
+    if epoch != relation.modification_count:
+        return False  # stale: the relation mutated since the save
+    try:
+        table: Table = {}
+        for item in payload["items"]:
+            geom = geometry_from_dict(item["geometry"])
+            raw = item["approx"]
+            table[geom] = (
+                None if raw is None
+                else IntervalApprox.from_bytes(base64.b64decode(raw))
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IntermediateError(
+            f"corrupt interval sidecar {sidecar}: {exc}"
+        ) from exc
+    relation.keep_derived(("intervals", column, spec), table, epoch)
+    return True
 
 
 def sidecar_path(path: str | Path) -> Path:

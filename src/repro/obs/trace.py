@@ -336,44 +336,7 @@ class Tracer:
 
     def render_tree(self) -> str:
         """Indented per-span view: name, key tags, wall and cost deltas."""
-        lines: list[str] = []
-
-        def describe(span: Span) -> str:
-            parts = [span.name]
-            if span.tags:
-                tag_text = " ".join(
-                    f"{k}={v}" for k, v in sorted(span.tags.items())
-                )
-                parts.append(f"[{tag_text}]")
-            cost = span.cost
-            if cost:
-                parts.append(
-                    "cost={:.0f} (reads={:.0f} writes={:.0f} "
-                    "filter={:.0f} exact={:.0f})".format(
-                        cost.get("total", 0.0),
-                        cost.get("page_reads", 0.0),
-                        cost.get("page_writes", 0.0),
-                        cost.get("theta_filter_evals", 0.0),
-                        cost.get("theta_exact_evals", 0.0),
-                    )
-                )
-            parts.append(f"wall={span.wall_seconds * 1e3:.2f}ms")
-            return " ".join(parts)
-
-        def walk(span: Span, prefix: str, is_last: bool) -> None:
-            glyph = "`-- " if is_last else "|-- "
-            lines.append(prefix + glyph + describe(span))
-            kids = self.children_of(span)
-            ext = "    " if is_last else "|   "
-            for i, kid in enumerate(kids):
-                walk(kid, prefix + ext, i == len(kids) - 1)
-
-        for root in self.roots():
-            lines.append(describe(root))
-            kids = self.children_of(root)
-            for i, kid in enumerate(kids):
-                walk(kid, "", i == len(kids) - 1)
-        return "\n".join(lines)
+        return render_records(self.to_records())
 
 
 class _NullSpan:
@@ -455,14 +418,14 @@ def sum_cost_self(records: Iterable[dict[str, Any]]) -> dict[str, float]:
 
 
 def render_records(records: Iterable[dict[str, Any]]) -> str:
-    """Render exported span records as the same indented tree.
+    """Render exported span records as an indented tree.
 
     Works on the *wire form* (the dicts :meth:`Tracer.to_records`
     emits), so a trace can be rendered after a JSONL round trip or in a
-    process that never saw the live spans.  Parent links resolve through
-    the stable ``uid``/``parent_uid`` fields and children sort by local
-    ``span_id``, so the output is byte-identical to
-    :meth:`Tracer.render_tree` on the originating tracer.
+    process that never saw the live spans -- :meth:`Tracer.render_tree`
+    is this function over the tracer's own records.  Parent links
+    resolve through the stable ``uid``/``parent_uid`` fields and
+    children sort by local ``span_id``.
     """
     recs = list(records)
     by_uid = {r["uid"]: r for r in recs}

@@ -10,6 +10,9 @@ index on a spatial column of exactly one relation", Section 3.1).
 from __future__ import annotations
 
 import itertools
+import threading
+import weakref
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import RelationError, SchemaError
@@ -22,6 +25,52 @@ from repro.storage.record import RecordId
 
 #: Default tuple size in bytes (the paper's ``v`` from Table 3).
 DEFAULT_TUPLE_SIZE = 300
+
+
+@dataclass(frozen=True, slots=True)
+class EpochPin:
+    """Relations held weakly, plus the epoch each was pinned at.
+
+    "Derived from these contents, good until they move" (DESIGN.md,
+    "Epochs and derived state"), seen from outside the relation: cached
+    answers, a join index's second operand and served snapshot reads
+    carry one and ask :meth:`fresh`.  Build with :meth:`of`.
+    """
+
+    refs: tuple[weakref.ref, ...]
+    epochs: tuple[int, ...]
+
+    @classmethod
+    def of(
+        cls,
+        *relations: Any,
+        epochs: Sequence[int] | None = None,
+        on_death: Callable[[weakref.ref], None] | None = None,
+    ) -> "EpochPin":
+        """Pin ``relations`` at ``epochs`` (default: their epochs now).
+        ``on_death`` goes to each weak reference, for an owner that must
+        purge promptly; it may fire inside garbage collection on any
+        thread, so it should do no more than an atomic append."""
+        if epochs is None:
+            epochs = [r.modification_count for r in relations]
+        return cls(
+            tuple(weakref.ref(r, on_death) for r in relations), tuple(epochs)
+        )
+
+    def fresh(self) -> bool:
+        """True while every pinned relation is alive and unmoved."""
+        for ref, epoch in zip(self.refs, self.epochs):
+            relation = ref()
+            if relation is None or relation.modification_count != epoch:
+                return False
+        return True
+
+    def epoch_of(self, relation: Any) -> int:
+        """The epoch this pin captured for ``relation``."""
+        for ref, epoch in zip(self.refs, self.epochs):
+            if ref() is relation:
+                return epoch
+        raise RelationError(f"relation {relation.name!r} is not in this pin")
 
 
 class Relation:
@@ -49,9 +98,9 @@ class Relation:
     ) -> None:
         if not name:
             raise RelationError("relation name must be non-empty")
-        #: Stable identity for epoch-keyed consumers (query cache,
-        #: join-index registry): unique per instance for the lifetime of
-        #: the process, even after this relation is garbage-collected.
+        #: Stable identity for keys that name this relation from outside
+        #: (cache keys, a join index homed on its other operand): unique
+        #: per instance for the process lifetime, even once collected.
         self.uid = next(Relation._uid_counter)
         self.name = name
         self.schema = schema
@@ -62,6 +111,10 @@ class Relation:
         self._indices: dict[str, Any] = {}
         self._clustered = False
         self._mod_count = 0
+        #: The epoch-scoped memo ``(epoch, {key: value})``, replaced whole
+        #: at a new epoch so a lock-free reader holds one consistent pair.
+        self._derived: tuple[int, dict[Any, Any]] = (0, {})
+        self._derive_lock = threading.RLock()
         #: Optional write-ahead log (duck-typed so this module never
         #: imports :mod:`repro.wal`).  When set, every mutation appends a
         #: log record and stamps the touched pages with its LSN; the
@@ -234,6 +287,54 @@ class Relation:
         self._file.buffer_pool = new_pool
 
     # ------------------------------------------------------------------
+    # Derived state: the epoch-scoped memo
+    # ------------------------------------------------------------------
+
+    def derived(self, key: Any) -> Any:
+        """The value kept under ``key`` at the current epoch, else ``None``.
+
+        Any move of :attr:`modification_count` drops every value --
+        lazily, at the first lookup after it, so mutation paths do no
+        extra work.  Takes no lock: a running :meth:`derive` delays no
+        lookup, on this relation or another.
+        """
+        epoch, values = self._derived
+        if epoch == self._mod_count:
+            return values.get(key)
+        values.clear()  # stale for good (epochs are monotonic): release
+        return None
+
+    def keep_derived(self, key: Any, value: Any, epoch: int) -> None:
+        """Keep ``value`` (never ``None``), derived from the contents at
+        ``epoch`` -- unless the epoch has moved since: a value built
+        under a writer is not kept.  Values die with the relation.
+        """
+        with self._derive_lock:
+            now = self._mod_count
+            if epoch == now:
+                if self._derived[0] != now:
+                    self._derived = (now, {})
+                self._derived[1][key] = value
+
+    def derive(self, key: Any, build: Callable[[], Any]) -> Any:
+        """The value under ``key``, from ``build()`` when absent.
+
+        ``build`` runs at most once per ``(key, epoch)`` however many
+        threads ask first, and may consult this relation's memo itself.
+        Its result always reaches the caller (whose snapshot read the
+        server retries if a writer moved the relation meanwhile).
+        """
+        value = self.derived(key)
+        if value is None:
+            with self._derive_lock:
+                value = self.derived(key)
+                if value is None:
+                    epoch = self._mod_count
+                    value = build()
+                    self.keep_derived(key, value, epoch)
+        return value
+
+    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
@@ -254,11 +355,11 @@ class Relation:
 
     @property
     def modification_count(self) -> int:
-        """Monotonic counter bumped by every tuple mutation.
+        """Monotonic counter bumped by every tuple mutation: the epoch.
 
-        Derived structures built from a snapshot of the relation (e.g. a
-        precomputed join index) capture this value and compare it later to
-        detect staleness.
+        State derived from the contents is good until this moves --
+        :meth:`derive` keeps it on the relation, an :class:`EpochPin`
+        tests it from outside.
         """
         return self._mod_count
 
@@ -267,9 +368,8 @@ class Relation:
 
         Maintenance paths whose effects bypass :meth:`insert`/
         :meth:`delete` -- WAL recovery rebuilding the relation in place,
-        external reorganization -- call this so epoch-keyed consumers
-        (the query cache, the join-index registry) see their snapshots
-        as stale.  Returns the new count.
+        external reorganization -- call this so every :class:`EpochPin`
+        and every derived value goes stale.  Returns the new count.
         """
         if count < 1:
             raise RelationError(f"epoch bump must be positive, got {count}")

@@ -20,6 +20,7 @@ cancellation, drain, retries, network chaos).
 """
 
 from repro.core.cancel import CancellationToken
+from repro.relational.relation import EpochPin
 from repro.server.net import (
     IDEMPOTENT_OPS,
     QueryClient,
@@ -28,7 +29,7 @@ from repro.server.net import (
 )
 from repro.server.protocol import handle_request, parse_request
 from repro.server.service import QueryService, ServiceConfig, Session
-from repro.server.state import DEFAULT_READ_RETRIES, EpochPin, StateManager
+from repro.server.state import DEFAULT_READ_RETRIES, StateManager
 
 __all__ = [
     "DEFAULT_READ_RETRIES",

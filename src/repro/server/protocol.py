@@ -75,12 +75,18 @@ _THETAS = {
 }
 
 
+def _is_number(value: Any) -> bool:
+    """An int or a float -- and not a bool: JSON ``true`` is an ``int``
+    to isinstance and equals 1, but it is no coordinate, oid or bound."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def theta_from_request(request: dict[str, Any]) -> ThetaOperator:
     """Resolve the request's ``theta`` (and parameters) to an operator."""
     name = request.get("theta", "overlaps")
     if name == "within_distance":
         distance = request.get("distance")
-        if not isinstance(distance, (int, float)):
+        if not _is_number(distance):
             raise ProtocolError(
                 "theta 'within_distance' needs a numeric 'distance' field"
             )
@@ -99,7 +105,7 @@ def rect_from_request(request: dict[str, Any], field: str = "rect") -> Rect:
     if (
         not isinstance(raw, (list, tuple))
         or len(raw) != 4
-        or not all(isinstance(v, (int, float)) for v in raw)
+        or not all(_is_number(v) for v in raw)
     ):
         raise ProtocolError(
             f"field {field!r} must be [xmin, ymin, xmax, ymax], got {raw!r}"
@@ -172,8 +178,7 @@ def _deadline_from_request(request: dict[str, Any]) -> float | None:
     value = request.get("deadline_ms")
     if value is None:
         return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool) \
-            or value < 0:
+    if not _is_number(value) or value < 0:
         raise ProtocolError(
             f"field 'deadline_ms' must be a non-negative number, got {value!r}"
         )
@@ -190,6 +195,17 @@ def _require_str(
     if not isinstance(value, str) or not value:
         raise ProtocolError(f"field {field!r} must be a non-empty string")
     return value
+
+
+def _require_oid(request: dict[str, Any]) -> int:
+    """The ``oid`` field.  Unrefused, a ``delete`` of ``true`` removes
+    row 1, and an ``insert`` of it fails the schema only inside the
+    write, after the epoch pre-bump has invalidated every cached answer
+    over the relation."""
+    oid = request.get("oid")
+    if not isinstance(oid, int) or not _is_number(oid):
+        raise ProtocolError("field 'oid' must be an integer")
+    return oid
 
 
 def handle_request(session: Any, request: dict[str, Any]) -> dict[str, Any]:
@@ -282,17 +298,13 @@ def handle_request(session: Any, request: dict[str, Any]) -> dict[str, Any]:
         }
     if op == "insert":
         relation = _require_str(request, "relation")
-        oid = request.get("oid")
-        if not isinstance(oid, int):
-            raise ProtocolError("field 'oid' must be an integer")
+        oid = _require_oid(request)
         rect = rect_from_request(request)
         epoch = session.insert(relation, [oid, rect])
         return {"inserted": oid, "epoch": epoch}
     if op == "delete":
         relation = _require_str(request, "relation")
-        oid = request.get("oid")
-        if not isinstance(oid, int):
-            raise ProtocolError("field 'oid' must be an integer")
+        oid = _require_oid(request)
         deleted, epoch = session.delete_where(
             relation, lambda t: t["oid"] == oid
         )

@@ -64,7 +64,8 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import DURATION_BUCKETS, MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.predicates.theta import ThetaOperator
-from repro.server.state import DEFAULT_READ_RETRIES, EpochPin, StateManager
+from repro.relational.relation import EpochPin
+from repro.server.state import DEFAULT_READ_RETRIES, StateManager
 from repro.storage.costs import CostMeter
 
 

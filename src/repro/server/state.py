@@ -1,9 +1,10 @@
 """Shared-state manager: epoch-pinned snapshot reads over shared relations.
 
 The concurrency protocol is an optimistic seqlock built entirely from
-the epoch machinery the cache and join-index registry already rely on
-(:attr:`~repro.relational.relation.Relation.modification_count` and
-:meth:`~repro.relational.relation.Relation.bump_epoch`):
+the one epoch mechanism of :mod:`repro.relational.relation`
+(:attr:`~repro.relational.relation.Relation.modification_count`,
+:meth:`~repro.relational.relation.Relation.bump_epoch` and
+:class:`~repro.relational.relation.EpochPin`):
 
 * **Writers** serialize per relation behind a write lock.  Inside the
   lock a write *pre-bumps* the epoch, applies the mutation (which bumps
@@ -12,11 +13,12 @@ the epoch machinery the cache and join-index registry already rely on
   epoch*.  While a write is in flight the live counter therefore never
   equals the stable epoch.
 * **Readers** never block.  A read pins each operand's stable epoch,
-  executes, and then re-validates every pin against the live counter.
-  A pin that was dirty at pin time (a write was mid-flight) or that
-  moved while the query ran means the answer may mix two states; the
-  read retries from a fresh pin, a bounded number of times, before
-  surfacing :class:`~repro.errors.SnapshotConflict`.
+  executes, and then asks the pin whether it is still fresh.  A pin
+  taken while a write was mid-flight is not fresh at birth and --
+  epochs being monotonic -- never becomes so; one that moved while the
+  query ran means the answer may mix two states.  Either way the read
+  retries from a new pin, a bounded number of times, before surfacing
+  :class:`~repro.errors.SnapshotConflict`.
 
 A read that validates is a *snapshot read*: its answer is exactly the
 single-threaded answer at the pinned epoch.  The stress suite checks
@@ -27,43 +29,14 @@ against a reconstruction of the relation at its pin.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import QueryCancelled, SessionError, SnapshotConflict
-from repro.relational.relation import Relation
+from repro.relational.relation import EpochPin, Relation
 
 #: Default number of fresh pins a read attempts after its first
 #: invalidation before giving up with :class:`SnapshotConflict`.
 DEFAULT_READ_RETRIES = 4
-
-
-@dataclass(slots=True, frozen=True)
-class EpochPin:
-    """An immutable snapshot of operand epochs taken before a read.
-
-    ``dirty`` is True when any operand had a write in flight at pin
-    time -- the pin is then invalid from birth and the read should
-    re-pin without executing.
-    """
-
-    relations: tuple[Relation, ...]
-    epochs: tuple[int, ...]
-    dirty: bool
-
-    def moved(self) -> bool:
-        """Did any pinned operand's live epoch change since the pin?"""
-        return self.dirty or any(
-            rel.modification_count != epoch
-            for rel, epoch in zip(self.relations, self.epochs)
-        )
-
-    def epoch_of(self, relation: Relation) -> int:
-        """The epoch this pin captured for ``relation``."""
-        for rel, epoch in zip(self.relations, self.epochs):
-            if rel is relation:
-                return epoch
-        raise SessionError(f"relation {relation.name!r} is not in this pin")
 
 
 class StateManager:
@@ -150,17 +123,15 @@ class StateManager:
     # ------------------------------------------------------------------
 
     def pin(self, relations: Sequence[Relation]) -> EpochPin:
-        """Pin the stable epoch of every operand, noting in-flight writes."""
+        """Pin every operand at its *stable* epoch: an operand with a
+        write in flight makes the pin not fresh from birth."""
         epochs = []
-        dirty = False
         for rel in relations:
             stable = self._stable.get(rel.name)
             if stable is None:
                 raise SessionError(f"relation {rel.name!r} is not registered")
-            if rel.modification_count != stable:
-                dirty = True
             epochs.append(stable)
-        return EpochPin(tuple(relations), tuple(epochs), dirty)
+        return EpochPin.of(*relations, epochs=epochs)
 
     def read(
         self,
@@ -191,7 +162,7 @@ class StateManager:
         while attempts <= retries:
             attempts += 1
             pin = self.pin(rels)
-            if pin.dirty:
+            if not pin.fresh():
                 if on_conflict is not None:
                     on_conflict(attempts)
                 continue
@@ -200,12 +171,12 @@ class StateManager:
             except QueryCancelled:
                 raise
             except Exception:
-                if not pin.moved():
+                if pin.fresh():
                     raise
                 if on_conflict is not None:
                     on_conflict(attempts)
                 continue
-            if not pin.moved():
+            if pin.fresh():
                 return result, pin
             if on_conflict is not None:
                 on_conflict(attempts)

@@ -334,9 +334,9 @@ def recover(
     # over the recovered image finds a checkpoint and an empty tail.
     Checkpointer(new_wal, relations.values()).checkpoint()
 
-    # Replay rebuilt every relation from scratch, so epoch-keyed
-    # consumers (query cache, join-index registry) must treat any
-    # pre-crash snapshot as stale.  The rebuilt modification count could
+    # Replay rebuilt every relation from scratch, so every EpochPin and
+    # derived value (query cache, join index, interval tables) must
+    # treat any pre-crash snapshot as stale.  The rebuilt modification count could
     # coincidentally equal a pre-crash value (replay compresses the
     # mutation history); one extra bump past the replayed count makes
     # the recovered epoch unambiguous.

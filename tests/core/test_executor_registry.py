@@ -2,9 +2,13 @@
 
 The registry used to key entries by ``Relation.name`` alone, so two
 distinct relations sharing a name collided, and a mutated base relation
-kept serving its stale precomputed index.  Entries are now keyed by
-relation identity and carry modification-count snapshots.
+kept serving its stale precomputed index.  An index now lives in its
+first operand's epoch-scoped memo, keyed by the second operand's
+identity and carrying an ``EpochPin`` on it.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -12,7 +16,11 @@ from repro.core.executor import SpatialQueryExecutor
 from repro.geometry.rect import Rect
 from repro.predicates.theta import Overlaps
 
-from tests.join.conftest import brute_force_pairs, make_rect_relation
+from tests.join.conftest import (
+    brute_force_pairs,
+    kept_values,
+    make_rect_relation,
+)
 
 
 @pytest.fixture
@@ -71,8 +79,10 @@ class TestStaleness:
             rel_r.recluster([t.tid for t in rel_r.scan()])
 
         assert executor.join_index_for(rel_r, rel_s, "shape", "shape", theta) is None
-        # The stale entry is dropped, not just hidden.
-        assert executor._join_indices == {}
+        # No derived value is reachable: the executor holds nothing, and
+        # whatever rel_r still keeps is pinned to an operand that moved.
+        assert not any(isinstance(v, dict) for v in vars(executor).values())
+        assert not any(pin.fresh() for _ji, pin in kept_values(rel_r).values())
 
     def test_stale_entry_not_used_by_auto(self, executor):
         rel_r = make_rect_relation("r", 40, seed=9)
@@ -102,3 +112,25 @@ class TestStaleness:
         assert res.pair_set() == brute_force_pairs(
             rel_r, "shape", rel_s, "shape", theta
         )
+
+
+class TestLifetime:
+    def test_a_registered_index_is_released_with_its_relations(self, executor):
+        """The registry used to hold both operands strongly for the
+        executor's lifetime."""
+        rel_r = make_rect_relation("r", 20, seed=13)
+        rel_s = make_rect_relation("s", 20, seed=14)
+        executor.precompute_join_index(rel_r, rel_s, "shape", "shape", Overlaps())
+        refs = weakref.ref(rel_r), weakref.ref(rel_s)
+        del rel_r, rel_s
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_every_executor_finds_the_index(self, executor):
+        """It is part of the data, as an attached R-tree is."""
+        rel_r = make_rect_relation("r", 20, seed=15)
+        rel_s = make_rect_relation("s", 20, seed=16)
+        theta = Overlaps()
+        ji = executor.precompute_join_index(rel_r, rel_s, "shape", "shape", theta)
+        other = SpatialQueryExecutor(memory_pages=200)
+        assert other.join_index_for(rel_r, rel_s, "shape", "shape", theta) is ji

@@ -13,6 +13,12 @@ The same holds for a shard fleet: a worker holds its tables as
 its join imports numpy.  And because process parallelism lives in one
 place -- the standing fleet -- ``multiprocessing`` is imported by
 exactly one module of the engine.
+
+The same kind of pin holds the one epoch mechanism in place: comparing
+against ``modification_count`` and holding a relation weakly are things
+``relational/relation.py`` does for everyone (``EpochPin``, the
+derived-state memo), and the executor keeps no lock because it keeps no
+registry.
 """
 
 import ast
@@ -108,8 +114,8 @@ def test_a_sharded_select_leaves_numpy_out():
     run_script(FLEET_SCRIPT)
 
 
-def test_multiprocessing_is_imported_by_the_shard_runtime_only():
-    """One process runtime: a second one cannot come back unnoticed."""
+def importers_of(module: str) -> set[str]:
+    """The engine modules that import ``module``, as paths under repro/."""
     importers = set()
     for path in (SRC / "repro").rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -118,6 +124,51 @@ def test_multiprocessing_is_imported_by_the_shard_runtime_only():
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module:
                 names = [node.module]
-            if any(name.split(".")[0] == "multiprocessing" for name in names):
+            if any(name.split(".")[0] == module for name in names):
                 importers.add(path.relative_to(SRC / "repro").as_posix())
-    assert importers == {"shard/runtime.py"}
+    return importers
+
+
+def test_multiprocessing_is_imported_by_the_shard_runtime_only():
+    """One process runtime: a second one cannot come back unnoticed."""
+    assert importers_of("multiprocessing") == {"shard/runtime.py"}
+
+
+def test_weak_references_to_relations_are_held_by_epoch_pins_only():
+    assert importers_of("weakref") == {"relational/relation.py"}
+
+
+def test_the_executor_holds_no_lock():
+    assert "core/executor.py" not in importers_of("threading")
+
+
+def test_epochs_are_compared_in_one_module():
+    """``x.modification_count == epoch`` is ``EpochPin.fresh``'s job.
+
+    The one named exception validates an epoch read from a *file*: an
+    absent or non-integer value there is a refusal, never "now", so
+    ``load_sidecar`` compares directly.
+    """
+    comparers = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        functions = [
+            node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for compare in ast.walk(tree):
+            if not isinstance(compare, ast.Compare) or not any(
+                isinstance(n, ast.Attribute) and n.attr == "modification_count"
+                for n in ast.walk(compare)
+            ):
+                continue
+            owner = next(
+                (f.name for f in functions if compare in ast.walk(f)), "<module>"
+            )
+            comparers.add(
+                f"{path.relative_to(SRC / 'repro').as_posix()}::{owner}"
+            )
+    assert comparers == {
+        "relational/relation.py::fresh",
+        "intermediate/store.py::load_sidecar",
+    }

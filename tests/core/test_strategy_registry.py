@@ -30,7 +30,12 @@ from repro.geometry.rect import Rect
 from repro.join.nested_loop import nested_loop_join
 from repro.predicates.theta import Overlaps, WithinDistance
 
-from tests.join.conftest import brute_force_pairs, make_rect_relation, rtree_over
+from tests.join.conftest import (
+    brute_force_pairs,
+    kept_values,
+    make_rect_relation,
+    rtree_over,
+)
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -203,7 +208,8 @@ def test_an_unknown_strategy_is_refused_before_the_cache_is_probed(indexed_pair)
                 rel_r, "shape", Rect(10, 10, 40, 40), Overlaps(), strategy=bad
             )
     assert cache.stats.probes == 0
-    assert executor._interval_stores == {}  # nothing was rasterised either
+    # Nothing was rasterised either: no derived value is reachable.
+    assert kept_values(rel_r) == {} and kept_values(rel_s) == {}
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""ApproximationStore: epoch invalidation and sidecar persistence."""
+"""Approximation tables: built once per epoch, sidecar persistence."""
 
 from __future__ import annotations
 
@@ -8,57 +8,48 @@ import pytest
 
 from repro.errors import IntermediateError
 from repro.geometry.rect import Rect
-from repro.intermediate import ApproximationStore, IntervalSpec, sidecar_path
+from repro.intermediate import (
+    IntervalSpec,
+    approximation_table,
+    load_sidecar,
+    save_sidecar,
+    sidecar_path,
+)
 
 from tests.join.conftest import make_rect_relation
 
 SPEC = IntervalSpec(universe=Rect(0.0, 0.0, 120.0, 120.0), level=4)
-
-
-def make_store():
-    return ApproximationStore(SPEC)
+FINER = IntervalSpec(universe=SPEC.universe, level=SPEC.level + 1)
 
 
 def test_table_builds_once_per_epoch():
     rel = make_rect_relation("r", 20, seed=3)
-    store = make_store()
-    table = store.table_for(rel, "shape")
+    table = approximation_table(rel, "shape", SPEC)
     assert len(table) == 20
     assert all(apx is not None for apx in table.values())
-    again = store.table_for(rel, "shape")
-    assert again is table
-    assert store.builds == 1
-    assert store.fresh_hits == 1
+    assert approximation_table(rel, "shape", SPEC) is table  # built once
 
 
 def test_mutation_moves_epoch_and_rebuilds():
     rel = make_rect_relation("r", 10, seed=3)
-    store = make_store()
-    before = store.table_for(rel, "shape")
+    before = approximation_table(rel, "shape", SPEC)
     rel.insert([99, Rect(1.0, 1.0, 2.0, 2.0)])
-    after = store.table_for(rel, "shape")
-    assert after is not before
+    after = approximation_table(rel, "shape", SPEC)
+    assert after is not before  # rebuilt
     assert len(after) == len(before) + 1
-    assert store.builds == 2
-    assert store.fresh_hits == 0
 
 
-def test_invalidate_drops_cached_tables():
+def test_each_spec_has_its_own_table():
     rel = make_rect_relation("r", 10, seed=3)
-    store = make_store()
-    store.table_for(rel, "shape")
-    store.invalidate(rel, "shape")
-    store.table_for(rel, "shape")
-    assert store.builds == 2
-    store.invalidate(rel)  # all columns
-    store.table_for(rel, "shape")
-    assert store.builds == 3
+    coarse = approximation_table(rel, "shape", SPEC)
+    assert approximation_table(rel, "shape", FINER) is not coarse
+    assert approximation_table(rel, "shape", SPEC) is coarse
 
 
 def test_out_of_universe_objects_map_to_none():
     rel = make_rect_relation("r", 5, seed=3)
     rel.insert([99, Rect(-5.0, 0.0, 10.0, 10.0)])
-    table = make_store().table_for(rel, "shape")
+    table = approximation_table(rel, "shape", SPEC)
     assert sum(1 for apx in table.values() if apx is None) == 1
 
 
@@ -66,49 +57,52 @@ def test_out_of_universe_objects_map_to_none():
 # Sidecar persistence
 # ----------------------------------------------------------------------
 
-def test_sidecar_round_trip(tmp_path):
+def test_sidecar_round_trip(tmp_path, monkeypatch):
     rel = make_rect_relation("r", 15, seed=5)
     snapshot = tmp_path / "r.snapshot"
-    saver = make_store()
-    sidecar = saver.save_sidecar(snapshot, rel, "shape")
+    sidecar = save_sidecar(snapshot, rel, "shape", SPEC)
     assert sidecar == sidecar_path(snapshot)
     assert sidecar.name == "r.snapshot.intervals.json"
     assert sidecar.exists()
+    built = approximation_table(rel, "shape", SPEC)
 
-    loader = make_store()
-    assert loader.load_sidecar(snapshot, rel, "shape") is True
-    assert loader.table_for(rel, "shape") == saver.table_for(rel, "shape")
-    assert loader.builds == 0  # served from the sidecar, never rebuilt
+    # A reload of the same contents at the same epoch adopts the sidecar.
+    reloaded = make_rect_relation("r", 15, seed=5)
+    assert load_sidecar(snapshot, reloaded, "shape", SPEC) is True
+
+    def never(*_args):
+        raise AssertionError("served from the sidecar, never rebuilt")
+
+    monkeypatch.setattr("repro.intermediate.store.rasterize", never)
+    adopted = approximation_table(reloaded, "shape", SPEC)
+    assert adopted == built and adopted is not built
 
 
 def test_missing_sidecar_returns_false(tmp_path):
     rel = make_rect_relation("r", 5, seed=5)
-    assert make_store().load_sidecar(tmp_path / "nope", rel, "shape") is False
+    assert load_sidecar(tmp_path / "nope", rel, "shape", SPEC) is False
 
 
 def test_stale_sidecar_is_refused(tmp_path):
     rel = make_rect_relation("r", 10, seed=5)
     snapshot = tmp_path / "r.snapshot"
-    make_store().save_sidecar(snapshot, rel, "shape")
+    save_sidecar(snapshot, rel, "shape", SPEC)
     rel.insert([99, Rect(1.0, 1.0, 2.0, 2.0)])  # epoch moves
-    assert make_store().load_sidecar(snapshot, rel, "shape") is False
+    assert load_sidecar(snapshot, rel, "shape", SPEC) is False
 
 
 def test_mismatched_spec_is_refused(tmp_path):
     rel = make_rect_relation("r", 10, seed=5)
     snapshot = tmp_path / "r.snapshot"
-    make_store().save_sidecar(snapshot, rel, "shape")
-    finer = ApproximationStore(
-        IntervalSpec(universe=SPEC.universe, level=SPEC.level + 1)
-    )
-    assert finer.load_sidecar(snapshot, rel, "shape") is False
+    save_sidecar(snapshot, rel, "shape", SPEC)
+    assert load_sidecar(snapshot, rel, "shape", FINER) is False
 
 
 def test_mismatched_column_is_refused(tmp_path):
     rel = make_rect_relation("r", 10, seed=5)
     snapshot = tmp_path / "r.snapshot"
-    make_store().save_sidecar(snapshot, rel, "shape")
-    assert make_store().load_sidecar(snapshot, rel, "other") is False
+    save_sidecar(snapshot, rel, "shape", SPEC)
+    assert load_sidecar(snapshot, rel, "other", SPEC) is False
 
 
 def test_unreadable_sidecar_raises(tmp_path):
@@ -116,7 +110,7 @@ def test_unreadable_sidecar_raises(tmp_path):
     snapshot = tmp_path / "r.snapshot"
     sidecar_path(snapshot).write_text("{not json")
     with pytest.raises(IntermediateError):
-        make_store().load_sidecar(snapshot, rel, "shape")
+        load_sidecar(snapshot, rel, "shape", SPEC)
 
 
 def test_foreign_json_raises(tmp_path):
@@ -124,16 +118,16 @@ def test_foreign_json_raises(tmp_path):
     snapshot = tmp_path / "r.snapshot"
     sidecar_path(snapshot).write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(IntermediateError):
-        make_store().load_sidecar(snapshot, rel, "shape")
+        load_sidecar(snapshot, rel, "shape", SPEC)
 
 
 def test_corrupt_items_raise(tmp_path):
     rel = make_rect_relation("r", 5, seed=5)
     snapshot = tmp_path / "r.snapshot"
-    make_store().save_sidecar(snapshot, rel, "shape")
+    save_sidecar(snapshot, rel, "shape", SPEC)
     sidecar = sidecar_path(snapshot)
     payload = json.loads(sidecar.read_text())
     payload["items"][0]["approx"] = "definitely-not-base64!!"
     sidecar.write_text(json.dumps(payload))
     with pytest.raises(IntermediateError):
-        make_store().load_sidecar(snapshot, rel, "shape")
+        load_sidecar(snapshot, rel, "shape", SPEC)

@@ -40,6 +40,13 @@ def make_point_relation(name: str, count: int, seed: int, pool=None) -> Relation
     return rel
 
 
+def kept_values(relation: Relation) -> dict:
+    """What the relation's epoch-scoped memo holds at its current epoch
+    (white-box: the memo's public surface has no enumeration)."""
+    epoch, values = relation._derived
+    return dict(values) if epoch == relation.modification_count else {}
+
+
 def rtree_over(relation: Relation, column: str, max_entries: int = 6) -> RTree:
     tree = RTree(max_entries=max_entries)
     relation.attach_index(column, tree)

@@ -5,8 +5,9 @@ mutate (+bump), publish stable; reader: pin, observe, validate -- and
 Hypothesis drives *every* interleaving of those steps over a register
 relation.  The invariant is snapshot isolation in miniature: whenever a
 reader's validation succeeds, the value it observed is exactly the
-committed value at its pinned epoch.  Dirty pins and moved pins must
-retry; a reader can always finish once writers drain.
+committed value at its pinned epoch.  A pin that is not fresh -- taken
+mid-write, or moved since -- must retry; a reader can always finish
+once writers drain.
 """
 
 from __future__ import annotations
@@ -81,14 +82,14 @@ class ReaderSim:
     def advance(self) -> None:
         if self.step == 0:
             self.pin = self.state.pin((self.rel,))
-            self.step = 1 if not self.pin.dirty else 0
-            if self.pin.dirty:
+            self.step = 1 if self.pin.fresh() else 0
+            if not self.pin.fresh():
                 self.retries += 1
         elif self.step == 1:
             self.observed = self.rel.value
             self.step = 2
         else:
-            if self.pin.moved():
+            if not self.pin.fresh():
                 self.retries += 1
                 self.step = 0
             else:

@@ -210,6 +210,42 @@ class TestMalformedNames:
         assert cache.stats.probes == 0
 
 
+class TestBooleansAreNotNumbers:
+    """JSON ``true`` is an ``int`` to ``isinstance`` and equals 1.
+
+    Unrefused, ``{"op":"delete","oid":true}`` deleted row 1, a ``true``
+    inside ``rect`` became the coordinate 1.0, and an insert with a
+    boolean ``oid`` was refused only by the schema *inside* the write,
+    after the epoch pre-bump -- a malformed request invalidated every
+    cached answer over the relation.
+    """
+
+    @pytest.mark.parametrize("request_fields", [
+        dict(op="delete", relation="r", oid=True),
+        dict(op="insert", relation="r", oid=True, rect=[0, 0, 1, 1]),
+        dict(op="insert", relation="r", oid=900, rect=[True, 0, 1, 1]),
+        dict(op="select", relation="r", column="shape", rect=[0, 0, 9, 9],
+             theta="within_distance", distance=True),
+    ], ids=["delete-oid", "insert-oid", "insert-rect", "select-distance"])
+    def test_typed_refusal_changes_nothing(self, request_fields):
+        cache = QueryCache(admission_threshold=0.0)
+        service, _ = build_service(count=30, cache=cache)
+        rel = service.state.get("r")
+        with QueryServer(service) as server, \
+                QueryClient(*server.address) as client:
+            warm = client.request(op="select", relation="r", column="shape",
+                                  rect=[0, 0, 100, 100], theta="overlaps")
+            assert 1 in warm["oids"] and len(cache) == 1
+            epoch, cached, rows = rel.modification_count, len(cache), len(rel)
+            with pytest.raises(ProtocolError) as exc_info:
+                client.request(**request_fields)
+            assert exc_info.value.server_type == "ProtocolError"
+            assert client.request(op="ping")["pong"] is True
+        assert len(rel) == rows  # nothing deleted, nothing inserted
+        assert rel.modification_count == epoch  # no epoch was burnt
+        assert len(cache) == cached and cache.purge_stale() == 0
+
+
 def _wait_for(predicate, timeout=5.0):
     deadline = threading.Event()
     waited = 0.0

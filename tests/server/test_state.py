@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SessionError, SnapshotConflict
+from repro.errors import RelationError, SessionError, SnapshotConflict
 from repro.geometry.rect import Rect
 from repro.server import StateManager
 
@@ -72,40 +72,41 @@ class TestWrites:
 
         with pytest.raises(RuntimeError):
             state.write("r", boom)
-        # A reader after the failed write must not livelock on a
-        # permanently dirty pin.
+        # A reader after the failed write must not livelock on a pin
+        # that is never fresh.
         pin = state.pin((rel,))
-        assert not pin.dirty
-        assert not pin.moved()
+        assert pin.fresh()
 
 
 class TestPins:
     def test_clean_pin_does_not_move(self):
         state, rel, _ = manager_with()
         pin = state.pin((rel,))
-        assert not pin.dirty and not pin.moved()
+        assert pin.fresh()
         assert pin.epoch_of(rel) == rel.modification_count
 
     def test_pin_moves_after_write(self):
         state, rel, _ = manager_with()
         pin = state.pin((rel,))
         state.write("r", lambda r: r.insert([50, Rect(2, 2, 3, 3)]))
-        assert pin.moved()
+        assert not pin.fresh()
 
     def test_mid_write_pin_is_dirty(self):
         # Simulate the window between pre-bump and publish: the live
         # counter differs from the stable epoch, so a pin taken now is
-        # invalid from birth.
+        # invalid from birth -- and stays so once the write publishes.
         state, rel, _ = manager_with()
         rel.bump_epoch()
         pin = state.pin((rel,))
-        assert pin.dirty and pin.moved()
+        assert not pin.fresh()
+        rel.bump_epoch()
+        assert not pin.fresh()
 
     def test_epoch_of_unknown_relation(self):
         state, rel, _ = manager_with()
         other, _ = build_relation("other", 2, seed=4)
         pin = state.pin((rel,))
-        with pytest.raises(SessionError):
+        with pytest.raises(RelationError):
             pin.epoch_of(other)
 
 
@@ -136,7 +137,7 @@ class TestReads:
         assert len(calls) == 2
         assert conflicts == [1]
         assert 60 in result
-        assert not pin.moved()
+        assert pin.fresh()
 
     def test_exhausted_retries_surface_snapshot_conflict(self):
         state, rel, _ = manager_with()
