@@ -8,7 +8,7 @@ asynchronously; instead the executor calls :meth:`CancellationToken.check`
 at well-defined boundaries --
 
 * before every strategy attempt of the fallback chain,
-* before every tile of a partition join's sweep,
+* before every group of tiles of a partition join's sweep,
 * at every tree level of Algorithm SELECT / Algorithm JOIN (and per
   node pop on the DFS path),
 * once more after a strategy returns, before its result may be admitted

@@ -309,7 +309,7 @@ class SpatialQueryExecutor:
         ``tracer``/``metrics``/``cache`` override the instance handles
         for this call (per-session tracing over shared state).
         ``cancel`` is checked on entry, at tree-level and
-        partition-tile boundaries inside the strategies, and once more
+        tile-group boundaries inside the strategies, and once more
         before admission (no post-deadline cache fills).
         """
         check_cancel(cancel)

@@ -33,7 +33,7 @@ from repro.costmodel.estimation import (
 from repro.costmodel.join_costs import with_interval_filter
 from repro.costmodel.parameters import ModelParameters
 from repro.predicates.theta import Overlaps, ThetaOperator
-from repro.relational.columns import data_universe, extract_columns
+from repro.relational.columns import column_snapshot, data_universe
 from repro.relational.relation import Relation
 
 
@@ -172,11 +172,13 @@ def plan_join(
     cheaper.  The base ranking -- and thus ``plan.strategy`` -- is
     computed exactly as without ``interval``.
 
-    Each relation is read once: both samplers and the default interval
-    grid's universe work off one columnar extraction per operand.
+    Both samplers and the default interval grid's universe work off each
+    operand's retained column snapshot
+    (:func:`~repro.relational.columns.column_snapshot`): a relation is
+    read here only if nothing has read it since it last changed.
     """
-    columns_r = extract_columns(rel_r, column_r)
-    columns_s = extract_columns(rel_s, column_s)
+    columns_r = column_snapshot(rel_r, column_r)
+    columns_s = column_snapshot(rel_s, column_s)
     estimate = sample_join_selectivity(
         columns_r.geoms, columns_s.geoms, theta,
         sample_pairs=sample_pairs, seed=seed,

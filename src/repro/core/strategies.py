@@ -41,7 +41,7 @@ from repro.join.tree_join import tree_join
 from repro.join.zorder_merge import zorder_merge_join
 from repro.parallel.join import partition_join
 from repro.predicates.theta import Overlaps, ThetaOperator
-from repro.relational.columns import data_universe, extract_columns
+from repro.relational.columns import column_snapshot, data_universe
 from repro.relational.relation import Relation
 from repro.storage.buffer import BufferPool
 from repro.storage.costs import CostMeter
@@ -110,10 +110,12 @@ class JoinOperands:
         )
 
     def universe(self):
-        """Union of both columns' MBRs (one metered scan per operand)."""
+        """Union of both columns' MBRs, off each operand's retained
+        snapshot (a metered scan only for an operand nothing has read
+        since it last changed, ``num_pages`` buffer hits otherwise)."""
         return data_universe(
-            extract_columns(self.rel_r, self.column_r),
-            extract_columns(self.rel_s, self.column_s),
+            column_snapshot(self.rel_r, self.column_r),
+            column_snapshot(self.rel_s, self.column_s),
         )
 
 

@@ -17,6 +17,7 @@ from typing import Sequence
 
 from repro.errors import CostModelError
 from repro.predicates.theta import ThetaOperator
+from repro.relational.columns import column_snapshot
 from repro.relational.relation import Relation
 
 
@@ -62,7 +63,8 @@ def estimate_join_selectivity(
     unbiased for the true match fraction.  Empty relations yield p = 0.
     """
     return sample_join_selectivity(
-        [t[column_r] for t in rel_r.scan()], [t[column_s] for t in rel_s.scan()],
+        column_snapshot(rel_r, column_r).geoms,
+        column_snapshot(rel_s, column_s).geoms,
         theta, sample_pairs=sample_pairs, seed=seed,
     )
 
@@ -132,7 +134,8 @@ def estimate_interval_resolution(
     letting ``plan_join`` decide per query whether the second tier pays.
     """
     return sample_interval_resolution(
-        [t[column_r] for t in rel_r.scan()], [t[column_s] for t in rel_s.scan()],
+        column_snapshot(rel_r, column_r).geoms,
+        column_snapshot(rel_s, column_s).geoms,
         spec, sample_pairs=sample_pairs, seed=seed,
     )
 

@@ -28,6 +28,7 @@ from repro.intermediate.filter import IntervalSpec
 from repro.intermediate.raster import rasterize
 from repro.persistence import geometry_from_dict, geometry_to_dict
 from repro.predicates.dispatch import SpatialObject
+from repro.relational.columns import column_snapshot
 from repro.relational.relation import Relation
 
 _SIDECAR_FORMAT = "repro-intervals"
@@ -45,8 +46,7 @@ def approximation_table(
 
     def build() -> Table:
         table: Table = {}
-        for t in relation.scan():
-            geom = t[column]
+        for geom in column_snapshot(relation, column).geoms:
             if geom not in table:
                 table[geom] = rasterize(geom, spec.universe, spec.level)
         return table

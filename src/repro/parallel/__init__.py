@@ -6,8 +6,8 @@ partition-based evaluation of Tsitsigkos & Mamoulis et al. (2019), minus
 the shared-memory threads CPython does not offer: uniform grid
 partitioning with the reference-point duplicate-avoidance
 rule (:mod:`repro.parallel.partitioner`), a forward plane-sweep kernel
-per tile (:mod:`repro.parallel.plane_sweep`), and the loop that sweeps
-the tiles on one cost meter (:mod:`repro.parallel.pool`).  The Theta side
+over a group of tiles (:mod:`repro.parallel.plane_sweep`), and the loop
+that sweeps the groups on one cost meter (:mod:`repro.parallel.pool`).  The Theta side
 (scatter, sweep, result ordering) runs on flat numpy arrays; the theta
 side refines candidate pairs one by one on the stored geometries.  The
 executor exposes it as the ``partition`` strategy.

@@ -1,13 +1,16 @@
-"""The partition spatial join: grid scatter + per-tile sweeps.
+"""The partition spatial join: grid scatter + plane sweeps over the tiles.
 
 End-to-end driver tying the subsystem together:
 
-1. stream both relations once through pools sharing the paper's ``M``-page
-   budget, extracting each into MBR / record-id arrays and a geometry
-   list (:func:`~repro.relational.columns.extract_columns`);
+1. take each relation's retained column snapshot -- MBR / record-id
+   arrays and a geometry list
+   (:func:`~repro.relational.columns.column_snapshot`) -- streaming a
+   relation nothing has read since it last changed once through pools
+   sharing the paper's ``M``-page budget, and charging one buffer hit
+   per page for a relation whose snapshot is already there;
 2. tile the data universe with a uniform :class:`GridSpec` and replicate
    each row into every tile its MBR intersects;
-3. sweep the tiles one after another, the reference-point rule
+3. sweep the tiles, a group at a time, the reference-point rule
    guaranteeing each result pair is emitted by exactly one tile (no
    dedup pass anywhere);
 4. absorb the sweep's cost meter into the caller's meter and return one
@@ -26,7 +29,7 @@ from repro.join.result import JoinResult
 from repro.parallel.partitioner import GridSpec, partition_pair
 from repro.parallel.pool import run_partitions
 from repro.predicates.theta import ThetaOperator
-from repro.relational.columns import Columns, data_universe, extract_columns
+from repro.relational.columns import Columns, column_snapshot, data_universe
 from repro.relational.relation import Relation
 from repro.storage.buffer import paired_pools
 from repro.storage.costs import CostMeter
@@ -78,10 +81,10 @@ def partition_join(
 
     ``cancel`` (a :class:`~repro.core.cancel.CancellationToken`) is
     checked between the extract/scatter/sweep phases and before every
-    tile of the sweep.
+    group of tiles of the sweep.
 
     ``refiner`` (see :mod:`repro.intermediate.filter`) replaces the
-    exact refinement step inside every tile sweep; ``None`` keeps the
+    exact refinement step inside every sweep; ``None`` keeps the
     historical exact path.
     """
     if workers < 1:
@@ -96,8 +99,8 @@ def partition_join(
         rel_r.buffer_pool.disk, rel_s.buffer_pool.disk, memory_pages, meter
     )
     with tracer.span("partition.extract", meter=meter) as span:
-        columns_r = extract_columns(rel_r, column_r, pool_r)
-        columns_s = extract_columns(rel_s, column_s, pool_s)
+        columns_r = column_snapshot(rel_r, column_r, pool_r)
+        columns_s = column_snapshot(rel_s, column_s, pool_s)
         span.set_tag("entries_r", len(columns_r))
         span.set_tag("entries_s", len(columns_s))
 

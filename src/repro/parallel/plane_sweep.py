@@ -1,4 +1,5 @@
-"""Forward plane sweep over one partition (grid tile or shard range).
+"""Forward plane sweep over a group of partitions (grid tiles, or one
+shard range).
 
 The kernel of every partitioned join: both sides arrive sorted by
 ``xmin``; for each entry the sweep scans forward in the *other* side
@@ -17,13 +18,16 @@ constructed, which is byte-identical to the historical behavior.
 
 :func:`sweep_task` runs that pass on MBR arrays: candidate generation,
 the y test and the ownership test are array operations, and only
-refinement touches objects.  Grid tiles (:mod:`repro.parallel.join`) and
-z-order range shards (:mod:`repro.shard.worker`) both run it; the scalar
+refinement touches objects.  Groups of grid tiles
+(:mod:`repro.parallel.pool`) and z-order range shards, a group of one
+(:mod:`repro.shard.worker`), both run it; the scalar
 merge loop in ``tests/parallel/reference.py`` is its oracle, and both
 charge the same counters for the same input.
 """
 
 from __future__ import annotations
+
+from typing import Iterator, Sequence
 
 from repro.parallel.partitioner import PartitionTask
 from repro.predicates.theta import ThetaOperator
@@ -31,9 +35,10 @@ from repro.storage.costs import CostMeter
 
 
 #: Candidates a sweep holds in arrays at once.  A grid tile has a few
-#: hundred; a shard's whole table pair has millions, which are walked in
-#: blocks of about this many so the sweep's memory does not grow with
-#: the partition.
+#: hundred, so tiles are swept in groups that cannot exceed this many
+#: (:func:`task_groups`); a shard's whole table pair has millions, which
+#: are walked in blocks of about this many -- either way the sweep's
+#: memory grows neither with the partition nor with their number.
 BLOCK = 1 << 16
 
 
@@ -58,30 +63,60 @@ def _blocks(counts, total: int):
     return list(zip(edges, edges[1:]))
 
 
+def task_groups(tasks: Sequence[PartitionTask]) -> Iterator[list[PartitionTask]]:
+    """``tasks`` cut into runs of consecutive partitions that cannot
+    hold more than :data:`BLOCK` candidates between them -- a partition
+    has at most ``|r| * |s|`` -- so what one :func:`sweep_task` call
+    holds in arrays stays block-sized however many partitions there
+    are.  A partition that alone can exceed the bound is a run of one."""
+    group: list[PartitionTask] = []
+    bound = 0
+    for task in tasks:
+        pairs = len(task.rows_r) * len(task.rows_s)
+        if group and bound + pairs > BLOCK:
+            yield group
+            group, bound = [], 0
+        group.append(task)
+        bound += pairs
+    if group:
+        yield group
+
+
 def sweep_task(
     keyspace,
-    task: PartitionTask,
+    tasks: Sequence[PartitionTask],
     theta: ThetaOperator,
     meter: CostMeter,
     refiner=None,
 ):
-    """Matching pairs owned by ``task``'s partition, as integer rows
+    """Matching pairs owned by ``tasks``' partitions, as integer rows
     ``page_r, slot_r, page_s, slot_s``.
 
+    ``tasks`` is a group of partitions over the same two
+    :class:`~repro.relational.columns.Columns` -- consecutive tiles of
+    one scatter, or the one task of a shard range -- swept together: the
+    arithmetic below runs once on the group's concatenated rows, never
+    once per partition.
+
     The forward scan is two ``searchsorted`` ranges -- for each ``r`` the
-    ``s`` with ``r.xmin <= s.xmin <= r.xmax`` (``r`` opens first; ties go
-    to ``r``), for each ``s`` the ``r`` with ``s.xmin < r.xmin <=
-    s.xmax`` -- whose total size is the Theta-filter evaluations a merge
-    loop charges one by one.  The ranges are expanded into candidate
-    arrays a block at a time.  The y test runs on the candidate arrays,
-    and on its survivors so does the reference-point no-dedup rule:
-    ``keyspace`` (a :class:`~repro.parallel.partitioner.GridSpec` or a
+    ``s`` of its partition with ``r.xmin <= s.xmin <= r.xmax`` (``r``
+    opens first; ties go to ``r``), for each ``s`` the ``r`` with
+    ``s.xmin < r.xmin <= s.xmax`` -- whose total size is the Theta-filter
+    evaluations a merge loop charges one by one.  A range stays inside
+    its partition because the search runs on composite integer keys
+    ``(position of the partition in the group, rank of the x value among
+    the group's x values)``: exact, so equal ``xmin`` values and
+    seam-touching MBRs order as the floats themselves do.  The ranges
+    are expanded into candidate arrays a block at a time.  The y test
+    runs on the candidate arrays, and on its survivors so does the
+    reference-point no-dedup rule: ``keyspace`` (a
+    :class:`~repro.parallel.partitioner.GridSpec` or a
     :class:`~repro.shard.keyspace.ShardMap`) answers ``owners(xs, ys)``
     with the id of the one partition owning each point, and a pair is
-    kept where that is ``task.key`` -- entries are replicated into every
-    partition their MBR touches, so each qualifying pair is emitted
-    exactly once across the partitioning.  What is left is refined one
-    pair at a time on the stored geometries.
+    kept where that is its partition's ``key`` -- entries are replicated
+    into every partition their MBR touches, so each qualifying pair is
+    emitted exactly once across the partitioning.  What is left is
+    refined one pair at a time on the stored geometries.
     """
     import numpy as np
 
@@ -89,24 +124,37 @@ def sweep_task(
         from repro.intermediate.filter import ExactRefiner
 
         refiner = ExactRefiner(theta)
-    boxes_r = task.r.box_array()[task.rows_r]
-    boxes_s = task.s.box_array()[task.rows_s]
-    xmin_r, xmin_s = boxes_r[:, 0], boxes_s[:, 0]
+    columns_r, columns_s = tasks[0].r, tasks[0].s
+    rows_r = np.concatenate([task.rows_r for task in tasks])
+    rows_s = np.concatenate([task.rows_s for task in tasks])
+    boxes_r = columns_r.box_array()[rows_r]
+    boxes_s = columns_s.box_array()[rows_s]
+    n_r, n_s = len(rows_r), len(rows_s)
+    # Which of the group's partitions each row belongs to.
+    places = np.arange(len(tasks))
+    part_r = np.repeat(places, [len(task.rows_r) for task in tasks])
+    part_s = np.repeat(places, [len(task.rows_s) for task in tasks])
+
+    xs = np.concatenate((boxes_r[:, 0], boxes_s[:, 0], boxes_r[:, 2], boxes_s[:, 2]))
+    keys = np.unique(xs, return_inverse=True)[1]
+    keys += np.concatenate((part_r, part_s, part_r, part_s)) * len(xs)
+    xmin_r, xmin_s, xmax_r, xmax_s = np.split(keys, (n_r, n_r + n_s, 2 * n_r + n_s))
     # One range per row: the r rows (r opens first), then the s rows.
     lo = np.concatenate((
         np.searchsorted(xmin_s, xmin_r, "left"),
         np.searchsorted(xmin_r, xmin_s, "right"),
     ))
     hi = np.concatenate((
-        np.searchsorted(xmin_s, boxes_r[:, 2], "right"),
-        np.searchsorted(xmin_r, boxes_s[:, 2], "right"),
+        np.searchsorted(xmin_s, xmax_r, "right"),
+        np.searchsorted(xmin_r, xmax_s, "right"),
     ))
     counts = hi - lo
     candidates = int(counts.sum())
     meter.record_filter_eval(candidates)
 
-    n_r = len(boxes_r)
-    geoms_r, geoms_s = task.r.geoms, task.s.geoms
+    partition_keys = np.array([task.key for task in tasks])
+    geoms_r, geoms_s = columns_r.geoms, columns_s.geoms
+    ids_r, ids_s = columns_r.id_array(), columns_s.id_array()
     found = []
     for a, b in _blocks(counts, candidates):
         opener, other = _ranges(lo[a:b], counts[a:b])
@@ -120,11 +168,11 @@ def sweep_task(
         owner = keyspace.owners(
             np.maximum(r[:, 0], s[:, 0]), np.maximum(r[:, 1], s[:, 1])
         )
-        keep = keep[owner == task.key]
-        i, j = task.rows_r[i[keep]], task.rows_s[j[keep]]
+        keep = keep[owner == partition_keys[part_r[i[keep]]]]
+        i, j = rows_r[i[keep]], rows_s[j[keep]]
         hits = [
             refiner.matches(geoms_r[x], geoms_s[y], meter)
             for x, y in zip(i.tolist(), j.tolist())
         ]
-        found.append(np.hstack((task.r.id_array()[i[hits]], task.s.id_array()[j[hits]])))
+        found.append(np.hstack((ids_r[i[hits]], ids_s[j[hits]])))
     return found[0] if len(found) == 1 else np.concatenate(found)

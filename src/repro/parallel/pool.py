@@ -1,11 +1,14 @@
 """Sweeping a partitioned join's tiles, in this process.
 
-``run_partitions`` runs the per-tile plane sweeps one after another on
-one :class:`CostMeter` and returns the result pairs in sorted order.
-Tiles are a batching scheme -- each sweep's candidate arrays stay
-cache-sized and die with the tile -- not a unit of process parallelism:
-shipping a tile's geometry to a worker that has nothing resident costs
-more than sweeping it (measured: two pool workers ran at 0.10x of one).
+``run_partitions`` sweeps the tiles a group at a time
+(:func:`~repro.parallel.plane_sweep.task_groups`) on one
+:class:`CostMeter` and returns the result pairs in sorted order.  Tiles
+are a batching scheme -- they bound how far a forward scan runs, and a
+group's arrays stay block-sized and die with the group -- neither a
+unit of dispatch (a numpy call per tile costs more than the tile's
+arithmetic) nor one of process parallelism: shipping a tile's geometry
+to a worker that has nothing resident costs more than sweeping it
+(measured: two pool workers ran at 0.10x of one).
 Process-parallel joins are the standing shard fleet's
 (:mod:`repro.shard`), where every shard's rows are already resident and
 a crashed worker is restarted from its write-ahead log.
@@ -19,7 +22,7 @@ from typing import Sequence
 
 from repro.errors import JoinError
 from repro.parallel.partitioner import GridSpec, PartitionTask
-from repro.parallel.plane_sweep import sweep_task
+from repro.parallel.plane_sweep import sweep_task, task_groups
 from repro.predicates.theta import ThetaOperator
 from repro.storage.costs import CostMeter
 from repro.storage.record import RecordId
@@ -36,7 +39,7 @@ class PoolReport:
 
 
 def record_pairs(rows: list) -> list[tuple[RecordId, RecordId]]:
-    """Result rows (see :func:`sweep_task`), one array per partition, as
+    """Result rows (see :func:`sweep_task`), one array per sweep, as
     ``(tid_r, tid_s)`` pairs in sorted order.
 
     Sorting happens on the integer rows, so :class:`RecordId` objects
@@ -66,10 +69,14 @@ def run_partitions(
     ``workers`` is reported back and otherwise unused: the caller sized
     the grid with it, and every tile is swept here whatever its value.
 
-    ``cancel`` (a :class:`~repro.core.cancel.CancellationToken`) is
-    checked before every tile, so a deadline stops a many-tile sweep at
-    the next tile boundary; a cancelled sweep raises and returns no
-    pairs.  ``refiner`` (an
+    ``tasks`` are one scatter's: they share their two ``Columns``.
+    ``cancel`` (a
+    :class:`~repro.core.cancel.CancellationToken`) is checked before
+    every group of tiles, so a deadline stops a many-tile sweep at the
+    next group boundary: a group walks at most
+    :data:`~repro.parallel.plane_sweep.BLOCK` candidates between checks
+    (a tile that alone can hold more is a group of one).  A cancelled
+    sweep raises and returns no pairs.  ``refiner`` (an
     :class:`~repro.intermediate.filter.IntervalFilter`, or ``None`` for
     exact refinement) resolves every tile's owned candidates.
 
@@ -85,9 +92,9 @@ def run_partitions(
     meter = CostMeter()
     started = time.perf_counter()
     rows = []
-    for task in tasks:
+    for group in task_groups(tasks):
         check_cancel(cancel)
-        rows.append(sweep_task(grid, task, theta, meter, refiner))
+        rows.append(sweep_task(grid, group, theta, meter, refiner))
     if metrics is not None:
         from repro.obs.metrics import DURATION_BUCKETS  # lazy: optional layer
 

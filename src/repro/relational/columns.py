@@ -11,6 +11,11 @@ and exact refinement still runs on them one pair at a time.
 The buffers are plain :mod:`array` objects, so building and reading them
 needs no third-party import; numpy views them without copying
 (``numpy.frombuffer``) where a consumer wants vectorised arithmetic.
+
+:func:`column_snapshot` is how those consumers get one: a relation's
+column is extracted once per epoch and retained in the relation's
+epoch-scoped memo (DESIGN.md, "Epochs and derived state"); whoever asks
+first reads the pages, everyone after that reads the arrays.
 """
 
 from __future__ import annotations
@@ -36,6 +41,11 @@ class Columns:
     boxes: array = field(default_factory=lambda: array("d"))
     ids: array = field(default_factory=lambda: array("i"))
     geoms: list[Any] = field(default_factory=list)
+    #: Union of the rows' MBRs, set by :func:`extract_columns` (whose
+    #: rows are final: a retained snapshot is read-only); ``None`` for an
+    #: empty column and for one assembled row by row, like a shard
+    #: worker's table -- the only kind ever appended to or removed from.
+    bounds: Rect | None = None
 
     def __len__(self) -> int:
         return len(self.geoms)
@@ -95,18 +105,48 @@ def extract_columns(
             boxes.extend((mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax))
             ids.extend((pid, slot))
             geoms.append(geom)
+    columns.bounds = _bounds(boxes)
     return columns
+
+
+def column_snapshot(
+    relation: Relation, column: str, pool: BufferPool | None = None
+) -> Columns:
+    """``relation.column`` at the current epoch, extracted at most once
+    per epoch and read-only to everyone it is handed to.
+
+    The caller that builds it reads every page through ``pool`` (default:
+    the relation's own), exactly as its own extraction would have; a
+    caller that finds it built charges the ``relation.num_pages`` page
+    accesses it was spared to ``pool``'s meter as buffer hits.  The
+    arrays live outside the ``M``-page budget, like an attached index's
+    nodes.
+    """
+    if pool is None:
+        pool = relation.buffer_pool
+    built = False
+
+    def build() -> Columns:
+        nonlocal built
+        built = True
+        return extract_columns(relation, column, pool)
+
+    columns = relation.derive(("columns", column), build)
+    if not built:
+        pool.meter.record_hit(relation.num_pages)
+    return columns
+
+
+def _bounds(boxes: array) -> Rect | None:
+    if not boxes:
+        return None
+    return Rect(min(boxes[0::4]), min(boxes[1::4]), max(boxes[2::4]), max(boxes[3::4]))
 
 
 def data_universe(*columns: Columns) -> Rect:
     """Union of every MBR in ``columns``, grown to positive area; the
     unit square when there is no row at all."""
-    filled = [c.boxes for c in columns if c.boxes]
-    if not filled:
+    bounds = [c.bounds or _bounds(c.boxes) for c in columns if c.boxes]
+    if not bounds:
         return Rect(0.0, 0.0, 1.0, 1.0)
-    return Rect(
-        min(min(b[0::4]) for b in filled),
-        min(min(b[1::4]) for b in filled),
-        max(max(b[2::4]) for b in filled),
-        max(max(b[3::4]) for b in filled),
-    ).with_positive_extent()
+    return Rect.union_of(bounds).with_positive_extent()

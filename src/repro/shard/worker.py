@@ -223,7 +223,7 @@ class ShardWorkerState:
                     s, np.argsort(s.box_array()[:, 0]),
                 )
             with tracer.span("shard.join.sweep", meter=meter) as sweep:
-                rows = sweep_task(self.shard_map, task, theta, meter, refiner)
+                rows = sweep_task(self.shard_map, [task], theta, meter, refiner)
                 sweep.set_tag("pairs", len(rows))
             span.set_tag("pairs", len(rows))
         return self._reply({"pairs": rows}, meter, tracer)

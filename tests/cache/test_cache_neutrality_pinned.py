@@ -46,8 +46,12 @@ PINNED = {
 }
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def workload():
+    """A pair nothing has read yet, per test: a partition join that finds
+    its operands' column snapshots retained (DESIGN.md, "Epochs and
+    derived state") charges buffer hits where the pinned cold run charges
+    page reads, so no case may inherit relations from another."""
     ir_r = build_indexed_relation(120, seed=11, max_extent=40.0)
     ir_s = build_indexed_relation(100, seed=12, max_extent=40.0)
     return ir_r, ir_s

@@ -67,8 +67,12 @@ class TestAdmitAfterFallback:
         rel_r, rel_s, _ = faulted_pair(read_outages={0: 8})
         cache = QueryCache()
         executor = SpatialQueryExecutor(cache=cache)
+        # Planned on a twin pair: planning the faulted one would retain
+        # its column snapshots, and a partition attempt that finds them
+        # never reads page 0 -- so never dies and never falls back.
+        twin_r, twin_s, _ = faulted_pair()
         plan = plan_join(
-            rel_r, "shape", rel_s, "shape", Overlaps(),
+            twin_r, "shape", twin_s, "shape", Overlaps(),
             memory_pages=executor.memory_pages, workers=executor.workers,
         )
         _, report = executor.execute_join(

@@ -51,13 +51,16 @@ class TestCleanPath:
             assert report.fault_summary == {}
 
     def test_result_identical_to_plain_join(self, clean_reference):
-        rel_r, rel_s = build_pair(SimulatedDisk())
         executor = SpatialQueryExecutor()
+        # A pair each: the second partition join of one pair would find
+        # its column snapshots retained and charge hits, not reads.
+        rel_r, rel_s = build_pair(SimulatedDisk())
         plain_meter = CostMeter()
         plain = executor.join(
             rel_r, "shape", rel_s, "shape", Overlaps(),
             strategy="partition", meter=plain_meter,
         )
+        rel_r, rel_s = build_pair(SimulatedDisk())
         exec_meter = CostMeter()
         resilient, _ = executor.execute_join(
             rel_r, "shape", rel_s, "shape", Overlaps(),

@@ -8,6 +8,11 @@ selects must end without numpy in ``sys.modules``; one that runs a
 partition join must end with it (the test would otherwise pass vacuously
 were numpy missing altogether).
 
+The retained column snapshots are plain ``array`` buffers, so the
+planner, the z-order universe and the interval tier build and read them
+without numpy too -- and a server that only selects and inserts never
+builds one at all.
+
 The same holds for a shard fleet: a worker holds its tables as
 ``Columns`` and serves a select with a scalar pass over the boxes; only
 its join imports numpy.  And because process parallelism lives in one
@@ -52,13 +57,51 @@ r, s = rels
 
 executor = SpatialQueryExecutor(memory_pages=200, interval=True)
 assert len(executor.select(r, "shape", Rect(5, 5, 9, 9), Overlaps())) > 0
+assert r.derived(("columns", "shape")) is None, "a select built a column snapshot"
 plan_join(r, "shape", s, "shape", Overlaps(), interval=True)
+assert len(r.derived(("columns", "shape"))) == len(s.derived(("columns", "shape"))) == 40
 pairs = executor.join(r, "shape", s, "shape", Overlaps(), strategy="zorder").pairs
+assert len(executor.select(s, "shape", Rect(5, 5, 9, 9), Overlaps())) > 0
 assert "numpy" not in sys.modules, "numpy was imported without a partition join"
 
 joined = executor.join(r, "shape", s, "shape", Overlaps(), strategy="partition")
 assert sorted(joined.pairs) == sorted(pairs)
 assert "numpy" in sys.modules
+print("ok")
+"""
+
+
+SERVER_SCRIPT = """
+import sys
+
+from repro import Overlaps, Rect
+from repro.relational import Column, ColumnType, Relation, Schema
+from repro.server import QueryService, StateManager
+from repro.storage import BufferPool, CostMeter, SimulatedDisk
+from repro.trees.rtree import RTree
+
+schema = Schema([Column("oid", ColumnType.INT), Column("shape", ColumnType.RECT)])
+pool = BufferPool(SimulatedDisk(), 200, CostMeter())
+service = QueryService(StateManager())
+rels = []
+for name, indexed in (("r", True), ("s", False)):
+    rel = Relation(name, schema, pool)
+    for i in range(40):
+        rel.insert([i, Rect(i, i, i + 3.0, i + 2.0)])
+    if indexed:
+        rel.attach_index("shape", RTree(max_entries=6))
+    service.state.register(rel)
+    rels.append(rel)
+
+with service.open_session() as session:
+    for round in range(3):
+        for name in ("r", "s"):
+            result, _epoch = session.select(name, "shape", Rect(5, 5, 9, 9), Overlaps())
+            assert len(result) > 0
+            session.insert(name, [100 + round, Rect(6, 6, 7, 7)])
+for rel in rels:
+    assert rel.derived(("columns", "shape")) is None, "a served select built a snapshot"
+assert "numpy" not in sys.modules, "numpy was imported by a server that never joined"
 print("ok")
 """
 
@@ -110,6 +153,10 @@ def test_numpy_is_imported_by_the_partition_join_only():
     run_script(SCRIPT)
 
 
+def test_a_server_that_selects_and_inserts_builds_no_column_snapshot():
+    run_script(SERVER_SCRIPT)
+
+
 def test_a_sharded_select_leaves_numpy_out():
     run_script(FLEET_SCRIPT)
 
@@ -136,6 +183,22 @@ def test_multiprocessing_is_imported_by_the_shard_runtime_only():
 
 def test_weak_references_to_relations_are_held_by_epoch_pins_only():
     assert importers_of("weakref") == {"relational/relation.py"}
+
+
+def test_a_column_is_extracted_in_one_module():
+    """Whole-column readers ask ``column_snapshot``; the row-by-row pass
+    behind it has no second caller that could keep a private copy."""
+    users = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (
+                [alias.name for alias in node.names]
+                if isinstance(node, ast.ImportFrom)
+                else [getattr(node, "id", None), getattr(node, "attr", None)]
+            )
+            if "extract_columns" in named:
+                users.add(path.relative_to(SRC / "repro").as_posix())
+    assert users == {"relational/columns.py"}
 
 
 def test_the_executor_holds_no_lock():

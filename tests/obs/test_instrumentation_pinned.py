@@ -38,11 +38,19 @@ PINNED = {
 }
 
 
-@pytest.fixture(scope="module")
-def workload():
+def fresh_workload():
+    """A pair nothing has read yet: a partition join that finds its
+    operands' column snapshots retained (DESIGN.md, "Epochs and derived
+    state") charges buffer hits where the pinned cold run charges page
+    reads, so every pinned run builds its own relations."""
     ir_r = build_indexed_relation(120, seed=11, max_extent=40.0)
     ir_s = build_indexed_relation(100, seed=12, max_extent=40.0)
     return ir_r, ir_s
+
+
+@pytest.fixture
+def workload():
+    return fresh_workload()
 
 
 def _run(label, workload, executor):
@@ -94,11 +102,31 @@ def test_enabled_tracer_does_not_perturb_meter(label, workload):
     traced = SpatialQueryExecutor(
         memory_pages=4000, tracer=Tracer(), metrics=MetricsRegistry()
     )
-    matches_traced, meter_traced = _run(label, workload, traced)
+    matches_traced, meter_traced = _run(label, fresh_workload(), traced)
 
     assert matches_traced == matches_plain
     # Every counter, not just the pinned five: observation is free.
     assert meter_traced.snapshot() == meter_plain.snapshot(), label
+
+
+def test_a_warm_partition_join_charges_hits_for_the_pages_it_was_spared(workload):
+    """The second partition join of an unchanged pair finds both column
+    snapshots: same answer, same Theta and theta work, no page read, one
+    buffer hit per page the snapshots stood in for -- and so a total
+    lower by exactly those pages' I/O price."""
+    ir_r, ir_s = workload
+    executor = SpatialQueryExecutor(memory_pages=4000)
+    matches_cold, cold = _run("join:partition", workload, executor)
+    matches_warm, warm = _run("join:partition", workload, executor)
+    assert _signature(matches_cold, cold) == PINNED["join:partition"]
+    assert _signature(matches_warm, warm) == (25, 0, 0, 232, 25)
+    pages = ir_r.relation.num_pages + ir_s.relation.num_pages
+    assert (cold.page_reads, cold.buffer_hits) == (pages, 0)
+    assert (warm.page_reads, warm.buffer_hits) == (0, pages)
+    assert cold.total() - warm.total() == pages * warm.charges.c_io
+    for name in COUNTER_FIELDS:
+        if name not in ("page_reads", "buffer_hits"):
+            assert getattr(warm, name) == getattr(cold, name), name
 
 
 def test_executor_trace_conserves_cost(workload):

@@ -19,7 +19,7 @@ from repro.parallel.partitioner import (
     partition_pair,
     reference_point,
 )
-from repro.parallel.plane_sweep import sweep_task
+from repro.parallel.plane_sweep import sweep_task, task_groups
 from repro.parallel.pool import record_pairs
 from repro.predicates.theta import ThetaOperator
 from repro.shard.keyspace import ShardMap
@@ -124,11 +124,12 @@ def tids(ids) -> list[RecordId]:
 
 
 def columnar_sweep(entries_r, entries_s, grid: GridSpec, theta, refiner=None):
-    """``(pairs in tile order, meter)`` of ``partition_pair`` + ``sweep_task``."""
+    """``(pairs as swept, meter)`` of ``partition_pair`` + ``sweep_task``,
+    a group of tiles at a time and with no sort or dedup behind it."""
     meter = CostMeter()
     pairs = []
-    for task in partition_pair(entries_r, entries_s, grid):
-        rows = sweep_task(grid, task, theta, meter, refiner)
+    for group in task_groups(partition_pair(entries_r, entries_s, grid)):
+        rows = sweep_task(grid, group, theta, meter, refiner)
         pairs += zip(tids(rows[:, :2]), tids(rows[:, 2:]))
     return pairs, meter
 

@@ -1,12 +1,14 @@
 """Differential tests: the columnar partition pipeline vs the scalar one.
 
 The columnar pipeline (``partition_pair`` on arrays, ``sweep_task`` per
-tile, integer result rows) replaced a per-object pipeline that now lives
-in :mod:`tests.parallel.reference`.  Both must return the same pair list
-*and* charge the same Theta-filter, exact and interval counters -- the
-vectorised forward scan counts ``|{r.xmin <= s.xmin <= r.xmax}| +
-|{s.xmin < r.xmin <= s.xmax}|`` per tile, which is what the merge loop
-charges one candidate at a time.
+group of tiles, integer result rows) replaced a per-object pipeline that
+now lives in :mod:`tests.parallel.reference`.  Both must return the same
+pair list *and* charge the same Theta-filter, exact and interval
+counters -- the vectorised forward scan counts ``|{r.xmin <= s.xmin <=
+r.xmax}| + |{s.xmin < r.xmin <= s.xmax}|`` per tile, which is what the
+merge loop charges one candidate at a time -- wherever the group
+boundaries fall: ``BLOCK`` is patched so that every tile is its own
+group, so that a few tiles share one, and so that all do.
 
 The same kernel runs under a second keyspace: a shard worker sweeps its
 replicas with the :class:`ShardMap` answering ``owners``.  The real
@@ -32,11 +34,17 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 from repro.intermediate import IntervalFilter, IntervalSpec
 from repro.parallel import plane_sweep
-from repro.parallel.partitioner import GridSpec, as_columns, partition_pair, scatter
-from repro.parallel.pool import run_partitions
+from repro.parallel.partitioner import (
+    GridSpec,
+    PartitionTask,
+    as_columns,
+    partition_pair,
+    scatter,
+)
+from repro.parallel.pool import record_pairs, run_partitions
 from repro.predicates.theta import Overlaps
 from repro.shard.keyspace import ShardMap
-from repro.storage.costs import COUNTER_FIELDS
+from repro.storage.costs import COUNTER_FIELDS, CostMeter
 from repro.storage.record import RecordId
 
 from tests.parallel.reference import (
@@ -64,19 +72,23 @@ extent = st.one_of(
 )
 
 
+def diamond(box: Rect) -> Polygon:
+    """The polygon through ``box``'s side midpoints: same MBR, half the
+    area, so MBR candidates exist that exact refinement rejects."""
+    cx, cy = (box.xmin + box.xmax) / 2, (box.ymin + box.ymax) / 2
+    return Polygon([
+        Point(box.xmin, cy), Point(cx, box.ymin),
+        Point(box.xmax, cy), Point(cx, box.ymax),
+    ])
+
+
 @st.composite
 def geometries(draw, polygons: bool):
     x, y, w, h = draw(coordinate), draw(coordinate), draw(extent), draw(extent)
     box = Rect(x, y, x + w, y + h)
+    # Not for sliver boxes: a denormal-sized polygon has no centroid.
     if polygons and min(box.width, box.height) > 1e-3 and draw(st.booleans()):
-        # A diamond through the side midpoints: same MBR, half the area,
-        # so MBR candidates exist that exact refinement rejects.  (Not
-        # for sliver boxes: a denormal-sized polygon has no centroid.)
-        cx, cy = (box.xmin + box.xmax) / 2, (box.ymin + box.ymax) / 2
-        return Polygon([
-            Point(box.xmin, cy), Point(cx, box.ymin),
-            Point(box.xmax, cy), Point(cx, box.ymax),
-        ])
+        return diamond(box)
     return box
 
 
@@ -117,13 +129,19 @@ def counters(meter) -> dict:
     return {name: getattr(meter, name) for name in COUNTER_FIELDS}
 
 
+#: ``BLOCK`` values that make every tile a group, a few tiles a group
+#: (a tile of these inputs bounds at most 900 candidates) and all one.
+group_bounds = st.sampled_from([1, 300, plane_sweep.BLOCK])
+
+
 @pytest.mark.parametrize("polygons", [False, True], ids=["rects", "polygons"])
-@given(data=st.data(), grid=grids)
+@given(data=st.data(), grid=grids, block=group_bounds)
 @settings(max_examples=80, deadline=None)
-def test_pairs_and_counters_match_the_scalar_pipeline(polygons, data, grid):
+def test_pairs_and_counters_match_the_scalar_pipeline(polygons, data, grid, block):
     entries_r, entries_s = (data.draw(s) for s in entry_lists(polygons))
     expected_pairs, expected_meter = scalar_join(entries_r, entries_s, grid, Overlaps())
-    pairs, meter, _ = columnar_join(entries_r, entries_s, grid)
+    with mock.patch.object(plane_sweep, "BLOCK", block):
+        pairs, meter, _ = columnar_join(entries_r, entries_s, grid)
     assert pairs == expected_pairs
     assert counters(meter) == counters(expected_meter)
 
@@ -224,7 +242,11 @@ def test_owner_cells_is_owner_cell_elementwise(xs, ys, grid):
 # ----------------------------------------------------------------------
 
 
-def fixed_workload():
+def fixed_workload(polygons=False):
+    """160 x 140 boxes whose ``xmin`` is one of 61 lattice values (so
+    most are shared, and a quarter sit on a seam of the 4 x 4 grid) and
+    whose width is 0 or a seam-to-seam distance; with ``polygons`` every
+    other box with area is a diamond inscribed in it."""
     import random
 
     rng = random.Random(15)
@@ -234,10 +256,87 @@ def fixed_workload():
         for i in range(count):
             x, y = rng.choice(LATTICE), rng.uniform(-5, 95)
             g = Rect(x, y, x + rng.choice([0.0, 6.25, 12.5, 9.0]), y + rng.uniform(0, 14))
-            out.append((RecordId(page + i // 9, i % 9), g, g))
+            if polygons and i % 2 and g.width > 0:
+                g = diamond(g)
+            out.append((RecordId(page + i // 9, i % 9), g.mbr(), g))
         return out
 
     return entries(1, 160), entries(60, 140), GridSpec(UNIVERSE, 4, 4)
+
+
+def shard_tasks(entries_r, entries_s, shard_map):
+    """One task per shard over two shared ``Columns``: the shard's
+    replicas as row numbers in ``xmin`` order -- what a fleet's workers
+    each sweep alone, here as partitions of one group."""
+    columns = as_columns(entries_r), as_columns(entries_s)
+
+    def rows(entries, boxes, shard):
+        members = np.array(
+            [i for i, e in enumerate(entries)
+             if shard in shard_map.covering_shards(e[1])],
+            dtype=np.int64,
+        )
+        return members[np.argsort(boxes[members, 0], kind="stable")]
+
+    return [
+        PartitionTask(
+            shard,
+            columns[0], rows(entries_r, columns[0].box_array(), shard),
+            columns[1], rows(entries_s, columns[1].box_array(), shard),
+        )
+        for shard in range(shard_map.n_shards)
+    ]
+
+
+#: ``BLOCK`` per keyspace -> how the fixed workload's 16 tiles (bounding
+#: 42-368 candidates each) or 5 shards (558-2,072 each) group.
+GROUPINGS = {
+    "tile-per-group": {"grid": 1, "shards": 1},
+    "several-groups": {"grid": 700, "shards": 3000},
+    "one-group": {"grid": plane_sweep.BLOCK, "shards": plane_sweep.BLOCK},
+}
+
+
+@pytest.mark.parametrize("grouping", GROUPINGS)
+@pytest.mark.parametrize("level", [None, 3, 6], ids=["exact", "interval-3", "interval-6"])
+@pytest.mark.parametrize("polygons", [False, True], ids=["rects", "polygons"])
+@pytest.mark.parametrize("keyspace", ["grid", "shards"])
+def test_group_boundaries_change_neither_pairs_nor_counters(
+    keyspace, polygons, level, grouping, monkeypatch
+):
+    entries_r, entries_s, grid = fixed_workload(polygons)
+    theta = Overlaps()
+    spec = None if level is None else IntervalSpec(universe=UNIVERSE, level=level)
+    refiner = None if spec is None else IntervalFilter(theta, spec)
+    if keyspace == "grid":
+        partitioning = grid
+        tasks = partition_pair(entries_r, entries_s, grid)
+        expected_pairs, expected_meter = scalar_join(
+            entries_r, entries_s, grid, theta,
+            None if spec is None else IntervalFilter(theta, spec),
+        )
+    else:
+        partitioning = ShardMap.split_uniform(UNIVERSE, 5)
+        tasks = shard_tasks(entries_r, entries_s, partitioning)
+        expected_pairs, expected_meter = scalar_shard_join(
+            entries_r, entries_s, partitioning, theta, spec
+        )
+    monkeypatch.setattr(plane_sweep, "BLOCK", GROUPINGS[grouping][keyspace])
+    groups = list(plane_sweep.task_groups(tasks))
+    assert [t.key for g in groups for t in g] == [t.key for t in tasks]
+    assert {
+        "tile-per-group": len(groups) == len(tasks),
+        "several-groups": 3 <= len(groups) < len(tasks),
+        "one-group": len(groups) == 1,
+    }[grouping]
+    meter = CostMeter()
+    pairs = record_pairs([
+        plane_sweep.sweep_task(partitioning, group, theta, meter, refiner)
+        for group in groups
+    ])
+    assert pairs == expected_pairs and len(pairs) > 100
+    assert counters(meter) == counters(expected_meter)
+    assert meter.theta_filter_evals > meter.theta_exact_evals + meter.interval_probes > 0
 
 
 def test_two_workers_equal_one_worker():

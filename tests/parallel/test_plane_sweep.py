@@ -1,4 +1,4 @@
-"""Tests for the per-tile forward plane-sweep kernel."""
+"""Tests for the forward plane-sweep kernel."""
 
 import random
 

@@ -2,11 +2,12 @@
 
 Crash recovery for partitioned joins is the shard supervisor's (see
 ``tests/shard``); what is left to check here is that ``run_partitions``
-says how it ran and stops at a tile boundary when its token fires.
+says how it ran and stops at a group boundary when its token fires.
 """
 
 import pytest
 
+from repro.parallel import plane_sweep
 from repro.parallel.join import partition_join
 from repro.parallel.partitioner import GridSpec, partition_pair
 from repro.parallel.pool import PoolReport, run_partitions
@@ -47,9 +48,10 @@ class TestPartitionJoinIntegration:
 
 
 class TestTileCancellation:
-    """The token is checked before every tile (regression: one worker
-    used to mean one chunk, so a deadline was looked at once before the
-    whole sweep)."""
+    """The token is checked before every group of tiles (regression: one
+    worker used to mean one chunk, so a deadline was looked at once
+    before the whole sweep).  A group cannot hold more than ``BLOCK``
+    candidates, so that is how far a sweep walks between checks."""
 
     def _expiring_token(self):
         """Deterministic token: alive on its first check, expired on the
@@ -65,27 +67,31 @@ class TestTileCancellation:
 
         return CancellationToken(deadline=2.0, clock=clock)
 
-    def test_expired_token_stops_at_the_next_tile(self, monkeypatch):
+    def test_expired_token_stops_at_the_next_group(self, monkeypatch):
         from repro.errors import QueryCancelled
 
         import repro.parallel.pool as pool_mod
 
         tasks, spec = build_tasks()
-        assert len(tasks) > 2
+        # Tiles of this workload bound ~50 candidates each: a few a group.
+        monkeypatch.setattr(plane_sweep, "BLOCK", 128)
+        groups = list(plane_sweep.task_groups(tasks))
+        assert len(groups) > 2 and len(groups[0]) > 1
+        assert [t.key for g in groups for t in g] == [t.key for t in tasks]
         swept = []
         real_sweep = pool_mod.sweep_task
 
-        def counting_sweep(grid, task, *args):
-            swept.append(task.key)
-            return real_sweep(grid, task, *args)
+        def counting_sweep(grid, group, *args):
+            swept.append([task.key for task in group])
+            return real_sweep(grid, group, *args)
 
         monkeypatch.setattr(pool_mod, "sweep_task", counting_sweep)
         token = self._expiring_token()
         with pytest.raises(QueryCancelled):
             run_partitions(tasks, spec, Overlaps(), cancel=token)
-        # The first tile ran; the check before the second one fired, and
+        # The first group ran; the check before the second one fired, and
         # the raise leaves the caller with no (partial) pair list.
-        assert swept == [tasks[0].key]
+        assert swept == [[task.key for task in groups[0]]]
         assert token.cancelled
 
     def test_live_token_lets_the_sweep_complete(self):

@@ -2,9 +2,10 @@
 
 "State derived from a relation's contents is good until the contents
 move" is stated once, in ``repro.relational.relation``; the join-index
-registry, the interval tables, the query cache and the server's snapshot
-reads all sit on it.  The defect tests here each fail on the tree where
-those four kept their own copy of the rule.
+registry, the interval tables, the retained column snapshots, the query
+cache and the server's snapshot reads all sit on it.  The defect tests
+here each fail on the tree where the first four kept their own copy of
+the rule.
 """
 
 from __future__ import annotations
@@ -25,15 +26,28 @@ from hypothesis.stateful import (
     rule,
 )
 
+import repro.relational.columns as columns_mod
 from repro.cache import QueryCache
 from repro.core.executor import SpatialQueryExecutor
+from repro.core.optimizer import plan_join
+from repro.costmodel.estimation import (
+    estimate_interval_resolution,
+    estimate_join_selectivity,
+)
 from repro.errors import RelationError
+from repro.faults import FaultPlan, FaultyDisk
 from repro.geometry.rect import Rect
 from repro.intermediate import IntervalSpec
 from repro.predicates.theta import Overlaps
-from repro.relational.relation import EpochPin
+from repro.relational.columns import column_snapshot
+from repro.relational.relation import EpochPin, Relation
+from repro.storage.buffer import BufferPool
+from repro.storage.costs import CostMeter
+from repro.storage.disk import SimulatedDisk
+from repro.wal import WriteAheadLog, recover
+from repro.workloads.assembly import build_indexed_relation
 
-from tests.join.conftest import kept_values, make_rect_relation
+from tests.join.conftest import RECT_SCHEMA, kept_values, make_rect_relation
 
 SPEC = IntervalSpec(universe=Rect(0.0, 0.0, 120.0, 120.0), level=4)
 
@@ -323,9 +337,201 @@ def test_interval_joins_across_epochs_leave_only_current_tables():
     )
     assert not any(isinstance(v, dict) for v in vars(executor).values())
     for rel in (rel_r, rel_s):
-        (key,) = kept_values(rel)  # one table, at the current epoch
+        kept = kept_values(rel)
+        # One table, at the current epoch, beside the column it was built off.
+        (key,) = kept.keys() - {("columns", "shape")}
         assert key[0] == "intervals"
-        assert len(kept_values(rel)[key]) == len(rel)
+        assert len(kept[key]) == len(kept["columns", "shape"]) == len(rel)
+
+
+# ----------------------------------------------------------------------
+# The retained column snapshot
+# ----------------------------------------------------------------------
+
+SNAPSHOT = ("columns", "shape")
+
+
+def partition(rel_r, rel_s, **options):
+    meter = CostMeter()
+    result = SpatialQueryExecutor().join(
+        rel_r, "shape", rel_s, "shape", Overlaps(),
+        strategy="partition", meter=meter, **options,
+    )
+    return result.pairs, meter
+
+
+def oracle(rel_r, rel_s):
+    scan = SpatialQueryExecutor().join(
+        rel_r, "shape", rel_s, "shape", Overlaps(), strategy="scan"
+    )
+    return sorted(scan.pairs)
+
+
+def io(meter):
+    return meter.page_reads, meter.buffer_hits
+
+
+MOVES = {
+    "insert": lambda rel: rel.insert([999, Rect(5.0, 5.0, 60.0, 60.0)]),
+    "delete": lambda rel: rel.delete(next(iter(rel.scan())).tid),
+    "recluster": lambda rel: rel.recluster([t.tid for t in rel.scan()][::-1]),
+    "bump_epoch": lambda rel: rel.bump_epoch(),
+}
+
+
+@pytest.mark.parametrize("move", sorted(MOVES))
+def test_a_moved_operand_is_read_again_and_an_unmoved_one_is_not(move):
+    rel_r = make_rect_relation("r", 60, seed=1)
+    rel_s = make_rect_relation("s", 50, seed=2)
+    pages = rel_r.num_pages + rel_s.num_pages
+    pairs, cold = partition(rel_r, rel_s)
+    assert pairs == oracle(rel_r, rel_s) and io(cold) == (pages, 0)
+    stale = rel_r.derived(SNAPSHOT)
+    pairs, warm = partition(rel_r, rel_s)
+    assert pairs == oracle(rel_r, rel_s) and io(warm) == (0, pages)
+    MOVES[move](rel_r)
+    pairs, meter = partition(rel_r, rel_s)
+    assert pairs == oracle(rel_r, rel_s)
+    assert io(meter) == (rel_r.num_pages, rel_s.num_pages)
+    assert rel_r.derived(SNAPSHOT) is not stale
+    assert len(rel_r.derived(SNAPSHOT)) == len(rel_r)
+
+
+def test_recovered_relations_are_read_again():
+    """Recovery rebuilds relations as new objects on a new disk: nothing
+    retained before the crash is reachable from them."""
+    disk = SimulatedDisk()
+    meter = CostMeter()
+    pool = BufferPool(disk, 4000, meter)
+    pool.wal = wal = WriteAheadLog(disk, meter)
+    before = {}
+    for name, seed in (("r", 1), ("s", 2)):
+        before[name] = Relation(name, RECT_SCHEMA, pool, wal=wal)
+        donor = make_rect_relation(name, 40, seed=seed)
+        before[name].insert_all(t.values for t in donor.scan())
+    partition(before["r"], before["s"])
+    assert before["r"].derived(SNAPSHOT) is not None
+    before["r"].insert([999, Rect(5.0, 5.0, 60.0, 60.0)])  # logged, then the crash
+    after, _report = recover(disk)
+    assert after["r"].derived(SNAPSHOT) is None
+    pairs, cold = partition(after["r"], after["s"])
+    assert pairs == oracle(after["r"], after["s"])
+    assert len(after["r"].derived(SNAPSHOT)) == 41
+    assert io(cold) == (after["r"].num_pages + after["s"].num_pages, 0)
+
+
+def test_a_writer_inside_the_snapshot_build_gets_its_rows_and_leaves_nothing(
+    monkeypatch,
+):
+    rel = make_rect_relation("r", 30, seed=1)
+    real = columns_mod.extract_columns
+
+    def torn(relation, column, pool):
+        columns = real(relation, column, pool)
+        relation.insert([999, Rect(1, 1, 2, 2)])  # the relation moves mid-build
+        return columns
+
+    monkeypatch.setattr(columns_mod, "extract_columns", torn)
+    assert len(column_snapshot(rel, "shape")) == 30
+    assert rel.derived(SNAPSHOT) is None and kept_values(rel) == {}
+
+
+def test_planning_and_joining_one_pair_from_two_threads_builds_once(monkeypatch):
+    rel_r = make_rect_relation("r", 40, seed=1)
+    rel_s = make_rect_relation("s", 40, seed=2)
+    building, asking = threading.Event(), threading.Event()
+    real = columns_mod.extract_columns
+    built = []
+
+    def extract(relation, column, pool):
+        built.append(relation.name)
+        building.set()
+        assert asking.wait(30)  # the joiner is at the door
+        return real(relation, column, pool)
+
+    monkeypatch.setattr(columns_mod, "extract_columns", extract)
+    got = {}
+
+    def planner():
+        got["plan"] = plan_join(rel_r, "shape", rel_s, "shape", Overlaps())
+
+    def joiner():
+        asking.set()
+        got["join"] = partition(rel_r, rel_s)
+
+    threads = [threading.Thread(target=planner)]
+    threads[0].start()
+    assert building.wait(30)  # the planner is inside r's build
+    threads.append(threading.Thread(target=joiner))
+    threads[1].start()
+    for t in threads:
+        t.join(30)
+        assert not t.is_alive()
+    assert sorted(built) == ["r", "s"]
+    pairs, meter = got["join"]
+    assert pairs == oracle(rel_r, rel_s)
+    # The join read, at most, the operand the planner had not reached.
+    assert meter.page_reads + meter.buffer_hits == rel_r.num_pages + rel_s.num_pages
+    assert meter.buffer_hits >= rel_r.num_pages
+
+
+def test_a_build_that_dies_on_storage_keeps_nothing_and_the_chain_falls_back():
+    # An 8-access outage on r's first page outlasts the pool's retry
+    # budget: the partition attempt dies inside the snapshot build.
+    plan = FaultPlan(seed=1, read_outages={})
+    disk = FaultyDisk(plan)
+    rel_r = build_indexed_relation(60, seed=1, disk=disk, name="r").relation
+    rel_s = build_indexed_relation(60, seed=2, disk=disk, name="s").relation
+    plan.read_outages[rel_r.page_ids[0]] = 8
+    result, report = SpatialQueryExecutor().execute_join(
+        rel_r, "shape", rel_s, "shape", Overlaps(), strategy="partition"
+    )
+    assert [(a.strategy, a.ok) for a in report.attempts] == [
+        ("partition", False), ("tree", True),
+    ]
+    assert report.attempts[0].error_type == "TransientStorageError"
+    assert kept_values(rel_r) == {} and kept_values(rel_s) == {}
+    assert sorted(result.pairs) == oracle(rel_r, rel_s)
+    # The outage is spent: the next partition join builds, and reads.
+    pairs, meter = partition(rel_r, rel_s)
+    assert pairs == oracle(rel_r, rel_s)
+    assert io(meter) == (rel_r.num_pages + rel_s.num_pages, 0)
+
+
+def test_consumers_leave_a_retained_snapshot_byte_identical():
+    """The snapshot is shared, so it is read-only: nothing that joins,
+    plans or estimates off it -- and no shard worker, whose own tables
+    are the only ``Columns`` ever appended to -- may write to it."""
+    from repro.shard import ShardRuntime
+
+    rel_r = make_rect_relation("r", 80, seed=1)
+    rel_s = make_rect_relation("s", 70, seed=2)
+    partition(rel_r, rel_s)
+    kept = {rel.name: rel.derived(SNAPSHOT) for rel in (rel_r, rel_s)}
+    image = {
+        name: (bytes(c.boxes), bytes(c.ids), list(c.geoms), c.bounds)
+        for name, c in kept.items()
+    }
+    executor = SpatialQueryExecutor()
+    join = (rel_r, "shape", rel_s, "shape", Overlaps())
+    for interval in (False, True, SPEC):
+        partition(rel_r, rel_s, interval=interval, workers=2)
+        executor.join(*join, strategy="zorder", interval=interval)
+        executor.plan_and_execute_join(*join, interval=interval)
+    estimate_join_selectivity(*join, sample_pairs=50)
+    estimate_interval_resolution(*join[:4], SPEC, sample_pairs=50)
+    with ShardRuntime(Rect(0.0, 0.0, 120.0, 120.0), 2) as fleet:
+        fleet.load_relation(rel_r, "shape")
+        fleet.load_relation(rel_s, "shape")
+        fleet.delete("r", fleet.insert("r", [999, Rect(1, 1, 2, 2)]))
+        fleet.insert("s", [999, Rect(1, 1, 2, 2)])
+        fleet.router.join("r", "s", Overlaps())
+    for rel in (rel_r, rel_s):
+        columns = rel.derived(SNAPSHOT)
+        assert columns is kept[rel.name]
+        assert (
+            bytes(columns.boxes), bytes(columns.ids), columns.geoms, columns.bounds
+        ) == image[rel.name]
 
 
 def test_dead_relations_leave_no_empty_groups_behind():
