@@ -190,11 +190,14 @@ def _boundary_segments(obj: SpatialObject) -> list:
     if isinstance(obj, PolyLine):
         return list(obj.segments())
     if isinstance(obj, Rect):
-        if obj.area() <= 0:
-            from repro.geometry.segment import Segment
+        from repro.geometry.segment import Segment
 
+        if obj.area() <= 0:
             lo = Point(obj.xmin, obj.ymin)
             hi = Point(obj.xmax, obj.ymax)
             return [Segment(lo, hi)]
-        return list(Polygon.from_rect(obj).edges())
+        # Straight from the corners: a rectangle this thin is still one,
+        # though its shoelace area may round to the zero a Polygon refuses.
+        corners = obj.corners()
+        return [Segment(a, b) for a, b in zip(corners, corners[1:] + corners[:1])]
     raise PredicateError(f"no boundary segments for {type(obj).__name__}")

@@ -196,8 +196,9 @@ def recover(
     the replayed state, so recovering the result again is a no-op.
 
     ``index_factories`` maps ``(relation, column)`` to a zero-argument
-    index constructor; logged ``attach-index`` records with no factory
-    are surfaced in ``report.pending_indexes`` instead of silently lost.
+    index constructor; an index named by a logged ``attach-index``
+    record or by the checkpoint that fused it, and with no factory, is
+    surfaced in ``report.pending_indexes`` instead of silently lost.
     Pass the originating :class:`~repro.faults.plan.FaultPlan` as
     ``plan`` to mark its crash event consumed by this recovery.
     """
@@ -248,6 +249,13 @@ def recover(
             relations[name] = rel
         return rel
 
+    def restore_index(name: str, column: str, index_type: str) -> None:
+        factory = factories.get((name, column))
+        if factory is not None:
+            relations[name].attach_index(column, factory(), backfill=True)
+        else:
+            report.pending_indexes.append((name, column, index_type))
+
     for name, meta in anchor.get("relations", {}).items():
         ensure_relation(
             name, meta["columns"], meta["record_size"], meta["utilization"]
@@ -267,6 +275,9 @@ def recover(
                 # The rebuilt heap preserves the clustered row order; the
                 # flag is restored so strategy selection stays correct.
                 rel._clustered = True
+            # The checkpoint fused the attach-index records away.
+            for column in snap.get("indexed_columns", []):
+                restore_index(name, column, "?")
 
     # Phase 2: replay the log tail in strict LSN order.
     repaired_pages: set[int] = set()
@@ -311,14 +322,7 @@ def recover(
                 for ol, nl in zip(order, new_logged)
             })
         elif kind == LogRecordKind.ATTACH_INDEX.value:
-            key = (p["relation"], p["column"])
-            factory = factories.get(key)
-            if factory is not None:
-                rel.attach_index(p["column"], factory(), backfill=True)
-            else:
-                report.pending_indexes.append(
-                    (p["relation"], p["column"], p.get("index_type", "?"))
-                )
+            restore_index(p["relation"], p["column"], p.get("index_type", "?"))
         else:  # pragma: no cover - unknown kinds are future extensions
             report.records_skipped += 1
             continue

@@ -61,19 +61,22 @@ class TestRelationRelease:
         assert cache.stats.invalidations >= 1
 
     def test_dead_entries_purged_lazily_on_next_probe(self):
-        executor, cache = cached_executor()
+        cache = QueryCache(admission_threshold=0.0)
+        executor = SpatialQueryExecutor(cache=cache)
         ir = build_indexed_relation(60, seed=3)
-        warm_select(executor, ir.relation)
         other = build_indexed_relation(30, seed=4)
+        window = Rect(0, 0, 50, 50)
+        warm_select(executor, ir.relation)
+        warm_select(executor, other.relation, window)
+        assert len(cache) == 2
         del ir
         gc.collect()
-        # No explicit sweep: the next probe (any probe) purges.
-        warm_select(executor, other.relation, Rect(0, 0, 50, 50))
-        keys_uids = {
-            entry.relation_ref()
-            for entry in cache.entries()
-        }
-        assert None not in keys_uids  # no dead referents survive a probe
+        # No sweep and no admission: an exact hit is the next probe, and
+        # the probe alone purges.
+        assert warm_select(executor, other.relation, window).strategy == "cached-exact"
+        live = other.relation.uid
+        assert [shape[1] for shape in cache._groups] == [live]
+        assert [key[1] for key in cache._entries] == [live]
 
     def test_join_entries_die_with_either_operand(self):
         executor, cache = cached_executor()

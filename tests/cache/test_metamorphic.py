@@ -1,143 +1,77 @@
-"""Metamorphic relations of the query cache.
+"""Metamorphic relations of the query cache, as corners of the lattice.
 
-Three transformation laws that need no ground truth, only consistency:
-
-* **window shrinkage** -- for a containment-eligible operator, a cached
-  window ``W`` must answer every ``W' subset-of W`` identically to a
-  fresh execution of ``W'`` (the Table 1 filter contract in action);
-* **predicate symmetry** -- for a symmetric operator, ``R join S``
-  followed by ``S join R`` must hit the shared entry and return the
-  mirrored pairs;
 * **translation invariance** -- rigidly translating the whole workload
   (data and queries) must reproduce the exact hit/miss/tier sequence
   against a fresh cache: cache behaviour depends on the *relative*
-  geometry only.
+  geometry only.  This law needs no ground truth, only consistency.
+* **window shrinkage** and **predicate symmetry** -- a window inside a
+  cached one, and ``S join R`` after ``R join S``, are served from the
+  cache.  :class:`~tests.test_lattice.Lattice` holds every answer to the
+  model; these corners only check that the tier they pin served.
 """
 
 import random
 
 import pytest
 
-from repro.cache import CachePolicy, QueryCache
-from repro.core.executor import SpatialQueryExecutor
 from repro.geometry.rect import Rect
 from repro.predicates.theta import Overlaps, WithinDistance
-from repro.relational.relation import Relation
-from repro.relational.schema import Column, ColumnType, Schema
-from repro.storage.buffer import BufferPool
-from repro.storage.costs import CostMeter
-from repro.storage.disk import SimulatedDisk
-from repro.trees.rtree import RTree
 
-SCHEMA = Schema([Column("oid", ColumnType.INT), Column("shape", ColumnType.RECT)])
+from tests.test_lattice import Config, Lattice, seeded_rects
 
 
-def build_relation(name: str, count: int, seed: int, dx: float = 0.0,
-                   dy: float = 0.0) -> Relation:
-    """A seeded indexed relation, optionally rigidly translated."""
-    pool = BufferPool(SimulatedDisk(), capacity=4000, meter=CostMeter())
-    rel = Relation(name, SCHEMA, pool)
-    rng = random.Random(seed)
-    for i in range(count):
-        x, y = rng.uniform(0, 900), rng.uniform(0, 900)
-        w, h = rng.uniform(1, 40), rng.uniform(1, 40)
-        rel.insert([i, Rect(x + dx, y + dy, x + w + dx, y + h + dy)])
-    rel.attach_index("shape", RTree(max_entries=8))
-    return rel
+def cached(seed: int, count: int, span: float, extent: float,
+           dx: float = 0.0, dy: float = 0.0) -> Lattice:
+    """A cached corner whose ``r`` holds ``count`` seeded rectangles in
+    ``[0, span]^2``, rigidly translated by ``(dx, dy)``; ``s`` every
+    other one of them."""
+    rects = seeded_rects(random.Random(seed), count, span, extent, dx, dy)
+    return Lattice(Config(cache=True), (rects, rects[::2]))
 
 
-def cached_executor() -> SpatialQueryExecutor:
-    return SpatialQueryExecutor(
-        memory_pages=4000,
-        cache=QueryCache(CachePolicy(admission_threshold=0.0)),
-    )
-
-
-def oids(result) -> list[int]:
-    return sorted(t["oid"] for _tid, t in result.matches)
-
-
-# ----------------------------------------------------------------------
-# Window shrinkage
-# ----------------------------------------------------------------------
-
-SHRINK_THETAS = [Overlaps(), WithinDistance(60.0)]
-
+#: The cached outer window, then windows inside it: a concentric
+#: shrink, one sharing its corner, a tiny interior one, itself again.
 WINDOWS = [
-    Rect(100.0, 100.0, 500.0, 500.0),      # the cached outer window W
-    Rect(150.0, 150.0, 450.0, 450.0),      # concentric shrink
-    Rect(100.0, 100.0, 300.0, 500.0),      # shares W's corner
-    Rect(340.0, 210.0, 360.0, 230.0),      # tiny interior window
-    Rect(100.0, 100.0, 500.0, 500.0),      # W itself (exact tier)
+    Rect(10.0, 10.0, 60.0, 60.0),
+    Rect(15.0, 15.0, 55.0, 55.0),
+    Rect(10.0, 10.0, 35.0, 60.0),
+    Rect(40.0, 25.0, 42.5, 27.5),
+    Rect(10.0, 10.0, 60.0, 60.0),
 ]
 
 
-@pytest.mark.parametrize("theta", SHRINK_THETAS, ids=lambda t: t.name)
+@pytest.mark.parametrize(
+    "theta", [Overlaps(), WithinDistance(60.0)], ids=lambda t: t.name
+)
 def test_window_shrinkage_equals_fresh_execution(theta):
-    rel = build_relation("r", 150, seed=3)
-    executor = cached_executor()
-    plain = SpatialQueryExecutor(memory_pages=4000)
-
-    outer = WINDOWS[0]
-    executor.select(rel, "shape", outer, theta, strategy="tree")
-    for window in WINDOWS[1:]:
-        assert outer.contains_rect(window)
-        served = executor.select(rel, "shape", window, theta, strategy="tree")
-        fresh = plain.select(rel, "shape", window, theta, strategy="tree")
-        assert served.strategy.startswith("cached-"), window
-        assert oids(served) == oids(fresh), (theta.name, window)
+    lattice = cached(3, 30, 95.0, 12.0)
+    for window in WINDOWS:
+        lattice.select("r", window, theta, "tree")
+    stats = lattice.cache.stats
+    assert (stats.misses, stats.containment_hits) == (1, 3), theta.name
 
 
 def test_shrinkage_chain_serves_from_best_fitting_window():
-    """Nested windows cached outermost-first: each shrink still agrees."""
-    rel = build_relation("r", 150, seed=4)
-    executor = cached_executor()
-    plain = SpatialQueryExecutor(memory_pages=4000)
-    windows = [
-        Rect(50.0, 50.0, 800.0, 800.0),
-        Rect(100.0, 100.0, 600.0, 600.0),
-        Rect(200.0, 200.0, 400.0, 400.0),
-    ]
-    for i, window in enumerate(windows):
-        served = executor.select(rel, "shape", window, Overlaps(),
-                                 strategy="tree")
-        fresh = plain.select(rel, "shape", window, Overlaps(), strategy="tree")
-        assert oids(served) == oids(fresh)
-        if i > 0:
-            assert served.strategy == "cached-containment"
+    """Nested windows cached outermost-first: each shrink is served."""
+    lattice = cached(4, 30, 95.0, 12.0)
+    windows = [Rect(5.0, 5.0, 95.0, 95.0), Rect(10.0, 10.0, 70.0, 70.0),
+               Rect(25.0, 25.0, 50.0, 50.0)]
+    tiers = [lattice.select("r", w, Overlaps(), "tree")[0].strategy for w in windows]
+    assert tiers[1:] == ["cached-containment"] * 2
 
-
-# ----------------------------------------------------------------------
-# Predicate symmetry
-# ----------------------------------------------------------------------
 
 @pytest.mark.parametrize(
     "theta", [Overlaps(), WithinDistance(50.0)], ids=lambda t: t.name
 )
 def test_symmetric_join_mirrors_through_the_cache(theta):
-    rel_r = build_relation("r", 80, seed=5)
-    rel_s = build_relation("s", 70, seed=6)
-    executor = cached_executor()
-    plain = SpatialQueryExecutor(memory_pages=4000)
+    lattice = cached(5, 30, 95.0, 12.0)
+    lattice.join("r", "s", theta, "tree")
+    assert lattice.join("s", "r", theta, "tree").strategy == "cached-exact"
 
-    rs = executor.join(rel_r, "shape", rel_s, "shape", theta, strategy="tree")
-    sr = executor.join(rel_s, "shape", rel_r, "shape", theta, strategy="tree")
-    assert sr.strategy == "cached-exact"
-    assert sorted(sr.pairs) == sorted((b, a) for a, b in rs.pairs)
-    # ... and the mirrored serve equals a fresh mirrored execution.
-    fresh_sr = plain.join(rel_s, "shape", rel_r, "shape", theta,
-                          strategy="tree")
-    assert sorted(sr.pairs) == sorted(fresh_sr.pairs)
-
-
-# ----------------------------------------------------------------------
-# Translation invariance
-# ----------------------------------------------------------------------
 
 def _tier_sequence(dx: float, dy: float) -> list[str]:
     """Hit/miss/tier classification of a fixed query script, translated."""
-    rel = build_relation("r", 120, seed=7, dx=dx, dy=dy)
-    executor = cached_executor()
+    lattice = cached(7, 120, 900.0, 40.0, dx, dy)
     script = [
         Rect(100.0, 100.0, 500.0, 500.0),
         Rect(150.0, 150.0, 450.0, 450.0),   # containment in #1
@@ -149,12 +83,9 @@ def _tier_sequence(dx: float, dy: float) -> list[str]:
     for window in script:
         shifted = Rect(window.xmin + dx, window.ymin + dy,
                        window.xmax + dx, window.ymax + dy)
-        result = executor.select(rel, "shape", shifted, Overlaps(),
-                                 strategy="tree")
-        tiers.append(
-            result.strategy[len("cached-"):]
-            if result.strategy.startswith("cached-") else "miss"
-        )
+        strategy = lattice.select("r", shifted, Overlaps(), "tree")[0].strategy
+        tiers.append(strategy.removeprefix("cached-") if strategy.startswith("cached-")
+                     else "miss")
     return tiers
 
 

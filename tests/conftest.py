@@ -21,6 +21,12 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+# CI's seeded soak jobs (``--hypothesis-profile=soak``): every property
+# that takes its example count from the profile -- the lattice machine
+# among them -- runs five times longer.
+settings.register_profile(
+    "soak", parent=settings.get_profile("suite"), max_examples=300
+)
 
 
 @pytest.fixture

@@ -16,6 +16,8 @@ from repro.storage.disk import SimulatedDisk
 from repro.trees.balanced import BalancedKTree
 from repro.trees.rtree import RTree
 
+from tests import oracle
+
 UNIVERSE = Rect(0, 0, 100, 100)
 SCHEMA = Schema([Column("oid", ColumnType.INT), Column("loc", ColumnType.POINT)])
 
@@ -43,8 +45,7 @@ class TestNearest:
         assert len(got) == 5
         dists = [d for d, _ in got]
         assert dists == sorted(dists)
-        brute = sorted(t["loc"].distance_to(q) for t in rel.scan())[:5]
-        assert dists == pytest.approx(brute)
+        assert dists == pytest.approx(oracle.nearest(oracle.rows_of(rel, "loc"), q, 5))
         # Payloads are real tuples from the relation.
         assert all(hasattr(t, "schema") for _, t in got)
 

@@ -6,8 +6,8 @@ from repro.core.executor import SpatialQueryExecutor
 from repro.core.optimizer import executable_strategy, fit_parameters, plan_join
 from repro.predicates.theta import Overlaps, WithinDistance
 
+from tests import oracle
 from tests.join.conftest import (
-    brute_force_pairs,
     make_rect_relation,
     rtree_over,
 )
@@ -96,6 +96,6 @@ class TestPlanJoin:
         plan = plan_join(rel_r, "shape", rel_s, "shape", theta)
         strategy = executable_strategy(plan)
         result = executor.join(rel_r, "shape", rel_s, "shape", theta, strategy=strategy)
-        assert result.pair_set() == brute_force_pairs(
+        assert sorted(result.pair_set()) == oracle.pairs(
             rel_r, "shape", rel_s, "shape", theta
         )

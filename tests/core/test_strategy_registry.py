@@ -30,8 +30,8 @@ from repro.geometry.rect import Rect
 from repro.join.nested_loop import nested_loop_join
 from repro.predicates.theta import Overlaps, WithinDistance
 
+from tests import oracle
 from tests.join.conftest import (
-    brute_force_pairs,
     kept_values,
     make_rect_relation,
     rtree_over,
@@ -74,15 +74,15 @@ def test_a_registered_descriptor_reaches_every_consumer(monkeypatch, indexed_pai
     rel_r, rel_s = indexed_pair
     theta = Overlaps()
     args = (rel_r, "shape", rel_s, "shape", theta)
-    expected = brute_force_pairs(*args)
+    expected = oracle.pairs(*args)
     executor = SpatialQueryExecutor()
 
-    assert executor.join(*args, strategy="probe").pair_set() == expected
+    assert executor.join(*args, strategy="probe").pair_set() == set(expected)
 
     plan = plan_join(*args)
     assert plan.predicted_costs["D_PROBE"] == 1e12
     result, report = executor.execute_join(*args, strategy="probe", plan=plan)
-    assert result.pair_set() == expected
+    assert result.pair_set() == set(expected)
     assert report.strategy == "probe"
     assert report.drift.row("probe").model == "D_PROBE"
 

@@ -11,6 +11,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.predicates.theta import Overlaps, WithinDistance
 
+from tests import oracle
 from tests.join.conftest import make_rect_relation
 
 
@@ -19,12 +20,7 @@ class TestJoinEstimation:
         rel_r = make_rect_relation("r", 150, seed=41)
         rel_s = make_rect_relation("s", 150, seed=42)
         theta = WithinDistance(25.0)
-        truth = sum(
-            1
-            for r in rel_r.scan()
-            for s in rel_s.scan()
-            if theta(r["shape"], s["shape"])
-        ) / (150 * 150)
+        truth = len(oracle.pairs(rel_r, "shape", rel_s, "shape", theta)) / (150 * 150)
         est = estimate_join_selectivity(
             rel_r, "shape", rel_s, "shape", theta, sample_pairs=2000, seed=1
         )
@@ -79,7 +75,7 @@ class TestSelectionEstimation:
         rel = make_rect_relation("r", 100, seed=52)
         q = Rect(20, 20, 60, 60)
         theta = Overlaps()
-        truth = sum(1 for t in rel.scan() if theta(q, t["shape"])) / 100
+        truth = len(oracle.tids(rel, "shape", q, theta)) / 100
         est = estimate_selection_selectivity(
             rel, "shape", q, theta, sample_size=100
         )

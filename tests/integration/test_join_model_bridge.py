@@ -24,6 +24,9 @@ from repro.storage.costs import CostMeter
 from repro.storage.record import RecordId
 from repro.trees.balanced import BalancedKTree
 
+from tests import oracle
+from tests.join.conftest import node_regions
+
 K, N_HEIGHT = 4, 3
 THETA = WithinDistance(120.0)
 
@@ -71,15 +74,9 @@ class TestComputationBridge:
     def test_join_result_is_complete(self, world):
         tree_r, tree_s, *_ = world
         result = tree_join(tree_r, tree_s, THETA)
-        nodes_r = list(tree_r.bfs_nodes())
-        nodes_s = list(tree_s.bfs_nodes())
-        expected = {
-            (a.tid, b.tid)
-            for a in nodes_r
-            for b in nodes_s
-            if THETA(a.region, b.region)
-        }
-        assert result.pair_set() == expected
+        assert sorted(result.pair_set()) == oracle.join(
+            node_regions(tree_r), node_regions(tree_s), THETA
+        )
 
     def test_selectivity_monotonicity_both_sides(self, world):
         """Tighter predicates shrink both the prediction and the

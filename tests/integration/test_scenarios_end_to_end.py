@@ -24,6 +24,8 @@ from repro.storage.costs import CostMeter
 from repro.workloads.cartography import make_map
 from repro.workloads.scenarios import make_lakes_and_houses
 
+from tests import oracle
+
 
 @pytest.fixture(scope="module")
 def lakes_houses():
@@ -38,24 +40,19 @@ def world_map():
 class TestLakesHousesScenario:
     THETA = ReachableWithin(minutes=60.0, speed=1.0)
 
-    def brute(self, sc):
-        return {
-            (h.tid, l.tid)
-            for h in sc.houses.scan()
-            for l in sc.lakes.scan()
-            if self.THETA(h["hlocation"], l["larea"])
-        }
+    def want(self, sc):
+        return oracle.pairs(sc.houses, "hlocation", sc.lakes, "larea", self.THETA)
 
     def test_every_strategy_agrees(self, lakes_houses):
         sc = lakes_houses
-        expected = self.brute(sc)
+        expected = self.want(sc)
         executor = SpatialQueryExecutor()
         for strategy in ("scan", "tree", "index-nl"):
             result = executor.join(
                 sc.houses, "hlocation", sc.lakes, "larea", self.THETA,
                 strategy=strategy,
             )
-            assert result.pair_set() == expected, strategy
+            assert sorted(result.pair_set()) == expected, strategy
 
     def test_join_index_roundtrip_with_maintenance(self, lakes_houses):
         sc = lakes_houses
@@ -63,14 +60,14 @@ class TestLakesHousesScenario:
         ji = executor.precompute_join_index(
             sc.houses, sc.lakes, "hlocation", "larea", self.THETA
         )
-        assert ji.join().pair_set() == self.brute(sc)
+        assert sorted(ji.join().pair_set()) == self.want(sc)
         # Insert a house on a lake shore; index must pick it up.
         lake = next(sc.lakes.scan())
         shore = lake["larea"].centerpoint()
         new_house = sc.houses.insert([77_777, 1.0, shore])
         added = ji.insert_r(new_house)
         assert added >= 1
-        assert ji.join().pair_set() == self.brute(sc)
+        assert sorted(ji.join().pair_set()) == self.want(sc)
 
     def test_optimizer_produces_correct_plan(self, lakes_houses):
         sc = lakes_houses
@@ -83,7 +80,7 @@ class TestLakesHousesScenario:
             sc.houses, "hlocation", sc.lakes, "larea", self.THETA,
             strategy=executable_strategy(plan),
         )
-        assert result.pair_set() == self.brute(sc)
+        assert sorted(result.pair_set()) == self.want(sc)
 
     def test_nearest_lakes_to_a_house(self, lakes_houses):
         sc = lakes_houses
@@ -91,11 +88,8 @@ class TestLakesHousesScenario:
         house = next(sc.houses.scan())
         found = executor.nearest(sc.lakes, "larea", house["hlocation"], k=3)
         assert len(found) == 3
-        brute = sorted(
-            (l["larea"].distance_to_point(house["hlocation"]), l["lid"])
-            for l in sc.lakes.scan()
-        )[:3]
-        assert [d for d, _ in found] == pytest.approx([d for d, _ in brute])
+        want = oracle.nearest(oracle.rows_of(sc.lakes, "larea"), house["hlocation"], 3)
+        assert [d for d, _ in found] == pytest.approx(want)
 
 
 class TestCartographyScenario:
@@ -116,10 +110,7 @@ class TestCartographyScenario:
         window = Rect(200, 200, 600, 600)
         theta = Overlaps()
         via_tree = spatial_select(m.tree, window, theta)
-        via_scan = {
-            t.tid for t in m.regions.scan() if theta(window, t["region"])
-        }
-        assert set(via_tree.tids) == via_scan
+        assert sorted(via_tree.tids) == oracle.tids(m.regions, "region", window, theta)
 
     def test_directional_query_both_orientations(self, world_map):
         m = world_map

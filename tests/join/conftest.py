@@ -47,19 +47,16 @@ def kept_values(relation: Relation) -> dict:
     return dict(values) if epoch == relation.modification_count else {}
 
 
+def node_regions(tree) -> dict:
+    """``{tid: region}`` of every node of a generalization tree that is an
+    application object (carries a tid)."""
+    return {node.tid: node.region for node in tree.bfs_nodes() if node.tid is not None}
+
+
 def rtree_over(relation: Relation, column: str, max_entries: int = 6) -> RTree:
     tree = RTree(max_entries=max_entries)
     relation.attach_index(column, tree)
     return tree
-
-
-def brute_force_pairs(rel_r, col_r, rel_s, col_s, theta) -> set:
-    return {
-        (r.tid, s.tid)
-        for r in rel_r.scan()
-        for s in rel_s.scan()
-        if theta(r[col_r], s[col_s])
-    }
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from repro.join.select import spatial_select
 from repro.predicates.theta import Overlaps, WithinDistance
 from repro.storage.costs import CostMeter
 
+from tests import oracle
 from tests.join.conftest import make_rect_relation, rtree_over
 
 
@@ -54,12 +55,8 @@ class TestSemijoin:
         rel_outer, rel_inner, tree_inner = setup
         theta = WithinDistance(15.0)
         res = spatial_semijoin(rel_outer, "shape", tree_inner, theta)
-        want = {
-            o.tid
-            for o in rel_outer.scan()
-            if any(theta(o["shape"], i["shape"]) for i in rel_inner.scan())
-        }
-        assert set(res.tids) == want
+        pairs = oracle.pairs(rel_outer, "shape", rel_inner, "shape", theta)
+        assert set(res.tids) == {o for o, _ in pairs}
 
     def test_each_tuple_once(self, setup):
         rel_outer, _, tree_inner = setup
@@ -95,9 +92,5 @@ class TestAntijoin:
         rel_outer, rel_inner, tree_inner = setup
         theta = Overlaps()
         anti = spatial_antijoin(rel_outer, "shape", tree_inner, theta)
-        want = {
-            o.tid
-            for o in rel_outer.scan()
-            if not any(theta(o["shape"], i["shape"]) for i in rel_inner.scan())
-        }
-        assert set(anti.tids) == want
+        pairs = oracle.pairs(rel_outer, "shape", rel_inner, "shape", theta)
+        assert set(anti.tids) == set(oracle.rows_of(rel_outer)) - {o for o, _ in pairs}

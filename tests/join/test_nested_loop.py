@@ -8,7 +8,8 @@ from repro.join.nested_loop import nested_loop_join, nested_loop_select
 from repro.predicates.theta import Overlaps, WithinDistance
 from repro.storage.costs import CostMeter
 
-from tests.join.conftest import brute_force_pairs, make_rect_relation
+from tests import oracle
+from tests.join.conftest import make_rect_relation
 
 
 class TestJoinCorrectness:
@@ -17,7 +18,7 @@ class TestJoinCorrectness:
         rel_s = make_rect_relation("s", 90, seed=52)
         theta = Overlaps()
         res = nested_loop_join(rel_r, rel_s, "shape", "shape", theta, memory_pages=100)
-        assert res.pair_set() == brute_force_pairs(rel_r, "shape", rel_s, "shape", theta)
+        assert sorted(res.pair_set()) == oracle.pairs(rel_r, "shape", rel_s, "shape", theta)
 
     def test_collect_tuples(self):
         rel_r = make_rect_relation("r", 20, seed=53)
@@ -76,8 +77,7 @@ class TestSelect:
         q = Rect(20, 20, 60, 60)
         theta = Overlaps()
         res = nested_loop_select(rel, "shape", q, theta)
-        want = {t.tid for t in rel.scan() if theta(q, t["shape"])}
-        assert set(res.tids) == want
+        assert sorted(res.tids) == oracle.tids(rel, "shape", q, theta)
 
     def test_accounting_is_c1(self):
         """N predicate evaluations and ceil(N/m) page reads (C_I)."""
@@ -92,5 +92,4 @@ class TestSelect:
         q = Rect(50, 50, 51, 51)
         theta = WithinDistance(25.0)
         res = nested_loop_select(rel, "shape", q, theta)
-        want = {t.tid for t in rel.scan() if theta(q, t["shape"])}
-        assert set(res.tids) == want
+        assert sorted(res.tids) == oracle.tids(rel, "shape", q, theta)

@@ -15,7 +15,8 @@ from repro.storage.costs import CostMeter
 from repro.storage.record import RecordId
 from repro.trees.balanced import BalancedKTree
 
-from tests.join.conftest import brute_force_pairs, make_rect_relation, rtree_over
+from tests import oracle
+from tests.join.conftest import make_rect_relation, node_regions, rtree_over
 
 UNIVERSE = Rect(0, 0, 128, 128)
 
@@ -27,7 +28,7 @@ class TestIndexNestedLoop:
         tree_r = rtree_over(rel_r, "shape")
         theta = Overlaps()
         res = index_nested_loop_join(rel_s, "shape", tree_r, theta)
-        assert res.pair_set() == brute_force_pairs(rel_r, "shape", rel_s, "shape", theta)
+        assert sorted(res.pair_set()) == oracle.pairs(rel_r, "shape", rel_s, "shape", theta)
 
     def test_asymmetric_operand_order(self):
         rel_r = make_rect_relation("r", 50, seed=83)
@@ -35,7 +36,7 @@ class TestIndexNestedLoop:
         tree_r = rtree_over(rel_r, "shape")
         theta = NorthwestOf()
         res = index_nested_loop_join(rel_s, "shape", tree_r, theta)
-        assert res.pair_set() == brute_force_pairs(rel_r, "shape", rel_s, "shape", theta)
+        assert sorted(res.pair_set()) == oracle.pairs(rel_r, "shape", rel_s, "shape", theta)
 
     def test_swapped_variant(self):
         rel_r = make_rect_relation("r", 60, seed=85)
@@ -43,7 +44,7 @@ class TestIndexNestedLoop:
         tree_s = rtree_over(rel_s, "shape")
         theta = NorthwestOf()
         res = index_nested_loop_join_swapped(rel_r, "shape", tree_s, theta)
-        assert res.pair_set() == brute_force_pairs(rel_r, "shape", rel_s, "shape", theta)
+        assert sorted(res.pair_set()) == oracle.pairs(rel_r, "shape", rel_s, "shape", theta)
 
 
 class TestZOrderMerge:
@@ -54,7 +55,7 @@ class TestZOrderMerge:
         res = zorder_merge_join(
             rel_r, rel_s, "shape", "shape", universe=UNIVERSE, max_level=7
         )
-        assert res.pair_set() == brute_force_pairs(rel_r, "shape", rel_s, "shape", theta)
+        assert sorted(res.pair_set()) == oracle.pairs(rel_r, "shape", rel_s, "shape", theta)
 
     def test_duplicates_reported_without_refinement(self):
         """The paper: "any overlap is likely to be reported more than
@@ -107,34 +108,24 @@ def balanced_self_tree(k=3, n=3) -> BalancedKTree:
 
 
 class TestLocalJoinIndex:
-    def brute_self_pairs(self, tree, theta):
-        nodes = list(tree.bfs_nodes())
-        out = set()
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1 :]:
-                if theta(a.region, b.region):
-                    out.add(frozenset((a.tid, b.tid)))
-        return out
-
     def test_self_join_complete(self):
         tree = balanced_self_tree()
         theta = WithinDistance(15.0)
         lji = LocalJoinIndex(tree, theta, partition_height=1)
         lji.build()
         got = {frozenset(p) for p in lji.self_join().pair_set()}
-        assert got == self.brute_self_pairs(tree, theta)
+        nodes = node_regions(tree)
+        assert got == {
+            frozenset(p) for p in oracle.join(nodes, nodes, theta) if p[0] != p[1]
+        }
 
     def test_partners_of(self):
         tree = balanced_self_tree(k=2, n=3)
         theta = WithinDistance(30.0)
         lji = LocalJoinIndex(tree, theta, partition_height=1)
         lji.build()
-        nodes = list(tree.bfs_nodes())
-        target = nodes[5]
-        want = {
-            n.tid for n in nodes
-            if n is not target and theta(target.region, n.region)
-        }
+        target = list(tree.bfs_nodes())[5]
+        want = set(oracle.select(node_regions(tree), target.region, theta)) - {target.tid}
         assert set(lji.partners_of(target.tid)) == want
 
     def test_insert_cheaper_than_global(self):
@@ -158,11 +149,7 @@ class TestLocalJoinIndex:
         new_tid = RecordId(9, 1)
         lji.insert(new_tid, Rect(49, 49, 51, 51), partition=0)
         partners = set(lji.partners_of(new_tid))
-        nodes = list(tree.bfs_nodes())
-        want = {
-            n.tid for n in nodes if theta(Rect(49, 49, 51, 51), n.region)
-        }
-        assert partners == want
+        assert partners == set(oracle.select(node_regions(tree), Rect(49, 49, 51, 51), theta))
 
     def test_requires_build(self):
         tree = balanced_self_tree(k=2, n=1)

@@ -13,6 +13,7 @@ from repro.storage.record import RecordId
 from repro.trees.balanced import BalancedKTree
 from repro.trees.cartotree import CartoTree
 
+from tests import oracle
 from tests.join.conftest import make_rect_relation, rtree_over
 
 
@@ -30,8 +31,7 @@ class TestCorrectness:
         query = Rect(30, 30, 55, 55)
         theta = Overlaps()
         res = spatial_select(tree, query, theta, order=order)
-        want = {t.tid for t in rel.scan() if theta(query, t["shape"])}
-        assert set(res.tids) == want
+        assert sorted(res.tids) == oracle.tids(rel, "shape", query, theta)
 
     def test_interior_application_objects_qualify(self):
         """All nodes of a balanced tree are application objects; the

@@ -1,20 +1,13 @@
-"""Cross-strategy integration: every strategy computes the same join.
+"""Pinned corners of the configuration lattice: every join strategy.
 
-This is the strongest correctness check in the suite: randomized inputs
-(sizes, extents, operators), five independent implementations, one
-answer.  Hypothesis drives the workload generation.
-
-The cache differential below extends the claim through the query cache:
-for every executor strategy, a cache-wrapped executor's cold run *and*
-its warm (cache-served) run must be byte-identical to the uncached
-executor's answer -- for selections and joins alike.
-
-The interval differential at the bottom extends it through the
-raster-interval second tier: for every executor strategy and seeds
-1/7/42, a filter-on run must produce the byte-identical pair list a
-filter-off run produces -- standalone, through the cache, and through
-sharded dispatch.  The filter is allowed to *save* exact evaluations,
-never to change an answer.
+``tests/test_lattice.py`` draws configurations at random, so at the
+default profile a given corner -- ``index-nl`` behind a cache, ``zorder``
+under the interval tier at seed 42 -- may not come up.  These scripts
+drive the same :class:`~tests.test_lattice.Lattice` through every
+strategy at fixed corners.  Each asserts exactly what the machine
+asserts -- the model's answer, the warm-hit law, the interval law --
+and nothing of its own; the last line of a corner only checks that the
+law it pins actually engaged.
 """
 
 import random
@@ -24,320 +17,87 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.rect import Rect
-from repro.join.index_join import index_nested_loop_join
-from repro.join.join_index import JoinIndex
-from repro.join.nested_loop import nested_loop_join
-from repro.join.tree_join import tree_join
-from repro.join.zorder_merge import zorder_merge_join
+from repro.intermediate import IntervalSpec
 from repro.predicates.theta import NorthwestOf, Overlaps, WithinDistance
-from repro.relational.relation import Relation
-from repro.relational.schema import Column, ColumnType, Schema
-from repro.storage.buffer import BufferPool
-from repro.storage.costs import CostMeter
-from repro.storage.disk import SimulatedDisk
-from repro.trees.rtree import RTree
 
-SCHEMA = Schema([Column("oid", ColumnType.INT), Column("shape", ColumnType.RECT)])
-UNIVERSE = Rect(0, 0, 128, 128)
+from tests.test_lattice import NAMES, UNIVERSE, Config, Lattice, boxes, seeded_rects
+
+WINDOW = Rect(25.0, 25.0, 75.0, 80.0)
+SEEDS = [1, 7, 42]
+#: Executor strategy and traversal order behind each corner's id.
+SPECS = {
+    "scan": ("scan", "bfs"), "tree": ("tree", "bfs"), "tree-dfs": ("tree", "dfs"),
+    "zorder": ("zorder", "bfs"), "partition": ("partition", "bfs"),
+    "join-index": ("join-index", "bfs"), "index-nl": ("index-nl", "bfs"),
+}
 
 
-def build_relation(name: str, count: int, max_extent: float, seed: int) -> Relation:
-    pool = BufferPool(SimulatedDisk(), capacity=4000, meter=CostMeter())
-    rel = Relation(name, SCHEMA, pool)
+def corner(seed: int = 11, **config) -> Lattice:
+    """Both relations seeded, R-trees on both: every strategy applies."""
     rng = random.Random(seed)
-    for i in range(count):
-        x = rng.uniform(0, 120)
-        y = rng.uniform(0, 120)
-        rel.insert(
-            [i, Rect(x, y, min(x + rng.uniform(0, max_extent), 128),
-                     min(y + rng.uniform(0, max_extent), 128))]
-        )
-    return rel
+    return Lattice(Config(**config), (seeded_rects(rng, 30), seeded_rects(rng, 25)))
 
 
-def brute(rel_r, rel_s, theta):
-    return {
-        (r.tid, s.tid)
-        for r in rel_r.scan()
-        for s in rel_s.scan()
-        if theta(r["shape"], s["shape"])
-    }
+def join(lattice: Lattice, spec: str, entry: str = "join", theta=Overlaps()):
+    strategy, order = SPECS[spec]
+    if strategy == "join-index":
+        lattice.precompute_join_index(*NAMES, theta)
+    return lattice.join(*NAMES, theta, strategy, order, entry)
 
 
 @given(
-    n_r=st.integers(min_value=0, max_value=60),
-    n_s=st.integers(min_value=0, max_value=60),
-    extent=st.floats(min_value=1.0, max_value=25.0),
-    seed=st.integers(min_value=0, max_value=10_000),
+    rows=st.tuples(st.lists(boxes(), max_size=40), st.lists(boxes(), max_size=40)),
     theta=st.sampled_from(
         [Overlaps(), WithinDistance(12.0), WithinDistance(40.0), NorthwestOf()]
     ),
-    fanout=st.integers(min_value=3, max_value=10),
 )
 @settings(max_examples=25, deadline=None)
-def test_all_strategies_agree(n_r, n_s, extent, seed, theta, fanout):
-    rel_r = build_relation("r", n_r, extent, seed)
-    rel_s = build_relation("s", n_s, extent, seed + 1)
-    expected = brute(rel_r, rel_s, theta)
-
-    # Strategy I: nested loop.
-    nl = nested_loop_join(rel_r, rel_s, "shape", "shape", theta, memory_pages=50)
-    assert nl.pair_set() == expected
-
-    # Strategy II: generalization-tree join.
-    tree_r = RTree(max_entries=fanout)
-    tree_s = RTree(max_entries=fanout)
-    rel_r.attach_index("shape", tree_r)
-    rel_s.attach_index("shape", tree_s)
-    tj = tree_join(tree_r, tree_s, theta)
-    assert tj.pair_set() == expected
-
-    # Index-supported join.
-    inl = index_nested_loop_join(rel_s, "shape", tree_r, theta)
-    assert inl.pair_set() == expected
-
-    # Strategy III: join index.
-    ji = JoinIndex.precompute(rel_r, rel_s, "shape", "shape", theta)
-    assert ji.join().pair_set() == expected
-
-    # Orenstein z-order merge (overlaps only).
-    if isinstance(theta, Overlaps):
-        zm = zorder_merge_join(
-            rel_r, rel_s, "shape", "shape", universe=UNIVERSE, max_level=6
-        )
-        assert zm.pair_set() == expected
+def test_all_strategies_agree(rows, theta):
+    lattice = Lattice(Config(), rows)
+    lattice.precompute_join_index(*NAMES, theta)
+    for strategy in lattice.strategies(*NAMES, theta):
+        lattice.join(*NAMES, theta, strategy)
+    lattice.close()
 
 
-# ----------------------------------------------------------------------
-# Cache differential: cached executor == uncached executor, per strategy
-# ----------------------------------------------------------------------
-
-CACHE_QUERY = Rect(100.0, 100.0, 400.0, 420.0)
-
-SELECT_STRATEGIES = ["scan", "tree", "tree-dfs"]
-JOIN_STRATEGIES = [
-    "scan", "tree", "tree-dfs", "zorder", "partition", "join-index",
-    "index-nl",
-]
+@pytest.mark.parametrize("spec", ["scan", "tree", "tree-dfs"])
+def test_cached_select_matches_uncached(spec):
+    lattice = corner(cache=True)
+    lattice.select("r", WINDOW, Overlaps(), *SPECS[spec])
+    assert lattice.cache.stats.exact_hits == 1, spec
 
 
-@pytest.fixture(scope="module")
-def cache_workload():
-    from repro.workloads.assembly import build_indexed_relation
-
-    ir_r = build_indexed_relation(120, seed=11, max_extent=40.0)
-    ir_s = build_indexed_relation(100, seed=12, max_extent=40.0)
-    return ir_r, ir_s
+@pytest.mark.parametrize("spec", SPECS)
+def test_cached_join_matches_uncached(spec):
+    lattice = corner(cache=True)
+    join(lattice, spec)
+    assert lattice.cache.stats.exact_hits == 1, spec
 
 
-def _make_executor(cached: bool):
-    from repro.cache import CachePolicy, QueryCache
-    from repro.core.executor import SpatialQueryExecutor
-
-    cache = None
-    if cached:
-        # Admit everything: the differential covers cheap selections too.
-        cache = QueryCache(CachePolicy(admission_threshold=0.0))
-    return SpatialQueryExecutor(memory_pages=4000, cache=cache)
+@pytest.mark.parametrize("spec", SPECS)
+def test_warm_join_hits_read_zero_pages(spec):
+    """The same law through a session of the query service."""
+    lattice = corner(cache=True)
+    join(lattice, spec, entry="session")
+    assert lattice.cache.stats.exact_hits == 1, spec
 
 
-def _split(spec: str) -> tuple[str, str]:
-    if spec.endswith("-dfs"):
-        return spec[: -len("-dfs")], "dfs"
-    return spec, "bfs"
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
+def test_interval_join_matches_plain(seed, spec):
+    join(corner(seed, interval=True), spec)
 
 
-def _select_payload(result):
-    """Sorted, value-level rendering of a SELECT answer."""
-    return sorted((tid, tuple(t.values)) for tid, t in result.matches)
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
+def test_interval_join_matches_plain_under_cache(seed, spec):
+    lattice = corner(seed, interval=True, cache=True)
+    join(lattice, spec)
+    assert lattice.cache.stats.exact_hits == 1, spec
 
 
-@pytest.mark.parametrize("spec", SELECT_STRATEGIES)
-def test_cached_select_matches_uncached(spec, cache_workload):
-    from repro.predicates.theta import Overlaps
-
-    ir_r, _ = cache_workload
-    strategy, order = _split(spec)
-    baseline = _make_executor(cached=False).select(
-        ir_r.relation, "shape", CACHE_QUERY, Overlaps(),
-        strategy=strategy, order=order,
-    )
-    cached_exec = _make_executor(cached=True)
-    cold = cached_exec.select(
-        ir_r.relation, "shape", CACHE_QUERY, Overlaps(),
-        strategy=strategy, order=order,
-    )
-    warm = cached_exec.select(
-        ir_r.relation, "shape", CACHE_QUERY, Overlaps(),
-        strategy=strategy, order=order,
-    )
-    expected = _select_payload(baseline)
-    assert _select_payload(cold) == expected, spec
-    assert _select_payload(warm) == expected, spec
-    assert warm.strategy == "cached-exact", spec
-
-
-@pytest.mark.parametrize("spec", JOIN_STRATEGIES)
-def test_cached_join_matches_uncached(spec, cache_workload):
-    from repro.predicates.theta import Overlaps
-
-    ir_r, ir_s = cache_workload
-    strategy, order = _split(spec)
-    operands = (ir_r.relation, "shape", ir_s.relation, "shape", Overlaps())
-
-    plain = _make_executor(cached=False)
-    cached_exec = _make_executor(cached=True)
-    if strategy == "join-index":
-        plain.precompute_join_index(
-            ir_r.relation, ir_s.relation, "shape", "shape", Overlaps()
-        )
-        cached_exec.precompute_join_index(
-            ir_r.relation, ir_s.relation, "shape", "shape", Overlaps()
-        )
-
-    baseline = plain.join(*operands, strategy=strategy, order=order)
-    cold = cached_exec.join(*operands, strategy=strategy, order=order)
-    warm = cached_exec.join(*operands, strategy=strategy, order=order)
-
-    # Byte-identical sorted pair lists -- not just the deduplicated set,
-    # so a strategy emitting duplicates (zorder) must be served its own
-    # duplicates back.
-    expected = sorted(baseline.pairs)
-    assert sorted(cold.pairs) == expected, spec
-    assert sorted(warm.pairs) == expected, spec
-    assert warm.strategy == "cached-exact", spec
-
-
-@pytest.mark.parametrize("spec", JOIN_STRATEGIES)
-def test_warm_join_hits_read_zero_pages(spec, cache_workload):
-    from repro.predicates.theta import Overlaps
-    from repro.storage.costs import CostMeter
-
-    ir_r, ir_s = cache_workload
-    strategy, order = _split(spec)
-    operands = (ir_r.relation, "shape", ir_s.relation, "shape", Overlaps())
-    executor = _make_executor(cached=True)
-    if strategy == "join-index":
-        executor.precompute_join_index(
-            ir_r.relation, ir_s.relation, "shape", "shape", Overlaps()
-        )
-    executor.join(*operands, strategy=strategy, order=order)
-    warm_meter = CostMeter()
-    warm = executor.join(*operands, strategy=strategy, order=order, meter=warm_meter)
-    assert warm.strategy == "cached-exact", spec
-    assert warm_meter.page_reads == 0, spec
-    assert warm_meter.page_writes == 0, spec
-    assert warm_meter.cache_hits == 1, spec
-
-
-# ----------------------------------------------------------------------
-# Interval differential: filter-on == filter-off, byte-identical
-# ----------------------------------------------------------------------
-
-INTERVAL_SEEDS = [1, 7, 42]
-
-#: Executor strategies that thread the interval refiner; the rest must
-#: ignore the setting (and the differential verifies they still agree).
-INTERVAL_CAPABLE = {"tree", "tree-dfs", "zorder", "partition"}
-
-
-@pytest.fixture(scope="module", params=INTERVAL_SEEDS, ids=lambda s: f"seed{s}")
-def interval_workload(request):
-    from repro.workloads.assembly import build_indexed_relation
-
-    seed = request.param
-    ir_r = build_indexed_relation(120, seed=seed, max_extent=40.0)
-    ir_s = build_indexed_relation(100, seed=seed + 1, max_extent=40.0)
-    return ir_r, ir_s
-
-
-@pytest.mark.parametrize("spec", JOIN_STRATEGIES)
-def test_interval_join_matches_plain(spec, interval_workload):
-    from repro.core.executor import SpatialQueryExecutor
-    from repro.predicates.theta import Overlaps
-    from repro.storage.costs import CostMeter
-
-    ir_r, ir_s = interval_workload
-    strategy, order = _split(spec)
-    operands = (ir_r.relation, "shape", ir_s.relation, "shape", Overlaps())
-
-    plain = SpatialQueryExecutor(memory_pages=4000)
-    filtered = SpatialQueryExecutor(memory_pages=4000, interval=True)
-    if strategy == "join-index":
-        for ex in (plain, filtered):
-            ex.precompute_join_index(
-                ir_r.relation, ir_s.relation, "shape", "shape", Overlaps()
-            )
-
-    baseline = plain.join(*operands, strategy=strategy, order=order)
-    meter = CostMeter()
-    result = filtered.join(*operands, strategy=strategy, order=order, meter=meter)
-
-    assert sorted(result.pairs) == sorted(baseline.pairs), spec
-    if strategy.split("-")[0] in {"tree", "zorder", "partition"}:
-        # The filter actually engaged -- this is a differential test of
-        # the filter, not of two identical filter-off runs.
-        assert meter.interval_probes > 0, spec
-        assert (
-            meter.interval_evals_saved + meter.theta_exact_evals
-            >= meter.interval_probes
-        ), spec
-    else:
-        assert meter.interval_probes == 0, spec
-
-
-@pytest.mark.parametrize("spec", JOIN_STRATEGIES)
-def test_interval_join_matches_plain_under_cache(spec, interval_workload):
-    from repro.predicates.theta import Overlaps
-
-    ir_r, ir_s = interval_workload
-    strategy, order = _split(spec)
-    operands = (ir_r.relation, "shape", ir_s.relation, "shape", Overlaps())
-
-    plain = _make_executor(cached=False)
-    cached_exec = _make_executor(cached=True)
-    cached_exec.interval = True
-    if strategy == "join-index":
-        for ex in (plain, cached_exec):
-            ex.precompute_join_index(
-                ir_r.relation, ir_s.relation, "shape", "shape", Overlaps()
-            )
-
-    baseline = plain.join(*operands, strategy=strategy, order=order)
-    cold = cached_exec.join(*operands, strategy=strategy, order=order)
-    warm = cached_exec.join(*operands, strategy=strategy, order=order)
-
-    expected = sorted(baseline.pairs)
-    assert sorted(cold.pairs) == expected, spec
-    assert sorted(warm.pairs) == expected, spec
-    assert warm.strategy == "cached-exact", spec
-
-
-@pytest.mark.parametrize("seed", INTERVAL_SEEDS)
+@pytest.mark.parametrize("seed", SEEDS)
 def test_interval_sharded_join_matches_plain(seed):
-    from repro.intermediate import IntervalSpec
-    from repro.predicates.theta import Overlaps
-    from repro.shard import ShardRuntime
-
-    from tests.join.conftest import make_rect_relation
-    from tests.shard.conftest import UNIVERSE, oracle_join
-
-    rel_r = make_rect_relation("r", 60, seed=seed)
-    rel_s = make_rect_relation("s", 60, seed=seed + 1)
-    expected = oracle_join(rel_r, rel_s, Overlaps())
-    spec = IntervalSpec(universe=UNIVERSE)
-
-    fleet_meter = CostMeter()
-    runtime = ShardRuntime(UNIVERSE, 3)
-    with runtime:
-        runtime.load_relation(rel_r, "shape")
-        runtime.load_relation(rel_s, "shape")
-        plain = runtime.router.join("r", "s", Overlaps())
-        filtered = runtime.router.join(
-            "r", "s", Overlaps(), interval=spec, meter=fleet_meter
-        )
-
-    assert plain.pairs == expected, seed
-    assert filtered.pairs == expected, seed
-    # The fleet-merged meter must show the filter engaged on the shards.
-    assert fleet_meter.interval_probes > 0, seed
+    lattice = corner(seed, interval=IntervalSpec(UNIVERSE), shards=3)
+    assert lattice.shard_join().interval_probes > 0, seed
+    lattice.close()

@@ -13,7 +13,8 @@ from repro.storage.record import RecordId
 from repro.trees.balanced import BalancedKTree
 from repro.trees.rtree import RTree
 
-from tests.join.conftest import brute_force_pairs, make_rect_relation, rtree_over
+from tests import oracle
+from tests.join.conftest import make_rect_relation, node_regions, rtree_over
 
 
 def balanced(k, n, offset=0.0, page=0) -> BalancedKTree:
@@ -30,7 +31,7 @@ class TestCorrectness:
         tree_r = rtree_over(rel_r, "shape")
         tree_s = rtree_over(rel_s, "shape")
         res = sync_tree_join(tree_r, tree_s, theta)
-        assert res.pair_set() == brute_force_pairs(rel_r, "shape", rel_s, "shape", theta)
+        assert sorted(res.pair_set()) == oracle.pairs(rel_r, "shape", rel_s, "shape", theta)
 
     def test_interior_application_objects_included(self):
         """Balanced trees: every node is an app object; matches between an
@@ -39,13 +40,9 @@ class TestCorrectness:
         t2 = balanced(3, 2, page=2)
         theta = Overlaps()
         res = sync_tree_join(t1, t2, theta)
-        want = {
-            (a.tid, b.tid)
-            for a in t1.bfs_nodes()
-            for b in t2.bfs_nodes()
-            if theta(a.region, b.region)
-        }
-        assert res.pair_set() == want
+        assert sorted(res.pair_set()) == oracle.join(
+            node_regions(t1), node_regions(t2), theta
+        )
 
     def test_no_duplicates(self):
         t1 = balanced(2, 3, page=1)
@@ -60,7 +57,7 @@ class TestCorrectness:
         tree_s = rtree_over(rel_s, "shape", max_entries=8)
         theta = Overlaps()
         res = sync_tree_join(tree_r, tree_s, theta)
-        assert res.pair_set() == brute_force_pairs(rel_r, "shape", rel_s, "shape", theta)
+        assert sorted(res.pair_set()) == oracle.pairs(rel_r, "shape", rel_s, "shape", theta)
 
     def test_empty(self):
         res = sync_tree_join(RTree(), RTree(), Overlaps())

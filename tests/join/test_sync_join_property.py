@@ -19,6 +19,9 @@ from repro.predicates.theta import Overlaps
 from repro.storage.record import RecordId
 from repro.trees.cartotree import CartoTree
 
+from tests import oracle
+from tests.join.conftest import node_regions
+
 
 def random_carto_tree(seed, offset, page):
     """A random nested-rect hierarchy, interior nodes carrying tids.
@@ -56,17 +59,6 @@ def random_carto_tree(seed, offset, page):
     return tree
 
 
-def exhaustive_pairs(tree_r, tree_s, theta):
-    objs_r = [(n.tid, n.region) for n in tree_r.bfs_nodes() if n.tid is not None]
-    objs_s = [(n.tid, n.region) for n in tree_s.bfs_nodes() if n.tid is not None]
-    return {
-        (tid_r, tid_s)
-        for tid_r, reg_r in objs_r
-        for tid_s, reg_s in objs_s
-        if theta(reg_r, reg_s)
-    }
-
-
 @given(
     seed_r=st.integers(min_value=0, max_value=10_000),
     seed_s=st.integers(min_value=0, max_value=10_000),
@@ -79,7 +71,9 @@ def test_sync_join_equals_exhaustive_pairing(seed_r, seed_s, offset):
     theta = Overlaps()
     result = sync_tree_join(tree_r, tree_s, theta)
     assert len(result.pairs) == len(set(result.pairs)), "duplicate pair"
-    assert result.pair_set() == exhaustive_pairs(tree_r, tree_s, theta)
+    assert sorted(result.pair_set()) == oracle.join(
+        node_regions(tree_r), node_regions(tree_s), theta
+    )
 
 
 def test_interior_objects_at_different_depths():

@@ -10,9 +10,10 @@ from repro.storage.costs import CostMeter
 from repro.storage.record import RecordId
 from repro.trees.balanced import BalancedKTree
 
+from tests import oracle
 from tests.join.conftest import (
-    brute_force_pairs,
     make_rect_relation,
+    node_regions,
     rtree_over,
 )
 
@@ -31,8 +32,8 @@ class TestRTreeJoin:
         tree_r = rtree_over(rel_r, "shape")
         tree_s = rtree_over(rel_s, "shape")
         res = tree_join(tree_r, tree_s, theta)
-        want = brute_force_pairs(rel_r, "shape", rel_s, "shape", theta)
-        assert res.pair_set() == want
+        want = oracle.pairs(rel_r, "shape", rel_s, "shape", theta)
+        assert sorted(res.pair_set()) == want
 
     def test_no_duplicate_pairs(self):
         rel_r = make_rect_relation("r", 100, seed=33)
@@ -46,8 +47,8 @@ class TestRTreeJoin:
         rel_s = make_rect_relation("s", 60, seed=36)
         theta = NorthwestOf()
         res = tree_join(rtree_over(rel_r, "shape"), rtree_over(rel_s, "shape"), theta)
-        want = brute_force_pairs(rel_r, "shape", rel_s, "shape", theta)
-        assert res.pair_set() == want
+        want = oracle.pairs(rel_r, "shape", rel_s, "shape", theta)
+        assert sorted(res.pair_set()) == want
 
     def test_unequal_tree_heights(self):
         rel_r = make_rect_relation("r", 400, seed=37)   # taller tree
@@ -57,7 +58,7 @@ class TestRTreeJoin:
         assert tree_r.height() != tree_s.height()
         theta = Overlaps()
         res = tree_join(tree_r, tree_s, theta)
-        assert res.pair_set() == brute_force_pairs(rel_r, "shape", rel_s, "shape", theta)
+        assert sorted(res.pair_set()) == oracle.pairs(rel_r, "shape", rel_s, "shape", theta)
 
     def test_empty_tree(self):
         rel_r = make_rect_relation("r", 20, seed=39)
@@ -85,24 +86,16 @@ class TestBalancedTreeJoin:
         t2 = balanced_with_tids(3, 2, page=2)
         theta = Overlaps()
         res = tree_join(t1, t2, theta)
-        want = set()
-        for n1 in t1.bfs_nodes():
-            for n2 in t2.bfs_nodes():
-                if theta(n1.region, n2.region):
-                    want.add((n1.tid, n2.tid))
-        assert res.pair_set() == want
+        want = oracle.join(node_regions(t1), node_regions(t2), theta)
+        assert sorted(res.pair_set()) == want
 
     def test_within_distance_join(self):
         t1 = balanced_with_tids(2, 2, page=1)
         t2 = balanced_with_tids(2, 2, page=2)
         theta = WithinDistance(30.0)
         res = tree_join(t1, t2, theta)
-        want = set()
-        for n1 in t1.bfs_nodes():
-            for n2 in t2.bfs_nodes():
-                if theta(n1.region, n2.region):
-                    want.add((n1.tid, n2.tid))
-        assert res.pair_set() == want
+        want = oracle.join(node_regions(t1), node_regions(t2), theta)
+        assert sorted(res.pair_set()) == want
 
     def test_no_duplicates_on_balanced_trees(self):
         t1 = balanced_with_tids(2, 3, page=1)

@@ -15,6 +15,9 @@ from repro.predicates.theta import NorthwestOf, Overlaps, WithinDistance
 from repro.storage.record import RecordId
 from repro.trees.balanced import BalancedKTree
 
+from tests import oracle
+from tests.join.conftest import node_regions
+
 
 def build(k: int, n: int, offset: float, page: int) -> BalancedKTree:
     universe = Rect(offset, offset, offset + 100.0, offset + 100.0)
@@ -40,14 +43,10 @@ def test_join_equals_exhaustive_pairing(k_r, n_r, k_s, n_s, offset, theta):
 
     result = tree_join(tree_r, tree_s, theta)
 
-    expected = set()
-    for a in tree_r.bfs_nodes():
-        for b in tree_s.bfs_nodes():
-            if theta(a.region, b.region):
-                expected.add((a.tid, b.tid))
-    assert result.pair_set() == expected
-    # Algorithm JOIN reports every pair exactly once.
-    assert len(result.pairs) == len(result.pair_set())
+    # Every pair, each exactly once (Algorithm JOIN reports no duplicate).
+    assert sorted(result.pairs) == oracle.join(
+        node_regions(tree_r), node_regions(tree_s), theta
+    )
 
 
 @given(

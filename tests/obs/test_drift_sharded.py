@@ -84,7 +84,7 @@ class TestDifferentialParity:
         ir_s.relation.name = "s"
 
         unsharded = CostMeter()
-        oracle = SpatialQueryExecutor().join(
+        local = SpatialQueryExecutor().join(
             ir_r.relation, "shape", ir_s.relation, "shape", theta,
             strategy="partition", meter=unsharded,
         )
@@ -95,7 +95,7 @@ class TestDifferentialParity:
             runtime.load_relation(ir_s.relation, "shape")
             result = runtime.router.join("r", "s", theta, meter=sharded)
 
-        assert result.pairs == sorted(oracle.pairs)
+        assert result.pairs == sorted(local.pairs)
         # Same pairs found by the same sweep kernel over a different
         # partitioning: predicate evaluations match within a small
         # replication factor, never a decade.

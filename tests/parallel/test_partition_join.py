@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.core.executor import SpatialQueryExecutor
 from repro.errors import BufferPoolError, JoinError
 from repro.geometry.rect import Rect
-from repro.join.nested_loop import nested_loop_join
 from repro.parallel import partition_join
 from repro.parallel.partitioner import GridSpec
 from repro.predicates.theta import NorthwestOf, Overlaps
@@ -24,9 +23,9 @@ from repro.storage.buffer import BufferPool
 from repro.storage.costs import CostMeter
 from repro.storage.disk import SimulatedDisk
 
+from tests import oracle
 from tests.join.conftest import (
     RECT_SCHEMA,
-    brute_force_pairs,
     make_point_relation,
     make_rect_relation,
 )
@@ -52,10 +51,8 @@ def fresh_rect_relation(name, count, seed, *, spread=100.0, extent=10.0):
 def test_matches_nested_loop_on_random_workloads(n_r, n_s, seed, grid):
     rel_r = fresh_rect_relation("r", n_r, seed)
     rel_s = fresh_rect_relation("s", n_s, seed + 1)
-    expected = nested_loop_join(rel_r, rel_s, "shape", "shape", Overlaps())
     got = partition_join(rel_r, rel_s, "shape", "shape", Overlaps(), grid=grid)
-    assert got.pair_set() == expected.pair_set()
-    assert len(got.pairs) == len(set(got.pairs)), "duplicate pair emitted"
+    assert got.pairs == oracle.pairs(rel_r, "shape", rel_s, "shape", Overlaps())
 
 
 class TestPartitionJoin:
@@ -75,7 +72,7 @@ class TestPartitionJoin:
         rel_r = fresh_rect_relation("r", 80, seed=13)
         rel_s = make_point_relation("s", 80, seed=14)
         res = partition_join(rel_r, rel_s, "shape", "loc", Overlaps())
-        assert res.pair_set() == brute_force_pairs(rel_r, "shape", rel_s, "loc", Overlaps())
+        assert sorted(res.pair_set()) == oracle.pairs(rel_r, "shape", rel_s, "loc", Overlaps())
 
     def test_explicit_gridspec_and_universe(self):
         rel_r = fresh_rect_relation("r", 40, seed=15)
@@ -83,7 +80,7 @@ class TestPartitionJoin:
         spec = GridSpec(Rect(0, 0, 120, 120), 5, 5)
         res = partition_join(rel_r, rel_s, "shape", "shape", Overlaps(), grid=spec)
         assert res.stats["grid_nx"] == 5 and res.stats["grid_ny"] == 5
-        assert res.pair_set() == brute_force_pairs(
+        assert sorted(res.pair_set()) == oracle.pairs(
             rel_r, "shape", rel_s, "shape", Overlaps()
         )
 
@@ -136,7 +133,7 @@ class TestExecutorStrategy:
             rel_r, "shape", rel_s, "shape", Overlaps(), strategy="partition"
         )
         assert res.strategy == "partition-sweep"
-        assert res.pair_set() == brute_force_pairs(
+        assert sorted(res.pair_set()) == oracle.pairs(
             rel_r, "shape", rel_s, "shape", Overlaps()
         )
 
@@ -157,7 +154,7 @@ class TestExecutorStrategy:
             rel_r, "shape", rel_s, "shape", Overlaps(),
             strategy="partition", workers=2,
         )
-        assert res.pair_set() == brute_force_pairs(
+        assert sorted(res.pair_set()) == oracle.pairs(
             rel_r, "shape", rel_s, "shape", Overlaps()
         )
 

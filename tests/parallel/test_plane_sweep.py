@@ -10,6 +10,7 @@ from repro.parallel.partitioner import GridSpec
 from repro.predicates.theta import Overlaps
 from repro.storage.record import RecordId
 
+from tests import oracle
 from tests.parallel.reference import columnar_sweep
 
 UNIVERSE = Rect(0.0, 0.0, 100.0, 100.0)
@@ -25,17 +26,8 @@ def random_entries(count, seed, page):
     return entries
 
 
-def brute(entries_r, entries_s, theta):
-    return {
-        (er[0], es[0])
-        for er in entries_r
-        for es in entries_s
-        if theta(er[2], es[2])
-    }
-
-
-def sweep_all(entries_r, entries_s, grid, theta):
-    return columnar_sweep(entries_r, entries_s, grid, theta)
+def rows(entries):
+    return {tid: geom for tid, _mbr, geom in entries}
 
 
 class TestSingleTile:
@@ -43,8 +35,8 @@ class TestSingleTile:
         entries_r = random_entries(60, 1, page=1)
         entries_s = random_entries(60, 2, page=2)
         grid = GridSpec(UNIVERSE, 1, 1)
-        pairs, meter = sweep_all(entries_r, entries_s, grid, Overlaps())
-        assert set(pairs) == brute(entries_r, entries_s, Overlaps())
+        pairs, meter = columnar_sweep(entries_r, entries_s, grid, Overlaps())
+        assert sorted(pairs) == oracle.join(rows(entries_r), rows(entries_s), Overlaps())
         # Filter evaluations dominate exact refinements.
         assert meter.theta_filter_evals >= meter.theta_exact_evals > 0
 
@@ -57,15 +49,14 @@ class TestSingleTile:
 )
 @settings(max_examples=40, deadline=None)
 def test_grid_invariant_result_and_no_duplicates(n_r, n_s, n, seed):
-    """Any granularity yields the exact brute-force pair multiset: the
+    """Any granularity yields the model's exact pair multiset: the
     reference-point rule makes tiles emit disjoint pair sets, so no
     duplicate appears without any dedup pass."""
     entries_r = random_entries(n_r, seed, page=1)
     entries_s = random_entries(n_s, seed + 1, page=2)
     grid = GridSpec(UNIVERSE, n, n)
-    pairs, _ = sweep_all(entries_r, entries_s, grid, Overlaps())
-    assert len(pairs) == len(set(pairs))
-    assert set(pairs) == brute(entries_r, entries_s, Overlaps())
+    pairs, _ = columnar_sweep(entries_r, entries_s, grid, Overlaps())
+    assert sorted(pairs) == oracle.join(rows(entries_r), rows(entries_s), Overlaps())
 
 
 def test_seam_touching_objects_reported_once():
@@ -76,5 +67,5 @@ def test_seam_touching_objects_reported_once():
     s = Rect(50, 50, 60, 60)   # starts there
     entries_r = [(RecordId(1, 0), r, r)]
     entries_s = [(RecordId(2, 0), s, s)]
-    pairs, _ = sweep_all(entries_r, entries_s, grid, Overlaps())
+    pairs, _ = columnar_sweep(entries_r, entries_s, grid, Overlaps())
     assert pairs == [(RecordId(1, 0), RecordId(2, 0))]

@@ -18,6 +18,8 @@ from repro.storage.buffer import BufferPool
 from repro.storage.costs import CostMeter
 from repro.storage.disk import SimulatedDisk
 
+from tests import oracle
+
 
 @pytest.fixture
 def pool():
@@ -177,10 +179,8 @@ class TestSpatialThetaJoin:
         )
         assert small_meter.theta_exact_evals < full_meter.theta_exact_evals / 5
         # Every reduced match appears in the full join (restricted).
-        full_truth = {
-            (r["oid"], s["oid"])
-            for r in big_r.scan() if west(r)
-            for s in big_s.scan() if west(s)
-            if theta(r["loc"], s["loc"])
-        }
-        assert {(t["oid"], t["oid_2"]) for t in reduced.scan()} == full_truth
+        assert sorted((t["oid"], t["oid_2"]) for t in reduced.scan()) == oracle.join(
+            {t["oid"]: t["loc"] for t in big_r.scan() if west(t)},
+            {t["oid"]: t["loc"] for t in big_s.scan() if west(t)},
+            theta,
+        )

@@ -47,6 +47,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.wal import WriteAheadLog, recover
 from repro.workloads.assembly import build_indexed_relation
 
+from tests import oracle
 from tests.join.conftest import RECT_SCHEMA, kept_values, make_rect_relation
 
 SPEC = IntervalSpec(universe=Rect(0.0, 0.0, 120.0, 120.0), level=4)
@@ -352,19 +353,14 @@ SNAPSHOT = ("columns", "shape")
 
 
 def partition(rel_r, rel_s, **options):
+    """A partition join, held to the model; returns its meter."""
     meter = CostMeter()
     result = SpatialQueryExecutor().join(
         rel_r, "shape", rel_s, "shape", Overlaps(),
         strategy="partition", meter=meter, **options,
     )
-    return result.pairs, meter
-
-
-def oracle(rel_r, rel_s):
-    scan = SpatialQueryExecutor().join(
-        rel_r, "shape", rel_s, "shape", Overlaps(), strategy="scan"
-    )
-    return sorted(scan.pairs)
+    assert result.pairs == oracle.pairs(rel_r, "shape", rel_s, "shape", Overlaps())
+    return meter
 
 
 def io(meter):
@@ -384,14 +380,11 @@ def test_a_moved_operand_is_read_again_and_an_unmoved_one_is_not(move):
     rel_r = make_rect_relation("r", 60, seed=1)
     rel_s = make_rect_relation("s", 50, seed=2)
     pages = rel_r.num_pages + rel_s.num_pages
-    pairs, cold = partition(rel_r, rel_s)
-    assert pairs == oracle(rel_r, rel_s) and io(cold) == (pages, 0)
+    assert io(partition(rel_r, rel_s)) == (pages, 0)
     stale = rel_r.derived(SNAPSHOT)
-    pairs, warm = partition(rel_r, rel_s)
-    assert pairs == oracle(rel_r, rel_s) and io(warm) == (0, pages)
+    assert io(partition(rel_r, rel_s)) == (0, pages)
     MOVES[move](rel_r)
-    pairs, meter = partition(rel_r, rel_s)
-    assert pairs == oracle(rel_r, rel_s)
+    meter = partition(rel_r, rel_s)
     assert io(meter) == (rel_r.num_pages, rel_s.num_pages)
     assert rel_r.derived(SNAPSHOT) is not stale
     assert len(rel_r.derived(SNAPSHOT)) == len(rel_r)
@@ -414,8 +407,7 @@ def test_recovered_relations_are_read_again():
     before["r"].insert([999, Rect(5.0, 5.0, 60.0, 60.0)])  # logged, then the crash
     after, _report = recover(disk)
     assert after["r"].derived(SNAPSHOT) is None
-    pairs, cold = partition(after["r"], after["s"])
-    assert pairs == oracle(after["r"], after["s"])
+    cold = partition(after["r"], after["s"])
     assert len(after["r"].derived(SNAPSHOT)) == 41
     assert io(cold) == (after["r"].num_pages + after["s"].num_pages, 0)
 
@@ -468,8 +460,7 @@ def test_planning_and_joining_one_pair_from_two_threads_builds_once(monkeypatch)
         t.join(30)
         assert not t.is_alive()
     assert sorted(built) == ["r", "s"]
-    pairs, meter = got["join"]
-    assert pairs == oracle(rel_r, rel_s)
+    meter = got["join"]
     # The join read, at most, the operand the planner had not reached.
     assert meter.page_reads + meter.buffer_hits == rel_r.num_pages + rel_s.num_pages
     assert meter.buffer_hits >= rel_r.num_pages
@@ -491,11 +482,11 @@ def test_a_build_that_dies_on_storage_keeps_nothing_and_the_chain_falls_back():
     ]
     assert report.attempts[0].error_type == "TransientStorageError"
     assert kept_values(rel_r) == {} and kept_values(rel_s) == {}
-    assert sorted(result.pairs) == oracle(rel_r, rel_s)
+    assert sorted(result.pairs) == oracle.pairs(
+        rel_r, "shape", rel_s, "shape", Overlaps()
+    )
     # The outage is spent: the next partition join builds, and reads.
-    pairs, meter = partition(rel_r, rel_s)
-    assert pairs == oracle(rel_r, rel_s)
-    assert io(meter) == (rel_r.num_pages + rel_s.num_pages, 0)
+    assert io(partition(rel_r, rel_s)) == (rel_r.num_pages + rel_s.num_pages, 0)
 
 
 def test_consumers_leave_a_retained_snapshot_byte_identical():

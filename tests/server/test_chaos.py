@@ -34,47 +34,13 @@ from repro.geometry.rect import Rect
 from repro.predicates.theta import Overlaps
 from repro.server import QueryClient, QueryServer, RetryPolicy, ServiceConfig
 
+from tests.oracle import Model
 from tests.server.conftest import build_service, seeded_rect
 
 SEED = int(os.environ.get("CHAOS_SEED", "1"))
 READERS = 6
 WRITERS = 2
 OPS_PER_CLIENT = 12
-
-
-class WireOracle:
-    """Row-set reconstruction from epochs reported over the wire.
-
-    Unlike the in-process stress oracle, entries arrive in reply order,
-    not commit order -- so reconstruction sorts by epoch (committed
-    epochs are unique and monotone per relation).
-    """
-
-    def __init__(self, base_rows: dict[int, Rect]) -> None:
-        self.base_rows = dict(base_rows)
-        self._log: list[tuple[int, str, int, Rect | None]] = []
-        self._lock = threading.Lock()
-
-    def log_insert(self, epoch: int, oid: int, rect: Rect) -> None:
-        with self._lock:
-            self._log.append((epoch, "insert", oid, rect))
-
-    def log_delete(self, epoch: int, oid: int) -> None:
-        with self._lock:
-            self._log.append((epoch, "delete", oid, None))
-
-    def rows_at(self, epoch: int) -> dict[int, Rect]:
-        rows = dict(self.base_rows)
-        with self._lock:
-            ops = sorted(self._log)
-        for op_epoch, op, oid, rect in ops:
-            if op_epoch > epoch:
-                break
-            if op == "insert":
-                rows[oid] = rect
-            else:
-                rows.pop(oid, None)
-        return rows
 
 
 def test_chaos_soak_retrying_clients_survive_wire_faults():
@@ -93,7 +59,11 @@ def test_chaos_soak_retrying_clients_survive_wire_faults():
     )
     server = QueryServer(service).start()
     proxy = ChaosProxy(plan, server.address).start()
-    oracles = {name: WireOracle(base[name]) for name in ("r", "s")}
+    # Writes are logged in reply order, not commit order; the model
+    # replays them by epoch.
+    model = Model()
+    for name in ("r", "s"):
+        model.load(name, base[name])
     theta = Overlaps()
     failures: list[str] = []
     observations: list[tuple[str, int, Rect, list[int]]] = []
@@ -155,7 +125,7 @@ def test_chaos_soak_retrying_clients_survive_wire_faults():
                     payload = client.request(op="delete", relation=name,
                                              oid=oid)
                     if payload["deleted"]:
-                        oracles[name].log_delete(payload["epoch"], oid)
+                        model.delete(name, oid, payload["epoch"])
                 else:
                     oid = next_oid
                     next_oid += 1
@@ -164,7 +134,7 @@ def test_chaos_soak_retrying_clients_survive_wire_faults():
                         op="insert", relation=name, oid=oid,
                         rect=[rect.xmin, rect.ymin, rect.xmax, rect.ymax],
                     )
-                    oracles[name].log_insert(payload["epoch"], oid, rect)
+                    model.insert(name, oid, rect, payload["epoch"])
                     mine.append(oid)
             except Exception as exc:
                 failures.append(f"writer {worker}: {exc!r}")
@@ -201,12 +171,9 @@ def test_chaos_soak_retrying_clients_survive_wire_faults():
             "faults were injected but no client ever retried"
 
     # Differential check, post-hoc: every observed answer must equal
-    # the oracle's reconstruction at its pinned epoch.
+    # the model's reconstruction at its pinned epoch.
     for name, epoch, window, got in observations:
-        want = sorted(
-            oid for oid, rect in oracles[name].rows_at(epoch).items()
-            if theta(window, rect)
-        )
+        want = model.select(name, window, theta, epoch)
         assert got == want, (
             f"select {name}@{epoch}: got {len(got)} oids, want {len(want)}"
         )

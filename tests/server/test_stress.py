@@ -3,9 +3,9 @@
 Eight threaded sessions hammer two shared relations with SELECTs, JOINs,
 inserts and deletes.  Every committed write appends to an epoch-stamped
 op log *inside the write lock* (via ``on_commit``), so the log is in
-true commit order; every read returns its pinned epoch(s).  The oracle
-reconstructs each relation's exact row set at any epoch from the log and
-checks every concurrent answer against it:
+true commit order; every read returns its pinned epoch(s).  The model
+(:class:`tests.oracle.Model`) reconstructs each relation's exact row set
+at any epoch from the log and checks every concurrent answer against it:
 
 * a SELECT's oids must equal the predicate evaluated over the rows
   at the pinned epoch;
@@ -32,6 +32,7 @@ from repro.geometry.rect import Rect
 from repro.predicates.theta import Overlaps
 from repro.server import ServiceConfig
 
+from tests.oracle import Model
 from tests.server.conftest import build_service, build_relation, seeded_rect
 
 SEED = int(os.environ.get("SERVER_STRESS_SEED", "1"))
@@ -40,51 +41,15 @@ OPS_PER_SESSION = 25
 BASE_ROWS = 40
 
 
-class EpochOracle:
-    """Reconstructs one relation's row set at any committed epoch."""
-
-    def __init__(self, base_rows: dict[int, Rect], base_epoch: int) -> None:
-        self.base_rows = dict(base_rows)
-        self.base_epoch = base_epoch
-        self._log: list[tuple[int, str, int, Rect | None]] = []
-        self._lock = threading.Lock()
-
-    def log_insert(self, epoch: int, oid: int, rect: Rect) -> None:
-        with self._lock:
-            self._log.append((epoch, "insert", oid, rect))
-
-    def log_delete(self, epoch: int, oid: int) -> None:
-        with self._lock:
-            self._log.append((epoch, "delete", oid, None))
-
-    def rows_at(self, epoch: int) -> dict[int, Rect]:
-        rows = dict(self.base_rows)
-        with self._lock:
-            ops = list(self._log)
-        for op_epoch, op, oid, rect in ops:
-            if op_epoch > epoch:
-                break
-            if op == "insert":
-                rows[oid] = rect
-            else:
-                rows.pop(oid, None)
-        return rows
-
-    def committed_epochs(self) -> list[int]:
-        with self._lock:
-            return [self.base_epoch] + [e for e, *_ in self._log]
-
-
 def test_eight_sessions_see_snapshot_isolated_answers():
     service, base = build_service(
         count=BASE_ROWS,
         cache=QueryCache(),
         config=ServiceConfig(max_inflight=6, snapshot_retries=6),
     )
-    oracles = {
-        name: EpochOracle(base[name], service.state.get(name).modification_count)
-        for name in ("r", "s")
-    }
+    model = Model()
+    for name in ("r", "s"):
+        model.load(name, base[name], service.state.get(name).modification_count)
     theta = Overlaps()
     failures: list[str] = []
     tallies = {"reads": 0, "writes": 0, "shed": 0, "conflicts": 0}
@@ -107,11 +72,7 @@ def test_eight_sessions_see_snapshot_isolated_answers():
                             name, "shape", window, theta
                         )
                         got = sorted(t["oid"] for _tid, t in result.matches)
-                        want = sorted(
-                            oid
-                            for oid, rect in oracles[name].rows_at(epoch).items()
-                            if theta(window, rect)
-                        )
+                        want = model.select(name, window, theta, epoch)
                         if got != want:
                             failures.append(
                                 f"select {name}@{epoch}: got {got}, want {want}"
@@ -126,14 +87,7 @@ def test_eight_sessions_see_snapshot_isolated_answers():
                         got = sorted(
                             (a["oid"], b["oid"]) for a, b in result.tuples
                         )
-                        rows_r = oracles["r"].rows_at(e_r)
-                        rows_s = oracles["s"].rows_at(e_s)
-                        want = sorted(
-                            (oid_r, oid_s)
-                            for oid_r, rect_r in rows_r.items()
-                            for oid_s, rect_s in rows_s.items()
-                            if theta(rect_r, rect_s)
-                        )
+                        want = model.join("r", "s", theta, (e_r, e_s))
                         if got != want:
                             failures.append(
                                 f"join @({e_r},{e_s}): {len(got)} pairs, "
@@ -151,7 +105,6 @@ def test_eight_sessions_see_snapshot_isolated_answers():
         with service.open_session() as session:
             for _ in range(OPS_PER_SESSION):
                 name = rng.choice(("r", "s"))
-                oracle = oracles[name]
                 try:
                     if rng.random() < 0.65:
                         oid = next_oid
@@ -159,17 +112,15 @@ def test_eight_sessions_see_snapshot_isolated_answers():
                         rect = seeded_rect(rng)
                         session.insert(
                             name, [oid, rect],
-                            on_commit=lambda e, o=oid, rc=rect, orc=oracle:
-                                orc.log_insert(e, o, rc),
+                            on_commit=lambda e, n=name, o=oid, rc=rect:
+                                model.insert(n, o, rc, e),
                         )
                     else:
-                        target = rng.choice(
-                            list(oracle.rows_at(10**9)) or [0]
-                        )
+                        target = rng.choice(list(model.rows(name)) or [0])
                         session.delete_where(
                             name, lambda t, tgt=target: t["oid"] == tgt,
-                            on_commit=lambda e, tgt=target, orc=oracle:
-                                orc.log_delete(e, tgt),
+                            on_commit=lambda e, n=name, tgt=target:
+                                model.delete(n, tgt, e),
                         )
                     bump("writes")
                 except ServerBusy:
@@ -191,8 +142,8 @@ def test_eight_sessions_see_snapshot_isolated_answers():
     assert tallies["reads"] > 0 and tallies["writes"] > 0
     # Every pinned epoch a reader reported must be a committed epoch:
     # no read ever validated against a mid-write state.
-    for name, oracle in oracles.items():
-        committed = set(oracle.committed_epochs())
+    for name in ("r", "s"):
+        committed = set(model.epochs(name))
         for chk_name, epoch, _, _ in select_checks:
             if chk_name == name:
                 assert epoch in committed
@@ -204,7 +155,7 @@ def test_eight_sessions_see_snapshot_isolated_answers():
     solo = SpatialQueryExecutor()
     for name, epoch, window, got in select_checks[:10]:
         rebuilt, _ = build_relation(f"rebuilt-{name}-{epoch}", 0, seed=0)
-        for oid, rect in sorted(oracles[name].rows_at(epoch).items()):
+        for oid, rect in sorted(model.rows(name, epoch).items()):
             rebuilt.insert([oid, rect])
         solo_result = solo.select(rebuilt, "shape", window, theta)
         assert sorted(t["oid"] for _tid, t in solo_result.matches) == got

@@ -1,4 +1,4 @@
-"""Shared fixtures and oracles for the shard-runtime tests."""
+"""Shared fixtures for the shard-runtime tests."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import time
 import pytest
 
 from repro.geometry.rect import Rect
-from repro.predicates.theta import ThetaOperator
 from repro.relational.relation import Relation
 from repro.shard import ShardRuntime
 
@@ -50,16 +49,3 @@ def loaded_runtime(
         runtime.close()
         raise
     return runtime, rel_r, rel_s
-
-
-def oracle_join(rel_r: Relation, rel_s: Relation, theta: ThetaOperator):
-    """Unsharded nested-loop ground truth over logical tids."""
-    left = [(t.tid, t["shape"]) for t in rel_r.scan()]
-    right = [(t.tid, t["shape"]) for t in rel_s.scan()]
-    return sorted(
-        (a, b) for a, ga in left for b, gb in right if theta(ga, gb)
-    )
-
-
-def oracle_select(rel: Relation, window: Rect, theta: ThetaOperator):
-    return sorted(t.tid for t in rel.scan() if theta(window, t["shape"]))

@@ -19,7 +19,8 @@ from repro.geometry.rect import Rect
 from repro.predicates.theta import Overlaps
 from repro.shard import ShardRouter
 
-from tests.shard.conftest import loaded_runtime, oracle_join, oracle_select
+from tests import oracle
+from tests.shard.conftest import loaded_runtime
 
 WINDOW = Rect(10.0, 10.0, 45.0, 45.0)
 SIZE = 30
@@ -40,8 +41,8 @@ def run_workload(fault_plan=None, retries=2):
             "tids": [t for t, _ in select.matches],
             "dispatches": runtime.status()["dispatches"],
             "restarts": sum(s.restarts for s in runtime.shards),
-            "oracle_pairs": oracle_join(rel_r, rel_s, Overlaps()),
-            "oracle_tids": oracle_select(rel_r, WINDOW, Overlaps()),
+            "oracle_pairs": oracle.pairs(rel_r, "shape", rel_s, "shape", Overlaps()),
+            "oracle_tids": oracle.tids(rel_r, "shape", WINDOW, Overlaps()),
         }
 
 

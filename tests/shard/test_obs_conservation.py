@@ -29,11 +29,10 @@ from repro.predicates.theta import Overlaps
 from repro.server import QueryService
 from repro.storage.costs import COUNTER_FIELDS, CostMeter
 
+from tests import oracle
 from tests.shard.conftest import (
     build_relations,
     loaded_runtime,
-    oracle_join,
-    oracle_select,
 )
 
 WINDOW = Rect(10.0, 10.0, 45.0, 45.0)
@@ -61,7 +60,7 @@ class TestRouterLevelGraft:
                     trace=ctx.for_span(tracer.uid_of(span)),
                     meter=meter, tracer=tracer,
                 )
-        assert result.pairs == oracle_join(rel_r, rel_s, Overlaps())
+        assert result.pairs == oracle.pairs(rel_r, "shape", rel_s, "shape", Overlaps())
         records = tracer.to_records()
         roots = [r for r in records if r["parent_id"] is None]
         assert len(roots) == 1 and roots[0]["name"] == "session.shard_join"
@@ -104,7 +103,7 @@ class TestRouterLevelGraft:
                     meter=meter, tracer=tracer,
                 )
         assert [t for t, _ in result.matches] == \
-            oracle_select(rel_r, WINDOW, Overlaps())
+            oracle.tids(rel_r, "shape", WINDOW, Overlaps())
         records = tracer.to_records()
         _assert_conserves(records, meter)
         selects = [r for r in records if r["name"] == "shard.select"]
@@ -130,7 +129,7 @@ class TestSessionLevelGraft:
                     records = session.tracer.to_records()
             finally:
                 service.close()
-        assert result.pairs == oracle_join(rel_r, rel_s, Overlaps())
+        assert result.pairs == oracle.pairs(rel_r, "shape", rel_s, "shape", Overlaps())
         roots = [r for r in records if r["parent_id"] is None]
         assert len(roots) == 1
         root = roots[0]
@@ -203,7 +202,7 @@ class TestKillDuringJoin:
         plan, service, result, records, status, rel_r, rel_s = self._run(seed)
         assert plan.summary()["consumed"] == 1
         assert status["restarts"] == 1
-        assert result.pairs == oracle_join(rel_r, rel_s, Overlaps())
+        assert result.pairs == oracle.pairs(rel_r, "shape", rel_s, "shape", Overlaps())
         roots = [r for r in records if r["parent_id"] is None]
         assert len(roots) == 1
         totals = sum_cost_self(records)

@@ -11,12 +11,11 @@ from repro.relational.schema import Column, ColumnType, Schema
 from repro.shard import ShardRuntime
 from repro.storage.record import RecordId
 
+from tests import oracle
 from tests.shard.conftest import (
     UNIVERSE,
     build_relations,
     loaded_runtime,
-    oracle_join,
-    oracle_select,
 )
 
 WINDOW = Rect(10.0, 10.0, 45.0, 45.0)
@@ -27,7 +26,7 @@ class TestDistributedQueries:
         runtime, rel_r, rel_s = loaded_runtime(3)
         with runtime:
             result = runtime.router.join("r", "s", Overlaps())
-        expected = oracle_join(rel_r, rel_s, Overlaps())
+        expected = oracle.pairs(rel_r, "shape", rel_s, "shape", Overlaps())
         assert result.pairs == expected
         assert expected, "oracle must be non-trivial"
         assert result.strategy == "shard-partition[3]"
@@ -36,19 +35,19 @@ class TestDistributedQueries:
         runtime, rel_r, rel_s = loaded_runtime(1)
         with runtime:
             result = runtime.router.join("r", "s", Overlaps())
-        assert result.pairs == oracle_join(rel_r, rel_s, Overlaps())
+        assert result.pairs == oracle.pairs(rel_r, "shape", rel_s, "shape", Overlaps())
 
     def test_join_matches_oracle_processes(self):
         runtime, rel_r, rel_s = loaded_runtime(3, processes=True)
         with runtime:
             result = runtime.router.join("r", "s", Overlaps())
-        assert result.pairs == oracle_join(rel_r, rel_s, Overlaps())
+        assert result.pairs == oracle.pairs(rel_r, "shape", rel_s, "shape", Overlaps())
 
     def test_select_matches_oracle_overlaps(self):
         runtime, rel_r, _ = loaded_runtime(3)
         with runtime:
             result = runtime.router.select("r", WINDOW, Overlaps())
-        expected = oracle_select(rel_r, WINDOW, Overlaps())
+        expected = oracle.tids(rel_r, "shape", WINDOW, Overlaps())
         assert [t for t, _ in result.matches] == expected
         assert expected
 
@@ -57,8 +56,8 @@ class TestDistributedQueries:
         theta = WithinDistance(15.0)
         with runtime:
             result = runtime.router.select("r", WINDOW, theta)
-        assert [t for t, _ in result.matches] == oracle_select(
-            rel_r, WINDOW, theta
+        assert [t for t, _ in result.matches] == oracle.tids(
+            rel_r, "shape", WINDOW, theta
         )
         assert result.strategy == "shard-select[3/3]"
 
@@ -90,12 +89,12 @@ class TestMutations:
             tid = runtime.insert("r", [9999, shape])
             assert tid.page_id == -1
             result = runtime.router.select("r", WINDOW, Overlaps())
-            expected = sorted(oracle_select(rel_r, WINDOW, Overlaps()) + [tid])
+            expected = sorted(oracle.tids(rel_r, "shape", WINDOW, Overlaps()) + [tid])
             assert [t for t, _ in result.matches] == expected
 
     def test_delete_removes_from_every_replica(self):
         runtime, rel_r, _ = loaded_runtime(3)
-        victim = oracle_select(rel_r, WINDOW, Overlaps())[0]
+        victim = oracle.tids(rel_r, "shape", WINDOW, Overlaps())[0]
         with runtime:
             hits = runtime.delete("r", victim)
             assert hits >= 1
@@ -111,7 +110,7 @@ class TestMutations:
         runtime, rel_r, rel_s = loaded_runtime(3, processes=processes)
         # On a seam of the 3-shard cut, so the row is replicated.
         shape = Rect(20.0, 20.0, 70.0, 70.0)
-        victim = oracle_select(rel_r, WINDOW, Overlaps())[0]
+        victim = oracle.tids(rel_r, "shape", WINDOW, Overlaps())[0]
         with runtime:
             tid = runtime.insert("r", [9999, shape])
             assert tid == RecordId(-1, 1)
@@ -121,14 +120,11 @@ class TestMutations:
             # ... and a live-inserted row can be deleted again.
             assert runtime.delete("r", tid) >= 2
             without = runtime.router.select("r", WINDOW, Overlaps())
-        rows_r = [(tid, shape)] + [
-            (t.tid, t["shape"]) for t in rel_r.scan() if t.tid != victim
-        ]
-        assert join.pairs == sorted(
-            (a, t.tid) for a, ga in rows_r for t in rel_s.scan()
-            if Overlaps()(ga, t["shape"])
-        )
-        expected = sorted(a for a, ga in rows_r if Overlaps()(WINDOW, ga))
+        rows_r = oracle.rows_of(rel_r)
+        rows_r[tid] = shape
+        del rows_r[victim]
+        assert join.pairs == oracle.join(rows_r, oracle.rows_of(rel_s), Overlaps())
+        expected = oracle.select(rows_r, WINDOW, Overlaps())
         assert [t for t, _ in select.matches] == expected and tid in expected
         assert [t for t, _ in without.matches] == [t for t in expected if t != tid]
 
@@ -148,7 +144,7 @@ class TestFailover:
         with runtime:
             runtime.kill_shard(1)
             result = runtime.router.join("r", "s", Overlaps())
-            assert result.pairs == oracle_join(rel_r, rel_s, Overlaps())
+            assert result.pairs == oracle.pairs(rel_r, "shape", rel_s, "shape", Overlaps())
             status = runtime.status()
             assert status["restarts"] == 1
             assert status["shards"][1]["generation"] == 1

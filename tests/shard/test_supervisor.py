@@ -9,7 +9,8 @@ from repro.geometry.rect import Rect
 from repro.obs.metrics import MetricsRegistry
 from repro.predicates.theta import Overlaps
 
-from tests.shard.conftest import loaded_runtime, oracle_join
+from tests import oracle
+from tests.shard.conftest import loaded_runtime
 
 WINDOW = Rect(10.0, 10.0, 45.0, 45.0)
 
@@ -76,8 +77,8 @@ class TestRestart:
             runtime.kill_shard(1)
             runtime.supervisor.restart(runtime.shards[1])
             after = runtime.router.join("r", "s", Overlaps())
-            assert after.pairs == before.pairs == oracle_join(
-                rel_r, rel_s, Overlaps()
+            assert after.pairs == before.pairs == oracle.pairs(
+                rel_r, "shape", rel_s, "shape", Overlaps()
             )
 
     def test_restart_bumps_generation_and_restart_count(self):
@@ -108,7 +109,7 @@ class TestRestart:
         )
         with runtime:
             result = runtime.router.join("r", "s", Overlaps())
-            assert result.pairs == oracle_join(rel_r, rel_s, Overlaps())
+            assert result.pairs == oracle.pairs(rel_r, "shape", rel_s, "shape", Overlaps())
             snap = metrics.snapshot()
             injected = plan.summary()["injected"]
             assert injected == 2
@@ -145,7 +146,7 @@ class TestProcessSupervision:
         with runtime:
             runtime.kill_shard(0)
             result = runtime.router.join("r", "s", Overlaps())
-            assert result.pairs == oracle_join(rel_r, rel_s, Overlaps())
+            assert result.pairs == oracle.pairs(rel_r, "shape", rel_s, "shape", Overlaps())
             assert runtime.shards[0].restarts == 1
 
     def test_hung_worker_treated_as_crashed(self):
@@ -162,4 +163,4 @@ class TestProcessSupervision:
                 runtime.dispatch(shard, "stall", {"seconds": 2.0})
             runtime.supervisor.restart(shard)
             result = runtime.router.join("r", "s", Overlaps())
-            assert result.pairs == oracle_join(rel_r, rel_s, Overlaps())
+            assert result.pairs == oracle.pairs(rel_r, "shape", rel_s, "shape", Overlaps())

@@ -20,6 +20,7 @@ from repro.persistence import (
 from repro.predicates.theta import WithinDistance
 from repro.workloads.scenarios import make_lakes_and_houses
 
+from tests import oracle
 from tests.join.conftest import make_rect_relation
 
 
@@ -92,21 +93,17 @@ class TestSnapshotFiles:
         """The acid test: the join result survives the round trip."""
         sc = make_lakes_and_houses(n_houses=80, n_lakes=10, seed=74)
         theta = WithinDistance(120.0)
-        original_pairs = {
-            (h["hid"], l["lid"])
-            for h in sc.houses.scan()
-            for l in sc.lakes.scan()
-            if theta(h["hlocation"], l["larea"])
-        }
         path = tmp_path / "s.json"
         save_snapshot(path, {"houses": sc.houses, "lakes": sc.lakes})
         loaded = load_snapshot(path)
-        reloaded_pairs = {
-            (h["hid"], l["lid"])
-            for h in loaded["houses"].scan()
-            for l in loaded["lakes"].scan()
-            if theta(h["hlocation"], l["larea"])
-        }
+        original_pairs, reloaded_pairs = (
+            oracle.join(
+                oracle.rows_of(houses, "hlocation", key="hid"),
+                oracle.rows_of(lakes, "larea", key="lid"),
+                theta,
+            )
+            for houses, lakes in ((sc.houses, sc.lakes), (loaded["houses"], loaded["lakes"]))
+        )
         assert reloaded_pairs == original_pairs
 
     def test_not_a_snapshot(self, tmp_path):

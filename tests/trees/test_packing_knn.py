@@ -10,10 +10,13 @@ from repro.errors import TreeError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.predicates.dispatch import min_distance
+from repro.predicates.theta import Overlaps
 from repro.storage.record import RecordId
 from repro.trees.knn import nearest_neighbor, nearest_neighbors
 from repro.trees.packing import packing_quality, str_pack
 from repro.trees.rtree import RTree
+
+from tests import oracle
 
 
 def random_rects(count: int, seed: int) -> list[Rect]:
@@ -53,8 +56,7 @@ class TestStrPack:
         tree = packed(rects)
         q = Rect(100, 100, 200, 200)
         got = {t.slot for t in tree.search_tids(q)}
-        want = {i for i, r in enumerate(rects) if r.intersects(q)}
-        assert got == want
+        assert got == set(oracle.select(dict(enumerate(rects)), q, Overlaps()))
 
     def test_insert_after_pack_still_works(self):
         rects = random_rects(100, seed=22)
@@ -112,8 +114,7 @@ class TestKnn:
         assert len(got) == k
         dists = [d for d, _ in got]
         assert dists == sorted(dists)
-        brute = sorted(rects[i].distance_to_point(q) for i in range(len(rects)))[:k]
-        assert dists == pytest.approx(brute)
+        assert dists == pytest.approx(oracle.nearest(dict(enumerate(rects)), q, k))
 
     def test_k_exceeds_size(self):
         rects = random_rects(5, seed=27)
@@ -146,5 +147,4 @@ def test_knn_property_matches_sorted_distances(coords, qx, qy, k):
     tree = str_pack([(p, RecordId(0, i)) for i, p in enumerate(points)], max_entries=4)
     q = Point(qx, qy)
     got = nearest_neighbors(tree, q, k=k)
-    want = sorted(q.distance_to(p) for p in points)[: min(k, len(points))]
-    assert [d for d, _ in got] == pytest.approx(want)
+    assert [d for d, _ in got] == pytest.approx(oracle.nearest(dict(enumerate(points)), q, k))

@@ -7,10 +7,13 @@ import pytest
 from repro.errors import TreeError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.predicates.theta import Overlaps
 from repro.storage.record import RecordId
 from repro.trees.packing import packing_quality
 from repro.trees.rstar import RStarTree
 from repro.trees.rtree import RTree
+
+from tests import oracle
 
 
 def random_rects(count: int, seed: int, clustered: bool = False) -> list[Rect]:
@@ -61,8 +64,7 @@ class TestCorrectness:
         t = loaded(rects)
         for q in (Rect(100, 100, 200, 200), Rect(0, 0, 500, 500), Rect(490, 490, 499, 499)):
             got = {tid.slot for tid in t.search_tids(q)}
-            want = {i for i, r in enumerate(rects) if r.intersects(q)}
-            assert got == want
+            assert got == set(oracle.select(dict(enumerate(rects)), q, Overlaps()))
 
     def test_delete_inherited(self):
         rects = random_rects(200, seed=32)
@@ -114,5 +116,5 @@ class TestQuality:
         t = loaded(rects)
         q = Point(250, 250)
         got = nearest_neighbors(t, q, k=5)
-        brute = sorted(r.distance_to_point(q) for r in rects)[:5]
-        assert [d for d, _ in got] == pytest.approx(brute)
+        want = oracle.nearest(dict(enumerate(rects)), q, 5)
+        assert [d for d, _ in got] == pytest.approx(want)

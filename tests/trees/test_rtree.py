@@ -7,8 +7,11 @@ import pytest
 from repro.errors import TreeError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.predicates.theta import Overlaps
 from repro.storage.record import RecordId
 from repro.trees.rtree import RTree
+
+from tests import oracle
 
 
 def random_rects(count: int, seed: int = 0) -> list[Rect]:
@@ -51,8 +54,7 @@ class TestInsertSearch:
         t.check_invariants()
         for q in (Rect(10, 10, 30, 30), Rect(0, 0, 100, 100), Rect(95, 95, 99, 99)):
             got = {tid.slot for tid in t.search_tids(q)}
-            want = {i for i, r in enumerate(rects) if r.intersects(q)}
-            assert got == want
+            assert got == set(oracle.select(dict(enumerate(rects)), q, Overlaps()))
 
     def test_point_data(self, split):
         rng = random.Random(2)
@@ -63,8 +65,7 @@ class TestInsertSearch:
         t.check_invariants()
         q = Rect(10, 10, 20, 20)
         got = {tid.slot for tid in t.search_tids(q)}
-        want = {i for i, p in enumerate(pts) if q.contains_point(p)}
-        assert got == want
+        assert got == set(oracle.select(dict(enumerate(pts)), q, Overlaps()))
 
     def test_invariants_across_sizes(self, split):
         for n in (1, 5, 9, 50, 137):
@@ -97,8 +98,8 @@ class TestDelete:
         t.check_invariants()
         q = Rect(0, 0, 60, 60)
         got = {tid.slot for tid in t.search_tids(q)}
-        want = {i for i, r in enumerate(rects) if i not in removed and r.intersects(q)}
-        assert got == want
+        kept = {i: r for i, r in enumerate(rects) if i not in removed}
+        assert got == set(oracle.select(kept, q, Overlaps()))
 
     def test_root_shrinks(self):
         rects = random_rects(100, seed=6)

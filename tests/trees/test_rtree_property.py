@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.rect import Rect
+from repro.predicates.theta import Overlaps
 from repro.storage.record import RecordId
 from repro.trees.rtree import RTree
+
+from tests import oracle
 
 coords = st.floats(min_value=0, max_value=100, allow_nan=False)
 sizes = st.floats(min_value=0, max_value=20, allow_nan=False)
@@ -37,8 +40,7 @@ def test_search_equals_brute_force(rects, query, split):
         tree.insert(r, RecordId(0, i))
     tree.check_invariants()
     got = {tid.slot for tid in tree.search_tids(query)}
-    want = {i for i, r in enumerate(rects) if r.intersects(query)}
-    assert got == want
+    assert got == set(oracle.select(dict(enumerate(rects)), query, Overlaps()))
 
 
 @given(rect_lists(), st.data())

@@ -199,6 +199,26 @@ class TestIndexRecovery:
         assert not relations["objects"].has_index_on("shape")
         assert report.pending_indexes == [("objects", "shape", "FakeIndex")]
 
+    def test_index_fused_into_a_checkpoint_is_rebuilt_or_reported(self):
+        """The checkpoint truncates the attach-index record; its snapshot
+        still names the indexed column, so the index is neither lost
+        silently nor rebuilt short of the rows replayed after it."""
+        disk, pool, wal, rel = durable_stack(SPATIAL_SCHEMA)
+        rel.attach_index("shape", FakeIndex())
+        for i in range(3):
+            rel.insert([i, Rect(i, i, i + 1, i + 1)])
+        Checkpointer(wal, [rel]).checkpoint()
+        rel.insert([3, Rect(3, 3, 4, 4)])
+        pool.flush_all()
+        relations, report = recover(
+            disk, index_factories={("objects", "shape"): FakeIndex}
+        )
+        assert len(relations["objects"].index_on("shape").entries) == 4
+        assert report.pending_indexes == []
+        relations, report = recover(disk)
+        assert not relations["objects"].has_index_on("shape")
+        assert report.pending_indexes == [("objects", "shape", "?")]
+
 
 class TestReport:
     def test_format_mentions_the_essentials(self):

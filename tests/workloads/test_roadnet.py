@@ -9,6 +9,8 @@ from repro.join.select import spatial_select
 from repro.predicates.theta import ReachableWithin
 from repro.workloads.roadnet import make_road_network
 
+from tests import oracle
+
 
 @pytest.fixture(scope="module")
 def network():
@@ -45,22 +47,12 @@ class TestReachabilityQueries:
         theta = ReachableWithin(minutes=60.0, speed=1.0)
         road = next(network.roads.scan())
         res = spatial_select(network.facility_tree, road["path"], theta)
-        want = {
-            f.tid
-            for f in network.facilities.scan()
-            if theta(road["path"], f["site"])
-        }
-        assert set(res.tids) == want
+        assert sorted(res.tids) == oracle.tids(network.facilities, "site", road["path"], theta)
 
     def test_road_facility_join_all_strategies(self, network):
         theta = ReachableWithin(minutes=80.0, speed=1.0)
         executor = SpatialQueryExecutor()
-        truth = {
-            (r.tid, f.tid)
-            for r in network.roads.scan()
-            for f in network.facilities.scan()
-            if theta(r["path"], f["site"])
-        }
+        truth = set(oracle.pairs(network.roads, "path", network.facilities, "site", theta))
         for strategy in ("scan", "tree", "index-nl"):
             res = executor.join(
                 network.roads, "path", network.facilities, "site", theta,
