@@ -1,20 +1,23 @@
 """The second-tier refiner: ``Theta-filter -> interval filter -> exact``.
 
-Join strategies refine candidate pairs through a *refiner* object with a
-single ``matches(a, b, meter)`` method.  Two implementations:
+Join strategies refine candidate pairs through a *refiner* object.  Its
+``resolve(geoms_a, geoms_b, meter)`` decides a whole batch of candidates
+-- a sweep block, a QualPairs level, a z-order run -- and returns
+exactly ``[matches(a, b, meter) for a, b in zip(geoms_a, geoms_b)]``,
+charging the meter the same totals in bulk; ``matches`` is the one-pair
+form that plain selections and the scalar references call.  Two
+implementations:
 
 * :class:`ExactRefiner` -- the historical path: charge one exact
   evaluation and run the predicate.  Strategies construct it themselves
-  when no interval filter is passed, so a filter-off run is
-  instruction-for-instruction identical to the pre-filter code.
+  when no interval filter is passed.
 * :class:`IntervalFilter` -- probes the raster-interval approximations
   first; only ambiguous pairs (PARTIAL/PARTIAL cell overlap) fall
   through to the exact predicate.  Sure hits and sure misses skip it,
   and the saved evaluations are metered (``interval_evals_saved``).
 
-Both are picklable: the partition join ships its refiner to worker
-processes, and the shard router ships an :class:`IntervalSpec` in the
-join payload for the worker to build its own filter from.
+The shard router ships an :class:`IntervalSpec` in the join payload for
+the worker to build its own filter from.
 
 The filter applies to the ``overlaps`` operator only -- the verdict
 algebra (FULL cell met => intersection; disjoint covers => no
@@ -25,9 +28,10 @@ other predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import IntermediateError
+from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 from repro.intermediate.approx import (
     AMBIGUOUS,
@@ -37,9 +41,14 @@ from repro.intermediate.approx import (
     classify,
 )
 from repro.intermediate.raster import rasterize
-from repro.predicates.dispatch import SpatialObject
+from repro.predicates.dispatch import SpatialObject, exact_overlaps
 from repro.predicates.theta import Overlaps, ThetaOperator
 from repro.storage.costs import CostMeter
+
+#: Candidate pairs a tree traversal collects before it refines them in
+#: one ``resolve``: enough to amortise the call, few enough that what
+#: the pending pairs hold stays small beside the traversal's own lists.
+BATCH = 1024
 
 #: Default decomposition depth of executor-built filters: a 64 x 64 grid
 #: -- fine enough to resolve the synthetic workloads' extents, coarse
@@ -77,9 +86,6 @@ class ExactRefiner:
 
     __slots__ = ("theta",)
 
-    #: No interval tier: lets callers ask "did a filter actually run?"
-    active = False
-
     def __init__(self, theta: Callable[[SpatialObject, SpatialObject], bool]):
         self.theta = theta
 
@@ -88,6 +94,44 @@ class ExactRefiner:
     ) -> bool:
         meter.record_exact_eval()
         return self.theta(a, b)
+
+    def resolve(
+        self, geoms_a: Sequence[SpatialObject], geoms_b: Sequence[SpatialObject],
+        meter: CostMeter,
+    ) -> list[bool]:
+        """``[self.matches(a, b, meter) for a, b in zip(geoms_a, geoms_b)]``.
+
+        An ``overlaps`` batch has its exact evaluations charged in one
+        step and is decided by operand class: a rectangle pair by its
+        MBR test (theta and Theta coincide on rectangles, Table 1), a
+        polygon pair by the vectorised
+        :func:`~repro.geometry.polygon_kernel.overlaps_pairs` -- the
+        scalar test's arithmetic on arrays, so the same verdict -- and
+        any other pair by the predicate itself.  Any other predicate
+        runs ``matches`` pair by pair.
+        """
+        theta = self.theta
+        if not (type(theta) is Overlaps or theta is exact_overlaps):
+            return [self.matches(a, b, meter) for a, b in zip(geoms_a, geoms_b)]
+        meter.record_exact_eval(len(geoms_a))
+        mask: list[bool | None] = []
+        polys_a: list[Polygon] = []
+        polys_b: list[Polygon] = []
+        for a, b in zip(geoms_a, geoms_b):
+            if type(a) is Rect and type(b) is Rect:
+                mask.append(a.intersects(b))
+            elif type(a) is Polygon and type(b) is Polygon:
+                mask.append(None)
+                polys_a.append(a)
+                polys_b.append(b)
+            else:
+                mask.append(theta(a, b))
+        if polys_a:
+            from repro.geometry.polygon_kernel import overlaps_pairs
+
+            hits = iter(overlaps_pairs(polys_a, polys_b))
+            mask = [next(hits) if hit is None else hit for hit in mask]
+        return mask
 
 
 class IntervalFilter:
@@ -106,8 +150,6 @@ class IntervalFilter:
     """
 
     __slots__ = ("theta", "spec", "_approx")
-
-    active = True
 
     def __init__(
         self,
@@ -135,14 +177,6 @@ class IntervalFilter:
             self._approx[geom] = apx
             return apx
 
-    def classify_pair(self, a: SpatialObject, b: SpatialObject) -> int:
-        """The kernel verdict for one pair; AMBIGUOUS when unapproximable."""
-        apx_a = self.approx_for(a)
-        apx_b = self.approx_for(b)
-        if apx_a is None or apx_b is None:
-            return AMBIGUOUS
-        return classify(apx_a, apx_b)
-
     def matches(
         self, a: SpatialObject, b: SpatialObject, meter: CostMeter
     ) -> bool:
@@ -163,3 +197,35 @@ class IntervalFilter:
             return False
         meter.record_exact_eval()
         return self.theta(a, b)
+
+    def resolve(
+        self, geoms_a: Sequence[SpatialObject], geoms_b: Sequence[SpatialObject],
+        meter: CostMeter,
+    ) -> list[bool]:
+        """``[self.matches(a, b, meter) for a, b in zip(geoms_a, geoms_b)]``:
+        each pair classified as ``matches`` does, the interval counters
+        charged in one step, and the pairs left undecided -- ambiguous or
+        unapproximable -- refined in one :meth:`ExactRefiner.resolve`."""
+        mask: list[bool] = []
+        exact: list[int] = []
+        probes = 0
+        for k, (a, b) in enumerate(zip(geoms_a, geoms_b)):
+            apx_a = self.approx_for(a)
+            apx_b = self.approx_for(b)
+            verdict = AMBIGUOUS  # an unapproximable operand: no probe
+            if apx_a is not None and apx_b is not None:
+                probes += 1
+                verdict = classify(apx_a, apx_b)
+            if verdict == AMBIGUOUS:
+                exact.append(k)
+            mask.append(verdict == SURE_HIT)
+        meter.record_interval_probe(probes)
+        meter.record_interval_sure_hit(sum(mask))
+        # Every pair the exact predicate does not see is one it was spared.
+        meter.record_interval_saved(len(mask) - len(exact))
+        hits = ExactRefiner(self.theta).resolve(
+            [geoms_a[k] for k in exact], [geoms_b[k] for k in exact], meter
+        )
+        for k, hit in zip(exact, hits):
+            mask[k] = hit
+        return mask

@@ -30,6 +30,16 @@ class NodeAccessor(ABC):
     def visit(self, tid: RecordId | None, node: Any) -> Any:
         """Return the payload for a node (None for technical nodes)."""
 
+    def revisit(self, tid: RecordId | None, node: Any, payload: Any) -> Any:
+        """A second :meth:`visit` of ``node``, charged as it would have
+        been straight after the first one, which returned ``payload``.
+
+        For a traversal that refines its candidates in a batch and so
+        learns only afterwards which nodes it must visit again.  The
+        default visits again.
+        """
+        return self.visit(tid, node)
+
 
 class DirectAccessor(NodeAccessor):
     """In-memory access: the node's own payload, no I/O charged."""
@@ -59,3 +69,11 @@ class RelationAccessor(NodeAccessor):
             return None
         page = self.pool.fetch(tid.page_id)
         return page.get(tid.slot)
+
+    def revisit(self, tid: RecordId | None, node: Any, payload: Any) -> Any:
+        # Straight after the first visit its page is the pool's most
+        # recent: a second fetch would be one hit and move nothing.
+        if tid is None:
+            return None
+        self.pool.charge_hit()
+        return payload

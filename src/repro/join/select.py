@@ -17,7 +17,7 @@ asymmetric operators such as ``to the Northwest of``.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import JoinError
 from repro.join.accessor import DirectAccessor, NodeAccessor
@@ -235,10 +235,9 @@ def spatial_select(
     return result
 
 
-def select_pass_with_children(
+def select_pass_candidates(
     tree: GeneralizationTree,
     query: SpatialObject,
-    theta: ThetaOperator,
     start: Any,
     *,
     accessor: NodeAccessor,
@@ -246,28 +245,53 @@ def select_pass_with_children(
     reverse: bool,
     big_theta: BigThetaOperator,
     order: str = "bfs",
-    refiner=None,
-) -> tuple[SelectResult, list[Any]]:
-    """One JOIN4 SELECT pass: matches below ``start`` plus the qualifying
-    direct children of ``start``.
+    found: Callable[[Any, Any, SpatialObject, Any], None],
+) -> list[Any]:
+    """One JOIN4 SELECT pass below ``start``, refinement left to the caller.
+
+    Examines the strict descendants of ``start`` in Algorithm SELECT's
+    order, charging the visits and Theta-filter evaluations
+    ``spatial_select(..., start=start, skip_start=True)`` charges, and
+    returns the qualifying direct children of ``start``.  Each
+    payload-bearing node that passes the filter is handed to
+    ``found(tid, node, region, payload)`` as it is met, with the payload
+    its visit returned: the caller refines it (in a batch, with
+    Algorithm JOIN's other candidates) and re-visits a match, as SELECT
+    does straight after refining it
+    (:meth:`~repro.join.accessor.NodeAccessor.revisit`).
 
     The paper notes that "in the course of these two spatial selections
     one also records" which direct descendants Theta-match -- they seed
     the next QualPairs level without re-evaluating the filter.
     """
-    result = spatial_select(
-        tree,
-        query,
-        theta,
-        accessor=accessor,
-        meter=meter,
-        order=order,
-        start=start,
-        skip_start=True,
-        reverse=reverse,
-        big_theta=big_theta,
-        refiner=refiner,
-    )
+    if order not in ("bfs", "dfs"):
+        raise JoinError(f"order must be 'bfs' or 'dfs', got {order!r}")
+
+    def examine(node: Any) -> bool:
+        region = tree.region(node)
+        tid = tree.tid(node)
+        payload = accessor.visit(tid, node)
+        meter.record_filter_eval()
+        passed = big_theta(region, query) if reverse else big_theta(query, region)
+        if passed and (tid is not None or getattr(node, "payload", None) is not None):
+            found(tid, node, region, payload)
+        return passed
+
+    if order == "bfs":
+        qual = list(tree.children(start))
+        while qual:
+            next_qual: list[Any] = []
+            for node in qual:
+                if examine(node):
+                    next_qual.extend(tree.children(node))
+            qual = next_qual
+    else:
+        stack = list(reversed(tree.children(start)))
+        while stack:
+            node = stack.pop()
+            if examine(node):
+                stack.extend(reversed(tree.children(node)))
+
     qualifying_children = []
     for child in tree.children(start):
         region = tree.region(child)
@@ -276,7 +300,7 @@ def select_pass_with_children(
         passed = big_theta(region, query) if reverse else big_theta(query, region)
         if passed:
             qualifying_children.append(child)
-    return result, qualifying_children
+    return qualifying_children
 
 
 def qualifying_children_only(

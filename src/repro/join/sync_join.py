@@ -53,7 +53,9 @@ def sync_tree_join(
 
     ``refiner`` (see :mod:`repro.intermediate.filter`) replaces the
     exact refinement of qualifying application-object pairs; ``None``
-    keeps the historical exact path.
+    keeps the historical exact path.  Either way the pairs are refined
+    :data:`~repro.intermediate.filter.BATCH` at a time, in discovery
+    order.
     """
     if accessor_r is None:
         accessor_r = DirectAccessor()
@@ -63,9 +65,9 @@ def sync_tree_join(
         meter = CostMeter()
     if big_theta is None:
         big_theta = theta.filter_operator()
-    if refiner is None:
-        from repro.intermediate.filter import ExactRefiner
+    from repro.intermediate.filter import BATCH, ExactRefiner
 
+    if refiner is None:
         refiner = ExactRefiner(theta)
     tracer = coalesce(tracer)
 
@@ -93,46 +95,67 @@ def sync_tree_join(
     with tracer.span("sync-join", meter=meter) as span:
         filtered = 0
         pruned = 0
-        while stack:
-            item_a, item_b = stack.pop()
-            a, pinned_a = unwrap(item_a)
-            b, pinned_b = unwrap(item_b)
-            region_a = tree_r.region(a)
-            region_b = tree_s.region(b)
-            tid_a = tree_r.tid(a)
-            tid_b = tree_s.tid(b)
-            accessor_r.visit(tid_a, a)
-            accessor_s.visit(tid_b, b)
+        # Qualifying pairs of application objects in discovery order,
+        # refined a batch at a time -- after a failed visit too, charging
+        # the pairs found before it as a pair-at-a-time loop did.
+        geoms_r: list[Any] = []
+        geoms_s: list[Any] = []
+        candidates: list[tuple[Any, Any]] = []
 
-            meter.record_filter_eval()
-            filtered += 1
-            if not big_theta(region_a, region_b):
-                pruned += 1
-                continue
+        def refine() -> None:
+            try:
+                hits = refiner.resolve(geoms_r, geoms_s, meter)
+                result.pairs += [pair for pair, hit in zip(candidates, hits) if hit]
+            finally:
+                for pending in (geoms_r, geoms_s, candidates):
+                    pending.clear()
 
-            if tid_a is not None and tid_b is not None:
-                if refiner.matches(region_a, region_b, meter):
-                    result.pairs.append((tid_a, tid_b))
+        try:
+            while stack:
+                item_a, item_b = stack.pop()
+                a, pinned_a = unwrap(item_a)
+                b, pinned_b = unwrap(item_b)
+                region_a = tree_r.region(a)
+                region_b = tree_s.region(b)
+                tid_a = tree_r.tid(a)
+                tid_b = tree_s.tid(b)
+                accessor_r.visit(tid_a, a)
+                accessor_s.visit(tid_b, b)
 
-            children_a = [] if pinned_a else tree_r.children(a)
-            children_b = [] if pinned_b else tree_s.children(b)
-            if children_a and children_b:
-                for ca in children_a:
-                    for cb in children_b:
-                        stack.append((ca, cb))
-                # Keep interior application objects alive one level down.
-                if tid_a is not None:
-                    for cb in children_b:
-                        stack.append((_Pinned(a), cb))
-                if tid_b is not None:
+                meter.record_filter_eval()
+                filtered += 1
+                if not big_theta(region_a, region_b):
+                    pruned += 1
+                    continue
+
+                if tid_a is not None and tid_b is not None:
+                    geoms_r.append(region_a)
+                    geoms_s.append(region_b)
+                    candidates.append((tid_a, tid_b))
+                    if len(candidates) >= BATCH:
+                        refine()
+
+                children_a = [] if pinned_a else tree_r.children(a)
+                children_b = [] if pinned_b else tree_s.children(b)
+                if children_a and children_b:
                     for ca in children_a:
-                        stack.append((ca, _Pinned(b)))
-            elif children_a:
-                for ca in children_a:
-                    stack.append((ca, item_b))
-            elif children_b:
-                for cb in children_b:
-                    stack.append((item_a, cb))
+                        for cb in children_b:
+                            stack.append((ca, cb))
+                    # Keep interior application objects alive one level down.
+                    if tid_a is not None:
+                        for cb in children_b:
+                            stack.append((_Pinned(a), cb))
+                    if tid_b is not None:
+                        for ca in children_a:
+                            stack.append((ca, _Pinned(b)))
+                elif children_a:
+                    for ca in children_a:
+                        stack.append((ca, item_b))
+                elif children_b:
+                    for cb in children_b:
+                        stack.append((item_a, cb))
+        finally:
+            refine()
         span.set_tag("filter_evals", filtered)
         span.set_tag("prunes", pruned)
         span.set_tag("pairs", len(result.pairs))

@@ -24,7 +24,7 @@ from typing import Any
 
 from repro.join.accessor import DirectAccessor, NodeAccessor
 from repro.join.result import JoinResult
-from repro.join.select import qualifying_children_only, select_pass_with_children
+from repro.join.select import qualifying_children_only, select_pass_candidates
 from repro.obs.trace import coalesce
 from repro.predicates.big_theta import BigThetaOperator
 from repro.predicates.theta import ThetaOperator
@@ -74,7 +74,16 @@ def tree_join(
 
     ``refiner`` (see :mod:`repro.intermediate.filter`) replaces exact
     refinement at JOIN3 and inside the SELECT passes; ``None`` keeps the
-    historical exact path.
+    historical exact path.  Either way a level's candidates -- JOIN3's
+    and both passes', in traversal order -- are refined a batch at a
+    time (``refiner.resolve`` at the end of the level, or once
+    :data:`~repro.intermediate.filter.BATCH` are pending), and a match
+    inside a pass is then re-visited as SELECT re-visits it straight
+    after the examine visit (one buffer hit on the page that visit made
+    most recent).  Pairs, tuples and every charge come out as refining
+    each candidate where it was found would leave them.  With
+    ``collect_tuples`` a batch also ends where a match's payload is
+    fetched: after JOIN3 and after each pass.
     """
     from repro.core.cancel import check_cancel
     if accessor_r is None:
@@ -85,9 +94,9 @@ def tree_join(
         meter = CostMeter()
     if big_theta is None:
         big_theta = theta.filter_operator()
-    if refiner is None:
-        from repro.intermediate.filter import ExactRefiner
+    from repro.intermediate.filter import BATCH, ExactRefiner
 
+    if refiner is None:
         refiner = ExactRefiner(theta)
     tracer = coalesce(tracer)
 
@@ -96,14 +105,41 @@ def tree_join(
         result.stats = meter.snapshot()
         return result
 
-    def emit(tid_a: RecordId | None, tid_b: RecordId | None, node_a: Any, node_b: Any) -> None:
-        if tid_a is None or tid_b is None:
-            return
-        result.pairs.append((tid_a, tid_b))
-        if collect_tuples:
-            result.tuples.append(
-                (accessor_r.visit(tid_a, node_a), accessor_s.visit(tid_b, node_b))
-            )
+    # Candidates awaiting refinement, in traversal order: the operands,
+    # and what a match emits -- ``(pair, accessor, tid, node, payload)``,
+    # where ``pair`` is ``None`` for a node without tid and ``accessor``
+    # is ``None`` for JOIN3's own pair; a SELECT-pass match is re-visited
+    # through it.
+    geoms_r: list[Any] = []
+    geoms_s: list[Any] = []
+    follow: list[tuple] = []
+
+    def defer(geom_r, geom_s, pair, accessor=None, tid=None, node=None, payload=None) -> None:
+        geoms_r.append(geom_r)
+        geoms_s.append(geom_s)
+        follow.append((pair, accessor, tid, node, payload))
+
+    def refine(tuple_of=None) -> None:
+        """Refine the pending candidates in one ``refiner.resolve`` and
+        emit the matches in order, ``tuple_of(payload)`` with each pair
+        when given.  Every pass match is re-visited before any pair is
+        emitted, as SELECT re-visits it during the pass."""
+        try:
+            hits = refiner.resolve(geoms_r, geoms_s, meter) if follow else []
+            matched = []
+            for hit, (pair, accessor, tid, node, payload) in zip(hits, follow):
+                if hit:
+                    if accessor is not None:
+                        payload = accessor.revisit(tid, node, payload)
+                    matched.append((pair, payload))
+        finally:
+            for pending in (geoms_r, geoms_s, follow):
+                pending.clear()
+        for pair, payload in matched:
+            if pair is not None:
+                result.pairs.append(pair)
+                if tuple_of is not None:
+                    result.tuples.append(tuple_of(payload))
 
     # JOIN1: initialize with the root pair.
     qual_pairs: list[tuple[Any, Any]] = [(tree_r.root(), tree_s.root())]
@@ -120,97 +156,101 @@ def tree_join(
             exact_before = meter.theta_exact_evals
             pairs_before = len(result.pairs)
             prunes = 0
-            for a, b in qual_pairs:
-                region_a = tree_r.region(a)
-                region_b = tree_s.region(b)
-                tid_a = tree_r.tid(a)
-                tid_b = tree_s.tid(b)
-                accessor_r.visit(tid_a, a)
-                accessor_s.visit(tid_b, b)
+            try:
+                for a, b in qual_pairs:
+                    region_a = tree_r.region(a)
+                    region_b = tree_s.region(b)
+                    tid_a = tree_r.tid(a)
+                    tid_b = tree_s.tid(b)
+                    accessor_r.visit(tid_a, a)
+                    accessor_s.visit(tid_b, b)
 
-                # JOIN2: the pair must pass the Theta-filter to be pursued.
-                meter.record_filter_eval()
-                if not big_theta(region_a, region_b):
-                    prunes += 1
-                    continue
+                    # JOIN2: the pair must pass the Theta-filter to be pursued.
+                    meter.record_filter_eval()
+                    if not big_theta(region_a, region_b):
+                        prunes += 1
+                        continue
 
-                # JOIN3: exact check on the pair itself.
-                if (tid_a is not None) and (tid_b is not None):
-                    if refiner.matches(region_a, region_b, meter):
-                        emit(tid_a, tid_b, a, b)
+                    # JOIN3: exact check on the pair itself.
+                    if (tid_a is not None) and (tid_b is not None):
+                        defer(region_a, region_b, (tid_a, tid_b))
+                        if collect_tuples:
+                            refine(lambda _: (
+                                accessor_r.visit(tid_a, a), accessor_s.visit(tid_b, b)
+                            ))
 
-                # JOIN4 / pass 1: a against strict descendants of b.  When a
-                # is a technical entity no match can involve it, so only the
-                # direct children of b are filtered (the deep descent would be
-                # pure overhead -- the paper's model never hits this case
-                # because assumption S2 makes every node an application object).
-                if tid_a is not None:
-                    pass1, qual_b_children = select_pass_with_children(
-                        tree_s,
-                        region_a,
-                        theta,
-                        b,
-                        accessor=accessor_s,
-                        meter=meter,
-                        reverse=False,
-                        big_theta=big_theta,
-                        order=order,
-                        refiner=refiner,
-                    )
-                    for tid_b2, payload_b in pass1.matches:
-                        if tid_b2 is not None:
-                            result.pairs.append((tid_a, tid_b2))
-                            if collect_tuples:
-                                result.tuples.append(
-                                    (accessor_r.visit(tid_a, a), payload_b)
-                                )
-                else:
-                    qual_b_children = qualifying_children_only(
-                        tree_s,
-                        region_a,
-                        b,
-                        accessor=accessor_s,
-                        meter=meter,
-                        reverse=False,
-                        big_theta=big_theta,
-                    )
+                    # JOIN4 / pass 1: a against strict descendants of b.  When a
+                    # is a technical entity no match can involve it, so only the
+                    # direct children of b are filtered (the deep descent would be
+                    # pure overhead -- the paper's model never hits this case
+                    # because assumption S2 makes every node an application object).
+                    if tid_a is not None:
+                        qual_b_children = select_pass_candidates(
+                            tree_s,
+                            region_a,
+                            b,
+                            accessor=accessor_s,
+                            meter=meter,
+                            reverse=False,
+                            big_theta=big_theta,
+                            order=order,
+                            found=lambda tid, node, region, payload: defer(
+                                region_a, region, None if tid is None else (tid_a, tid),
+                                accessor_s, tid, node, payload,
+                            ),
+                        )
+                        if collect_tuples:
+                            refine(lambda payload: (accessor_r.visit(tid_a, a), payload))
+                    else:
+                        qual_b_children = qualifying_children_only(
+                            tree_s,
+                            region_a,
+                            b,
+                            accessor=accessor_s,
+                            meter=meter,
+                            reverse=False,
+                            big_theta=big_theta,
+                        )
 
-                # JOIN4 / pass 2: strict descendants of a against b.
-                if tid_b is not None:
-                    pass2, qual_a_children = select_pass_with_children(
-                        tree_r,
-                        region_b,
-                        theta,
-                        a,
-                        accessor=accessor_r,
-                        meter=meter,
-                        reverse=True,
-                        big_theta=big_theta,
-                        order=order,
-                        refiner=refiner,
-                    )
-                    for tid_a2, payload_a in pass2.matches:
-                        if tid_a2 is not None:
-                            result.pairs.append((tid_a2, tid_b))
-                            if collect_tuples:
-                                result.tuples.append(
-                                    (payload_a, accessor_s.visit(tid_b, b))
-                                )
-                else:
-                    qual_a_children = qualifying_children_only(
-                        tree_r,
-                        region_b,
-                        a,
-                        accessor=accessor_r,
-                        meter=meter,
-                        reverse=True,
-                        big_theta=big_theta,
-                    )
+                    # JOIN4 / pass 2: strict descendants of a against b.
+                    if tid_b is not None:
+                        qual_a_children = select_pass_candidates(
+                            tree_r,
+                            region_b,
+                            a,
+                            accessor=accessor_r,
+                            meter=meter,
+                            reverse=True,
+                            big_theta=big_theta,
+                            order=order,
+                            found=lambda tid, node, region, payload: defer(
+                                region, region_b, None if tid is None else (tid, tid_b),
+                                accessor_r, tid, node, payload,
+                            ),
+                        )
+                        if collect_tuples:
+                            refine(lambda payload: (payload, accessor_s.visit(tid_b, b)))
+                    else:
+                        qual_a_children = qualifying_children_only(
+                            tree_r,
+                            region_b,
+                            a,
+                            accessor=accessor_r,
+                            meter=meter,
+                            reverse=True,
+                            big_theta=big_theta,
+                        )
 
-                # Seed the next level with the qualifying direct descendants.
-                for a2 in qual_a_children:
-                    for b2 in qual_b_children:
-                        next_pairs.append((a2, b2))
+                    # Seed the next level with the qualifying direct descendants.
+                    for a2 in qual_a_children:
+                        for b2 in qual_b_children:
+                            next_pairs.append((a2, b2))
+                    if len(follow) >= BATCH:
+                        refine()
+            finally:
+                # After a failed visit too: the candidates met before it
+                # are charged, as refining each where it was met did.
+                refine()
 
             span.set_tag("filter_evals", meter.theta_filter_evals - filter_before)
             span.set_tag("prunes", prunes)

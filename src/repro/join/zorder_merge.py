@@ -156,13 +156,18 @@ def zorder_merge_join(
         refiner = ExactRefiner(exact_overlaps)
     with tracer.span("zorder.refine", meter=meter) as span:
         unique = sorted(set(candidates))
-        for r_tid, s_tid in unique:
-            r_page = pool_r.fetch(r_tid.page_id)
-            s_page = pool_s.fetch(s_tid.page_id)
-            r_record = r_page.get(r_tid.slot)
-            s_record = s_page.get(s_tid.slot)
-            if refiner.matches(r_record[column_r], s_record[column_s], meter):
-                result.pairs.append((r_tid, s_tid))
+        geoms_r, geoms_s = [], []
+        try:
+            for r_tid, s_tid in unique:
+                r_page = pool_r.fetch(r_tid.page_id)
+                s_page = pool_s.fetch(s_tid.page_id)
+                geoms_r.append(r_page.get(r_tid.slot)[column_r])
+                geoms_s.append(s_page.get(s_tid.slot)[column_s])
+        finally:
+            # One batch; after a failed fetch, the pairs fetched before it
+            # are still charged, as a pair-at-a-time loop charged them.
+            hits = refiner.resolve(geoms_r, geoms_s, meter)
+        result.pairs = [pair for pair, hit in zip(unique, hits) if hit]
         span.set_tag("unique", len(unique))
         span.set_tag("pairs", len(result.pairs))
     result.stats = meter.snapshot()

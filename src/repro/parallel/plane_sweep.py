@@ -7,14 +7,12 @@ while the x intervals still overlap.  Candidates that also overlap in y
 are MBR matches; each is charged one Theta-filter evaluation.  Surviving
 candidates pass through the reference-point ownership test (duplicate
 avoidance across partitions, free of charge -- it is bookkeeping, not a
-predicate) and are then refined with the exact theta-operator, which
-dispatches over the stored geometries via
-:mod:`repro.predicates.dispatch`.  An optional *refiner* (see
-:mod:`repro.intermediate.filter`) replaces that exact step with the
+predicate) and are then refined with the exact theta-operator, a block
+of candidates per ``resolve`` call of an
+:class:`~repro.intermediate.filter.ExactRefiner`.  An optional *refiner*
+(see :mod:`repro.intermediate.filter`) replaces that exact step with the
 raster-interval second tier: sure hits and misses are resolved from cell
-intervals and only ambiguous pairs run the exact predicate.  Without a
-refiner an :class:`~repro.intermediate.filter.ExactRefiner` is
-constructed, which is byte-identical to the historical behavior.
+intervals and only ambiguous pairs run the exact predicate.
 
 :func:`sweep_task` runs that pass on MBR arrays: candidate generation,
 the y test and the ownership test are array operations, and only
@@ -116,7 +114,7 @@ def sweep_task(
     kept where that is its partition's ``key`` -- entries are replicated
     into every partition their MBR touches, so each qualifying pair is
     emitted exactly once across the partitioning.  What is left is
-    refined one pair at a time on the stored geometries.
+    refined on the stored geometries, one ``refiner.resolve`` per block.
     """
     import numpy as np
 
@@ -170,9 +168,8 @@ def sweep_task(
         )
         keep = keep[owner == partition_keys[part_r[i[keep]]]]
         i, j = rows_r[i[keep]], rows_s[j[keep]]
-        hits = [
-            refiner.matches(geoms_r[x], geoms_s[y], meter)
-            for x, y in zip(i.tolist(), j.tolist())
-        ]
+        hits = refiner.resolve(
+            [geoms_r[x] for x in i.tolist()], [geoms_s[y] for y in j.tolist()], meter
+        )
         found.append(np.hstack((ids_r[i[hits]], ids_s[j[hits]])))
     return found[0] if len(found) == 1 else np.concatenate(found)

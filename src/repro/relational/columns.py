@@ -6,7 +6,7 @@ partition join's scatter and sweep, the planner's sampler, the data
 universe of the z-order grid and the interval tier -- read the column
 once into :class:`Columns` instead of materialising tuple lists.  The
 theta side is untouched: ``geoms`` holds the stored geometry objects,
-and exact refinement still runs on them one pair at a time.
+which exact refinement reads a batch of candidates at a time.
 
 The buffers are plain :mod:`array` objects, so building and reading them
 needs no third-party import; numpy views them without copying

@@ -118,6 +118,18 @@ class BufferPool:
             self._note_access(hit=False)
         return page
 
+    def charge_hit(self) -> None:
+        """Charge one buffer hit without fetching.
+
+        What re-fetching the page the last :meth:`fetch` returned costs:
+        the page is the most recent frame, so that fetch is a hit that
+        leaves LRU order as it is.  A traversal that learns only later
+        whether it needs such a re-fetch charges it here.
+        """
+        self.meter.record_hit()
+        if self._m_hits is not None:
+            self._note_access(hit=True)
+
     def mark_dirty(self, page_id: int) -> None:
         """Flag a resident page as modified; it is written back on eviction."""
         if page_id not in self._frames:

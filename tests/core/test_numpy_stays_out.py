@@ -1,12 +1,16 @@
-"""numpy is loaded by the columnar join, not by importing the engine.
+"""numpy is loaded by the columnar join and the polygon kernel, not by
+importing the engine.
 
 Importing numpy costs a process about 16 MiB of resident memory.  The
-server, the executor's select path, the planner and every join strategy
-but ``partition`` never compute on arrays, so the partition pipeline
-imports numpy inside the functions that use it.  A process that serves
-selects must end without numpy in ``sys.modules``; one that runs a
-partition join must end with it (the test would otherwise pass vacuously
-were numpy missing altogether).
+server, the executor's select path and the planner never compute on
+arrays; the join strategies do in two places only -- the partition
+pipeline's sweep, and the batch refinement of polygon pairs
+(:mod:`repro.geometry.polygon_kernel`), which every strategy's refiner
+reaches -- and both import numpy inside the functions that use it.  A
+process that serves selects, or joins rectangles by any strategy but
+``partition``, must end without numpy in ``sys.modules``; one that runs
+a partition join, or joins polygons, must end with it (the test would
+otherwise pass vacuously were numpy missing altogether).
 
 The retained column snapshots are plain ``array`` buffers, so the
 planner, the z-order universe and the interval tier build and read them
@@ -45,6 +49,8 @@ from repro.core.optimizer import plan_join
 from repro.relational import Column, ColumnType, Relation, Schema
 from repro.storage import BufferPool, CostMeter, SimulatedDisk
 
+from repro.trees.rtree import RTree
+
 schema = Schema([Column("oid", ColumnType.INT), Column("shape", ColumnType.RECT)])
 pool = BufferPool(SimulatedDisk(), 200, CostMeter())
 rels = []
@@ -52,6 +58,7 @@ for name in ("r", "s"):
     rel = Relation(name, schema, pool)
     for i in range(40):
         rel.insert([i, Rect(i, i, i + 3.0, i + 2.0)])
+    rel.attach_index("shape", RTree(max_entries=6))
     rels.append(rel)
 r, s = rels
 
@@ -61,6 +68,8 @@ assert r.derived(("columns", "shape")) is None, "a select built a column snapsho
 plan_join(r, "shape", s, "shape", Overlaps(), interval=True)
 assert len(r.derived(("columns", "shape"))) == len(s.derived(("columns", "shape"))) == 40
 pairs = executor.join(r, "shape", s, "shape", Overlaps(), strategy="zorder").pairs
+tree = executor.join(r, "shape", s, "shape", Overlaps(), strategy="tree", interval=False)
+assert sorted(tree.pairs) == sorted(pairs)
 assert len(executor.select(s, "shape", Rect(5, 5, 9, 9), Overlaps())) > 0
 assert "numpy" not in sys.modules, "numpy was imported without a partition join"
 
@@ -80,14 +89,18 @@ from repro.server import QueryService, StateManager
 from repro.storage import BufferPool, CostMeter, SimulatedDisk
 from repro.trees.rtree import RTree
 
+from repro.geometry.polygon import Polygon
+
 schema = Schema([Column("oid", ColumnType.INT), Column("shape", ColumnType.RECT)])
+polygons = Schema([Column("oid", ColumnType.INT), Column("shape", ColumnType.POLYGON)])
 pool = BufferPool(SimulatedDisk(), 200, CostMeter())
 service = QueryService(StateManager())
 rels = []
-for name, indexed in (("r", True), ("s", False)):
-    rel = Relation(name, schema, pool)
+for name, indexed in (("r", True), ("s", False), ("p", True)):
+    rel = Relation(name, polygons if name == "p" else schema, pool)
     for i in range(40):
-        rel.insert([i, Rect(i, i, i + 3.0, i + 2.0)])
+        box = Rect(i, i, i + 3.0, i + 2.0)
+        rel.insert([i, Polygon.from_rect(box) if name == "p" else box])
     if indexed:
         rel.attach_index("shape", RTree(max_entries=6))
     service.state.register(rel)
@@ -95,10 +108,11 @@ for name, indexed in (("r", True), ("s", False)):
 
 with service.open_session() as session:
     for round in range(3):
-        for name in ("r", "s"):
+        for name in ("r", "s", "p"):
             result, _epoch = session.select(name, "shape", Rect(5, 5, 9, 9), Overlaps())
             assert len(result) > 0
-            session.insert(name, [100 + round, Rect(6, 6, 7, 7)])
+            box = Rect(6, 6, 7, 7)
+            session.insert(name, [100 + round, Polygon.from_rect(box) if name == "p" else box])
 for rel in rels:
     assert rel.derived(("columns", "shape")) is None, "a served select built a snapshot"
 assert "numpy" not in sys.modules, "numpy was imported by a server that never joined"
@@ -139,6 +153,37 @@ print("ok")
 """
 
 
+POLYGON_SCRIPT = """
+import sys
+
+from repro import Overlaps, Rect, SpatialQueryExecutor
+from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
+from repro.relational import Column, ColumnType, Relation, Schema
+from repro.storage import BufferPool, CostMeter, SimulatedDisk
+from repro.trees.rtree import RTree
+
+schema = Schema([Column("oid", ColumnType.INT), Column("shape", ColumnType.POLYGON)])
+pool = BufferPool(SimulatedDisk(), 200, CostMeter())
+rels = []
+for name, shift in (("r", 0.0), ("s", 0.5)):
+    rel = Relation(name, schema, pool)
+    for i in range(40):
+        rel.insert([i, Polygon.regular(Point(i + shift, i), 1.5, 12)])
+    rel.attach_index("shape", RTree(max_entries=6))
+    rels.append(rel)
+r, s = rels
+
+executor = SpatialQueryExecutor(memory_pages=200)
+assert len(executor.select(r, "shape", Rect(5, 5, 9, 9), Overlaps())) > 0
+assert "numpy" not in sys.modules, "numpy was imported by a polygon select"
+pairs = executor.join(r, "shape", s, "shape", Overlaps(), strategy="tree").pairs
+assert len(pairs) > 0
+assert "numpy" in sys.modules, "a polygon join refined its pairs without the kernel"
+print("ok")
+"""
+
+
 def run_script(script: str) -> None:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
@@ -161,6 +206,10 @@ def test_a_sharded_select_leaves_numpy_out():
     run_script(FLEET_SCRIPT)
 
 
+def test_a_polygon_join_refines_its_pairs_on_arrays():
+    run_script(POLYGON_SCRIPT)
+
+
 def importers_of(module: str) -> set[str]:
     """The engine modules that import ``module``, as paths under repro/."""
     importers = set()
@@ -174,6 +223,26 @@ def importers_of(module: str) -> set[str]:
             if any(name.split(".")[0] == module for name in names):
                 importers.add(path.relative_to(SRC / "repro").as_posix())
     return importers
+
+
+def test_numpy_is_imported_by_the_columnar_join_and_the_polygon_kernel_only():
+    """The kernel is the one importer outside the columnar join, and
+    only the refiner reaches it, from inside ``resolve``."""
+    assert importers_of("numpy") == {
+        "relational/columns.py",
+        "parallel/partitioner.py",
+        "parallel/plane_sweep.py",
+        "parallel/pool.py",
+        "shard/keyspace.py",
+        "shard/worker.py",
+        "geometry/polygon_kernel.py",
+    }
+    users = {
+        path.relative_to(SRC / "repro").as_posix()
+        for path in (SRC / "repro").rglob("*.py")
+        if "polygon_kernel" in path.read_text() and path.name != "polygon_kernel.py"
+    }
+    assert users == {"intermediate/filter.py"}
 
 
 def test_multiprocessing_is_imported_by_the_shard_runtime_only():

@@ -32,7 +32,6 @@ def test_spec_defaults_and_validation():
 
 def test_exact_refiner_is_the_historical_path():
     refiner = ExactRefiner(Overlaps())
-    assert refiner.active is False
     meter = CostMeter()
     assert refiner.matches(Rect(0, 0, 2, 2), Rect(1, 1, 3, 3), meter) is True
     assert refiner.matches(Rect(0, 0, 2, 2), Rect(5, 5, 6, 6), meter) is False
@@ -115,7 +114,6 @@ def test_seeded_tables_are_adopted():
 
 
 def test_refiners_are_picklable():
-    # The partition join ships refiners to worker processes.
     for refiner in (ExactRefiner(Overlaps()), IntervalFilter(Overlaps(), SPEC)):
         clone = pickle.loads(pickle.dumps(refiner))
         meter = CostMeter()

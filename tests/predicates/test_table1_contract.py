@@ -9,15 +9,26 @@ operator pair of Table 1.
 The generators favour the degenerate cases where a closed-set predicate
 and its filter are easiest to get wrong: coordinates on a shared lattice
 (so ties are common), zero-width and zero-height rectangles, pairs that
-touch along an edge or at a corner, and polygons with collinear vertices.
+touch along an edge or at a corner, polygons with collinear vertices and
+with 3 to 16 of them, edges within ``_EPS`` of parallel or collinear, and
+one polygon wholly inside another.
+
+The same generators hold the batch refinement every join kernel runs to
+the scalar predicate: ``resolve`` over a batch must answer and charge
+what ``matches`` pair by pair does.
 """
 
+from unittest import mock
+
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.geometry import polygon_kernel
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
+from repro.intermediate import ExactRefiner, IntervalFilter, IntervalSpec
 from repro.predicates.theta import (
     ContainedIn,
     DirectionOf,
@@ -28,6 +39,7 @@ from repro.predicates.theta import (
     ReachableWithin,
     WithinDistance,
 )
+from repro.storage.costs import CostMeter
 
 #: Multiples of 2.5 make shared coordinates, edges and corners common.
 coords = st.one_of(
@@ -59,7 +71,7 @@ def polygon_objects(draw):
     cx = draw(coords)
     cy = draw(coords)
     radius = draw(st.floats(min_value=0.5, max_value=15))
-    sides = draw(st.integers(min_value=3, max_value=8))
+    sides = draw(st.integers(min_value=3, max_value=16))
     return Polygon.regular(Point(cx, cy), radius, sides)
 
 
@@ -96,6 +108,28 @@ def touching(draw, objects=spatial_objects):
     dx = draw(st.sampled_from([ma.xmax - mb.xmin, ma.xmin - mb.xmax, 0.0]))
     dy = draw(st.sampled_from([ma.ymax - mb.ymin, ma.ymin - mb.ymax, 0.0]))
     return a, translate(b, dx, dy)
+
+
+#: Offsets about the orientation test's tolerance (1e-12): a pair moved
+#: by one has edges collinear or parallel to within ``_EPS``.
+nudges = st.sampled_from([0.0, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, -2e-12])
+
+
+@st.composite
+def nudged(draw, objects=spatial_objects):
+    a, b = draw(touching(objects))
+    return a, translate(b, draw(nudges), draw(nudges))
+
+
+@st.composite
+def nested(draw):
+    """A polygon and a shrunken copy wholly inside it, either way round:
+    no edges meet, so only point-in-polygon sees the overlap."""
+    outer = draw(polygon_objects())
+    c, f = outer.centerpoint(), draw(st.floats(min_value=0.05, max_value=0.95))
+    inner = Polygon([Point(c.x + (v.x - c.x) * f, c.y + (v.y - c.y) * f)
+                     for v in outer.vertices])
+    return (outer, inner) if draw(st.booleans()) else (inner, outer)
 
 
 def translate(obj, dx: float, dy: float):
@@ -167,3 +201,55 @@ def test_overlap_filter_is_exact_for_rects(pair):
     """For rectangles the overlaps filter equals the exact test."""
     a, b = pair
     assert Overlaps()(a, b) == Overlaps().filter_operator()(a, b)
+
+
+polygon_shapes = st.one_of(polygon_objects(), collinear_polygons())
+candidate_pairs = st.one_of(
+    touching(), touching(rect_objects()), touching(polygon_shapes),
+    nudged(polygon_shapes), nudged(rect_objects()), nested(),
+)
+#: Level-3 and level-6 grids over a universe some objects leave (so the
+#: unapproximable path is drawn too).
+INTERVAL_SPECS = [IntervalSpec(Rect(-150.0, -150.0, 150.0, 150.0), level) for level in (3, 6)]
+
+
+def assert_batch_is_scalar(make_refiner, pairs):
+    """``resolve`` returns and charges what ``matches`` pair by pair does
+    -- with each object in both roles and in several pairs."""
+    pairs = pairs + [(b, a) for a, b in pairs] + pairs[:3]
+    geoms_a, geoms_b = [a for a, _ in pairs], [b for _, b in pairs]
+    scalar_meter, batch_meter = CostMeter(), CostMeter()
+    scalar = make_refiner()
+    expected = [scalar.matches(a, b, scalar_meter) for a, b in pairs]
+    assert make_refiner().resolve(geoms_a, geoms_b, batch_meter) == expected
+    assert batch_meter.snapshot() == scalar_meter.snapshot()
+
+
+@pytest.mark.parametrize("block", [1, 7, polygon_kernel.BLOCK])
+@given(st.lists(candidate_pairs, min_size=1, max_size=12))
+@example([(Polygon.regular(Point(0.0, 0.0), 4.0, 12),
+           Polygon.regular(Point(0.0, 0.0), 1.0, 5))])
+# Corners 5e-13 apart: no two edges cross, but a vertex lies on an edge
+# within _EPS -- only the collinear-and-on-segment terms see the touch.
+@example([(Polygon([Point(0.0, 0.0), Point(2.5, 0.0), Point(0.0, 2.5)]),
+           Polygon([Point(5e-13, 2.5), Point(2.5000000000005, 2.5), Point(5e-13, 5.0)]))])
+# Int coordinates: the vertex (N, N - 1) misses the edge to (N + 1, N)
+# by an orientation of -1 that float64 rounds to 0 -- a touch.
+@example([(Polygon([Point(0, 0), Point(10**9 + 1, 10**9), Point(0, 10**9)]),
+           Polygon([Point(10**9, 10**9 - 1), Point(10**9 + 5, 10**9 - 1),
+                    Point(10**9 + 5, 0)]))])
+def test_exact_batch_refinement_is_the_scalar_predicate(block, pairs):
+    with mock.patch.object(polygon_kernel, "BLOCK", block):
+        assert_batch_is_scalar(lambda: ExactRefiner(Overlaps()), pairs)
+
+
+@given(st.lists(candidate_pairs, min_size=1, max_size=12))
+def test_batch_refinement_of_every_operator_is_the_scalar_one(pairs):
+    for theta in THETAS:
+        assert_batch_is_scalar(lambda: ExactRefiner(theta), pairs)
+
+
+@pytest.mark.parametrize("spec", INTERVAL_SPECS, ids=lambda spec: f"level{spec.level}")
+@given(st.lists(candidate_pairs, min_size=1, max_size=12))
+def test_interval_batch_refinement_is_the_scalar_filter(spec, pairs):
+    assert_batch_is_scalar(lambda: IntervalFilter(Overlaps(), spec), pairs)
