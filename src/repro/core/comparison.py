@@ -20,8 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
 from repro.core.executor import SpatialQueryExecutor
 from repro.core.report import ExecutionReport
 from repro.core.strategies import JoinOperands, applicable
-from repro.join.result import JoinResult, SelectResult
-from repro.predicates.dispatch import SpatialObject
+from repro.join.result import JoinResult
 from repro.predicates.theta import ThetaOperator
 from repro.relational.relation import Relation
 from repro.storage.costs import COUNTER_FIELDS, CostMeter
@@ -125,41 +124,6 @@ class StrategyComparison:
 
     def __init__(self, memory_pages: int = 4000) -> None:
         self.executor = SpatialQueryExecutor(memory_pages)
-
-    def compare_select(
-        self,
-        relation: Relation,
-        column: str,
-        query: SpatialObject,
-        theta: ThetaOperator,
-        *,
-        orders: tuple[str, ...] = ("bfs",),
-    ) -> ComparisonReport:
-        """Run scan and (if indexed) tree selection; verify agreement."""
-        report = ComparisonReport(query=f"SELECT {relation.name}.{column} {theta.name}")
-        reference: set | None = None
-
-        def run(strategy: str, order: str = "bfs") -> SelectResult:
-            meter = CostMeter()
-            res = self.executor.select(
-                relation, column, query, theta,
-                strategy=strategy, order=order, meter=meter,
-            )
-            label = strategy if order == "bfs" else f"{strategy}-{order}"
-            report.rows.append(_row_from(label, len(res.tids), res.stats))
-            return res
-
-        scan_res = run("scan")
-        reference = set(scan_res.tids)
-        if relation.has_index_on(column):
-            for order in orders:
-                tree_res = run("tree", order)
-                if set(tree_res.tids) != reference:
-                    raise JoinError(
-                        f"strategy disagreement: tree-{order} found "
-                        f"{len(tree_res.tids)} matches, scan {len(reference)}"
-                    )
-        return report
 
     def compare_join(
         self,

@@ -89,14 +89,6 @@ class ExecutionReport:
         """Total virtual-clock backoff units spent on retries."""
         return sum(a.backoff_steps for a in self.attempts)
 
-    @property
-    def faults_injected(self) -> int:
-        return self.fault_summary.get("injected", 0)
-
-    @property
-    def faults_consumed(self) -> int:
-        return self.fault_summary.get("consumed", 0)
-
     def format(self) -> str:
         """Human-readable multi-line account."""
         lines = [

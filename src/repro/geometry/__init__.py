@@ -31,12 +31,6 @@ from repro.geometry.zorder import (
     deinterleave,
     z_value,
 )
-from repro.geometry.algorithms import (
-    clip_polygon,
-    convex_hull,
-    hull_polygon,
-    intersection_area,
-)
 
 __all__ = [
     "Point",
@@ -49,8 +43,4 @@ __all__ = [
     "interleave",
     "deinterleave",
     "z_value",
-    "convex_hull",
-    "hull_polygon",
-    "clip_polygon",
-    "intersection_area",
 ]

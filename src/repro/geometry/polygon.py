@@ -126,23 +126,6 @@ class Polygon:
         for i, a in enumerate(verts):
             yield Segment(a, verts[(i + 1) % len(verts)])
 
-    def is_convex(self) -> bool:
-        """True if all turns along the boundary have the same sign."""
-        from repro.geometry.segment import orientation
-
-        verts = self._vertices
-        n = len(verts)
-        sign = 0
-        for i in range(n):
-            o = orientation(verts[i], verts[(i + 1) % n], verts[(i + 2) % n])
-            if o == 0:
-                continue
-            if sign == 0:
-                sign = o
-            elif o != sign:
-                return False
-        return True
-
     # ------------------------------------------------------------------
     # Predicates
     # ------------------------------------------------------------------
@@ -232,14 +215,6 @@ class Polygon:
         if self.contains_point(p):
             return 0.0
         return min(e.distance_to_point(p) for e in self.edges())
-
-    def distance_to_polygon(self, other: "Polygon") -> float:
-        """Distance between the closest points of two closed polygons."""
-        if self.overlaps(other):
-            return 0.0
-        return min(
-            e1.distance_to_segment(e2) for e1 in self.edges() for e2 in other.edges()
-        )
 
     # ------------------------------------------------------------------
     # Misc

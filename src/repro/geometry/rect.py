@@ -62,18 +62,6 @@ class Rect:
         return cls(xmin, ymin, xmax, ymax)
 
     @classmethod
-    def from_center(cls, center: Point, width: float, height: float) -> "Rect":
-        """Rectangle of the given size centered on ``center``."""
-        if width < 0 or height < 0:
-            raise GeometryError(f"width/height must be non-negative, got {width} x {height}")
-        return cls(
-            center.x - width / 2.0,
-            center.y - height / 2.0,
-            center.x + width / 2.0,
-            center.y + height / 2.0,
-        )
-
-    @classmethod
     def union_of(cls, rects: Iterable["Rect"]) -> "Rect":
         """Smallest rectangle enclosing all of ``rects`` (at least one)."""
         it = iter(rects)
@@ -235,16 +223,6 @@ class Rect:
             raise GeometryError(f"buffer distance must be non-negative, got {d}")
         return Rect(self.xmin - d, self.ymin - d, self.xmax + d, self.ymax + d)
 
-    def shrunk(self, d: float) -> "Rect | None":
-        """The rectangle shrunk by ``d`` on every side, or None if it vanishes."""
-        if d < 0:
-            raise GeometryError(f"shrink distance must be non-negative, got {d}")
-        xmin, ymin = self.xmin + d, self.ymin + d
-        xmax, ymax = self.xmax - d, self.ymax - d
-        if xmin > xmax or ymin > ymax:
-            return None
-        return Rect(xmin, ymin, xmax, ymax)
-
     def with_positive_extent(self) -> "Rect":
         """This rectangle with a zero width and/or height grown by 1.0.
 
@@ -260,23 +238,15 @@ class Rect:
             self.ymax + (1.0 if self.height == 0 else 0.0),
         )
 
-    def northwest_quadrant(self, bound: float = 1e12) -> "Rect":
-        """The NW quadrant formed by this rectangle's tangents (Figure 5).
-
-        The paper defines the Theta-filter for ``to the Northwest of`` as:
-        o1' overlaps the NW quadrant formed by the *right vertical* and the
-        *lower horizontal* tangent on o2'.  That quadrant is the half-open
-        region ``x <= xmax, y >= ymin``; we clip it to a large-but-finite
-        bound so it remains a Rect.
-        """
-        return Rect(-bound, self.ymin, self.xmax, bound)
-
     def quadrant(self, direction: str, bound: float = 1e12) -> "Rect":
         """Tangent quadrant in one of the four diagonal directions.
 
         ``direction`` is one of ``"nw"``, ``"ne"``, ``"sw"``, ``"se"``.  The
-        NW case matches Figure 5; the other three are the symmetric
-        constructions needed for the generalized directional operators.
+        NW case is Figure 5's filter region for ``to the Northwest of``:
+        the quadrant formed by the right vertical and the lower horizontal
+        tangent, ``x <= xmax, y >= ymin``, clipped to ``bound`` so it stays
+        a Rect.  The other three are the symmetric constructions needed
+        for the generalized directional operators.
         """
         if direction == "nw":
             return Rect(-bound, self.ymin, self.xmax, bound)

@@ -7,8 +7,7 @@ FULL/PARTIAL z-order cell intervals (:mod:`~repro.intermediate.raster`,
 kernel (:func:`~repro.intermediate.approx.classify`), the refiner
 objects join strategies thread through their refine sites
 (:mod:`~repro.intermediate.filter`), and epoch-scoped per-relation
-approximation tables with sidecar persistence
-(:mod:`~repro.intermediate.store`).
+approximation tables (:mod:`~repro.intermediate.store`).
 """
 
 from repro.intermediate.approx import (
@@ -25,12 +24,7 @@ from repro.intermediate.filter import (
     IntervalSpec,
 )
 from repro.intermediate.raster import rasterize
-from repro.intermediate.store import (
-    approximation_table,
-    load_sidecar,
-    save_sidecar,
-    sidecar_path,
-)
+from repro.intermediate.store import approximation_table
 
 __all__ = [
     "AMBIGUOUS",
@@ -44,7 +38,4 @@ __all__ = [
     "IntervalSpec",
     "rasterize",
     "approximation_table",
-    "load_sidecar",
-    "save_sidecar",
-    "sidecar_path",
 ]

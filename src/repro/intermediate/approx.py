@@ -29,7 +29,6 @@ with ``closed=True`` for the z-order merge join).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from repro.errors import IntermediateError
@@ -39,14 +38,7 @@ SURE_MISS = -1
 AMBIGUOUS = 0
 SURE_HIT = 1
 
-#: Serialization header: magic, version, level, interval count, universe.
-_HEADER = struct.Struct("<4sBBI4d")
-#: One interval record: lo, hi (z-values at ``level``), FULL flag.
-_RECORD = struct.Struct("<QQB")
-_MAGIC = b"IAPX"
-_VERSION = 1
-
-#: Finest supported grid: z-values must fit the serializer's u64.
+#: Finest supported grid.
 MAX_LEVEL = 30
 
 
@@ -130,43 +122,6 @@ class IntervalApprox:
             (lo << shift, ((hi + 1) << shift) - 1, full)
             for lo, hi, full in self.intervals
         )
-
-    # ------------------------------------------------------------------
-    # Compact serialized form (persisted beside the relation)
-    # ------------------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Fixed-width binary record: header + one 17-byte row per interval."""
-        out = [_HEADER.pack(
-            _MAGIC, _VERSION, self.level, len(self.intervals), *self.universe
-        )]
-        out += [
-            _RECORD.pack(lo, hi, 1 if full else 0)
-            for lo, hi, full in self.intervals
-        ]
-        return b"".join(out)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "IntervalApprox":
-        """Inverse of :meth:`to_bytes`; validates magic, version, length."""
-        if len(data) < _HEADER.size:
-            raise IntermediateError("serialized approximation truncated")
-        magic, version, level, count, *universe = _HEADER.unpack_from(data)
-        if magic != _MAGIC:
-            raise IntermediateError(f"bad approximation magic {magic!r}")
-        if version != _VERSION:
-            raise IntermediateError(f"unsupported approximation version {version}")
-        if len(data) != _HEADER.size + count * _RECORD.size:
-            raise IntermediateError(
-                f"serialized approximation length mismatch: expected "
-                f"{count} interval records"
-            )
-        intervals = tuple(
-            (lo, hi, bool(full))
-            for lo, hi, full in _RECORD.iter_unpack(data[_HEADER.size:])
-        )
-        return cls(level=level, universe=tuple(universe), intervals=intervals)
-
 
 def classify(a: IntervalApprox, b: IntervalApprox) -> int:
     """Merge-style interval-join kernel for one candidate pair.

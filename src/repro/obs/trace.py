@@ -253,18 +253,6 @@ class Tracer:
     def roots(self) -> list[Span]:
         return [s for s in self.spans if s.parent_id is None]
 
-    def children_of(self, span: Span) -> list[Span]:
-        """Direct children, deterministically ordered by local span id.
-
-        Local ids are assigned at open (or graft) time, so this order is
-        span-start order -- stable for a given execution and independent
-        of dict/iteration incidentals.
-        """
-        return sorted(
-            (s for s in self.spans if s.parent_id == span.span_id),
-            key=lambda s: s.span_id,
-        )
-
     def uid_of(self, span: Span) -> str:
         """The span's stable, process-qualified identity.
 

@@ -1,17 +1,12 @@
-"""JSON persistence for geometries and relations.
+"""JSON codec for geometries.
 
-Reproducible experiments need datasets that can be saved, shared and
-reloaded bit-exactly.  This module serializes every geometry type and
-whole relations (schema + rows) to plain JSON, and restores them onto a
-fresh simulated disk.  Indices are rebuilt rather than stored -- they are
-derived state, and rebuilding exercises the same code paths as the
-original load.
+Every geometry type to and from a plain JSON-safe dict.  The write-ahead
+log encodes the spatial values of logged rows and checkpoint images with
+it (:mod:`repro.wal`).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any
 
 from repro.errors import ReproError
@@ -19,15 +14,10 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import PolyLine
 from repro.geometry.rect import Rect
-from repro.relational.relation import Relation
-from repro.relational.schema import Column, ColumnType, Schema
-from repro.storage.buffer import BufferPool
-from repro.storage.costs import CostMeter
-from repro.storage.disk import SimulatedDisk
 
 
 class PersistenceError(ReproError):
-    """Malformed snapshot data."""
+    """Malformed geometry data."""
 
 
 # ----------------------------------------------------------------------
@@ -85,102 +75,3 @@ def geometry_from_dict(data: dict) -> Any:
         ) from exc
     raise PersistenceError(f"unknown geometry type {kind!r}")
 
-
-# ----------------------------------------------------------------------
-# Relation <-> dict
-# ----------------------------------------------------------------------
-
-def relation_to_dict(relation: Relation) -> dict:
-    """Schema and rows of a relation, JSON-safe."""
-    columns = [
-        {"name": c.name, "type": c.type.value} for c in relation.schema.columns
-    ]
-    rows = []
-    for t in relation.scan():
-        row = []
-        for column, value in zip(relation.schema.columns, t.values):
-            row.append(geometry_to_dict(value) if column.type.is_spatial else value)
-        rows.append(row)
-    return {
-        "name": relation.name,
-        "record_size": relation.record_size,
-        "utilization": relation.utilization,
-        "columns": columns,
-        "rows": rows,
-    }
-
-
-def relation_from_dict(
-    data: dict,
-    buffer_pool: BufferPool | None = None,
-    *,
-    memory_pages: int = 4000,
-) -> Relation:
-    """Rebuild a relation (onto a fresh disk unless a pool is given)."""
-    if buffer_pool is None:
-        buffer_pool = BufferPool(SimulatedDisk(), memory_pages, CostMeter())
-    try:
-        schema = Schema(
-            [Column(c["name"], ColumnType(c["type"])) for c in data["columns"]]
-        )
-        relation = Relation(
-            data["name"],
-            schema,
-            buffer_pool,
-            record_size=data.get("record_size", 300),
-            utilization=data.get("utilization", 0.75),
-        )
-        for i, row in enumerate(data["rows"]):
-            if len(row) != len(schema.columns):
-                raise PersistenceError(
-                    f"row {i} of relation {data['name']!r} has {len(row)} "
-                    f"values for {len(schema.columns)} schema columns"
-                )
-            values = [
-                geometry_from_dict(v) if col.type.is_spatial else v
-                for col, v in zip(schema.columns, row)
-            ]
-            relation.insert(values)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistenceError(f"malformed relation snapshot: {exc}") from exc
-    return relation
-
-
-# ----------------------------------------------------------------------
-# File-level snapshots
-# ----------------------------------------------------------------------
-
-def save_snapshot(path: str | Path, relations: dict[str, Relation]) -> None:
-    """Write several relations to one JSON snapshot file."""
-    payload = {
-        "format": "repro-snapshot",
-        "version": 1,
-        "relations": {key: relation_to_dict(rel) for key, rel in relations.items()},
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_snapshot(
-    path: str | Path,
-    *,
-    shared_pool: bool = True,
-    memory_pages: int = 4000,
-) -> dict[str, Relation]:
-    """Load a snapshot; relations share one disk unless ``shared_pool=False``."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PersistenceError(f"cannot read snapshot {path}: {exc}") from exc
-    if payload.get("format") != "repro-snapshot":
-        raise PersistenceError(f"{path} is not a repro snapshot")
-    pool = (
-        BufferPool(SimulatedDisk(), memory_pages, CostMeter())
-        if shared_pool
-        else None
-    )
-    out: dict[str, Relation] = {}
-    for key, data in payload["relations"].items():
-        out[key] = relation_from_dict(
-            data, buffer_pool=pool, memory_pages=memory_pages
-        )
-    return out

@@ -267,25 +267,6 @@ class Relation:
                 remap(rid_map)
         return rid_map
 
-    def reset_buffer(self, memory_pages: int | None = None, meter: Any = None) -> None:
-        """Install a fresh, cold buffer pool over the same disk.
-
-        Benchmarks call this between strategy runs so every run starts
-        with an empty cache; dirty pages are flushed (and their writes
-        charged to the old meter) first.  Structures that captured the
-        old pool (e.g. B+-trees) keep using it -- only this relation's
-        own page traffic moves to the new pool.
-        """
-        from repro.storage.costs import CostMeter
-
-        self.buffer_pool.flush_all()
-        capacity = memory_pages if memory_pages is not None else self.buffer_pool.capacity
-        new_meter = meter if meter is not None else CostMeter()
-        new_pool = BufferPool(self.buffer_pool.disk, capacity, new_meter)
-        new_pool.wal = getattr(self.buffer_pool, "wal", None)
-        self.buffer_pool = new_pool
-        self._file.buffer_pool = new_pool
-
     # ------------------------------------------------------------------
     # Derived state: the epoch-scoped memo
     # ------------------------------------------------------------------

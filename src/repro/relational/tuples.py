@@ -46,23 +46,6 @@ class RelTuple:
         sub = self._schema.project(names)
         return RelTuple(sub, [self[n] for n in names])
 
-    def concat(self, other: "RelTuple") -> "RelTuple":
-        """Join-style concatenation; clashing names get a ``_2`` suffix."""
-        from repro.relational.schema import Column
-
-        cols: list[Column] = list(self._schema.columns)
-        taken = set(self._schema.column_names)
-        for c in other.schema.columns:
-            name = c.name
-            while name in taken:
-                name = f"{name}_2"
-            if name != c.name:
-                c = Column(name, c.type)
-            cols.append(c)
-            taken.add(c.name)
-        merged = Schema(cols)
-        return RelTuple(merged, self._values + other.values)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RelTuple):
             return NotImplemented

@@ -5,8 +5,9 @@ thread (and one :class:`~repro.server.service.Session`) to each -- the
 session-per-thread model is what the executor's reentrancy and the
 service's admission control were built for.  Requests and replies are
 newline-delimited UTF-8 (see :mod:`repro.server.protocol`); a failed
-request never kills the connection, only surfaces as an ``ERR`` line,
-except for protocol-level garbage after which the server keeps reading.
+request never kills the connection, only surfaces as an ``ERR`` line;
+after protocol-level garbage the server keeps reading, but a request
+line longer than :data:`MAX_LINE` is refused and its connection closed.
 
 Shutdown is *graceful by default*: :meth:`QueryServer.stop` stops
 accepting, flips the service into drain mode (new requests on live
@@ -53,6 +54,11 @@ from repro.server.service import QueryService
 IDEMPOTENT_OPS = frozenset(
     {"ping", "health", "relations", "metrics", "select", "join"}
 )
+
+#: Longest request line the server reads, in bytes, newline excluded.  A
+#: longer line gets a ``ProtocolError`` reply and the connection closes:
+#: the rest of it cannot be told apart from the next request.
+MAX_LINE = 1 << 20
 
 
 class QueryServer:
@@ -182,7 +188,13 @@ class QueryServer:
         session = self.service.open_session(client=f"{peer[0]}:{peer[1]}")
         try:
             with conn, conn.makefile("rwb") as stream:
-                for raw in stream:
+                while raw := stream.readline(MAX_LINE + 1):
+                    if len(raw) > MAX_LINE and not raw.endswith(b"\n"):
+                        stream.write(encode_error(ProtocolError(
+                            f"request line longer than {MAX_LINE} bytes"
+                        )).encode("utf-8") + b"\n")
+                        stream.flush()
+                        break
                     # Note: no early-exit on the stop event here.  While
                     # draining, requests must still be *answered* (with
                     # ShuttingDown from admission control) so retrying

@@ -86,10 +86,6 @@ class ShardMap:
     def n_shards(self) -> int:
         return len(self.boundaries) + 1
 
-    @property
-    def cells_per_axis(self) -> int:
-        return 1 << self.bits
-
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         """Grid cell owning point ``(x, y)``; clamped at the border so
         protruding geometries still have an owner."""
@@ -143,15 +139,3 @@ class ShardMap:
             bisect_right(self.boundaries, interleave(gx, gy, self.bits))
             for gx, gy in self.grid.covering_cells(mbr)
         })
-
-    def describe(self) -> str:
-        ranges = ", ".join(
-            f"s{i}=[{lo},{hi}]"
-            for i, (lo, hi) in (
-                (i, self.zrange(i)) for i in range(self.n_shards)
-            )
-        )
-        return (
-            f"ShardMap({self.n_shards} shards over "
-            f"{self.cells_per_axis}x{self.cells_per_axis} z-cells: {ranges})"
-        )

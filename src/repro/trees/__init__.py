@@ -26,7 +26,6 @@ from repro.trees.rtree import RTree
 from repro.trees.rstar import RStarTree
 from repro.trees.packing import str_pack, packing_quality
 from repro.trees.knn import nearest_neighbor, nearest_neighbors
-from repro.trees.render import level_summary, render_tree
 
 __all__ = [
     "GTNode",
@@ -39,6 +38,4 @@ __all__ = [
     "packing_quality",
     "nearest_neighbor",
     "nearest_neighbors",
-    "render_tree",
-    "level_summary",
 ]

@@ -92,16 +92,6 @@ class GeneralizationTree(ABC):
             yield node
             queue.extend(self.children(node))
 
-    def dfs_nodes(self) -> Iterator[Any]:
-        """All node handles in depth-first (preorder) order."""
-        if self.is_empty():
-            return
-        stack = [self.root()]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(self.children(node)))
-
     def bfs_tids(self) -> list[RecordId]:
         """Tuple ids of application objects in BFS order (for reclustering)."""
         return [t for t in (self.tid(n) for n in self.bfs_nodes()) if t is not None]

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import TreeError
 from repro.predicates.dispatch import SpatialObject
 from repro.storage.record import RecordId
 
@@ -41,37 +40,6 @@ class GTNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    @property
-    def is_application_object(self) -> bool:
-        """True if this node corresponds to a user-visible object.
-
-        Such nodes may qualify for query results even when they are
-        interior nodes -- the SELECT / JOIN algorithms check them.
-        """
-        return self.tid is not None or self.payload is not None
-
-    def subtree_height(self) -> int:
-        """Height of the subtree under this node (a leaf has height 0)."""
-        if not self.children:
-            return 0
-        return 1 + max(c.subtree_height() for c in self.children)
-
     def subtree_size(self) -> int:
         """Number of nodes in the subtree including this node."""
         return 1 + sum(c.subtree_size() for c in self.children)
-
-    def validate_containment(self) -> None:
-        """Check the defining invariant: children lie inside the parent.
-
-        Containment is verified on MBRs (exact containment of arbitrary
-        geometry pairs would be stricter than the R-tree case requires).
-        Raises :class:`~repro.errors.TreeError` on violation.
-        """
-        my_mbr = self.region.mbr()
-        for child in self.children:
-            if not my_mbr.contains_rect(child.region.mbr()):
-                raise TreeError(
-                    f"containment violation: child MBR {child.region.mbr()} "
-                    f"not inside parent MBR {my_mbr}"
-                )
-            child.validate_containment()

@@ -1,8 +1,8 @@
 """Checkpoints: fusing the log into a snapshot, then truncating it.
 
 A checkpoint bounds recovery work.  Without one, recovery replays the
-entire history; with one, it rebuilds the snapshot (reusing the
-:mod:`repro.persistence` serialization) and replays only the log tail.
+entire history; with one, it rebuilds the snapshot and replays only the
+log tail.  The snapshot is the engine's one relation image.
 
 The commit protocol is ordered so a crash at *any* physical write leaves
 a consistent view:
@@ -25,17 +25,16 @@ from typing import Any, Iterable
 
 from repro.wal.log import LogRecordKind, WriteAheadLog, encode_tid
 
-#: Snapshot format tag (mirrors the persistence module's convention).
+#: Snapshot format tag.
 CHECKPOINT_FORMAT = "repro-wal-checkpoint"
 
 
 def snapshot_relation(relation: Any) -> dict:
-    """One relation's checkpoint image: schema, rows *and their RIDs*.
-
-    This is :func:`repro.persistence.relation_to_dict` extended with the
+    """One relation's checkpoint image: schema and rows (spatial values
+    through the :mod:`repro.persistence` geometry codec), with the
     physical identity recovery needs: the RID of every row (so replayed
     log records that reference pre-crash RIDs can be translated onto the
-    rebuilt relation) and the clustered flag.
+    rebuilt relation), the clustered flag and the indexed columns.
     """
     from repro.persistence import geometry_to_dict  # lazy: avoids cycle
 

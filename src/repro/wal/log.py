@@ -159,29 +159,11 @@ class WriteAheadLog:
         self._checkpoint_meta: dict | None = None
         self._relation_meta: dict[str, dict] = {}
         self.records_since_checkpoint = 0
-        # Metrics series, bound by attach_metrics(); None = unobserved.
-        self._m_sync_batch = None
-        self._m_log_writes = None
-        self._m_checkpoint_pages = None
         # Dual anchors: updates alternate between the two pages, so a
         # torn anchor write can never destroy the only copy.
         self._anchors = [disk.allocate_page(), disk.allocate_page()]
         self._anchor_version = 0
         self._write_anchor()
-
-    def attach_metrics(self, registry) -> None:
-        """Publish WAL behavior into a metrics registry.
-
-        ``wal.sync_batch_frames`` is the histogram of how many frames
-        each physical tail flush made durable -- 1 under ``always``,
-        up to frames-per-page under ``group`` (the amortization the
-        sync policy buys, now visible instead of inferred).
-        """
-        self._m_sync_batch = registry.histogram(
-            "wal.sync_batch_frames", buckets=(1, 2, 5, 10, 20, 50)
-        )
-        self._m_log_writes = registry.counter("wal.log_writes")
-        self._m_checkpoint_pages = registry.counter("wal.checkpoint_pages")
 
     # ------------------------------------------------------------------
     # Appending
@@ -301,8 +283,6 @@ class WriteAheadLog:
             page.insert(chunk, min(len(chunk) or 1, page.capacity))
             self._write_page(page)
             self.meter.record_checkpoint_page()
-            if self._m_checkpoint_pages is not None:
-                self._m_checkpoint_pages.inc()
             page_ids.append(page.page_id)
         return page_ids
 
@@ -339,9 +319,6 @@ class WriteAheadLog:
             return
         self._write_page(self._tail)
         self.meter.record_log_write()
-        if self._m_log_writes is not None:
-            self._m_log_writes.inc()
-            self._m_sync_batch.observe(self.last_lsn - self.durable_lsn)
         self.durable_lsn = self.last_lsn
 
     def _write_anchor(self) -> None:
@@ -364,8 +341,6 @@ class WriteAheadLog:
         target.used_bytes = LOG_RECORD_SIZE
         self._write_page(target)
         self.meter.record_log_write()
-        if self._m_log_writes is not None:
-            self._m_log_writes.inc()
 
     def _write_page(self, page: Page) -> None:
         """Write through with bounded retry on transient faults.

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.comparison import StrategyComparison
 from repro.errors import JoinError
-from repro.geometry.rect import Rect
 from repro.predicates.theta import Overlaps, WithinDistance
 
 from tests.join.conftest import make_rect_relation, rtree_over
@@ -17,33 +16,6 @@ def indexed_pair():
     rtree_over(rel_r, "shape")
     rtree_over(rel_s, "shape")
     return rel_r, rel_s
-
-
-class TestCompareSelect:
-    def test_rows_for_all_strategies(self, indexed_pair):
-        rel_r, _ = indexed_pair
-        report = StrategyComparison().compare_select(
-            rel_r, "shape", Rect(10, 10, 40, 40), Overlaps(), orders=("bfs", "dfs")
-        )
-        names = {r.strategy for r in report.rows}
-        assert names == {"scan", "tree", "tree-dfs"}
-        matches = {r.matches for r in report.rows}
-        assert len(matches) == 1  # all agree
-
-    def test_unindexed_only_scan(self):
-        rel = make_rect_relation("bare", 30, seed=113)
-        report = StrategyComparison().compare_select(
-            rel, "shape", Rect(0, 0, 50, 50), Overlaps()
-        )
-        assert [r.strategy for r in report.rows] == ["scan"]
-
-    def test_format_table(self, indexed_pair):
-        rel_r, _ = indexed_pair
-        report = StrategyComparison().compare_select(
-            rel_r, "shape", Rect(10, 10, 40, 40), Overlaps()
-        )
-        table = report.format_table()
-        assert "strategy" in table and "scan" in table
 
 
 class TestCompareJoin:

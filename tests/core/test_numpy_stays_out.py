@@ -275,12 +275,7 @@ def test_the_executor_holds_no_lock():
 
 
 def test_epochs_are_compared_in_one_module():
-    """``x.modification_count == epoch`` is ``EpochPin.fresh``'s job.
-
-    The one named exception validates an epoch read from a *file*: an
-    absent or non-integer value there is a refusal, never "now", so
-    ``load_sidecar`` compares directly.
-    """
+    """``x.modification_count == epoch`` is ``EpochPin.fresh``'s job."""
     comparers = set()
     for path in (SRC / "repro").rglob("*.py"):
         tree = ast.parse(path.read_text())
@@ -300,7 +295,4 @@ def test_epochs_are_compared_in_one_module():
             comparers.add(
                 f"{path.relative_to(SRC / 'repro').as_posix()}::{owner}"
             )
-    assert comparers == {
-        "relational/relation.py::fresh",
-        "intermediate/store.py::load_sidecar",
-    }
+    assert comparers == {"relational/relation.py::fresh"}

@@ -10,6 +10,7 @@ from repro.errors import GeometryError
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
+from repro.predicates.dispatch import min_distance
 
 
 def unit_square() -> Polygon:
@@ -83,13 +84,6 @@ class TestMeasures:
 
     def test_mbr(self):
         assert triangle().mbr() == Rect(0, 0, 4, 3)
-
-    def test_is_convex(self):
-        assert unit_square().is_convex()
-        concave = Polygon(
-            [Point(0, 0), Point(4, 0), Point(4, 4), Point(2, 1), Point(0, 4)]
-        )
-        assert not concave.is_convex()
 
     @given(regular_polygons())
     def test_regular_area_formula(self, poly):
@@ -214,12 +208,12 @@ class TestDistances:
     def test_distance_zero_on_overlap(self):
         a = unit_square()
         b = a.translated(0.5, 0)
-        assert a.distance_to_polygon(b) == 0.0
+        assert min_distance(a, b) == 0.0
 
     def test_distance_between_squares(self):
         a = unit_square()
         b = a.translated(3, 0)
-        assert a.distance_to_polygon(b) == pytest.approx(2.0)
+        assert min_distance(a, b) == pytest.approx(2.0)
 
     def test_distance_to_point(self):
         assert unit_square().distance_to_point(Point(3, 0.5)) == pytest.approx(2.0)

@@ -37,10 +37,6 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             Rect.from_points([])
 
-    def test_from_center(self):
-        r = Rect.from_center(Point(5, 5), 4, 2)
-        assert r == Rect(3, 4, 7, 6)
-
     def test_union_of(self):
         u = Rect.union_of([Rect(0, 0, 1, 1), Rect(2, 2, 3, 3)])
         assert u == Rect(0, 0, 3, 3)
@@ -136,13 +132,9 @@ class TestDerivedRegions:
         with pytest.raises(GeometryError):
             Rect(0, 0, 1, 1).buffer(-0.1)
 
-    def test_shrunk(self):
-        assert Rect(0, 0, 10, 10).shrunk(1) == Rect(1, 1, 9, 9)
-        assert Rect(0, 0, 1, 1).shrunk(1) is None
-
     def test_northwest_quadrant_contains_nw_points(self):
         r = Rect(5, 5, 10, 10)
-        q = r.northwest_quadrant()
+        q = r.quadrant("nw")
         # A point strictly NW of the rect's center must be in the quadrant.
         assert q.contains_point(Point(0, 20))
         # A point strictly SE of the rect must not be.

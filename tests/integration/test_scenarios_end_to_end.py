@@ -8,7 +8,6 @@ everywhere, sensible cost orderings, maintained indices after updates.
 
 import pytest
 
-from repro.core.comparison import StrategyComparison
 from repro.core.executor import SpatialQueryExecutor
 from repro.core.optimizer import executable_strategy, plan_join
 from repro.geometry.point import Point
@@ -129,12 +128,15 @@ class TestCartographyScenario:
 
     def test_comparison_report_on_map_self_join(self, world_map):
         m = world_map
-        report = StrategyComparison().compare_select(
-            m.regions, "region", Rect(0, 0, 500, 500), Overlaps(),
-            orders=("bfs", "dfs"),
-        )
-        assert len({r.matches for r in report.rows}) == 1
+        answers, evals = set(), {}
+        for strategy, order in (("scan", "bfs"), ("tree", "bfs"), ("tree", "dfs")):
+            meter = CostMeter()
+            result = SpatialQueryExecutor().select(
+                m.regions, "region", Rect(0, 0, 500, 500), Overlaps(),
+                strategy=strategy, order=order, meter=meter,
+            )
+            answers.add(tuple(sorted(result.tids)))
+            evals[strategy, order] = meter.theta_filter_evals + meter.theta_exact_evals
+        assert len(answers) == 1
         # The hierarchy must beat the scan on predicate evaluations.
-        scan_evals = report.row("scan").predicate_evals
-        tree_evals = report.row("tree").predicate_evals
-        assert tree_evals <= scan_evals
+        assert evals["tree", "bfs"] <= evals["scan", "bfs"]

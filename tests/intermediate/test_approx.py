@@ -78,37 +78,6 @@ def test_adjacent_opposite_flags_are_legal():
 
 
 # ----------------------------------------------------------------------
-# Serialization
-# ----------------------------------------------------------------------
-
-@given(approx=interval_sets())
-@settings(max_examples=60, deadline=None)
-def test_bytes_round_trip(approx):
-    data = approx.to_bytes()
-    back = IntervalApprox.from_bytes(data)
-    assert back == approx
-    # Fixed-width form: header + 17 bytes per interval.
-    assert len(data) == len(IntervalApprox(level=approx.level,
-                                           universe=approx.universe,
-                                           intervals=()).to_bytes()) \
-        + 17 * len(approx.intervals)
-
-
-def test_from_bytes_rejects_garbage():
-    good = IntervalApprox(
-        level=3, universe=UNIT, intervals=((2, 7, True),)
-    ).to_bytes()
-    with pytest.raises(IntermediateError):
-        IntervalApprox.from_bytes(b"")
-    with pytest.raises(IntermediateError):
-        IntervalApprox.from_bytes(b"XXXX" + good[4:])  # bad magic
-    with pytest.raises(IntermediateError):
-        IntervalApprox.from_bytes(good[:-1])  # length mismatch
-    with pytest.raises(IntermediateError):
-        IntervalApprox.from_bytes(good + b"\x00" * 17)  # extra record
-
-
-# ----------------------------------------------------------------------
 # Rescaling
 # ----------------------------------------------------------------------
 

@@ -34,7 +34,6 @@ class TestSpanStructure:
         assert grand.parent_id == child.span_id and grand.depth == 2
         assert sibling.parent_id == root.span_id
         assert t.roots() == [root]
-        assert t.children_of(root) == [child, sibling]
 
     def test_tags_from_kwargs_and_set_tag(self):
         t = Tracer()

@@ -39,13 +39,6 @@ class TestRelTuple:
         p = t.project(["oid"])
         assert p.values == (1,)
 
-    def test_concat_renames_clashes(self):
-        t1 = RelTuple(SCHEMA, [1, rect_at(0)])
-        t2 = RelTuple(SCHEMA, [2, rect_at(1)])
-        j = t1.concat(t2)
-        assert j.schema.column_names == ("oid", "shape", "oid_2", "shape_2")
-        assert j["oid_2"] == 2
-
     def test_equality_ignores_tid(self):
         a = RelTuple(SCHEMA, [1, rect_at(0)])
         b = RelTuple(SCHEMA, [1, rect_at(0)])

@@ -8,6 +8,7 @@ import pytest
 from repro.cache import QueryCache
 from repro.errors import ProtocolError, ServerBusy
 from repro.server import QueryClient, QueryServer
+from repro.server.net import MAX_LINE
 from repro.server.protocol import (
     decode_response,
     encode_error,
@@ -295,6 +296,22 @@ class TestConnectionEdges:
         reply = raw.makefile("rb").readline()
         assert reply.startswith(b"ERR ")
         raw.close()
+        with QueryClient(*server.address) as client:
+            assert client.request(op="ping")["pong"] is True
+
+    def test_overlong_line_is_refused_and_its_connection_closed(self, server):
+        service = server.service
+        with QueryClient(*server.address) as bystander:
+            raw = socket.create_connection(server.address, timeout=5.0)
+            # One byte past the bound and no newline: the server must stop
+            # reading there rather than buffer the line until it ends.
+            raw.sendall(b"x" * (MAX_LINE + 1))
+            stream = raw.makefile("rb")
+            assert stream.readline().startswith(b"ERR ProtocolError request line longer")
+            assert stream.readline() == b""  # framing is lost: closed
+            raw.close()
+            assert bystander.request(op="ping")["pong"] is True
+        assert _wait_for(lambda: service.sessions_active == 0)
         with QueryClient(*server.address) as client:
             assert client.request(op="ping")["pong"] is True
 

@@ -69,8 +69,8 @@ class TestOwnership:
         # the declared universe -- clamped, never an error.
         smap = ShardMap.split_uniform(UNIVERSE, 3, bits=4)
         cx, cy = smap.cell_of(x, y)
-        assert 0 <= cx < smap.cells_per_axis
-        assert 0 <= cy < smap.cells_per_axis
+        assert 0 <= cx < (1 << smap.bits)
+        assert 0 <= cy < (1 << smap.bits)
 
     @given(mbr=rects(coords, coords))
     def test_covering_shards_includes_every_corner_owner(self, mbr):
@@ -116,7 +116,7 @@ class TestOneKeyspaceRule:
 
     @given(smap=maps, x=points, y=points)
     def test_cell_of_is_the_grid_owner_cell(self, smap, x, y):
-        n = smap.cells_per_axis
+        n = 1 << smap.bits
         assert smap.grid == GridSpec(UNIVERSE, n, n)
         assert smap.cell_of(x, y) == smap.grid.owner_cell(x, y)
 

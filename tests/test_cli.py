@@ -1,10 +1,44 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import re
+import shlex
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def documented_commands() -> list[tuple[str, list[str]]]:
+    """``(where, argv)`` of every ``python -m repro ...`` command that
+    README.md or docs/ tell a reader to run."""
+    found = []
+    for doc in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        lines = doc.read_text().splitlines()
+        for number, line in enumerate(lines, start=1):
+            for match in re.finditer(r"python -m repro(?:\.cli)? ", line):
+                start = match.end()
+                inline = line[:match.start()].count("`") % 2 == 1
+                text = line[start:line.index("`", start)] if inline else line[start:]
+                follow = number
+                while True:  # a trailing backslash or an open quote continues
+                    try:
+                        argv = shlex.split(text, comments=True)
+                    except ValueError:
+                        argv = None
+                    if inline or (argv is not None and not text.endswith("\\")):
+                        break
+                    text = text.removesuffix("\\") + "\n" + lines[follow]
+                    follow += 1
+                found.append((f"{doc.name}:{number}", [a for a in argv if a != "&"]))
+    return found
 
 
 class TestParser:
@@ -15,6 +49,15 @@ class TestParser:
     def test_figure_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figures", "--figure", "3"])
+
+    def test_every_documented_command_parses(self):
+        commands = documented_commands()
+        assert {"serve", "client", "shards"} <= {argv[0] for _, argv in commands}
+        for where, argv in commands:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{where}: python -m repro {shlex.join(argv)} does not parse")
 
 
 class TestCommands:
@@ -225,3 +268,32 @@ class TestObsCommand:
             for r in records if r["parent_id"] is None
         )
         assert total_self == pytest.approx(root_total)
+
+
+class TestServiceCommands:
+    def test_serve_answers_the_client_and_drains_on_interrupt(self, capsys):
+        server = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", "--port", "0", "--size", "100"],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        try:
+            banner = server.stdout.readline()
+            port = re.search(r"query service on 127\.0\.0\.1:(\d+) ", banner).group(1)
+            assert main(["client", "--port", port]) == 0
+            assert json.loads(capsys.readouterr().out)["pong"] is True
+            assert main(["client", "--port", port, "--request", '{"op": "health"}']) == 0
+            assert json.loads(capsys.readouterr().out)["sessions_active"] == 1
+            server.send_signal(signal.SIGINT)
+            out, _ = server.communicate(timeout=60)
+        finally:
+            server.kill()
+            server.wait()
+        assert server.returncode == 0
+        assert re.search(r"draining \.\.\.\nserved \d+ queries; bye\n$", out)
+
+    def test_shards_matches_the_oracle_through_a_kill(self, capsys):
+        assert main(["shards", "--shards", "4", "--size", "200", "--kill-at", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("identical to unsharded oracle") == 2
+        assert "fault audit: 1 injected, 1 consumed" in out

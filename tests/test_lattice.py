@@ -478,9 +478,15 @@ class LatticeMachine(RuleBasedStateMachine):
     def select(self, data, name, theta, order, via_session):
         tree = ["tree"] if self.lattice.rels[name].has_index_on("shape") else []
         strategy = data.draw(st.sampled_from(["auto", "scan"] + tree))
+        self.last_select = (name, data.draw(boxes()), theta, strategy, order, via_session)
+        self._select(*self.last_select)
+
+    def _select(self, name, window, theta, strategy, order, via_session):
+        # The session is looked up at every replay: a crash serves the
+        # recovered relations through new sessions, and an old session
+        # would still answer from the relations it was opened on.
         session = self.lattice.sessions[0] if via_session else None
-        self.last_select = (name, data.draw(boxes()), theta, strategy, order, session)
-        self.lattice.select(*self.last_select)
+        self.lattice.select(name, window, theta, strategy, order, session)
 
     @precondition(lambda self: self.last_select is not None)
     @rule(grow=st.booleans(), cuts=st.lists(st.integers(0, 4), min_size=4, max_size=4))
@@ -495,7 +501,7 @@ class LatticeMachine(RuleBasedStateMachine):
             w, h = window.width / 10, window.height / 10
             nested = Rect(window.xmin + cuts[0] * w, window.ymin + cuts[1] * h,
                           window.xmax - cuts[2] * w, window.ymax - cuts[3] * h)
-        self.lattice.select(name, nested, *rest)
+        self._select(name, nested, *rest)
 
     @precondition(lambda self: self.lattice.config.index)
     @rule(data=st.data(), k=st.integers(1, 4))
@@ -556,3 +562,37 @@ LatticeTest = LatticeMachine.TestCase
 # The example count comes from the hypothesis profile: ``suite`` in
 # tier-1, ``soak`` in CI (tests/conftest.py).
 LatticeTest.settings = settings(stateful_step_count=50)
+
+
+class Script:
+    """Stands in for ``st.data()``: each draw returns the next value."""
+
+    def __init__(self, *values) -> None:
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
+def test_nested_select_after_a_crash_reads_the_recovered_relation():
+    """A shrunk failure of the machine, pinned: the replayed selection
+    used the session opened before the crash, which still answered from
+    the pre-crash relation and missed the row inserted after recovery."""
+    machine = LatticeMachine()
+    steps = [
+        lambda: machine.setup(Config(durable=True),
+                              Script([Rect(10, 10, 20, 20), Rect(30, 30, 40, 40)], [])),
+        lambda: machine.delete(Script("r", 0), via_session=False),
+        lambda: machine.select(Script("scan", Rect(0, 0, 100, 100)), name="r",
+                               theta=Overlaps(), order="bfs", via_session=True),
+        machine.checkpoint,
+        machine.crash,
+        lambda: machine.insert(Script("r", Rect(50, 50, 60, 60)), via_session=False),
+        lambda: machine.select_nested(grow=False, cuts=[0, 0, 0, 0]),
+    ]
+    try:
+        for step in steps:
+            step()
+            machine.agrees_with_the_model()
+    finally:
+        machine.teardown()

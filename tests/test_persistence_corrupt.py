@@ -1,20 +1,9 @@
-"""Corrupt snapshots must raise PersistenceError -- never a raw
+"""Corrupt geometry data must raise PersistenceError -- never a raw
 KeyError/TypeError that strands the caller without context."""
-
-import json
 
 import pytest
 
-from repro.persistence import (
-    PersistenceError,
-    geometry_from_dict,
-    load_snapshot,
-    relation_from_dict,
-    relation_to_dict,
-    save_snapshot,
-)
-
-from tests.join.conftest import make_rect_relation
+from repro.persistence import PersistenceError, geometry_from_dict
 
 
 class TestCorruptGeometry:
@@ -48,63 +37,3 @@ class TestCorruptGeometry:
     def test_non_dict_input(self):
         with pytest.raises(PersistenceError):
             geometry_from_dict(["point", 1, 2])
-
-
-class TestCorruptRelation:
-    def _payload(self):
-        return relation_to_dict(make_rect_relation("objects", 12, seed=80))
-
-    def test_schema_row_mismatch(self):
-        data = self._payload()
-        data["rows"][3] = data["rows"][3][:1]  # drop a column value
-        with pytest.raises(PersistenceError, match="row 3"):
-            relation_from_dict(data)
-
-    def test_extra_row_values_rejected(self):
-        data = self._payload()
-        data["rows"][0] = data["rows"][0] + [42]
-        with pytest.raises(PersistenceError, match="row 0"):
-            relation_from_dict(data)
-
-    def test_unknown_geometry_in_row(self):
-        data = self._payload()
-        data["rows"][2][1] = {"type": "blob"}
-        with pytest.raises(PersistenceError):
-            relation_from_dict(data)
-
-    def test_missing_columns_key(self):
-        with pytest.raises(PersistenceError):
-            relation_from_dict({"name": "x", "rows": []})
-
-
-class TestCorruptSnapshotFiles:
-    def test_truncated_json(self, tmp_path):
-        rel = make_rect_relation("objects", 10, seed=81)
-        path = tmp_path / "snap.json"
-        save_snapshot(path, {"objects": rel})
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2])  # truncate mid-stream
-        with pytest.raises(PersistenceError, match="cannot read snapshot"):
-            load_snapshot(path)
-
-    def test_snapshot_with_corrupt_geometry(self, tmp_path):
-        rel = make_rect_relation("objects", 10, seed=82)
-        path = tmp_path / "snap.json"
-        save_snapshot(path, {"objects": rel})
-        payload = json.loads(path.read_text())
-        payload["relations"]["objects"]["rows"][0][1] = {
-            "type": "rect", "xmin": 0.0,
-        }
-        path.write_text(json.dumps(payload))
-        with pytest.raises(PersistenceError):
-            load_snapshot(path)
-
-    def test_snapshot_with_short_row(self, tmp_path):
-        rel = make_rect_relation("objects", 10, seed=83)
-        path = tmp_path / "snap.json"
-        save_snapshot(path, {"objects": rel})
-        payload = json.loads(path.read_text())
-        payload["relations"]["objects"]["rows"][5] = [1]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(PersistenceError, match="row 5"):
-            load_snapshot(path)
