@@ -15,6 +15,7 @@ Usage::
     python -m repro client --port 7654 --request '{"op":"relations"}'
     python -m repro shards --kill-at 3      # supervised fleet under chaos
     python -m repro obs --kill-at 2         # distributed-tracing dashboard
+    python -m repro calibrate --check       # the planner's regret, measured
 
 All output is plain text, suitable for diffing between runs.  With
 ``--fault-seed``/``--fault-rate`` the demo relations live on a
@@ -697,6 +698,17 @@ def cmd_obs(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
+def cmd_calibrate(args: argparse.Namespace) -> str:
+    import sys
+
+    from repro.core.calibration import calibrate
+
+    return calibrate(
+        check=args.check, tiny=args.tiny, write=args.write,
+        log=lambda line: print(line, file=sys.stderr, flush=True),
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.core.strategies import JOIN_STRATEGIES
 
@@ -737,6 +749,25 @@ def build_parser() -> argparse.ArgumentParser:
     crossovers = sub.add_parser("crossovers", help="exact crossover points")
     crossovers.set_defaults(handler=cmd_crossovers)
 
+    calibrate = sub.add_parser(
+        "calibrate",
+        help="fit the planner's seconds-per-unit profile and print its regret",
+    )
+    mode = calibrate.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--check", action="store_true",
+        help="keep the committed profile; print its regret at the fitting "
+        "and a held-out seed",
+    )
+    mode.add_argument(
+        "--write", action="store_true",
+        help="rewrite the committed profile with the fitted constants",
+    )
+    calibrate.add_argument(
+        "--tiny", action="store_true", help="a seconds-long smoke grid",
+    )
+    calibrate.set_defaults(handler=cmd_calibrate)
+
     demo = sub.add_parser("demo", help="measured strategy comparison")
     demo.add_argument("--size", type=int, default=400, help="tuples per relation")
     demo.add_argument(
@@ -765,8 +796,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--seed", type=int, default=11, help="workload seed")
     trace.add_argument(
         "--strategy", default="auto", choices=("auto", *JOIN_STRATEGIES),
-        help="join strategy to trace (default: picked by which indices "
-        "exist and whether the operands fit in memory)",
+        help="join strategy to trace (default: the planner's pick, the "
+        "strategy predicted fastest)",
     )
     trace.add_argument(
         "--trace-out", default=None, metavar="FILE.jsonl",

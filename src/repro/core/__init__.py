@@ -3,7 +3,7 @@
 This is the layer a downstream user talks to:
 
 * :class:`~repro.core.executor.SpatialQueryExecutor` runs a selection or
-  join with an explicitly chosen strategy or an automatic pick, returning
+  join with an explicitly chosen strategy or the planner's pick, returning
   results together with the cost breakdown;
 * :class:`~repro.core.comparison.StrategyComparison` runs *all* applicable
   strategies on the same inputs and tabulates their measured costs --
@@ -18,12 +18,10 @@ from repro.core.executor import SpatialQueryExecutor
 from repro.core.comparison import StrategyComparison
 from repro.core.optimizer import JoinPlan, executable_strategy, plan_join
 from repro.core.report import AttemptRecord, ExecutionReport
-from repro.core.strategies import FALLBACK_CHAIN
 
 __all__ = [
     "AttemptRecord",
     "ExecutionReport",
-    "FALLBACK_CHAIN",
     "SpatialQueryExecutor",
     "StrategyComparison",
     "JoinPlan",

@@ -2,8 +2,9 @@
 
 Which strategies exist, what each applies to and what it costs is the
 table in :mod:`repro.core.strategies`; this module is everything around
-a strategy run -- handle resolution, the ``auto`` pick, tracing spans,
-the query cache, the interval tier, cancellation and the fallback chain.
+a strategy run -- handle resolution, ``auto`` (the planner's pick),
+tracing spans, the query cache, the interval tier, cancellation and the
+fallback chain.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from repro.core.strategies import (
 )
 from repro.errors import ExecutionError, JoinError, StorageError
 from repro.join.join_index import JoinIndex
-from repro.join.nested_loop import RESERVED_PAGES
 from repro.join.result import JoinResult, SelectResult
 from repro.obs.drift import drift_from_plan
 from repro.obs.trace import coalesce
 from repro.predicates.dispatch import SpatialObject
-from repro.predicates.theta import Overlaps, ThetaOperator
+from repro.predicates.theta import ThetaOperator
 from repro.relational.relation import EpochPin, Relation
 from repro.storage.costs import CostMeter
 
@@ -319,7 +319,7 @@ class SpatialQueryExecutor:
             workers=workers, tracer=tracer, metrics=metrics, cache=cache,
             cancel=cancel, interval=interval,
         )
-        return self._attempt(ctx, ops, self._strategy_for(strategy, ops))
+        return self._attempt(ctx, ops, self._strategy_for(strategy, ops, ctx))
 
     def _attempt(
         self,
@@ -453,7 +453,7 @@ class SpatialQueryExecutor:
         self, ctx: ExecContext, ops: JoinOperands, requested: str, plan
     ) -> tuple[JoinResult, ExecutionReport]:
         """:meth:`_attempt` down the fallback chain, with the report."""
-        first = self._strategy_for(requested, ops)
+        first = self._strategy_for(requested, ops, ctx)
         chain = [first] + [
             s for s in applicable(ops) if s.fallback and s is not first
         ]
@@ -606,43 +606,20 @@ class SpatialQueryExecutor:
     # Internals
     # ------------------------------------------------------------------
 
-    def _strategy_for(self, name: str, ops: JoinOperands) -> JoinStrategy:
+    def _strategy_for(
+        self, name: str, ops: JoinOperands, ctx: ExecContext
+    ) -> JoinStrategy:
+        """The strategy registered under ``name``; ``auto`` is
+        :func:`~repro.core.optimizer.plan_join`'s pick for these operands
+        at this call's memory and workers."""
         if name == "auto":
-            name = self._pick_join_strategy(ops)
+            name = executable_strategy(plan_join(
+                *ops.positional,
+                join_index_available=ops.join_index is not None,
+                memory_pages=ctx.memory_pages,
+                workers=ctx.workers,
+            ))
         return lookup(JOIN_STRATEGIES, name, "join")
-
-    def _pick_join_strategy(self, ops: JoinOperands) -> str:
-        """Availability-driven pick, mirroring the paper's conclusions.
-
-        A registered join index wins outright (lookup is cheapest when it
-        exists and the study shows it superior at low selectivity, the
-        regime precomputation targets).  Overlap joins whose operands fit
-        in memory go to the partition-parallel plane sweep -- it needs no
-        index, emits no duplicates, and dominates tree joins on in-memory
-        workloads (Tsitsigkos & Mamoulis et al., 2019).  Otherwise two
-        trees enable the generalization-tree join, one tree the
-        index-supported join, and the nested loop remains the fallback.
-        """
-        if ops.join_index is not None:
-            return "join-index"
-        if isinstance(ops.theta, Overlaps) and self._fits_in_memory(ops):
-            return "partition"
-        has_r = ops.rel_r.has_index_on(ops.column_r)
-        has_s = ops.rel_s.has_index_on(ops.column_s)
-        if has_r and has_s:
-            return "tree"
-        if has_r:
-            return "index-nl"
-        if has_s:
-            return "index-nl-swapped"
-        return "scan"
-
-    def _fits_in_memory(self, ops: JoinOperands) -> bool:
-        """True when both operands fit the usable ``M - 10`` page budget."""
-        return (
-            ops.rel_r.num_pages + ops.rel_s.num_pages
-            <= self.memory_pages - RESERVED_PAGES
-        )
 
     def _interval_filter(self, interval, ops: JoinOperands):
         """A fresh :class:`~repro.intermediate.filter.IntervalFilter` for

@@ -5,11 +5,15 @@ it needs: given a selectivity, which strategy is cheapest?  This module
 closes the loop -- it estimates the selectivity from the actual data by
 sampling, instantiates the Section 4 cost formulas at the *actual*
 relation geometry (tree height and fan-out read off the attached index,
-page arithmetic off the relation), and ranks the applicable strategies.
+page arithmetic off the relation), and ranks the applicable strategies
+by the *seconds* their predicted work takes under the measured profile
+(:mod:`repro.costmodel.profile`).  Table 3's units, in which the 1993
+study ranks, are kept beside them: drift detection and cache admission
+compare them with metered totals.
 
-``explain`` returns the full decision record: the estimate, each
-strategy's predicted cost, and the pick -- so callers can audit a choice
-the way they would read an EXPLAIN plan.
+``format_explain`` returns the full decision record: the estimate, each
+strategy's predicted seconds and cost, and the pick -- so callers can
+audit a choice the way they would read an EXPLAIN plan.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from repro.costmodel.estimation import (
 )
 from repro.costmodel.join_costs import with_interval_filter
 from repro.costmodel.parameters import ModelParameters
+from repro.costmodel.profile import seconds
 from repro.predicates.theta import Overlaps, ThetaOperator
 from repro.relational.columns import column_snapshot, data_universe
 from repro.relational.relation import Relation
@@ -41,9 +46,12 @@ from repro.relational.relation import Relation
 class JoinPlan:
     """The optimizer's decision record for one join."""
 
+    #: The model with the least ``predicted_seconds``.
     strategy: str
     estimate: SelectivityEstimate
     parameters: ModelParameters
+    #: Each model's cost in Table 3's units (what drift and admission
+    #: compare with a metered total).
     predicted_costs: dict[str, float] = field(default_factory=dict)
     #: Probability the query cache serves this join without executing.
     hit_probability: float = 0.0
@@ -59,6 +67,10 @@ class JoinPlan:
     interval_resolution: IntervalResolutionEstimate | None = None
     #: The grid the filter would rasterize on (an ``IntervalSpec``).
     interval_spec: object | None = None
+    #: Each model's predicted work by kind (``repro.costmodel.profile``).
+    predicted_work: dict[str, dict[str, float]] = field(default_factory=dict)
+    #: ``predicted_work`` under the measured profile: the ranking.
+    predicted_seconds: dict[str, float] = field(default_factory=dict)
 
     def format_explain(self) -> str:
         lines = [
@@ -67,11 +79,13 @@ class JoinPlan:
             f"std err {self.estimate.std_error:.1e})",
             f"model: n={self.parameters.n} k={self.parameters.k} "
             f"N={self.parameters.N} m={self.parameters.m}",
-            "predicted costs:",
+            "predicted seconds, and costs in Table 3 units:",
         ]
-        for name, cost in sorted(self.predicted_costs.items(), key=lambda kv: kv[1]):
+        for name, secs in sorted(self.predicted_seconds.items(), key=lambda kv: kv[1]):
             marker = "  -> " if name == self.strategy else "     "
-            lines.append(f"{marker}{name:12s} {cost:16.1f}")
+            lines.append(
+                f"{marker}{name:12s} {secs:12.6f} s {self.predicted_costs[name]:16.1f}"
+            )
         if self.interval_resolution is not None:
             res = self.interval_resolution
             lines.append(
@@ -144,12 +158,18 @@ def plan_join(
 ) -> JoinPlan:
     """Estimate, predict, rank -- and return the full decision record.
 
-    Only executable strategies are ranked -- each applicable entry of
-    :data:`~repro.core.strategies.JOIN_STRATEGIES` prices itself: the
-    tree strategies require indices on both columns, the join-index
-    strategy requires ``join_index_available``, and the
-    partition-parallel sweep (``D_PAR``, predicted at ``workers``
-    workers) requires the ``overlaps`` operator.
+    Only executable strategies are ranked -- each applicable, priced
+    entry of :data:`~repro.core.strategies.JOIN_STRATEGIES` prices
+    itself: the tree strategies require indices on both columns, the
+    index nested loops one, the join-index strategy requires
+    ``join_index_available``, and the partition-parallel sweep
+    (``D_PAR``, whose Table-3 cost is predicted at ``workers`` workers)
+    requires the ``overlaps`` operator.  Each price is a cost in Table 3's
+    units (``predicted_costs``) and the work behind it
+    (``predicted_work``); ``plan.strategy`` is the model whose work takes
+    the fewest seconds under the measured profile
+    (:data:`~repro.costmodel.profile.MEASURED_PROFILE`,
+    ``predicted_seconds``).
     The UNIFORM distribution is the sensible default when nothing is
     known about the operator's locality.
 
@@ -166,11 +186,12 @@ def plan_join(
     data-fitted default grid).  The planner samples how many candidate
     pairs the intervals resolve outright
     (:func:`~repro.costmodel.estimation.estimate_interval_resolution`),
-    adds a ``<model>+INT`` predicted cost per filter-capable strategy
-    (:func:`~repro.costmodel.join_costs.with_interval_filter`) and sets
-    ``plan.use_interval`` when the chosen strategy's filtered variant is
-    cheaper.  The base ranking -- and thus ``plan.strategy`` -- is
-    computed exactly as without ``interval``.
+    adds a ``<model>+INT`` predicted cost and work per filter-capable
+    strategy (:func:`~repro.costmodel.join_costs.with_interval_filter`,
+    :func:`interval_work`) and sets ``plan.use_interval`` when the chosen
+    strategy's filtered variant takes fewer seconds.  The base ranking --
+    and thus ``plan.strategy`` -- is computed exactly as without
+    ``interval``.
 
     Both samplers and the default interval grid's universe work off each
     operand's retained column snapshot
@@ -191,13 +212,15 @@ def plan_join(
         join_index=join_index_available or None,
     )
     costs: dict[str, float] = {}
+    work: dict[str, dict[str, float]] = {}
     filterable: list[str] = []
     for strategy in applicable(ops):
         priced = strategy.price(ops, dist, workers)
-        costs.update(priced)
+        for name, price in priced.items():
+            costs[name], work[name] = price
         if strategy.interval:
             filterable += priced
-    best = min(costs, key=lambda name: costs[name])
+    best = min(work, key=lambda name: seconds(work[name]))
 
     use_interval = False
     resolution: IntervalResolutionEstimate | None = None
@@ -223,8 +246,13 @@ def plan_join(
                 resolve_fraction=resolution.resolve_fraction,
                 build_objects=build_objects,
             )
-        filtered = costs.get(best + INTERVAL_SUFFIX)
-        use_interval = filtered is not None and filtered < costs[best]
+            work[name + INTERVAL_SUFFIX] = interval_work(
+                work[name], candidates=candidates,
+                resolve_fraction=resolution.resolve_fraction,
+                build_objects=build_objects,
+            )
+        filtered = work.get(best + INTERVAL_SUFFIX)
+        use_interval = filtered is not None and seconds(filtered) < seconds(work[best])
 
     hit_p = 0.0
     if cache is not None:
@@ -241,7 +269,30 @@ def plan_join(
         use_interval=use_interval,
         interval_resolution=resolution,
         interval_spec=spec,
+        predicted_work=work,
+        predicted_seconds={name: seconds(w) for name, w in work.items()},
     )
+
+
+def interval_work(
+    base: dict[str, float],
+    *,
+    candidates: float,
+    resolve_fraction: float,
+    build_objects: float,
+) -> dict[str, float]:
+    """``base`` with the raster-interval tier threaded in: every
+    candidate pair is probed, every object approximated once, and the
+    resolved share of the refinements is saved
+    (:func:`~repro.costmodel.join_costs.interval_filter_delta`'s three
+    terms, as work)."""
+    work = {
+        kind: count * (1.0 - resolve_fraction) if kind.startswith("exact.") else count
+        for kind, count in base.items()
+    }
+    work["interval_probe"] = candidates
+    work["interval_build"] = build_objects
+    return work
 
 
 def executable_strategy(plan: JoinPlan) -> str:

@@ -17,17 +17,23 @@ into the keywords its kernel takes and returns the kernel's result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.core.cancel import CancellationToken
 from repro.costmodel.distributions import Distribution
+from repro.costmodel.estimation import sample_select_evals
 from repro.costmodel.join_costs import (
     d_join_index,
     d_nested_loop,
     d_partition,
     d_tree_clustered,
     d_tree_unclustered,
+    join_index_ios,
+    tree_clustered_ios,
+    tree_theta_evals,
+    tree_unclustered_ios,
 )
+from repro.costmodel.profile import predicate_kinds
 from repro.errors import JoinError
 from repro.join.accessor import RelationAccessor
 from repro.join.index_join import (
@@ -136,8 +142,8 @@ class JoinStrategy:
     fallback: bool = False
     #: Section-4 model names ``price`` may emit, preferred first.
     models: tuple[str, ...] = ()
-    #: ``(operands, distribution, workers) -> {model name: cost}``.
-    price: Callable[[JoinOperands, Distribution, int], dict[str, float]] = (
+    #: ``(operands, distribution, workers) -> {model name: Price}``.
+    price: Callable[[JoinOperands, Distribution, int], dict[str, "Price"]] = (
         lambda ops, dist, workers: {}
     )
 
@@ -250,10 +256,97 @@ def _run_join_index(ctx: ExecContext, ops: JoinOperands) -> JoinResult:
     )
 
 
-def _price_tree(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str, float]:
+# ----------------------------------------------------------------------
+# Prices: Table 3 units and the work the profile turns into seconds
+# ----------------------------------------------------------------------
+
+class Price(NamedTuple):
+    """One model's prediction for a run.
+
+    ``units`` is the Section-4 cost in Table 3's units, which drift
+    detection and cache admission compare with the metered total;
+    ``work`` is the predicted work by kind
+    (:data:`~repro.costmodel.profile.WORK_KINDS`), which the measured
+    profile turns into the seconds the planner ranks by.
+    """
+
+    units: float
+    work: dict[str, float]
+
+
+def _kinds(ops: JoinOperands) -> tuple[str, str]:
+    """The ``(exact, pair)`` work kinds of these operands' predicate."""
+    return predicate_kinds(
+        ops.theta,
+        ops.rel_r.schema.column(ops.column_r).type,
+        ops.rel_s.schema.column(ops.column_s).type,
+    )
+
+
+def _refinements(ops: JoinOperands, dist: Distribution) -> dict[str, float]:
+    """The exact refinements of a filter-and-refine run: one per
+    expected match of the ``|R| x |S|`` pairs."""
+    return {_kinds(ops)[0]: dist.params.p * len(ops.rel_r) * len(ops.rel_s)}
+
+
+def _price_partition(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str, Price]:
+    # Both column snapshots were just read by the planner's sampler, so
+    # the join finds them as buffer hits: no page is read.
+    rows = (len(ops.rel_r), len(ops.rel_s))
+    refine = _refinements(ops, dist)
+    return {"D_PAR": Price(
+        d_partition(dist.params, workers, rows=rows, pages_read=0),
+        {"sweep_row": float(sum(rows)), "sweep_pair": sum(refine.values()), **refine},
+    )}
+
+
+def _price_tree(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str, Price]:
+    work = {"theta": tree_theta_evals(dist), **_refinements(ops, dist)}
     if ops.rel_r.is_clustered and ops.rel_s.is_clustered:
-        return {"D_IIb": d_tree_clustered(dist)}
-    return {"D_IIa": d_tree_unclustered(dist)}
+        return {"D_IIb": Price(d_tree_clustered(dist), {"io": tree_clustered_ios(dist), **work})}
+    return {"D_IIa": Price(d_tree_unclustered(dist), {"io": tree_unclustered_ios(dist), **work})}
+
+
+def _price_scan(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str, Price]:
+    # The blocked loop as it runs: every pair of the actual operands
+    # tested, the matching ones in full, R read once in (M-10)-page
+    # chunks and S once per chunk.
+    chunks = -(-ops.rel_r.num_pages // (dist.params.big_m - 10))
+    return {"D_I": Price(d_nested_loop(dist.params), {
+        _kinds(ops)[1]: float(len(ops.rel_r) * len(ops.rel_s)),
+        **_refinements(ops, dist),
+        "io": float(ops.rel_r.num_pages + chunks * ops.rel_s.num_pages),
+    })}
+
+
+def _price_index_nl(model: str, swapped: bool):
+    """Section 4.3's index-supported join: one tree selection per tuple
+    of the scanned relation (S, or R when ``swapped``), each examining
+    the nodes a sampled selection examines on the other's tree; both
+    relations' pages are read once (the probes' pages stay in the
+    pool)."""
+    def price(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str, Price]:
+        params = dist.params
+        outer, column, inner, inner_column = ops.rel_s, ops.column_s, ops.rel_r, ops.column_r
+        if swapped:
+            outer, column, inner, inner_column = inner, inner_column, outer, column
+        # The planner has just read the snapshot: look, do not charge.
+        columns = outer.derived(("columns", column)) or column_snapshot(outer, column)
+        probes = float(len(outer))
+        evals = probes * sample_select_evals(
+            inner.index_on(inner_column), columns.geoms, ops.theta.filter_operator(),
+            reverse=not swapped,
+        )
+        pages = float(outer.num_pages + inner.num_pages)
+        return {model: Price(
+            evals * params.c_theta + pages * params.c_io,
+            {"probe": probes, "theta": evals, "io": pages, **_refinements(ops, dist)},
+        )}
+    return price
+
+
+def _price_join_index(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str, Price]:
+    return {"D_III": Price(d_join_index(dist), {"io": join_index_ios(dist)})}
 
 
 #: Every join algorithm, keyed by its executor name.  Table order is the
@@ -273,9 +366,7 @@ JOIN_STRATEGIES: dict[str, JoinStrategy] = {s.name: s for s in (
             "MBR intersection)"
         ),
         interval=True, fallback=True, models=("D_PAR",),
-        price=lambda ops, dist, workers: {
-            "D_PAR": d_partition(dist.params, workers=workers)
-        },
+        price=_price_partition,
     ),
     JoinStrategy(
         "tree", _run_tree,
@@ -294,27 +385,23 @@ JOIN_STRATEGIES: dict[str, JoinStrategy] = {s.name: s for s in (
         interval=True, fallback=True,
     ),
     JoinStrategy(
-        "scan", _run_scan, fallback=True, models=("D_I",),
-        price=lambda ops, dist, workers: {"D_I": d_nested_loop(dist.params)},
+        "scan", _run_scan, fallback=True, models=("D_I",), price=_price_scan,
     ),
     JoinStrategy(
         "index-nl", _run_index_nl,
         refusal=lambda ops: _no_index(ops.rel_r, ops.column_r),
+        models=("D_INL",), price=_price_index_nl("D_INL", swapped=False),
     ),
     JoinStrategy(
         "index-nl-swapped", _run_index_nl_swapped,
         refusal=lambda ops: _no_index(ops.rel_s, ops.column_s),
+        models=("D_INL'",), price=_price_index_nl("D_INL'", swapped=True),
     ),
     JoinStrategy(
         "join-index", _run_join_index, refusal=_unregistered,
-        models=("D_III",),
-        price=lambda ops, dist, workers: {"D_III": d_join_index(dist)},
+        models=("D_III",), price=_price_join_index,
     ),
 )}
-
-FALLBACK_CHAIN: tuple[str, ...] = tuple(
-    s.name for s in JOIN_STRATEGIES.values() if s.fallback
-)
 
 
 def applicable(ops: JoinOperands) -> list[JoinStrategy]:

@@ -95,6 +95,33 @@ def sample_join_selectivity(
     return SelectivityEstimate(p=p, sample_pairs=sample_pairs, matches=matches)
 
 
+def sample_select_evals(
+    tree, selectors: Sequence, big_theta, *, reverse: bool,
+    sample_size: int = 16, seed: int = 0,
+) -> float:
+    """Mean Theta-filter tests of one selection of ``tree``: Algorithm
+    SELECT's examined nodes (``C_II^Theta``, Section 4.3), counted on the
+    actual tree for selectors drawn from ``selectors`` instead of taken
+    from a distribution.  ``reverse`` tests ``big_theta(region,
+    selector)``, as a probe for the left operand does."""
+    if sample_size < 1:
+        raise CostModelError(f"sample_size must be positive, got {sample_size}")
+    if not selectors or tree.is_empty():
+        return 1.0
+    rng = random.Random(seed)
+    examined = 0
+    for _ in range(sample_size):
+        selector = rng.choice(selectors)
+        stack = [tree.root()]
+        while stack:
+            node = stack.pop()
+            examined += 1
+            region = tree.region(node)
+            if big_theta(region, selector) if reverse else big_theta(selector, region):
+                stack.extend(tree.children(node))
+    return examined / sample_size
+
+
 @dataclass(frozen=True, slots=True)
 class IntervalResolutionEstimate:
     """Sampled effectiveness of the raster-interval second tier.

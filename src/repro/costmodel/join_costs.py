@@ -22,27 +22,48 @@ def d_nested_loop(params: ModelParameters) -> float:
     ``D_I = N^2 * C_Theta
             + (ceil(N / (m * (M - 10))) + 1) * ceil(N/m) * C_IO``
     """
-    passes = -(-params.N // (params.m * (params.big_m - 10)))
     return (
         float(params.N) ** 2 * params.c_theta
-        + (passes + 1) * params.relation_pages * params.c_io
+        + nested_loop_ios(params) * params.c_io
     )
 
 
-def d_partition(params: ModelParameters, workers: int = 1) -> float:
+def nested_loop_ios(params: ModelParameters) -> int:
+    """``D_I``'s page reads: one pass over R in ``(M-10)``-page chunks,
+    one pass over S per chunk."""
+    passes = -(-params.N // (params.m * (params.big_m - 10)))
+    return (passes + 1) * params.relation_pages
+
+
+def d_partition(
+    params: ModelParameters,
+    workers: int = 1,
+    *,
+    rows: tuple[int, int] | None = None,
+    pages_read: float | None = None,
+) -> float:
     """``D_PAR`` (beyond the paper): grid-partitioned parallel plane sweep.
 
-    Both relations are read exactly once (``2 * ceil(N/m)`` I/Os); the
-    CPU side is the sweep's sorted merge (``2N log2(2N)`` advance steps)
-    plus the expected ``p * N^2`` candidate filter/refinement pairs, and
-    it divides across ``workers`` since the tiles are independent.
+    The CPU side is the sweep's sorted merge (``2n log2(2n)`` advance
+    steps) plus the expected ``p * |R| * |S|`` candidate filter/refinement
+    pairs, and it divides across ``workers`` since the tiles are
+    independent; the I/O side reads both relations once.
+
+    Under the model's abstraction (the default) both relations are the
+    fitted tree's ``N`` tuples on ``ceil(N/m)`` pages each.  The planner
+    passes what actually runs: ``rows = (|R|, |S|)``, and ``pages_read``
+    the pages the join will fetch -- zero once the planner has read both
+    column snapshots, which the join then finds as buffer hits.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    n = float(params.N)
-    cpu = (2.0 * n * math.log2(2.0 * n + 1.0) + params.p * n * n) * params.c_theta
-    io = 2.0 * params.relation_pages * params.c_io
-    return cpu / workers + io
+    n_r, n_s = (params.N, params.N) if rows is None else rows
+    n = float(n_r + n_s)
+    pairs = params.p * float(n_r) * float(n_s)
+    cpu = (n * math.log2(n + 1.0) + pairs) * params.c_theta
+    if pages_read is None:
+        pages_read = 2.0 * params.relation_pages
+    return cpu / workers + pages_read * params.c_io
 
 
 def interval_filter_delta(
@@ -111,6 +132,11 @@ def d_tree_computation(dist: Distribution) -> float:
     two JOIN4 SELECT passes over the partner subtrees (their shared
     ``(a, b)`` comparison counted once).
     """
+    return dist.params.c_theta * tree_theta_evals(dist)
+
+
+def tree_theta_evals(dist: Distribution) -> float:
+    """The predicate evaluations :func:`d_tree_computation` charges."""
     params = dist.params
     total = 0.0
     for i in range(params.n + 1):
@@ -121,7 +147,7 @@ def d_tree_computation(dist: Distribution) -> float:
         for j in range(i, params.n):
             passes += (dist.pi(i, j) + dist.pi(j, i)) * params.k ** (j - i + 1)
         total += qual_pairs * passes
-    return params.c_theta * total
+    return total
 
 
 def participating_nodes(dist: Distribution) -> float:
@@ -150,6 +176,11 @@ def d_tree_unclustered(dist: Distribution) -> float:
     ``sum_i Y(ceil(pi(0,i) * k^(i+1)), ceil(N/m), N)``; paging in the own
     tree's participating nodes adds the symmetric term once.
     """
+    return d_tree_computation(dist) + dist.params.c_io * tree_unclustered_ios(dist)
+
+
+def tree_unclustered_ios(dist: Distribution) -> float:
+    """The page reads :func:`d_tree_unclustered` charges."""
     params = dist.params
     scan_cost = sum(
         yao(
@@ -167,8 +198,7 @@ def d_tree_unclustered(dist: Distribution) -> float:
         )
         for i in range(params.n)
     )
-    io = _memory_passes(dist) * scan_cost + own_cost
-    return d_tree_computation(dist) + params.c_io * io
+    return _memory_passes(dist) * scan_cost + own_cost
 
 
 def d_tree_clustered(dist: Distribution) -> float:
@@ -176,6 +206,11 @@ def d_tree_clustered(dist: Distribution) -> float:
 
     Per-level I/O becomes ``Y(ceil(pi * k^i), ceil(k^(i+1)/m), k^i)``.
     """
+    return d_tree_computation(dist) + dist.params.c_io * tree_clustered_ios(dist)
+
+
+def tree_clustered_ios(dist: Distribution) -> float:
+    """The page reads :func:`d_tree_clustered` charges."""
     params = dist.params
 
     def clustered_level(prob: float, i: int) -> float:
@@ -184,8 +219,7 @@ def d_tree_clustered(dist: Distribution) -> float:
 
     scan_cost = sum(clustered_level(dist.pi(0, i), i) for i in range(params.n))
     own_cost = sum(clustered_level(dist.pi(i, 0), i) for i in range(params.n))
-    io = _memory_passes(dist) * scan_cost + own_cost
-    return d_tree_computation(dist) + params.c_io * io
+    return _memory_passes(dist) * scan_cost + own_cost
 
 
 def expected_join_cardinality(dist: Distribution) -> float:
@@ -212,6 +246,11 @@ def d_join_index(dist: Distribution) -> float:
       fetched via Yao: ``Y(ceil(q * N), ceil(N/m), N)``;
     * the participating R tuples themselves are read once (Yao).
     """
+    return dist.params.c_io * join_index_ios(dist)
+
+
+def join_index_ios(dist: Distribution) -> float:
+    """The page reads :func:`d_join_index` charges."""
     params = dist.params
     j_pairs = expected_join_cardinality(dist)
     index_pages = math.ceil(j_pairs / params.z)
@@ -226,4 +265,4 @@ def d_join_index(dist: Distribution) -> float:
     s_fetch = yao(math.ceil(q * params.N), params.relation_pages, params.N)
     r_fetch = yao(math.ceil(e_r), params.relation_pages, params.N)
 
-    return params.c_io * (index_pages + passes * s_fetch + r_fetch)
+    return index_pages + passes * s_fetch + r_fetch

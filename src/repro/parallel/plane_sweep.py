@@ -160,9 +160,12 @@ def sweep_task(
         r_opens = opener < n_r
         i = np.where(r_opens, opener, other)
         j = np.where(r_opens, other, opener - n_r)
-        r, s = boxes_r[i], boxes_s[j]
-        keep = np.flatnonzero((s[:, 1] <= r[:, 3]) & (r[:, 1] <= s[:, 3]))
-        r, s = r[keep], s[keep]
+        # The y test gathers the two columns it reads, not whole boxes:
+        # a block's candidates outnumber its survivors many times over.
+        keep = boxes_s[j, 1] <= boxes_r[i, 3]
+        keep &= boxes_r[i, 1] <= boxes_s[j, 3]
+        keep = np.flatnonzero(keep)
+        r, s = boxes_r[i[keep]], boxes_s[j[keep]]
         owner = keyspace.owners(
             np.maximum(r[:, 0], s[:, 0]), np.maximum(r[:, 1], s[:, 1])
         )

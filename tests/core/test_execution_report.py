@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import FALLBACK_CHAIN, SpatialQueryExecutor
+from repro.core import SpatialQueryExecutor
 from repro.core.report import (
     MAX_RENDERED_FAULT_EVENTS,
     AttemptRecord,
@@ -14,6 +14,10 @@ from repro.predicates.theta import Overlaps, WithinDistance
 from repro.storage.costs import CostMeter
 from repro.storage.disk import SimulatedDisk
 from repro.workloads.assembly import build_indexed_relation
+
+#: The fallback links of an indexed overlap join, in the order the
+#: executor's chain walks them.
+CHAIN = ["partition", "tree", "zorder", "scan"]
 
 
 def build_pair(disk, n=120):
@@ -37,7 +41,7 @@ class TestCleanPath:
     def test_single_attempt_zero_retries_zero_fallbacks(self, clean_reference):
         rel_r, rel_s = build_pair(SimulatedDisk())
         executor = SpatialQueryExecutor()
-        for strategy in FALLBACK_CHAIN:
+        for strategy in CHAIN:
             res, report = executor.execute_join(
                 rel_r, "shape", rel_s, "shape", Overlaps(), strategy=strategy
             )
@@ -86,7 +90,7 @@ class TestSeededFaultRun:
                          torn_rate=0.02)
         rel_r, rel_s = build_pair(FaultyDisk(plan))
         executor = SpatialQueryExecutor()
-        for strategy in FALLBACK_CHAIN:
+        for strategy in CHAIN:
             res, report = executor.execute_join(
                 rel_r, "shape", rel_s, "shape", Overlaps(), strategy=strategy
             )
@@ -138,7 +142,23 @@ class TestFallbackChain:
         assert report.fault_summary["outstanding"] == 0
 
     def test_chain_order_follows_spec(self):
-        assert FALLBACK_CHAIN == ("partition", "tree", "zorder", "scan")
+        """Every link fails on a lost page, so the report lists the
+        whole walk: from the requested strategy down the registry's
+        fallback links."""
+        # A z-order attempt takes the data universe through the relation's
+        # own pool, which still holds the lost page, and leaves a column
+        # snapshot the partition link then joins from: start elsewhere.
+        for first in ("partition", "tree", "scan"):
+            # Fresh operands per walk, for the same reason.
+            disk = FaultyDisk(FaultPlan(seed=2))
+            rel_r, rel_s = build_pair(disk)
+            disk.lose_page(rel_r.page_ids[0])
+            with pytest.raises(ExecutionError) as excinfo:
+                SpatialQueryExecutor().execute_join(
+                    rel_r, "shape", rel_s, "shape", Overlaps(), strategy=first
+                )
+            walked = [a.strategy for a in excinfo.value.report.attempts]
+            assert walked == [first] + [s for s in CHAIN if s != first]
 
     def test_permanent_loss_exhausts_chain(self):
         plan = FaultPlan(seed=2)
@@ -153,7 +173,7 @@ class TestFallbackChain:
         report = excinfo.value.report
         # Every applicable strategy was attempted and each failure cause
         # recorded.
-        assert [a.strategy for a in report.attempts] == list(FALLBACK_CHAIN)
+        assert [a.strategy for a in report.attempts] == CHAIN
         assert all(not a.ok for a in report.attempts)
         assert all(a.error_type == "PermanentStorageError" for a in report.attempts)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.executor import SpatialQueryExecutor
+from repro.core.optimizer import executable_strategy, plan_join
 from repro.errors import JoinError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -92,7 +93,9 @@ class TestJoinStrategies:
         rel_s = make_rect_relation("s", 40, seed=105)
         rtree_over(rel_s, "shape")  # only S indexed
         theta = NorthwestOf()
-        res = executor.join(rel_r, "shape", rel_s, "shape", theta)  # auto
+        res = executor.join(
+            rel_r, "shape", rel_s, "shape", theta, strategy="index-nl-swapped"
+        )
         assert res.strategy == "index-nested-loop-swapped"
         assert sorted(res.pair_set()) == oracle.pairs(rel_r, "shape", rel_s, "shape", theta)
 
@@ -136,20 +139,35 @@ class TestAutoPick:
         res = executor.join(rel_r, "shape", rel_s, "shape", NorthwestOf())
         assert res.strategy == "nested-loop"
 
-    def test_out_of_memory_overlaps_falls_back(self):
-        """Operands exceeding the M - 10 budget skip the partition sweep."""
+    def test_out_of_memory_overlaps_still_partitions(self):
+        """The partition sweep's column snapshots live outside the M-page
+        budget, so operands exceeding it still take the sweep (the
+        calibration grid's ``M=64`` cells measure it fastest there)."""
         executor = SpatialQueryExecutor(memory_pages=12)
         rel_r = make_rect_relation("r", 30, seed=108)
         rel_s = make_rect_relation("s", 30, seed=109)
         res = executor.join(rel_r, "shape", rel_s, "shape", Overlaps())
-        assert res.strategy == "nested-loop"
+        assert res.strategy == "partition-sweep"
+
+    def test_auto_is_the_planners_pick(self, executor, indexed_pair):
+        """One picker: ``auto`` runs what ``plan_join`` ranks fastest."""
+        rel_r, rel_s = indexed_pair
+        for theta in (Overlaps(), WithinDistance(12.0)):
+            plan = plan_join(rel_r, "shape", rel_s, "shape", theta)
+            assert plan.strategy == min(
+                plan.predicted_seconds, key=plan.predicted_seconds.get
+            )
+            _, report = executor.execute_join(rel_r, "shape", rel_s, "shape", theta)
+            assert report.strategy == executable_strategy(plan)
 
     def test_meter_threading(self, executor, indexed_pair):
         rel_r, rel_s = indexed_pair
         meter = CostMeter()
         executor.join(rel_r, "shape", rel_s, "shape", Overlaps(), meter=meter)
         assert meter.predicate_evaluations > 0
-        assert meter.page_reads > 0
+        # The planner behind ``auto`` read the column snapshots: the
+        # partition sweep it picks charges them as buffer hits.
+        assert meter.buffer_hits == rel_r.num_pages + rel_s.num_pages
 
     def test_memory_pages_validated(self):
         with pytest.raises(JoinError):

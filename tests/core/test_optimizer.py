@@ -46,10 +46,13 @@ class TestPlanJoin:
             rel_r, "shape", rel_s, "shape", Overlaps(),
             join_index_available=True,
         )
-        assert set(plan.predicted_costs) == {"D_I", "D_IIa", "D_III", "D_PAR"}
-        assert plan.strategy in plan.predicted_costs
-        assert plan.predicted_costs[plan.strategy] == min(
-            plan.predicted_costs.values()
+        assert set(plan.predicted_costs) == {
+            "D_I", "D_IIa", "D_III", "D_PAR", "D_INL", "D_INL'",
+        }
+        assert set(plan.predicted_seconds) == set(plan.predicted_costs)
+        # The pick is the fastest prediction, not the cheapest in units.
+        assert plan.predicted_seconds[plan.strategy] == min(
+            plan.predicted_seconds.values()
         )
 
     def test_never_picks_nested_loop_when_tree_exists(self, indexed_pair):

@@ -7,6 +7,11 @@ per pair, over rows in file order), the same data universe, hence the
 same estimate, predicted costs, interval resolution and spec.  The
 expected values below were produced by the three-scan planner; a change
 in draw order or universe derivation shows up as a diff here.
+
+``D_PAR`` and ``D_PAR+INT`` were re-pinned when ``D_PAR`` came to price
+what runs: the operands' actual ``|R|`` and ``|S|`` instead of the
+fitted tree's ``N``, and no page reads, because the sampler has just read
+both column snapshots.  Every other pin is the three-scan planner's.
 """
 
 import random
@@ -70,8 +75,8 @@ EXPECTED = {
         "estimate": (0.0075, 400, 3),
         "predicted_costs": {
             "D_I": 1680321.0,
-            "D_PAR": 479962.25284178596,
-            "D_PAR+INT": 480936.00284178596,
+            "D_PAR": 2423.8893696618593,
+            "D_PAR+INT": 3397.6393696618593,
         },
         "use_interval": False,
         "interval_resolution": (0.01, 1.0, 200, 2, 2),
@@ -90,8 +95,8 @@ EXPECTED = {
         "estimate": (0.005, 400, 2),
         "predicted_costs": {
             "D_I": 1680321.0,
-            "D_PAR": 476876.45034178597,
-            "D_PAR+INT": 477947.70034178597,
+            "D_PAR": 2375.1393696618593,
+            "D_PAR+INT": 3446.3893696618593,
         },
         "use_interval": False,
         "interval_resolution": (0.01, 0.5, 200, 2, 1),
@@ -110,8 +115,8 @@ EXPECTED = {
         "estimate": (0.0125, 400, 5),
         "predicted_costs": {
             "D_I": 1680321.0,
-            "D_PAR": 486133.857841786,
-            "D_PAR+INT": 487205.107841786,
+            "D_PAR": 2521.3893696618593,
+            "D_PAR+INT": 3592.6393696618593,
         },
         "use_interval": False,
         "interval_resolution": (0.01, 0.5, 200, 2, 1),
@@ -130,8 +135,8 @@ EXPECTED = {
         "estimate": (0.0425, 400, 17),
         "predicted_costs": {
             "D_I": 1680321.0,
-            "D_PAR": 523163.487841786,
-            "D_PAR+INT": 523990.987841786,
+            "D_PAR": 3106.3893696618593,
+            "D_PAR+INT": 3933.8893696618593,
         },
         "use_interval": False,
         "interval_resolution": (0.04, 0.625, 200, 8, 5),
@@ -150,8 +155,8 @@ EXPECTED = {
         "estimate": (0.04, 400, 16),
         "predicted_costs": {
             "D_I": 1680321.0,
-            "D_PAR": 520077.68534178595,
-            "D_PAR+INT": 520320.18534178595,
+            "D_PAR": 3057.6393696618593,
+            "D_PAR+INT": 3300.1393696618593,
         },
         "use_interval": False,
         "interval_resolution": (0.06, 1.0, 200, 12, 12),
@@ -170,8 +175,8 @@ EXPECTED = {
         "estimate": (0.0325, 400, 13),
         "predicted_costs": {
             "D_I": 1680321.0,
-            "D_PAR": 510820.277841786,
-            "D_PAR+INT": 511623.402841786,
+            "D_PAR": 2911.3893696618593,
+            "D_PAR+INT": 3714.5143696618593,
         },
         "use_interval": False,
         "interval_resolution": (0.035, 0.7142857142857143, 200, 7, 5),

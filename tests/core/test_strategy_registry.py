@@ -17,18 +17,20 @@ import pytest
 from repro.cli import build_parser
 from repro.core import SpatialQueryExecutor, StrategyComparison, plan_join
 from repro.core.strategies import (
-    FALLBACK_CHAIN,
     JOIN_STRATEGIES,
     JoinOperands,
     JoinStrategy,
+    Price,
     applicable,
 )
 from repro.costmodel.distributions import make_distribution
 from repro.costmodel.parameters import ModelParameters
-from repro.errors import JoinError
+from repro.errors import ExecutionError, JoinError
+from repro.faults import FaultPlan, FaultyDisk
 from repro.geometry.rect import Rect
 from repro.join.nested_loop import nested_loop_join
 from repro.predicates.theta import Overlaps, WithinDistance
+from repro.workloads.assembly import build_indexed_relation
 
 from tests import oracle
 from tests.join.conftest import (
@@ -39,8 +41,9 @@ from tests.join.conftest import (
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
-#: What ``plan_join`` could emit before the registry priced anything.
-PARENT_MODELS = {"D_I", "D_IIa", "D_IIb", "D_III", "D_PAR"}
+#: What ``plan_join`` could emit before the registry priced anything,
+#: and the index nested loops' Section 4.3 prices (one per direction).
+PARENT_MODELS = {"D_I", "D_IIa", "D_IIb", "D_III", "D_PAR", "D_INL", "D_INL'"}
 
 
 @pytest.fixture
@@ -65,7 +68,7 @@ def _probe_run(ctx, ops):
 
 PROBE = JoinStrategy(
     "probe", _probe_run, models=("D_PROBE",),
-    price=lambda ops, dist, workers: {"D_PROBE": 1e12},
+    price=lambda ops, dist, workers: {"D_PROBE": Price(1e12, {"io": 1e12})},
 )
 
 
@@ -109,8 +112,27 @@ def test_without_the_descriptor_the_name_is_unknown_everywhere(indexed_pair):
 # ----------------------------------------------------------------------
 
 def test_fallback_links_in_table_order():
-    links = tuple(s.name for s in JOIN_STRATEGIES.values() if s.fallback)
-    assert links == FALLBACK_CHAIN == ("partition", "tree", "zorder", "scan")
+    """The chain the executor walks is the registry's fallback links in
+    table order: with every link failing on a lost page, the report
+    lists them all, whichever link was requested first."""
+    links = [s.name for s in JOIN_STRATEGIES.values() if s.fallback]
+    assert links == ["partition", "tree", "zorder", "scan"]
+    # A z-order attempt takes the data universe through the relation's
+    # own pool, which still holds the lost page, and leaves a column
+    # snapshot the partition link then joins from: start elsewhere.
+    for first in ("partition", "tree", "scan"):
+        # Fresh operands per walk, for the same reason.
+        disk = FaultyDisk(FaultPlan(seed=5))
+        rel_r, rel_s = (
+            build_indexed_relation(120, seed=seed, disk=disk).relation for seed in (1, 2)
+        )
+        disk.lose_page(rel_r.page_ids[0])
+        with pytest.raises(ExecutionError) as excinfo:
+            SpatialQueryExecutor().execute_join(
+                rel_r, "shape", rel_s, "shape", Overlaps(), strategy=first
+            )
+        walked = [a.strategy for a in excinfo.value.report.attempts]
+        assert walked == [first] + [name for name in links if name != first]
 
 
 def test_refusal_texts_are_the_errors_the_dispatch_chain_raised():

@@ -173,3 +173,23 @@ class TestExecutorWiring:
         )
         assert report.drift is None
         assert "drift" not in report.format_table()
+
+
+@pytest.mark.parametrize("geometry", ["rect", "polygon"])
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_warm_partition_join_tracks_d_par(geometry, seed):
+    """The planner reads both column snapshots before the join runs, so a
+    planned partition join reads no page; ``D_PAR`` prices exactly that
+    and the drift row stays within tolerance instead of flagging the
+    spared I/O."""
+    from tests.core.test_planner_parity import relations
+
+    rel_r, rel_s = relations(geometry, seed)
+    result, report = SpatialQueryExecutor().plan_and_execute_join(
+        rel_r, "shape", rel_s, "shape", Overlaps()
+    )
+    assert report.strategy == "partition"
+    assert report.attempts[-1].stats["page_reads"] == 0
+    row = report.drift.row("partition")
+    assert row.model == "D_PAR"
+    assert not row.drifted, row.describe()

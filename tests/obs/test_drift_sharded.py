@@ -12,8 +12,8 @@ Three claims, in increasing strength:
   so the router-merged meter tracks the unsharded partition join's
   predicate counts across seeds and shard counts.  (I/O is *not*
   invariant -- the standing fleet sweeps volatile in-memory replicas
-  and pays none -- which is exactly the drift the report must surface,
-  not hide.)
+  and pays none -- and neither does a planned partition join, whose
+  snapshots the planner read, so ``D_PAR`` prices none.)
 """
 
 import pytest
@@ -67,10 +67,10 @@ class TestShardedDriftReport:
         assert row.strategy == result.strategy
         assert row.model == "D_PAR"
         assert row.measured == pytest.approx(meter.total())
-        # The formula prices partition I/O the standing fleet never pays
-        # (workers sweep volatile in-memory replicas), so the verdict is
-        # an honest DRIFT flag, not a silent pass.
-        assert row.drifted
+        # D_PAR prices no page reads -- the planner read the snapshots,
+        # and the standing fleet sweeps in-memory replicas -- so the
+        # router-merged meter tracks it within tolerance.
+        assert not row.drifted
         assert "D_PAR" in report.format()
 
 

@@ -52,7 +52,7 @@ class TestParser:
 
     def test_every_documented_command_parses(self):
         commands = documented_commands()
-        assert {"serve", "client", "shards"} <= {argv[0] for _, argv in commands}
+        assert {"serve", "client", "shards", "calibrate"} <= {argv[0] for _, argv in commands}
         for where, argv in commands:
             try:
                 build_parser().parse_args(argv)

@@ -23,7 +23,7 @@ checkout's ``src/`` and to an exported copy of REV's ``src/`` (``git
 archive``, so nothing is left behind in the repository) -- and exits 1
 at the first line that differs, 0 when none does.  A change that means
 to alter behaviour names the difference it expects as a function here
-that filters both transcripts; there is none yet.
+that filters both transcripts (:data:`FILTERS`).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import hashlib
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 import tarfile
@@ -256,6 +257,35 @@ def sharded(out, seed: int, geometry: str, kill: bool) -> None:
         out.write(f"  dispatches={status['dispatches']} restarts={status['restarts']}\n")
 
 
+#: A run's answer row: its strategy label, then the pair digest.
+ANSWER = re.compile(r"^  \S+ (n=\d+ sha=[0-9a-f]+)$")
+
+
+def planner_choice(lines):
+    """The rows that follow which strategy the planner picks.
+
+    ``plan_join`` ranks by predicted seconds, and ``auto`` is its pick,
+    so under an ``auto`` join or a ``plan`` section the explain lines,
+    the strategy that ran, its counters, report and spans may all move.
+    What may not is the answer: each run's pair digest is kept, under a
+    neutral label; every other line of the transcript passes untouched.
+    """
+    planned = False
+    for line in lines:
+        if not line.startswith(" "):
+            planned = line.startswith(("join strategy=auto ", "plan interval="))
+            yield line
+        elif not planned:
+            yield line
+        elif answer := ANSWER.match(line):
+            yield f"  <planner choice> {answer.group(1)}"
+
+
+#: The differences the current change means to make, applied in order to
+#: both transcripts before ``--against`` compares them.
+FILTERS = (planner_choice,)
+
+
 def against(rev: str) -> int:
     """Run the transcript over this checkout's src/ and REV's; report the
     first differing line."""
@@ -279,7 +309,12 @@ def against(rev: str) -> int:
         if failed:
             print(f"the transcript over {failed[0]} failed", file=sys.stderr)
             return 2
-        lines = {name: path.read_text().splitlines() for name, (path, _) in runs.items()}
+        lines = {}
+        for name, (path, _) in runs.items():
+            text = path.read_text().splitlines()
+            for normalise in FILTERS:
+                text = list(normalise(text))
+            lines[name] = text
     ours, others = lines["here"], lines[rev]
     for number, (mine, other) in enumerate(zip(ours, others), start=1):
         if mine != other:
