@@ -30,10 +30,10 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from repro.core.executor import SpatialQueryExecutor
-from repro.core.optimizer import JoinPlan, executable_strategy, plan_join
+from repro.core.optimizer import JoinPlan, executable_strategy, plan_join, rank
 from repro.core.strategies import INTERVAL_SUFFIX, JoinOperands, applicable
 from repro.costmodel import profile as profile_module
-from repro.costmodel.profile import MEASURED_PROFILE, WORK_KINDS, predicate_kinds, seconds
+from repro.costmodel.profile import MEASURED_PROFILE, WORK_KINDS, predicate_kinds
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
@@ -209,8 +209,7 @@ class CellResult:
     def pick(self, profile: Mapping[str, float]) -> str:
         """The strategy ``plan_join`` picks for this cell under
         ``profile`` (ranked over the plan's predicted work)."""
-        work = {k: w for k, w in self.plan.predicted_work.items() if INTERVAL_SUFFIX not in k}
-        best = min(work, key=lambda model: seconds(work[model], profile))
+        best = rank(self.plan.predicted_work, profile)
         return executable_strategy(replace(self.plan, strategy=best))
 
     def regret(self, profile: Mapping[str, float]) -> tuple[str, float | None]:

@@ -452,17 +452,29 @@ class SpatialQueryExecutor:
     def _chain(
         self, ctx: ExecContext, ops: JoinOperands, requested: str, plan
     ) -> tuple[JoinResult, ExecutionReport]:
-        """:meth:`_attempt` down the fallback chain, with the report."""
-        first = self._strategy_for(requested, ops, ctx)
-        chain = [first] + [
-            s for s in applicable(ops) if s.fallback and s is not first
-        ]
-        meter = ctx.meter
+        """:meth:`_attempt` down the fallback chain, with the report.
 
+        Resolving ``auto`` is the chain's first step: planning reads the
+        operands, and when that dies on a storage failure it is recorded
+        as a failed ``auto`` attempt and the chain starts at its first
+        fallback link.
+        """
+        meter = ctx.meter
         fault_plan = self._fault_plan_for(ops.rel_r, ops.rel_s)
         events_before = len(fault_plan.events) if fault_plan is not None else 0
 
         report = ExecutionReport(query=ops.query, requested_strategy=requested)
+        try:
+            first = self._strategy_for(requested, ops, ctx)
+        except StorageError as exc:
+            first = None
+            report.attempts.append(AttemptRecord(
+                strategy=requested, ok=False,
+                error_type=type(exc).__name__, error=str(exc),
+            ))
+        chain = [first] if first is not None else []
+        chain += [s for s in applicable(ops) if s.fallback and s is not first]
+
         result: JoinResult | None = None
         for strategy in chain:
             check_cancel(ctx.cancel)
@@ -611,14 +623,35 @@ class SpatialQueryExecutor:
     ) -> JoinStrategy:
         """The strategy registered under ``name``; ``auto`` is
         :func:`~repro.core.optimizer.plan_join`'s pick for these operands
-        at this call's memory and workers."""
+        at this call's memory and workers.
+
+        The pick is kept on the left operand for as long as neither
+        operand changes: a plan reads both column snapshots and samples
+        both trees, and a repeat of the join -- a cache hit above all --
+        must not pay for that again.  Planning may read pages, so it may
+        raise a :class:`~repro.errors.StorageError`.
+        """
         if name == "auto":
-            name = executable_strategy(plan_join(
-                *ops.positional,
-                join_index_available=ops.join_index is not None,
-                memory_pages=ctx.memory_pages,
-                workers=ctx.workers,
-            ))
+            rel_r, rel_s = ops.rel_r, ops.rel_s
+            # The partner by ``uid``, as in :meth:`_key`; attaching an
+            # index moves no epoch, so the key names the indexes too.
+            key = (
+                "auto", rel_s.uid, ops.column_r, ops.column_s, ops.theta.name,
+                rel_r.has_index_on(ops.column_r), rel_s.has_index_on(ops.column_s),
+                ops.join_index is not None, ctx.memory_pages, ctx.workers,
+            )
+            kept = rel_r.derived(key)
+            if kept is not None and kept[1].fresh():
+                name = kept[0]
+            else:
+                epoch_r, pin_s = rel_r.modification_count, EpochPin.of(rel_s)
+                name = executable_strategy(plan_join(
+                    *ops.positional,
+                    join_index_available=ops.join_index is not None,
+                    memory_pages=ctx.memory_pages,
+                    workers=ctx.workers,
+                ))
+                rel_r.keep_derived(key, (name, pin_s), epoch_r)
         return lookup(JOIN_STRATEGIES, name, "join")
 
     def _interval_filter(self, interval, ops: JoinOperands):

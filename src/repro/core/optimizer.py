@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.core.strategies import (
     INTERVAL_SUFFIX,
@@ -36,7 +37,7 @@ from repro.costmodel.estimation import (
 )
 from repro.costmodel.join_costs import with_interval_filter
 from repro.costmodel.parameters import ModelParameters
-from repro.costmodel.profile import seconds
+from repro.costmodel.profile import MEASURED_PROFILE, seconds
 from repro.predicates.theta import Overlaps, ThetaOperator
 from repro.relational.columns import column_snapshot, data_universe
 from repro.relational.relation import Relation
@@ -220,7 +221,7 @@ def plan_join(
             costs[name], work[name] = price
         if strategy.interval:
             filterable += priced
-    best = min(work, key=lambda name: seconds(work[name]))
+    best = rank(work)
 
     use_interval = False
     resolution: IntervalResolutionEstimate | None = None
@@ -271,6 +272,20 @@ def plan_join(
         interval_spec=spec,
         predicted_work=work,
         predicted_seconds={name: seconds(w) for name, w in work.items()},
+    )
+
+
+def rank(
+    work: Mapping[str, Mapping[str, float]],
+    profile: Mapping[str, float] = MEASURED_PROFILE,
+) -> str:
+    """The model whose predicted ``work`` takes the fewest seconds under
+    ``profile``: ``plan_join``'s pick.  ``<model>+INT`` entries are not
+    ranked -- the interval tier is weighed for the pick afterwards, it
+    is no strategy of its own."""
+    return min(
+        (name for name in work if INTERVAL_SUFFIX not in name),
+        key=lambda name: seconds(work[name], profile),
     )
 
 

@@ -295,7 +295,7 @@ def _price_partition(ops: JoinOperands, dist: Distribution, workers: int) -> dic
     rows = (len(ops.rel_r), len(ops.rel_s))
     refine = _refinements(ops, dist)
     return {"D_PAR": Price(
-        d_partition(dist.params, workers, rows=rows, pages_read=0),
+        d_partition(dist.params, rows, workers),
         {"sweep_row": float(sum(rows)), "sweep_pair": sum(refine.values()), **refine},
     )}
 

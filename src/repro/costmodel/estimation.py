@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.errors import CostModelError
 from repro.predicates.theta import ThetaOperator
@@ -95,31 +95,36 @@ def sample_join_selectivity(
     return SelectivityEstimate(p=p, sample_pairs=sample_pairs, matches=matches)
 
 
-def sample_select_evals(
-    tree, selectors: Sequence, big_theta, *, reverse: bool,
-    sample_size: int = 16, seed: int = 0,
-) -> float:
+#: Selections :func:`sample_select_evals` runs, and the seed drawing
+#: their selectors: fixed, so a plan is the same on every run.
+SELECT_SAMPLES = 16
+SELECT_SEED = 0
+
+
+def sample_select_evals(tree, selectors: Sequence, big_theta, *, reverse: bool) -> float:
     """Mean Theta-filter tests of one selection of ``tree``: Algorithm
     SELECT's examined nodes (``C_II^Theta``, Section 4.3), counted on the
-    actual tree for selectors drawn from ``selectors`` instead of taken
-    from a distribution.  ``reverse`` tests ``big_theta(region,
-    selector)``, as a probe for the left operand does."""
-    if sample_size < 1:
-        raise CostModelError(f"sample_size must be positive, got {sample_size}")
+    actual tree for :data:`SELECT_SAMPLES` selectors drawn from
+    ``selectors`` instead of taken from a distribution.  ``reverse``
+    tests ``big_theta(region, selector)``, as a probe for the left
+    operand does."""
     if not selectors or tree.is_empty():
         return 1.0
-    rng = random.Random(seed)
+    rng = random.Random(SELECT_SEED)
     examined = 0
-    for _ in range(sample_size):
+    regions: dict[int, Any] = {}  # by node identity: an R-tree node recomputes its MBR
+    for _ in range(SELECT_SAMPLES):
         selector = rng.choice(selectors)
         stack = [tree.root()]
         while stack:
             node = stack.pop()
             examined += 1
-            region = tree.region(node)
+            region = regions.get(id(node))
+            if region is None:
+                region = regions[id(node)] = tree.region(node)
             if big_theta(region, selector) if reverse else big_theta(selector, region):
                 stack.extend(tree.children(node))
-    return examined / sample_size
+    return examined / SELECT_SAMPLES
 
 
 @dataclass(frozen=True, slots=True)

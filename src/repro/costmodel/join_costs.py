@@ -35,35 +35,22 @@ def nested_loop_ios(params: ModelParameters) -> int:
     return (passes + 1) * params.relation_pages
 
 
-def d_partition(
-    params: ModelParameters,
-    workers: int = 1,
-    *,
-    rows: tuple[int, int] | None = None,
-    pages_read: float | None = None,
-) -> float:
-    """``D_PAR`` (beyond the paper): grid-partitioned parallel plane sweep.
+def d_partition(params: ModelParameters, rows: tuple[int, int], workers: int = 1) -> float:
+    """``D_PAR`` (beyond the paper): grid-partitioned parallel plane sweep
+    over ``rows = (|R|, |S|)`` tuples.
 
-    The CPU side is the sweep's sorted merge (``2n log2(2n)`` advance
-    steps) plus the expected ``p * |R| * |S|`` candidate filter/refinement
-    pairs, and it divides across ``workers`` since the tiles are
-    independent; the I/O side reads both relations once.
-
-    Under the model's abstraction (the default) both relations are the
-    fitted tree's ``N`` tuples on ``ceil(N/m)`` pages each.  The planner
-    passes what actually runs: ``rows = (|R|, |S|)``, and ``pages_read``
-    the pages the join will fetch -- zero once the planner has read both
-    column snapshots, which the join then finds as buffer hits.
+    The sweep's sorted merge (``2n log2(2n)`` advance steps) plus the
+    expected ``p * |R| * |S|`` candidate filter/refinement pairs, divided
+    across ``workers`` since the tiles are independent.  No page is
+    read: the planner has just read both column snapshots, which the
+    join then finds as buffer hits.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    n_r, n_s = (params.N, params.N) if rows is None else rows
+    n_r, n_s = rows
     n = float(n_r + n_s)
     pairs = params.p * float(n_r) * float(n_s)
-    cpu = (n * math.log2(n + 1.0) + pairs) * params.c_theta
-    if pages_read is None:
-        pages_read = 2.0 * params.relation_pages
-    return cpu / workers + pages_read * params.c_io
+    return (n * math.log2(n + 1.0) + pairs) * params.c_theta / workers
 
 
 def interval_filter_delta(

@@ -160,6 +160,26 @@ class TestFallbackChain:
             walked = [a.strategy for a in excinfo.value.report.attempts]
             assert walked == [first] + [s for s in CHAIN if s != first]
 
+    def test_auto_planning_failure_falls_into_the_chain(self):
+        """``auto`` plans from the operands' pages.  A lost page the pool
+        no longer holds fails the planning step; it is recorded as the
+        first attempt and the chain walks on from its first link."""
+        disk = FaultyDisk(FaultPlan(seed=2))
+        rel_r, rel_s = build_pair(disk)
+        rel_r.buffer_pool.clear()
+        disk.lose_page(rel_r.page_ids[0])
+        with pytest.raises(ExecutionError) as excinfo:
+            SpatialQueryExecutor().execute_join(
+                rel_r, "shape", rel_s, "shape", Overlaps()
+            )
+        report = excinfo.value.report
+        assert report.requested_strategy == "auto"
+        assert [a.strategy for a in report.attempts] == ["auto"] + CHAIN
+        assert all(a.error_type == "PermanentStorageError" for a in report.attempts)
+        assert report.format().splitlines()[2].startswith(
+            "  attempt 1: auto: failed: PermanentStorageError"
+        )
+
     def test_permanent_loss_exhausts_chain(self):
         plan = FaultPlan(seed=2)
         disk = FaultyDisk(plan)

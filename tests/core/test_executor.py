@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.executor as executor_module
 from repro.core.executor import SpatialQueryExecutor
 from repro.core.optimizer import executable_strategy, plan_join
 from repro.errors import JoinError
@@ -159,6 +160,38 @@ class TestAutoPick:
             )
             _, report = executor.execute_join(rel_r, "shape", rel_s, "shape", theta)
             assert report.strategy == executable_strategy(plan)
+
+    def test_the_pick_is_planned_once_per_epoch(self, executor, monkeypatch):
+        """A repeat of an ``auto`` join -- a cache hit above all -- does
+        not plan again; a change to either operand, to the predicate or
+        to the indexes does."""
+        planned = []
+
+        def counting_plan_join(*args, **kwargs):
+            planned.append(args[4])
+            return plan_join(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "plan_join", counting_plan_join)
+        rel_r = make_rect_relation("r", 40, seed=110)
+        rel_s = make_rect_relation("s", 40, seed=111)
+
+        def join(theta=Overlaps()):
+            return executor.join(rel_r, "shape", rel_s, "shape", theta)
+
+        join()
+        join()
+        assert len(planned) == 1
+        rel_s.insert([40, Rect(1.0, 1.0, 2.0, 2.0)])
+        join()
+        assert len(planned) == 2
+        join(WithinDistance(5.0))
+        assert len(planned) == 3
+        rtree_over(rel_s, "shape")
+        assert join().pair_set() == set(oracle.pairs(rel_r, "shape", rel_s, "shape", Overlaps()))
+        assert len(planned) == 4
+        # Another executor over the same relations finds the pick kept.
+        SpatialQueryExecutor(memory_pages=200).join(rel_r, "shape", rel_s, "shape", Overlaps())
+        assert len(planned) == 4
 
     def test_meter_threading(self, executor, indexed_pair):
         rel_r, rel_s = indexed_pair

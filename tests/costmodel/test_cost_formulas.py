@@ -138,24 +138,26 @@ class TestJoinCosts:
 
 
 class TestPartitionCost:
+    ROWS = (PAPER_PARAMETERS.N, PAPER_PARAMETERS.N)
+
     def test_beats_nested_loop_at_low_selectivity(self):
         p = PAPER_PARAMETERS.with_p(1e-9)
-        assert d_partition(p) < d_nested_loop(p)
+        assert d_partition(p, self.ROWS) < d_nested_loop(p)
 
     def test_cpu_divides_across_workers(self):
         p = PAPER_PARAMETERS.with_p(1e-6)
-        io = 2.0 * p.relation_pages * p.c_io
-        seq, quad = d_partition(p, workers=1), d_partition(p, workers=4)
-        assert quad < seq
-        # I/O does not parallelize: both retain the same floor.
-        assert seq > io and quad > io
-        assert (seq - io) / (quad - io) == pytest.approx(4.0)
+        seq, quad = d_partition(p, self.ROWS, workers=1), d_partition(p, self.ROWS, workers=4)
+        assert seq / quad == pytest.approx(4.0)
 
     def test_grows_with_p(self):
-        assert d_partition(PAPER_PARAMETERS.with_p(1e-3)) > d_partition(
-            PAPER_PARAMETERS.with_p(1e-9)
+        assert d_partition(PAPER_PARAMETERS.with_p(1e-3), self.ROWS) > d_partition(
+            PAPER_PARAMETERS.with_p(1e-9), self.ROWS
         )
+
+    def test_prices_the_rows_it_is_given(self):
+        p = PAPER_PARAMETERS.with_p(1e-6)
+        assert d_partition(p, (1000, 1000)) < d_partition(p, (1000, 10_000))
 
     def test_workers_validated(self):
         with pytest.raises(ValueError):
-            d_partition(PAPER_PARAMETERS, workers=0)
+            d_partition(PAPER_PARAMETERS, self.ROWS, workers=0)

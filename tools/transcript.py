@@ -23,7 +23,8 @@ checkout's ``src/`` and to an exported copy of REV's ``src/`` (``git
 archive``, so nothing is left behind in the repository) -- and exits 1
 at the first line that differs, 0 when none does.  A change that means
 to alter behaviour names the difference it expects as a function here
-that filters both transcripts (:data:`FILTERS`).
+that filters both transcripts (:data:`FILTERS`), applied only against
+revisions from before that change.
 """
 
 from __future__ import annotations
@@ -281,9 +282,11 @@ def planner_choice(lines):
             yield f"  <planner choice> {answer.group(1)}"
 
 
-#: The differences the current change means to make, applied in order to
-#: both transcripts before ``--against`` compares them.
-FILTERS = (planner_choice,)
+#: The differences a change means to make, each with a file that change
+#: adds under ``src/``.  ``--against REV`` applies a filter, in order and
+#: to both transcripts, only when REV lacks its file: once the change is
+#: in REV, every line must match again.
+FILTERS = ((planner_choice, "repro/costmodel/profile.py"),)
 
 
 def against(rev: str) -> int:
@@ -312,8 +315,9 @@ def against(rev: str) -> int:
         lines = {}
         for name, (path, _) in runs.items():
             text = path.read_text().splitlines()
-            for normalise in FILTERS:
-                text = list(normalise(text))
+            for normalise, added in FILTERS:
+                if not (theirs / "src" / added).exists():
+                    text = list(normalise(text))
             lines[name] = text
     ours, others = lines["here"], lines[rev]
     for number, (mine, other) in enumerate(zip(ours, others), start=1):
