@@ -640,18 +640,12 @@ class SpatialQueryExecutor:
                 rel_r.has_index_on(ops.column_r), rel_s.has_index_on(ops.column_s),
                 ops.join_index is not None, ctx.memory_pages, ctx.workers,
             )
-            kept = rel_r.derived(key)
-            if kept is not None and kept[1].fresh():
-                name = kept[0]
-            else:
-                epoch_r, pin_s = rel_r.modification_count, EpochPin.of(rel_s)
-                name = executable_strategy(plan_join(
-                    *ops.positional,
-                    join_index_available=ops.join_index is not None,
-                    memory_pages=ctx.memory_pages,
-                    workers=ctx.workers,
-                ))
-                rel_r.keep_derived(key, (name, pin_s), epoch_r)
+            name = rel_r.derive_with(key, rel_s, lambda: executable_strategy(plan_join(
+                *ops.positional,
+                join_index_available=ops.join_index is not None,
+                memory_pages=ctx.memory_pages,
+                workers=ctx.workers,
+            )))
         return lookup(JOIN_STRATEGIES, name, "join")
 
     def _interval_filter(self, interval, ops: JoinOperands):

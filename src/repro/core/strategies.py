@@ -29,9 +29,6 @@ from repro.costmodel.join_costs import (
     d_tree_clustered,
     d_tree_unclustered,
     join_index_ios,
-    tree_clustered_ios,
-    tree_theta_evals,
-    tree_unclustered_ios,
 )
 from repro.costmodel.profile import predicate_kinds
 from repro.errors import JoinError
@@ -301,10 +298,22 @@ def _price_partition(ops: JoinOperands, dist: Distribution, workers: int) -> dic
 
 
 def _price_tree(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str, Price]:
-    work = {"theta": tree_theta_evals(dist), **_refinements(ops, dist)}
+    # Counted on the actual trees, not the fitted full tree (whose count
+    # is ~10x low at 100 rows).  Algorithm JOIN tests a pair of nodes
+    # once for both its sides, where an index nested loop tests each node
+    # once per probing object: half the mean of the two probe directions'
+    # sampled totals predicts the join's metered Θ-filter evaluations
+    # within 0.75-1.4x on the calibration's rectangles and 12-gons of
+    # 100-3,000 rows (EXPERIMENTS.md), 0.6x on denser data.  Each
+    # relation's pages are read once, as the index nested loops read them.
+    work = {
+        "theta": (_probe_evals(ops, False) + _probe_evals(ops, True)) / 4.0,
+        "io": float(ops.rel_r.num_pages + ops.rel_s.num_pages),
+        **_refinements(ops, dist),
+    }
     if ops.rel_r.is_clustered and ops.rel_s.is_clustered:
-        return {"D_IIb": Price(d_tree_clustered(dist), {"io": tree_clustered_ios(dist), **work})}
-    return {"D_IIa": Price(d_tree_unclustered(dist), {"io": tree_unclustered_ios(dist), **work})}
+        return {"D_IIb": Price(d_tree_clustered(dist), work)}
+    return {"D_IIa": Price(d_tree_unclustered(dist), work)}
 
 
 def _price_scan(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str, Price]:
@@ -319,25 +328,39 @@ def _price_scan(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str
     })}
 
 
-def _price_index_nl(model: str, swapped: bool):
-    """Section 4.3's index-supported join: one tree selection per tuple
-    of the scanned relation (S, or R when ``swapped``), each examining
-    the nodes a sampled selection examines on the other's tree; both
-    relations' pages are read once (the probes' pages stay in the
-    pool)."""
-    def price(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str, Price]:
-        params = dist.params
-        outer, column, inner, inner_column = ops.rel_s, ops.column_s, ops.rel_r, ops.column_r
-        if swapped:
-            outer, column, inner, inner_column = inner, inner_column, outer, column
+def _probe_evals(ops: JoinOperands, swapped: bool) -> float:
+    """Θ-filter tests of one tree selection per tuple of S (of R when
+    ``swapped``) on the other's tree: ``|outer|`` times the nodes a
+    sampled selection examines (Section 4.3's ``C_II^Θ``, counted on
+    the actual tree).  Kept on the probed relation until either operand
+    moves: the tree join's price asks for both directions, each index
+    nested loop's for one, and every plan of an unchanged pair again."""
+    outer, column, inner, inner_column = ops.rel_s, ops.column_s, ops.rel_r, ops.column_r
+    if swapped:
+        outer, column, inner, inner_column = inner, inner_column, outer, column
+
+    def count() -> float:
         # The planner has just read the snapshot: look, do not charge.
         columns = outer.derived(("columns", column)) or column_snapshot(outer, column)
-        probes = float(len(outer))
-        evals = probes * sample_select_evals(
+        return len(outer) * sample_select_evals(
             inner.index_on(inner_column), columns.geoms, ops.theta.filter_operator(),
             reverse=not swapped,
         )
-        pages = float(outer.num_pages + inner.num_pages)
+
+    key = ("probe-evals", outer.uid, column, inner_column, ops.theta.name, swapped)
+    return inner.derive_with(key, outer, count)
+
+
+def _price_index_nl(model: str, swapped: bool):
+    """Section 4.3's index-supported join: one tree selection per tuple
+    of the scanned relation (S, or R when ``swapped``) on the other's
+    tree (:func:`_probe_evals`); both relations' pages are read once
+    (the probes' pages stay in the pool)."""
+    def price(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str, Price]:
+        params = dist.params
+        probes = float(len(ops.rel_r if swapped else ops.rel_s))
+        evals = _probe_evals(ops, swapped)
+        pages = float(ops.rel_r.num_pages + ops.rel_s.num_pages)
         return {model: Price(
             evals * params.c_theta + pages * params.c_io,
             {"probe": probes, "theta": evals, "io": pages, **_refinements(ops, dist)},

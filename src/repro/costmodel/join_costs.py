@@ -22,17 +22,11 @@ def d_nested_loop(params: ModelParameters) -> float:
     ``D_I = N^2 * C_Theta
             + (ceil(N / (m * (M - 10))) + 1) * ceil(N/m) * C_IO``
     """
+    passes = -(-params.N // (params.m * (params.big_m - 10)))
     return (
         float(params.N) ** 2 * params.c_theta
-        + nested_loop_ios(params) * params.c_io
+        + (passes + 1) * params.relation_pages * params.c_io
     )
-
-
-def nested_loop_ios(params: ModelParameters) -> int:
-    """``D_I``'s page reads: one pass over R in ``(M-10)``-page chunks,
-    one pass over S per chunk."""
-    passes = -(-params.N // (params.m * (params.big_m - 10)))
-    return (passes + 1) * params.relation_pages
 
 
 def d_partition(params: ModelParameters, rows: tuple[int, int], workers: int = 1) -> float:
@@ -119,11 +113,6 @@ def d_tree_computation(dist: Distribution) -> float:
     two JOIN4 SELECT passes over the partner subtrees (their shared
     ``(a, b)`` comparison counted once).
     """
-    return dist.params.c_theta * tree_theta_evals(dist)
-
-
-def tree_theta_evals(dist: Distribution) -> float:
-    """The predicate evaluations :func:`d_tree_computation` charges."""
     params = dist.params
     total = 0.0
     for i in range(params.n + 1):
@@ -134,7 +123,7 @@ def tree_theta_evals(dist: Distribution) -> float:
         for j in range(i, params.n):
             passes += (dist.pi(i, j) + dist.pi(j, i)) * params.k ** (j - i + 1)
         total += qual_pairs * passes
-    return total
+    return params.c_theta * total
 
 
 def participating_nodes(dist: Distribution) -> float:
@@ -163,11 +152,6 @@ def d_tree_unclustered(dist: Distribution) -> float:
     ``sum_i Y(ceil(pi(0,i) * k^(i+1)), ceil(N/m), N)``; paging in the own
     tree's participating nodes adds the symmetric term once.
     """
-    return d_tree_computation(dist) + dist.params.c_io * tree_unclustered_ios(dist)
-
-
-def tree_unclustered_ios(dist: Distribution) -> float:
-    """The page reads :func:`d_tree_unclustered` charges."""
     params = dist.params
     scan_cost = sum(
         yao(
@@ -185,7 +169,8 @@ def tree_unclustered_ios(dist: Distribution) -> float:
         )
         for i in range(params.n)
     )
-    return _memory_passes(dist) * scan_cost + own_cost
+    io = _memory_passes(dist) * scan_cost + own_cost
+    return d_tree_computation(dist) + params.c_io * io
 
 
 def d_tree_clustered(dist: Distribution) -> float:
@@ -193,11 +178,6 @@ def d_tree_clustered(dist: Distribution) -> float:
 
     Per-level I/O becomes ``Y(ceil(pi * k^i), ceil(k^(i+1)/m), k^i)``.
     """
-    return d_tree_computation(dist) + dist.params.c_io * tree_clustered_ios(dist)
-
-
-def tree_clustered_ios(dist: Distribution) -> float:
-    """The page reads :func:`d_tree_clustered` charges."""
     params = dist.params
 
     def clustered_level(prob: float, i: int) -> float:
@@ -206,7 +186,8 @@ def tree_clustered_ios(dist: Distribution) -> float:
 
     scan_cost = sum(clustered_level(dist.pi(0, i), i) for i in range(params.n))
     own_cost = sum(clustered_level(dist.pi(i, 0), i) for i in range(params.n))
-    return _memory_passes(dist) * scan_cost + own_cost
+    io = _memory_passes(dist) * scan_cost + own_cost
+    return d_tree_computation(dist) + params.c_io * io
 
 
 def expected_join_cardinality(dist: Distribution) -> float:

@@ -315,6 +315,23 @@ class Relation:
                     self.keep_derived(key, value, epoch)
         return value
 
+    def derive_with(self, key: Any, partner: "Relation", build: Callable[[], Any]) -> Any:
+        """The value under ``key`` while neither this relation nor
+        ``partner`` has moved since it was built, else ``build()``, kept
+        with an :class:`EpochPin` on ``partner``.
+
+        ``build`` runs outside the memo's lock: it may read ``partner``,
+        whose memo another thread may hold while reading this one.  Two
+        first callers may both build; either value is kept.
+        """
+        kept = self.derived(key)
+        if kept is not None and kept[1].fresh():
+            return kept[0]
+        epoch, pin = self._mod_count, EpochPin.of(partner)
+        value = build()
+        self.keep_derived(key, (value, pin), epoch)
+        return value
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.core.executor import SpatialQueryExecutor
 from repro.core.optimizer import executable_strategy, fit_parameters, plan_join
 from repro.predicates.theta import Overlaps, WithinDistance
+from repro.storage.costs import CostMeter
 
 from tests import oracle
 from tests.join.conftest import (
@@ -83,6 +84,20 @@ class TestPlanJoin:
         plan = plan_join(rel_r, "shape", rel_s, "shape", Overlaps())
         assert set(plan.predicted_costs) == {"D_I", "D_PAR"}
         assert plan.strategy == "D_PAR"
+
+    @pytest.mark.parametrize("theta", [Overlaps(), WithinDistance(5.0)], ids=lambda t: t.name)
+    def test_tree_work_is_counted_on_the_actual_trees(self, indexed_pair, theta):
+        """The tree join's predicted Θ work tracks what it meters, within
+        2x; the fitted full tree's count was 3-8x low on these operands."""
+        rel_r, rel_s = indexed_pair
+        plan = plan_join(rel_r, "shape", rel_s, "shape", theta)
+        meter = CostMeter()
+        SpatialQueryExecutor().join(
+            rel_r, "shape", rel_s, "shape", theta, strategy="tree", meter=meter
+        )
+        work = plan.predicted_work["D_IIa"]
+        assert 0.5 < work["theta"] / meter.theta_filter_evals < 2.0
+        assert meter.page_reads <= work["io"] == rel_r.num_pages + rel_s.num_pages
 
     def test_explain_is_readable(self, indexed_pair):
         rel_r, rel_s = indexed_pair

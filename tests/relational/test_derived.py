@@ -218,6 +218,28 @@ def test_a_move_releases_every_value_at_the_next_lookup():
     assert [ref() for ref in refs] == [None, None]  # released, not just refused
 
 
+def test_a_value_derived_with_a_partner_is_good_until_either_moves():
+    rel = make_rect_relation("r", 4, seed=1)
+    partner = make_rect_relation("s", 4, seed=2)
+    builds = itertools.count()
+
+    def derive():
+        return rel.derive_with("k", partner, lambda: next(builds))
+
+    assert derive() == derive() == 0
+    partner.insert([99, Rect(1, 1, 2, 2)])
+    assert derive() == derive() == 1
+    rel.insert([99, Rect(1, 1, 2, 2)])
+    assert derive() == derive() == 2
+
+    def moving_build():
+        rel.insert([100, Rect(3, 3, 4, 4)])  # a writer inside the build
+        return "stale"
+
+    assert rel.derive_with("moved", partner, moving_build) == "stale"
+    assert rel.derived("moved") is None  # returned, never kept
+
+
 # ----------------------------------------------------------------------
 # The memo under threads
 # ----------------------------------------------------------------------
