@@ -14,7 +14,7 @@ from dataclasses import replace
 from typing import Any
 
 from repro.core.cancel import CancellationToken, check_cancel
-from repro.core.optimizer import executable_strategy, plan_join
+from repro.core.optimizer import JoinPlan, executable_strategy, plan_join
 from repro.core.report import AttemptRecord, ExecutionReport
 from repro.core.strategies import (
     JOIN_STRATEGIES,
@@ -319,7 +319,7 @@ class SpatialQueryExecutor:
             workers=workers, tracer=tracer, metrics=metrics, cache=cache,
             cancel=cancel, interval=interval,
         )
-        return self._attempt(ctx, ops, self._strategy_for(strategy, ops, ctx))
+        return self._attempt(ctx, ops, *self._strategy_for(strategy, ops, ctx))
 
     def _attempt(
         self,
@@ -465,9 +465,9 @@ class SpatialQueryExecutor:
 
         report = ExecutionReport(query=ops.query, requested_strategy=requested)
         try:
-            first = self._strategy_for(requested, ops, ctx)
+            first, auto_plan = self._strategy_for(requested, ops, ctx)
         except StorageError as exc:
-            first = None
+            first, auto_plan = None, None
             report.attempts.append(AttemptRecord(
                 strategy=requested, ok=False,
                 error_type=type(exc).__name__, error=str(exc),
@@ -482,7 +482,8 @@ class SpatialQueryExecutor:
             failure: StorageError | None = None
             try:
                 result = self._attempt(
-                    replace(ctx, meter=attempt_meter), ops, strategy, plan
+                    replace(ctx, meter=attempt_meter), ops, strategy,
+                    plan or auto_plan,
                 )
             except StorageError as exc:
                 failure = exc
@@ -620,17 +621,20 @@ class SpatialQueryExecutor:
 
     def _strategy_for(
         self, name: str, ops: JoinOperands, ctx: ExecContext
-    ) -> JoinStrategy:
-        """The strategy registered under ``name``; ``auto`` is
-        :func:`~repro.core.optimizer.plan_join`'s pick for these operands
-        at this call's memory and workers.
+    ) -> tuple[JoinStrategy, JoinPlan | None]:
+        """The strategy registered under ``name``, and the plan that
+        picked it: ``auto`` is :func:`~repro.core.optimizer.plan_join`'s
+        pick for these operands at this call's memory and workers, and
+        its plan prices the attempt's cache admission, as a caller's
+        plan does.
 
-        The pick is kept on the left operand for as long as neither
-        operand changes: a plan reads both column snapshots and samples
-        both trees, and a repeat of the join -- a cache hit above all --
-        must not pay for that again.  Planning may read pages, so it may
+        The plan is kept on the left operand for as long as neither
+        operand changes: it reads both column snapshots and samples both
+        trees, and a repeat of the join -- a cache hit above all -- must
+        not pay for that again.  Planning may read pages, so it may
         raise a :class:`~repro.errors.StorageError`.
         """
+        plan = None
         if name == "auto":
             rel_r, rel_s = ops.rel_r, ops.rel_s
             # The partner by ``uid``, as in :meth:`_key`; attaching an
@@ -640,13 +644,14 @@ class SpatialQueryExecutor:
                 rel_r.has_index_on(ops.column_r), rel_s.has_index_on(ops.column_s),
                 ops.join_index is not None, ctx.memory_pages, ctx.workers,
             )
-            name = rel_r.derive_with(key, rel_s, lambda: executable_strategy(plan_join(
+            plan = rel_r.derive_with(key, rel_s, lambda: plan_join(
                 *ops.positional,
                 join_index_available=ops.join_index is not None,
                 memory_pages=ctx.memory_pages,
                 workers=ctx.workers,
-            )))
-        return lookup(JOIN_STRATEGIES, name, "join")
+            ))
+            name = executable_strategy(plan)
+        return lookup(JOIN_STRATEGIES, name, "join"), plan
 
     def _interval_filter(self, interval, ops: JoinOperands):
         """A fresh :class:`~repro.intermediate.filter.IntervalFilter` for

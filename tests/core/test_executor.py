@@ -3,6 +3,8 @@
 import pytest
 
 import repro.core.executor as executor_module
+from repro.cache import QueryCache
+from repro.cache.policy import DEFAULT_ADMISSION_THRESHOLD
 from repro.core.executor import SpatialQueryExecutor
 from repro.core.optimizer import executable_strategy, plan_join
 from repro.errors import JoinError
@@ -192,6 +194,21 @@ class TestAutoPick:
         # Another executor over the same relations finds the pick kept.
         SpatialQueryExecutor(memory_pages=200).join(rel_r, "shape", rel_s, "shape", Overlaps())
         assert len(planned) == 4
+
+    def test_auto_admission_is_priced_by_its_plan(self):
+        """A warm partition sweep reads no page, so its metered cost falls
+        under the one-``C_IO`` admission threshold; an ``auto`` join is a
+        planned join, and its plan's ``D_PAR`` price admits it."""
+        rel_r = make_rect_relation("r", 100, seed=120)
+        rel_s = make_rect_relation("s", 100, seed=121)
+        executor = SpatialQueryExecutor(cache=QueryCache())
+        meter = CostMeter()
+        first = executor.join(rel_r, "shape", rel_s, "shape", Overlaps(), meter=meter)
+        assert first.strategy == "partition-sweep"
+        assert meter.total() < DEFAULT_ADMISSION_THRESHOLD
+        again = executor.join(rel_r, "shape", rel_s, "shape", Overlaps())
+        assert again.strategy == "cached-exact"
+        assert again.pair_set() == first.pair_set()
 
     def test_meter_threading(self, executor, indexed_pair):
         rel_r, rel_s = indexed_pair
