@@ -81,11 +81,6 @@ class CacheStats:
     def hits(self) -> int:
         return self.exact_hits + self.containment_hits
 
-    @property
-    def hit_ratio(self) -> float:
-        """Observed hit probability over all probes so far (0 when idle)."""
-        return self.hits / self.probes if self.probes else 0.0
-
     def snapshot(self) -> dict[str, int]:
         return {
             "probes": self.probes,
@@ -496,29 +491,6 @@ class QueryCache:
             query=None, matches=result.pairs,
             extra=result.tuples if collect_tuples else None, swapped=swapped,
         )
-
-    def join_hit_probability(
-        self,
-        rel_r: Relation,
-        column_r: str,
-        rel_s: Relation,
-        column_s: str,
-        theta: ThetaOperator,
-    ) -> float:
-        """The optimizer's discount: how likely is this join cached?
-
-        1.0 when a fresh entry exists for the join under *any* strategy
-        (an exact hit is then certain); otherwise the cache's observed
-        lifetime hit ratio -- the empirical base rate of the workload's
-        repetitiveness.
-        """
-        with self._lock:
-            self._purge_dead()
-            shape, _ = self._join_shape(rel_r, column_r, rel_s, column_s, theta)
-            # A group is never empty: a fresh one holds a fresh entry.
-            if self._live_group(shape) is not None:
-                return 1.0
-            return self.stats.hit_ratio
 
     # ------------------------------------------------------------------
     # Invalidation, eviction, maintenance

@@ -240,8 +240,10 @@ def cmd_trace(args: argparse.Namespace) -> str:
     SELECT and the JOIN each run twice through a query cache -- the cold
     pass misses and is admitted, the warm pass reports its hit tier --
     and the cache summary is appended.  With ``--interval`` the join
-    runs with the raster-interval second tier enabled and the interval
-    counters (probes, sure hits, exact evals saved) are summarized.
+    may use the raster-interval second tier -- ``auto`` runs it where
+    the plan says it pays, an explicit ``--strategy`` forces it -- and
+    the interval counters (probes, sure hits, exact evals saved) are
+    summarized.
     The footer verifies trace conservation: the exclusive per-span cost
     deltas must sum back to the query meter's totals.
     """
@@ -274,13 +276,14 @@ def cmd_trace(args: argparse.Namespace) -> str:
     )
 
     plan = None
-    if args.drift:
+    if args.drift and args.strategy != "auto":
+        # ``auto`` reports drift against the plan that picked it; an
+        # explicit strategy is held to a plan made here.
         from repro.core.optimizer import plan_join
 
         plan = plan_join(
             ir_r.relation, "shape", ir_s.relation, "shape", theta,
             memory_pages=executor.memory_pages, workers=executor.workers,
-            cache=cache,
         )
     result, report = executor.execute_join(
         ir_r.relation, "shape", ir_s.relation, "shape", theta,
@@ -826,8 +829,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--interval", action="store_true",
-        help="enable the raster-interval second-tier filter on the join "
-        "and report how many exact evaluations it saved",
+        help="offer the raster-interval second-tier filter to the join "
+        "(auto runs it where the plan says it pays, an explicit "
+        "--strategy forces it) and report how many exact evaluations "
+        "it saved",
     )
     trace.set_defaults(handler=cmd_trace)
 

@@ -68,6 +68,9 @@ class SpatialQueryExecutor:
     applies to the strategies whose table entry threads the refiner
     (tree traversals, the z-order merge, the partition sweep) under the
     ``overlaps`` operator; every other strategy/operator pair ignores it.
+    One rule decides whether it runs: ``auto`` decides the tier (the
+    planner weighs it and the plan's verdict runs), an explicit strategy
+    forces it as set.
     Per-object approximations are kept per grid in each relation's
     epoch-scoped memo, so a mutated relation is re-rasterized and never
     filtered through stale intervals.
@@ -294,9 +297,11 @@ class SpatialQueryExecutor:
         ``interval`` overrides the executor-wide second-tier setting for
         this call (``None`` = instance default, ``False`` = force exact,
         ``True`` = data-fitted grid, an ``IntervalSpec`` = that grid).
-        The filter changes which pairs reach the exact predicate, never
-        which pairs are reported -- strategy labels and cache keys are
-        identical with and without it.
+        Under ``auto`` the setting is what the planner may use: the tier
+        runs only where the plan says it pays.  An explicit strategy
+        forces the tier as set.  The filter changes which pairs reach the
+        exact predicate, never which pairs are reported -- strategy
+        labels and cache keys are identical with and without it.
 
         With a cache attached, an exact repeat of a join (same operand
         identities and epochs, same predicate, same strategy) is served
@@ -319,7 +324,8 @@ class SpatialQueryExecutor:
             workers=workers, tracer=tracer, metrics=metrics, cache=cache,
             cancel=cancel, interval=interval,
         )
-        return self._attempt(ctx, ops, *self._strategy_for(strategy, ops, ctx))
+        ctx, first, plan = self._strategy_for(strategy, ops, ctx)
+        return self._attempt(ctx, ops, first, plan)
 
     def _attempt(
         self,
@@ -422,14 +428,17 @@ class SpatialQueryExecutor:
         On a clean run this is exactly :meth:`join` plus a one-attempt
         report with zero retries and zero fallbacks.
 
-        ``plan`` (a :class:`~repro.core.optimizer.JoinPlan`) enables
+        The run's plan -- ``plan`` (a
+        :class:`~repro.core.optimizer.JoinPlan`) when the caller passes
+        one, else the plan behind ``auto``'s pick -- enables
         model-vs-measured drift detection: the winning attempt's metered
         total is compared against the cost formula that prices the
         strategy which actually ran -- its ``<model>+INT`` prediction
         when that attempt ran the interval filter -- and the resulting
         :class:`~repro.obs.drift.DriftReport` is attached to the
         execution report (``report.drift``).  With a cache attached the
-        same per-attempt price drives admission.
+        same per-attempt price drives admission.  An explicit strategy
+        with no ``plan`` reports no drift.
 
         ``cancel`` is re-checked before every attempt of the chain, and
         :class:`~repro.errors.QueryCancelled` /
@@ -438,8 +447,9 @@ class SpatialQueryExecutor:
         burn the remaining deadline on a doomed tree join.  They unwind
         straight out of the chain.
 
-        ``interval`` forwards the second-tier setting to every attempt
-        (see :meth:`join`).
+        ``interval`` is the second-tier setting (see :meth:`join`): under
+        ``auto`` every attempt runs the plan's verdict on the tier, under
+        an explicit strategy every attempt runs the setting.
         """
         ops = self._operands(rel_r, column_r, rel_s, column_s, theta)
         ctx = self._context(
@@ -457,7 +467,9 @@ class SpatialQueryExecutor:
         Resolving ``auto`` is the chain's first step: planning reads the
         operands, and when that dies on a storage failure it is recorded
         as a failed ``auto`` attempt and the chain starts at its first
-        fallback link.
+        fallback link.  The run has one plan, the caller's or else
+        ``auto``'s: it prices every attempt's cache admission and the
+        winner's drift.
         """
         meter = ctx.meter
         fault_plan = self._fault_plan_for(ops.rel_r, ops.rel_s)
@@ -465,9 +477,10 @@ class SpatialQueryExecutor:
 
         report = ExecutionReport(query=ops.query, requested_strategy=requested)
         try:
-            first, auto_plan = self._strategy_for(requested, ops, ctx)
+            ctx, first, auto_plan = self._strategy_for(requested, ops, ctx)
+            plan = plan or auto_plan
         except StorageError as exc:
-            first, auto_plan = None, None
+            first = None
             report.attempts.append(AttemptRecord(
                 strategy=requested, ok=False,
                 error_type=type(exc).__name__, error=str(exc),
@@ -482,8 +495,7 @@ class SpatialQueryExecutor:
             failure: StorageError | None = None
             try:
                 result = self._attempt(
-                    replace(ctx, meter=attempt_meter), ops, strategy,
-                    plan or auto_plan,
+                    replace(ctx, meter=attempt_meter), ops, strategy, plan,
                 )
             except StorageError as exc:
                 failure = exc
@@ -542,36 +554,12 @@ class SpatialQueryExecutor:
         theta: ThetaOperator,
         **kwargs: Any,
     ) -> tuple[JoinResult, ExecutionReport]:
-        """Optimize with the Section 4 formulas, execute, check for drift.
-
-        Convenience wrapper: runs :func:`~repro.core.optimizer.plan_join`
-        (telling it whether a fresh join index is registered, and at the
-        ``workers`` / ``cache`` this call runs with), executes the plan's
-        strategy down the same chain as :meth:`execute_join`, and returns
-        the result with a drift-annotated report.  Keyword arguments are
-        :meth:`execute_join`'s, minus ``strategy`` and ``plan``.
-
-        When the executor (or the call) enables the interval tier, the
-        planner weighs its probe/build/save delta per query
-        (``interval=...`` to :func:`~repro.core.optimizer.plan_join`) and
-        the *plan's* verdict decides whether the filter actually runs --
-        ``plan.use_interval`` wins over the blanket setting.
-        """
-        ops = self._operands(rel_r, column_r, rel_s, column_s, theta)
-        ctx = self._context(**kwargs)
-        plan = plan_join(
-            *ops.positional,
-            join_index_available=ops.join_index is not None,
-            memory_pages=ctx.memory_pages,
-            workers=ctx.workers,
-            cache=ctx.cache,
-            interval=ctx.interval or None,
+        """:meth:`execute_join` under ``auto``: plan, execute down the
+        fallback chain, report drift.  Keyword arguments are
+        :meth:`execute_join`'s, minus ``strategy``."""
+        return self.execute_join(
+            rel_r, column_r, rel_s, column_s, theta, strategy="auto", **kwargs
         )
-        if ctx.interval:
-            ctx = replace(
-                ctx, interval=plan.interval_spec if plan.use_interval else False
-            )
-        return self._chain(ctx, ops, executable_strategy(plan), plan)
 
     @staticmethod
     def _fault_plan_for(rel_r: Relation, rel_s: Relation):
@@ -621,12 +609,16 @@ class SpatialQueryExecutor:
 
     def _strategy_for(
         self, name: str, ops: JoinOperands, ctx: ExecContext
-    ) -> tuple[JoinStrategy, JoinPlan | None]:
-        """The strategy registered under ``name``, and the plan that
-        picked it: ``auto`` is :func:`~repro.core.optimizer.plan_join`'s
-        pick for these operands at this call's memory and workers, and
-        its plan prices the attempt's cache admission, as a caller's
-        plan does.
+    ) -> tuple[ExecContext, JoinStrategy, JoinPlan | None]:
+        """The context to run under, the strategy registered under
+        ``name``, and the plan that picked it.
+
+        This is the executor's one planning step.  ``auto`` is
+        :func:`~repro.core.optimizer.plan_join`'s pick for these operands
+        at this call's memory, workers and interval setting, and it runs
+        the plan's verdict on the interval tier: ``plan.interval_spec``
+        where ``plan.use_interval``, the exact path elsewhere.  An
+        explicit strategy runs under the setting as given, with no plan.
 
         The plan is kept on the left operand for as long as neither
         operand changes: it reads both column snapshots and samples both
@@ -634,24 +626,26 @@ class SpatialQueryExecutor:
         not pay for that again.  Planning may read pages, so it may
         raise a :class:`~repro.errors.StorageError`.
         """
-        plan = None
-        if name == "auto":
-            rel_r, rel_s = ops.rel_r, ops.rel_s
-            # The partner by ``uid``, as in :meth:`_key`; attaching an
-            # index moves no epoch, so the key names the indexes too.
-            key = (
-                "auto", rel_s.uid, ops.column_r, ops.column_s, ops.theta.name,
-                rel_r.has_index_on(ops.column_r), rel_s.has_index_on(ops.column_s),
-                ops.join_index is not None, ctx.memory_pages, ctx.workers,
-            )
-            plan = rel_r.derive_with(key, rel_s, lambda: plan_join(
-                *ops.positional,
-                join_index_available=ops.join_index is not None,
-                memory_pages=ctx.memory_pages,
-                workers=ctx.workers,
-            ))
-            name = executable_strategy(plan)
-        return lookup(JOIN_STRATEGIES, name, "join"), plan
+        if name != "auto":
+            return ctx, lookup(JOIN_STRATEGIES, name, "join"), None
+        rel_r, rel_s = ops.rel_r, ops.rel_s
+        interval = ctx.interval or None
+        # The partner by ``uid``, as in :meth:`_key`; attaching an
+        # index moves no epoch, so the key names the indexes too.
+        key = (
+            "auto", rel_s.uid, ops.column_r, ops.column_s, ops.theta.name,
+            rel_r.has_index_on(ops.column_r), rel_s.has_index_on(ops.column_s),
+            ops.join_index is not None, ctx.memory_pages, ctx.workers, interval,
+        )
+        plan = rel_r.derive_with(key, rel_s, lambda: plan_join(
+            *ops.positional,
+            join_index_available=ops.join_index is not None,
+            memory_pages=ctx.memory_pages,
+            workers=ctx.workers,
+            interval=interval,
+        ))
+        ctx = replace(ctx, interval=plan.interval_spec if plan.use_interval else False)
+        return ctx, lookup(JOIN_STRATEGIES, executable_strategy(plan), "join"), plan
 
     def _interval_filter(self, interval, ops: JoinOperands):
         """A fresh :class:`~repro.intermediate.filter.IntervalFilter` for

@@ -42,6 +42,12 @@ from repro.predicates.theta import Overlaps, ThetaOperator
 from repro.relational.columns import column_snapshot, data_universe
 from repro.relational.relation import Relation
 
+#: The Section 4.5 distribution the selectivity is instantiated under:
+#: nothing is known about the operator's locality.
+DISTRIBUTION = "uniform"
+#: Sampled pairs behind the interval tier's resolve fraction.
+INTERVAL_SAMPLE_PAIRS = 200
+
 
 @dataclass(slots=True)
 class JoinPlan:
@@ -54,13 +60,6 @@ class JoinPlan:
     #: Each model's cost in Table 3's units (what drift and admission
     #: compare with a metered total).
     predicted_costs: dict[str, float] = field(default_factory=dict)
-    #: Probability the query cache serves this join without executing.
-    hit_probability: float = 0.0
-    #: ``predicted_costs`` scaled by ``1 - hit_probability``: the
-    #: expected cost once cache hits are free.  ``predicted_costs``
-    #: stays raw so drift detection compares model vs. an actual
-    #: *execution*, never a cache serve.
-    discounted_costs: dict[str, float] = field(default_factory=dict)
     #: Whether the raster-interval second tier is predicted to pay for
     #: the chosen strategy (its ``<model>+INT`` entry beats the base).
     use_interval: bool = False
@@ -93,14 +92,6 @@ class JoinPlan:
                 f"interval filter: {'on' if self.use_interval else 'off'} "
                 f"(resolves {res.resolve_fraction:.0%} of "
                 f"{res.candidates} sampled candidates)"
-            )
-        if self.hit_probability > 0.0:
-            best = self.discounted_costs.get(
-                self.strategy, self.predicted_costs.get(self.strategy, 0.0)
-            )
-            lines.append(
-                f"cache hit probability: {self.hit_probability:.2f} "
-                f"(expected cost {best:.1f})"
             )
         return "\n".join(lines)
 
@@ -151,11 +142,8 @@ def plan_join(
     memory_pages: int = 4000,
     sample_pairs: int = 400,
     seed: int = 0,
-    distribution: str = "uniform",
     workers: int = 1,
-    cache=None,
     interval=None,
-    interval_sample_pairs: int = 200,
 ) -> JoinPlan:
     """Estimate, predict, rank -- and return the full decision record.
 
@@ -170,16 +158,8 @@ def plan_join(
     (``predicted_work``); ``plan.strategy`` is the model whose work takes
     the fewest seconds under the measured profile
     (:data:`~repro.costmodel.profile.MEASURED_PROFILE`,
-    ``predicted_seconds``).
-    The UNIFORM distribution is the sensible default when nothing is
-    known about the operator's locality.
-
-    When a :class:`~repro.cache.cache.QueryCache` is passed, the plan
-    also carries the cache's hit probability for this join and each
-    strategy's cost discounted by it.  The discount is uniform -- a hit
-    serves the answer regardless of which strategy would have computed
-    it -- so the *ranking* is unchanged; what changes is the expected
-    cost a caller should budget for.
+    ``predicted_seconds``), under the :data:`DISTRIBUTION` the study
+    assumes when nothing is known about the operator's locality.
 
     ``interval`` asks the planner to also weigh the raster-interval
     second tier: pass an
@@ -192,7 +172,10 @@ def plan_join(
     :func:`interval_work`) and sets ``plan.use_interval`` when the chosen
     strategy's filtered variant takes fewer seconds.  The base ranking --
     and thus ``plan.strategy`` -- is computed exactly as without
-    ``interval``.
+    ``interval``.  One rule runs the verdict: the executor's ``auto``
+    decides the tier (it plans with the call's interval setting and
+    threads the tier only where ``plan.use_interval`` says it pays), an
+    explicit strategy forces it as set.
 
     Both samplers and the default interval grid's universe work off each
     operand's retained column snapshot
@@ -206,7 +189,7 @@ def plan_join(
         sample_pairs=sample_pairs, seed=seed,
     )
     params = fit_parameters(rel_r, column_r, estimate.p, memory_pages=memory_pages)
-    dist = make_distribution(distribution, params)
+    dist = make_distribution(DISTRIBUTION, params)
 
     ops = JoinOperands(
         rel_r, column_r, rel_s, column_s, theta,
@@ -234,7 +217,7 @@ def plan_join(
             spec = IntervalSpec(universe=data_universe(columns_r, columns_s))
         resolution = sample_interval_resolution(
             columns_r.geoms, columns_s.geoms, spec,
-            sample_pairs=interval_sample_pairs, seed=seed,
+            sample_pairs=INTERVAL_SAMPLE_PAIRS, seed=seed,
         )
         candidates = (
             resolution.mbr_fraction * float(len(rel_r)) * float(len(rel_s))
@@ -255,18 +238,11 @@ def plan_join(
         filtered = work.get(best + INTERVAL_SUFFIX)
         use_interval = filtered is not None and seconds(filtered) < seconds(work[best])
 
-    hit_p = 0.0
-    if cache is not None:
-        hit_p = cache.join_hit_probability(rel_r, column_r, rel_s, column_s, theta)
     return JoinPlan(
         strategy=best,
         estimate=estimate,
         parameters=params,
         predicted_costs=costs,
-        hit_probability=hit_p,
-        discounted_costs={
-            name: cost * (1.0 - hit_p) for name, cost in costs.items()
-        },
         use_interval=use_interval,
         interval_resolution=resolution,
         interval_spec=spec,

@@ -189,22 +189,6 @@ def test_tuple_collecting_probe_misses_pair_only_entry(workload):
     assert len(with_tuples.tuples) == len(with_tuples.pairs)
 
 
-def test_join_hit_probability(workload):
-    ir_r, ir_s = workload
-    executor, cache = make_executor(workload)
-    args = (ir_r.relation, "shape", ir_s.relation, "shape", Overlaps())
-    assert cache.join_hit_probability(*args) == 0.0
-    executor.join(*args, strategy="tree")
-    assert cache.join_hit_probability(*args) == 1.0
-    # Either orientation of a symmetric join finds the entry.
-    assert cache.join_hit_probability(
-        ir_s.relation, "shape", ir_r.relation, "shape", Overlaps()
-    ) == 1.0
-    ir_r.relation.bump_epoch()
-    # Stale entry: fall back to the lifetime hit ratio (0 hits so far).
-    assert cache.join_hit_probability(*args) == 0.0
-
-
 # ----------------------------------------------------------------------
 # Epoch invalidation
 # ----------------------------------------------------------------------
@@ -377,17 +361,13 @@ def test_drift_skips_cached_runs(workload):
     from repro.core.optimizer import plan_join
 
     ir_r, ir_s = workload
-    executor, cache = make_executor(workload)
+    executor, _ = make_executor(workload)
     args = (ir_r.relation, "shape", ir_s.relation, "shape", Overlaps())
-    plan = plan_join(*args, memory_pages=4000, cache=cache)
-    assert plan.hit_probability == 0.0
+    plan = plan_join(*args, memory_pages=4000)
     _, cold = executor.execute_join(*args, strategy="tree", plan=plan)
     assert cold.drift is not None
-    warm_plan = plan_join(*args, memory_pages=4000, cache=cache)
-    assert warm_plan.hit_probability == 1.0
-    assert warm_plan.discounted_costs["D_IIa"] == 0.0
+    warm_plan = plan_join(*args, memory_pages=4000)
     assert warm_plan.predicted_costs["D_IIa"] > 0.0
-    assert "cache hit probability" in warm_plan.format_explain()
     _, warm = executor.execute_join(*args, strategy="tree", plan=warm_plan)
     assert warm.cached == "exact"
     assert warm.drift is None

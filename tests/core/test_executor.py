@@ -153,7 +153,8 @@ class TestAutoPick:
         assert res.strategy == "partition-sweep"
 
     def test_auto_is_the_planners_pick(self, executor, indexed_pair):
-        """One picker: ``auto`` runs what ``plan_join`` ranks fastest."""
+        """One picker: ``auto`` runs what ``plan_join`` ranks fastest, and
+        its report holds the run to that plan's prediction."""
         rel_r, rel_s = indexed_pair
         for theta in (Overlaps(), WithinDistance(12.0)):
             plan = plan_join(rel_r, "shape", rel_s, "shape", theta)
@@ -162,6 +163,7 @@ class TestAutoPick:
             )
             _, report = executor.execute_join(rel_r, "shape", rel_s, "shape", theta)
             assert report.strategy == executable_strategy(plan)
+            assert report.drift.row(report.strategy).model in plan.predicted_costs
 
     def test_the_pick_is_planned_once_per_epoch(self, executor, monkeypatch):
         """A repeat of an ``auto`` join -- a cache hit above all -- does
@@ -194,6 +196,11 @@ class TestAutoPick:
         # Another executor over the same relations finds the pick kept.
         SpatialQueryExecutor(memory_pages=200).join(rel_r, "shape", rel_s, "shape", Overlaps())
         assert len(planned) == 4
+        # ``plan_and_execute_join`` is ``auto``: it plans through the same memo.
+        rel_r.bump_epoch()
+        for _ in range(2):
+            executor.plan_and_execute_join(rel_r, "shape", rel_s, "shape", Overlaps())
+        assert len(planned) == 5
 
     def test_auto_admission_is_priced_by_its_plan(self):
         """A warm partition sweep reads no page, so its metered cost falls

@@ -12,6 +12,7 @@ from repro.geometry.rect import Rect
 from repro.intermediate import IntervalSpec
 from repro.obs.drift import model_for_strategy
 from repro.predicates.theta import Overlaps, WithinDistance
+from repro.storage.costs import CostMeter
 
 from tests.join.conftest import make_rect_relation, rtree_over
 
@@ -176,6 +177,9 @@ class TestDriftLabels:
 
 class TestPlanAndExecuteInterval:
     def test_planned_interval_run_matches_plain(self, indexed_pair):
+        """``auto`` decides the tier, whichever entry point runs it: where
+        the plan says the tier does not pay, an ``interval=True``
+        executor neither probes nor rasterizes."""
         rel_r, rel_s = indexed_pair
         plain, _ = SpatialQueryExecutor().plan_and_execute_join(
             rel_r, "shape", rel_s, "shape", Overlaps()
@@ -185,3 +189,13 @@ class TestPlanAndExecuteInterval:
         )
         assert sorted(result.pairs) == sorted(plain.pairs)
         assert report.succeeded
+        plan = plan_join(rel_r, "shape", rel_s, "shape", Overlaps(), interval=True)
+        assert plan.use_interval is False
+        meter = CostMeter()
+        joined = SpatialQueryExecutor(interval=True).join(
+            rel_r, "shape", rel_s, "shape", Overlaps(), strategy="auto", meter=meter
+        )
+        assert sorted(joined.pairs) == sorted(plain.pairs)
+        assert meter.interval_probes == 0
+        for rel in indexed_pair:
+            assert rel.derived(("intervals", "shape", plan.interval_spec)) is None

@@ -258,8 +258,9 @@ def sharded(out, seed: int, geometry: str, kill: bool) -> None:
         out.write(f"  dispatches={status['dispatches']} restarts={status['restarts']}\n")
 
 
-#: A run's answer row: its strategy label, then the pair digest.
-ANSWER = re.compile(r"^  \S+ (n=\d+ sha=[0-9a-f]+)$")
+#: A run's answer row: its strategy label (or a filter's neutral one),
+#: then the pair digest.
+ANSWER = re.compile(r"^  (?:\S+|<planner choice>) (n=\d+ sha=[0-9a-f]+)$")
 
 
 def planner_choice(lines):
@@ -282,11 +283,52 @@ def planner_choice(lines):
             yield f"  <planner choice> {answer.group(1)}"
 
 
-#: The differences a change means to make, each with a file that change
-#: adds under ``src/``.  ``--against REV`` applies a filter, in order and
-#: to both transcripts, only when REV lacks its file: once the change is
-#: in REV, every line must match again.
-FILTERS = ((planner_choice, "repro/costmodel/profile.py"),)
+def one_planned_join(lines):
+    """The rows that follow ``auto`` deciding the interval tier.
+
+    ``auto`` plans with the call's interval setting and runs the plan's
+    verdict on the tier, and its report carries drift, so under an
+    ``auto`` join everything but the answer row may move; the answer row
+    (strategy label and pair digest) is kept as it is.
+    ``plan_and_execute_join`` is ``auto`` now, so a ``plan`` section's
+    report requests ``auto``: that one line is masked there.
+    """
+    section = ""
+    for line in lines:
+        if not line.startswith(" "):
+            section = line
+            yield line
+        elif section.startswith("join strategy=auto "):
+            if ANSWER.match(line):
+                yield line
+        elif section.startswith("plan interval=") and line.startswith(
+            "  | requested strategy: "
+        ):
+            yield "  | requested strategy: <planned>"
+        else:
+            yield line
+
+
+def lacks(path: str):
+    """A filter's marker: REV's ``src/`` lacks ``path``, a file the
+    change adds."""
+    return lambda src: not (src / path).exists()
+
+
+def still_has(path: str, text: str):
+    """A filter's marker: REV's ``src/path`` still contains ``text``,
+    code the change removes."""
+    return lambda src: (src / path).exists() and text in (src / path).read_text()
+
+
+#: The differences a change means to make, each with a marker that tells
+#: a REV from before the change.  ``--against REV`` applies a filter, in
+#: order and to both transcripts, only when its marker holds for REV's
+#: ``src/``: once the change is in REV, every line must match again.
+FILTERS = (
+    (planner_choice, lacks("repro/costmodel/profile.py")),
+    (one_planned_join, still_has("repro/cache/cache.py", "def join_hit_probability(")),
+)
 
 
 def against(rev: str) -> int:
@@ -315,8 +357,8 @@ def against(rev: str) -> int:
         lines = {}
         for name, (path, _) in runs.items():
             text = path.read_text().splitlines()
-            for normalise, added in FILTERS:
-                if not (theirs / "src" / added).exists():
+            for normalise, before_change in FILTERS:
+                if before_change(theirs / "src"):
                     text = list(normalise(text))
             lines[name] = text
     ours, others = lines["here"], lines[rev]
