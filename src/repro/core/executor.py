@@ -504,8 +504,6 @@ class SpatialQueryExecutor:
                 strategy=strategy.name, ok=failure is None,
                 error_type=None if failure is None else type(failure).__name__,
                 error=None if failure is None else str(failure),
-                io_retries=attempt_meter.io_retries,
-                backoff_steps=attempt_meter.backoff_steps,
                 stats=attempt_meter.snapshot(),
             ))
             if failure is None:

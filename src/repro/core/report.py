@@ -36,13 +36,13 @@ class AttemptRecord:
     ok: bool
     error_type: str | None = None
     error: str | None = None
-    io_retries: int = 0
-    backoff_steps: int = 0
+    #: The attempt's ``CostMeter.snapshot()``; its ``io_retries`` and
+    #: ``backoff_steps`` are the attempt's retry cost.
     stats: dict[str, float] = field(default_factory=dict)
 
     def describe(self) -> str:
         if self.ok:
-            tail = f"ok ({self.io_retries} retries)"
+            tail = f"ok ({self.stats.get('io_retries', 0)} retries)"
         else:
             tail = f"failed: {self.error_type}: {self.error}"
         return f"{self.strategy}: {tail}"
@@ -82,12 +82,12 @@ class ExecutionReport:
     @property
     def retries(self) -> int:
         """Total transparently retried page I/Os across all attempts."""
-        return sum(a.io_retries for a in self.attempts)
+        return sum(a.stats.get("io_retries", 0) for a in self.attempts)
 
     @property
     def backoff_steps(self) -> int:
         """Total virtual-clock backoff units spent on retries."""
-        return sum(a.backoff_steps for a in self.attempts)
+        return sum(a.stats.get("backoff_steps", 0) for a in self.attempts)
 
     def format(self) -> str:
         """Human-readable multi-line account."""

@@ -9,7 +9,7 @@ Five pieces, all zero-dependency and all optional at every call site:
   that rides dispatch payloads so remote spans attribute to one request;
 * :mod:`repro.obs.metrics` -- a registry of counters, gauges and
   fixed-bucket histograms that the buffer pool, WAL, parallel pool and
-  join kernels publish into, with idempotent fleet-snapshot absorption;
+  join kernels publish into;
 * :mod:`repro.obs.flight` -- the bounded flight recorder of structured
   incident events (restarts, failovers, sheds, deadline hits);
 * :mod:`repro.obs.drift` -- predicted-vs-measured cost comparison with

@@ -11,20 +11,13 @@ most a ``None`` check.
 Metrics are keyed by ``(name, labels)`` -- labels are sorted key/value
 pairs, so ``counter("join.filter_evals", level=2)`` names one series per
 tree level.  Histograms use *fixed* upper-bound buckets declared at
-first creation.  Bucket counts are **per interval**: ``snapshot()``
-reads them as-is, and ``snapshot(reset=True)`` additionally zeroes the
-interval state so a long-running service soak reads disjoint intervals
-instead of silently conflating them.  Lifetime totals
-(``total_count``/``total_sum``) survive resets, and every snapshot also
-carries a Prometheus-style ``cumulative`` view derived from the
-interval counts.
+first creation and accumulate over the registry's lifetime.
 
-Fleet aggregation: a registry can :meth:`~MetricsRegistry.absorb_snapshot`
-another registry's snapshot under extra labels (``shard="2"``), which is
-how per-shard registries merge into the service registry.  The merge is
-*idempotent* -- counters take the max of their value and the incoming
-one, gauges and histograms adopt the incoming state -- so re-absorbing
-the same fleet never double-counts.
+A series holds a fact no other store holds.  A count the cost meter
+already keeps (a shard's ``C_IO`` and ``C_Theta`` charges live in its
+``ShardHandle.meter``) or a field a handle already carries (a shard's
+``restarts`` and ``generation``) is read there, not republished here.
+``docs/observability.md`` lists each fact with its one store.
 
 Label cardinality is capped per metric name
 (:class:`MetricsRegistry`'s ``max_series_per_name``); blowing the cap
@@ -80,20 +73,6 @@ class Counter:
         with self._lock:
             self.value += amount
 
-    def merge_from(self, value: int) -> None:
-        """Adopt an external counter reading: keep the max.
-
-        Fleet merges re-absorb the same shard snapshot on every
-        ``stats`` call; max-merge makes that idempotent while still
-        tracking the (monotone) source counter.
-        """
-        if value < 0:
-            raise ObservabilityError(
-                f"counter {self.name!r} cannot merge negative value {value}"
-            )
-        with self._lock:
-            self.value = max(self.value, int(value))
-
     def snapshot(self) -> dict[str, Any]:
         return {"type": "counter", "labels": dict(self.labels), "value": self.value}
 
@@ -118,17 +97,13 @@ class Gauge:
 class Histogram:
     """Fixed-bucket distribution with count, sum, min and max.
 
-    Bucket counts are **per interval**: :meth:`snapshot` with
-    ``reset=True`` zeroes them (and count/sum/min/max) after reading, so
-    repeated scrapes see disjoint windows.  ``total_count`` /
-    ``total_sum`` accumulate over the histogram's lifetime and survive
-    resets.  Quantiles (:meth:`quantile`) interpolate linearly inside
+    Quantiles (:meth:`quantile`) interpolate linearly inside
     the fixed buckets -- a coarse but monotone estimator, exact at
     bucket boundaries, which is all an SLO table needs.
     """
 
     __slots__ = ("name", "labels", "buckets", "bucket_counts", "count",
-                 "sum", "min", "max", "total_count", "total_sum", "_lock")
+                 "sum", "min", "max", "_lock")
 
     def __init__(self, name: str, labels: _LabelKey,
                  buckets: tuple[float, ...]) -> None:
@@ -146,8 +121,6 @@ class Histogram:
         self.sum = 0.0
         self.min: float | None = None
         self.max: float | None = None
-        self.total_count = 0
-        self.total_sum = 0.0
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
@@ -158,19 +131,17 @@ class Histogram:
             self.sum += value
             self.min = value if self.min is None else min(self.min, value)
             self.max = value if self.max is None else max(self.max, value)
-            self.total_count += 1
-            self.total_sum += value
 
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float | None:
-        """Estimate the ``q``-quantile of the current interval.
+        """Estimate the ``q``-quantile of everything observed.
 
         Linear interpolation within the bucket containing the target
         rank, clamped to the observed ``min``/``max``.  Returns ``None``
-        on an empty interval.  The overflow bucket has no upper bound,
+        on an empty histogram.  The overflow bucket has no upper bound,
         so ranks landing there estimate as ``max``.
         """
         if not 0.0 <= q <= 1.0:
@@ -198,24 +169,11 @@ class Histogram:
                 seen += n
             return self.max  # pragma: no cover - rank beyond all counts
 
-    def snapshot(self, reset: bool = False) -> dict[str, Any]:
-        """JSON-safe view; ``reset=True`` zeroes the interval after reading.
-
-        ``buckets`` holds the per-interval counts (the historical,
-        pinned shape); ``cumulative`` is the derived Prometheus-style
-        view where each bound's count includes everything below it;
-        ``bounds`` lists the upper bounds so a snapshot is
-        self-describing (and mergeable -- see
-        :meth:`MetricsRegistry.absorb_snapshot`).
-        """
+    def snapshot(self) -> dict[str, Any]:
+        """JSON-safe view; ``buckets`` maps each upper bound to the
+        observations at or below it and above the previous bound."""
         with self._lock:
-            running = 0
-            cumulative: dict[str, int] = {}
-            for bound, n in zip(self.buckets, self.bucket_counts):
-                running += n
-                cumulative[f"le_{bound:g}"] = running
-            cumulative["overflow"] = running + self.bucket_counts[-1]
-            snap = {
+            return {
                 "type": "histogram",
                 "labels": dict(self.labels),
                 "count": self.count,
@@ -230,43 +188,7 @@ class Histogram:
                     },
                     "overflow": self.bucket_counts[-1],
                 },
-                "cumulative": cumulative,
-                "bounds": list(self.buckets),
-                "total_count": self.total_count,
-                "total_sum": self.total_sum,
             }
-            if reset:
-                self.bucket_counts = [0] * (len(self.buckets) + 1)
-                self.count = 0
-                self.sum = 0.0
-                self.min = None
-                self.max = None
-            return snap
-
-    def load_snapshot(self, snap: Mapping[str, Any]) -> None:
-        """Adopt the state of a :meth:`snapshot` dict (fleet merge).
-
-        The source series is authoritative for its own labels, so this
-        *replaces* interval and lifetime state -- re-loading the same
-        snapshot is a no-op, which keeps fleet aggregation idempotent.
-        """
-        bounds = tuple(float(b) for b in snap.get("bounds", self.buckets))
-        if bounds != self.buckets:
-            raise ObservabilityError(
-                f"histogram {self.name!r} cannot load snapshot with "
-                f"bounds {bounds!r} (has {self.buckets!r})"
-            )
-        buckets = snap.get("buckets", {})
-        with self._lock:
-            self.bucket_counts = [
-                int(buckets.get(f"le_{bound:g}", 0)) for bound in self.buckets
-            ] + [int(buckets.get("overflow", 0))]
-            self.count = int(snap.get("count", 0))
-            self.sum = float(snap.get("sum", 0.0))
-            self.min = snap.get("min")
-            self.max = snap.get("max")
-            self.total_count = int(snap.get("total_count", self.count))
-            self.total_sum = float(snap.get("total_sum", self.sum))
 
 
 #: Default per-name series cap: generous for legitimate label sets
@@ -345,48 +267,6 @@ class MetricsRegistry:
                 self.gauge(f"{prefix}.total", **labels).set(value)
             else:
                 self.counter(f"{prefix}.{key}", **labels).inc(int(value))
-
-    def absorb_snapshot(
-        self, snapshot: Mapping[str, list[dict[str, Any]]], **labels: Any,
-    ) -> None:
-        """Merge another registry's :meth:`snapshot` under extra labels.
-
-        This is the fleet-aggregation primitive: each shard's registry
-        snapshot merges into the service registry with a ``shard=<id>``
-        label.  The merge is idempotent -- counters max-merge
-        (:meth:`Counter.merge_from`), gauges and histograms adopt the
-        incoming state -- so absorbing the same fleet on every ``stats``
-        call never double-counts.  Extra labels must not collide with
-        the source series' own labels.
-        """
-        for name, series_list in snapshot.items():
-            for snap in series_list:
-                source_labels = snap.get("labels", {})
-                clash = set(source_labels) & set(labels)
-                if clash:
-                    raise ObservabilityError(
-                        f"absorb_snapshot label(s) {sorted(clash)} collide "
-                        f"with source labels of metric {name!r}"
-                    )
-                merged = {**source_labels, **labels}
-                kind = snap.get("type")
-                if kind == "counter":
-                    self.counter(name, **merged).merge_from(int(snap["value"]))
-                elif kind == "gauge":
-                    self.gauge(name, **merged).set(float(snap["value"]))
-                elif kind == "histogram":
-                    bounds = snap.get("bounds")
-                    hist = self.histogram(
-                        name,
-                        buckets=tuple(bounds) if bounds else None,
-                        **merged,
-                    )
-                    hist.load_snapshot(snap)
-                else:
-                    raise ObservabilityError(
-                        f"cannot absorb metric {name!r} of unknown "
-                        f"type {kind!r}"
-                    )
 
     # ------------------------------------------------------------------
     # Read-out

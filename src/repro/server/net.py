@@ -8,6 +8,7 @@ newline-delimited UTF-8 (see :mod:`repro.server.protocol`); a failed
 request never kills the connection, only surfaces as an ``ERR`` line;
 after protocol-level garbage the server keeps reading, but a request
 line longer than :data:`MAX_LINE` is refused and its connection closed.
+The client reads at most :data:`MAX_REPLY` bytes of a reply line.
 
 Shutdown is *graceful by default*: :meth:`QueryServer.stop` stops
 accepting, flips the service into drain mode (new requests on live
@@ -59,6 +60,12 @@ IDEMPOTENT_OPS = frozenset(
 #: longer line gets a ``ProtocolError`` reply and the connection closes:
 #: the rest of it cannot be told apart from the next request.
 MAX_LINE = 1 << 20
+
+#: Longest reply line the client reads, in bytes, newline excluded.  A
+#: longer reply raises ``ProtocolError`` and marks the client broken.
+#: The tests and ``perf/`` reply with at most ~1.2 kB; the bound still
+#: holds a select answer of about two million oids.
+MAX_REPLY = 1 << 24
 
 
 class QueryServer:
@@ -371,10 +378,13 @@ class QueryClient:
                 + b"\n"
             )
             self._stream.flush()
-            raw = self._stream.readline()
+            raw = self._stream.readline(MAX_REPLY + 1)
         except OSError:
             self._broken = True
             raise
+        if len(raw) > MAX_REPLY and not raw.endswith(b"\n"):
+            self._broken = True
+            raise ProtocolError(f"reply line longer than {MAX_REPLY} bytes")
         if not raw.endswith(b"\n"):
             # Empty = clean EOF; non-terminated = half-written reply.
             # Either way the stream's framing is gone.

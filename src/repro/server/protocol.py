@@ -19,10 +19,10 @@ Supported operations (fields beyond ``op``):
 ``insert``     ``relation, oid, rect`` (the demo OBJECT schema)
 ``delete``     ``relation, oid``
 ``metrics``    snapshot of the shared metrics registry
-``shards``     status of the attached shard fleet (generations,
-               restarts, per-shard liveness)
+``shards``     status of the attached shard fleet (per-shard
+               generation, restarts, dispatches, cost, liveness)
 ``stats``      health + per-op SLO latency percentiles + the flight
-               recorder's recent events + fleet-merged shard metrics
+               recorder's recent events
 ``close``      end the session
 =============  =======================================================
 
@@ -122,6 +122,8 @@ def parse_request(line: str) -> dict[str, Any]:
         request = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"request is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ProtocolError("request JSON is nested too deeply") from None
     if not isinstance(request, dict) or not isinstance(request.get("op"), str):
         raise ProtocolError("request must be a JSON object with an 'op' string")
     return request
@@ -159,7 +161,7 @@ def decode_response(line: str) -> dict[str, Any]:
     if line.startswith("OK "):
         try:
             return json.loads(line[3:])
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             raise ProtocolError(
                 f"garbled OK payload: {line[3:100]!r}"
             ) from None

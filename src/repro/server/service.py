@@ -448,11 +448,11 @@ class QueryService:
 
     def stats(self, *, flight_limit: int = 12) -> dict[str, Any]:
         """Everything :meth:`health` knows, plus the flight recorder's
-        recent tail and (with shards attached) the fleet-merged metrics.
+        recent tail.
 
         This is the payload behind the ``stats`` protocol op and the
-        ``repro obs`` dashboard.  Fleet aggregation is idempotent, so
-        polling stats never distorts the numbers it reports.
+        ``repro obs`` dashboard.  Per-shard cost and dispatch counts are
+        the ``shards`` op's, read from each shard's handle.
         """
         payload = self.health()
         payload["flight"] = {
@@ -460,8 +460,6 @@ class QueryService:
             "dropped": self.flight.dropped,
             "events": self.flight.snapshot(limit=flight_limit),
         }
-        if self.shards is not None:
-            payload["fleet"] = self.shards.fleet_metrics().snapshot()
         return payload
 
     def _storage_health(self) -> dict[str, int]:

@@ -38,7 +38,6 @@ from repro.core.cancel import CancellationToken, check_cancel
 from repro.errors import ShardCrashed, ShardError, ShardUnavailable
 from repro.geometry.rect import Rect
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import MetricsRegistry
 from repro.relational.columns import Columns
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, ColumnType, Schema
@@ -196,10 +195,9 @@ class ProcessTransport:
 class ShardHandle:
     """One shard: durable substrate + the current worker incarnation.
 
-    ``metrics`` is the shard's *own* registry -- the fleet-aggregation
-    source.  :meth:`ShardRuntime.fleet_metrics` merges every shard's
-    snapshot into one registry under ``shard=<id>`` labels, which is how
-    per-shard counters surface in the service's ``stats``.
+    ``meter`` is the one store of the shard's cost: every worker reply's
+    meter delta lands there, and :meth:`describe` reports it under
+    ``"cost"``.
     """
 
     def __init__(
@@ -215,7 +213,6 @@ class ShardHandle:
         self.restarts = 0
         self.dispatches = 0
         self.meter = CostMeter()
-        self.metrics = MetricsRegistry()
         self.disk = SimulatedDisk()
         self.pool = BufferPool(self.disk, memory_pages, self.meter)
         self.wal = WriteAheadLog(self.disk, self.meter)
@@ -230,6 +227,7 @@ class ShardHandle:
             "generation": self.generation,
             "restarts": self.restarts,
             "dispatches": self.dispatches,
+            "cost": self.meter.snapshot(),
             "mode": self.transport.mode if self.transport else "down",
             "alive": bool(self.transport and self.transport.alive()),
             "tables": sorted(self.relations),
@@ -376,7 +374,6 @@ class ShardRuntime:
         shard.dispatches += 1
         if self.metrics is not None:
             self.metrics.counter("shard.dispatches", op=op).inc()
-        shard.metrics.counter("shard.ops", op=op).inc()
         if self.plan is not None:
             victim = self.plan.take_shard_kill(index, shard.shard_id)
             if victim is not None:
@@ -402,10 +399,6 @@ class ShardRuntime:
             shard.meter.absorb(delta)
             if meter is not None:
                 meter.absorb(delta)
-            for key, value in delta.snapshot().items():
-                if key != "total" and value:
-                    shard.metrics.counter(f"shard.cost.{key}").inc(int(value))
-            shard.metrics.gauge("shard.cost.total").set(shard.meter.total())
         return result
 
     def _mutate(
@@ -590,18 +583,3 @@ class ShardRuntime:
 
     def meter_snapshot(self) -> dict[str, float]:
         return CostMeter.merge([s.meter for s in self.shards]).snapshot()
-
-    def fleet_metrics(self, into: MetricsRegistry | None = None) -> MetricsRegistry:
-        """Merge every shard's registry into one, labelled ``shard=<id>``.
-
-        Counters max-merge and gauges/histograms adopt the shard's
-        state (see :meth:`MetricsRegistry.absorb_snapshot`), so calling
-        this on every ``stats`` request is safe -- re-absorbing the same
-        fleet never double-counts.
-        """
-        registry = into if into is not None else MetricsRegistry()
-        for shard in self.shards:
-            registry.absorb_snapshot(
-                shard.metrics.snapshot(), shard=str(shard.shard_id)
-            )
-        return registry

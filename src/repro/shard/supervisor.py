@@ -181,12 +181,6 @@ class ShardSupervisor:
         if runtime.plan is not None:
             runtime.plan.note_shard_restart(shard.shard_id)
         if runtime.metrics is not None:
-            runtime.metrics.counter(
-                "shard.restarts", shard=str(shard.shard_id)
-            ).inc()
-            runtime.metrics.gauge(
-                "shard.generation", shard=str(shard.shard_id)
-            ).set(shard.generation)
             runtime.metrics.histogram("shard.restart_seconds").observe(
                 time.perf_counter() - started
             )

@@ -116,7 +116,7 @@ class TestSeededFaultRun:
             rel_r, "shape", rel_s, "shape", Overlaps(), strategy="scan"
         )
         assert report.retries == 2
-        assert report.attempts[0].io_retries == 2
+        assert report.attempts[0].stats["io_retries"] == 2
         assert report.backoff_steps == 3  # 1 + 2
 
 
@@ -209,7 +209,7 @@ class TestFallbackChain:
         # Failed work is work: the caller's meter covers all attempts.
         # Attempt 1 records its 5 retries (the 6th failure re-raises and
         # kills the strategy); the fallback records the remaining 2.
-        total_retries = sum(a.io_retries for a in report.attempts)
+        total_retries = sum(a.stats["io_retries"] for a in report.attempts)
         assert meter.io_retries == total_retries == 7
 
     def test_inapplicable_strategies_skipped(self):
@@ -228,7 +228,7 @@ class TestFallbackChain:
 
 class TestAttemptRecord:
     def test_describe_success_form(self):
-        rec = AttemptRecord(strategy="tree", ok=True, io_retries=2)
+        rec = AttemptRecord(strategy="tree", ok=True, stats={"io_retries": 2})
         assert rec.describe() == "tree: ok (2 retries)"
 
     def test_describe_failure_form(self):

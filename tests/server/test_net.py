@@ -8,7 +8,7 @@ import pytest
 from repro.cache import QueryCache
 from repro.errors import ProtocolError, ServerBusy
 from repro.server import QueryClient, QueryServer
-from repro.server.net import MAX_LINE
+from repro.server.net import MAX_LINE, MAX_REPLY
 from repro.server.protocol import (
     decode_response,
     encode_error,
@@ -26,10 +26,17 @@ def server():
         yield srv
 
 
+#: Nested far past the JSON decoder's recursion limit, yet well under
+#: MAX_LINE: a typed refusal, never a RecursionError.
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
 class TestProtocolCodec:
     def test_parse_rejects_non_json(self):
         with pytest.raises(ProtocolError):
             parse_request("this is not json")
+        with pytest.raises(ProtocolError, match="nested too deeply"):
+            parse_request(NESTED)
 
     def test_parse_rejects_missing_op(self):
         with pytest.raises(ProtocolError):
@@ -65,9 +72,10 @@ class TestProtocolCodec:
         assert exc_info.value.server_type is None
 
     def test_malformed_reply_line_is_transport_level(self):
-        with pytest.raises(ProtocolError) as exc_info:
-            decode_response("\x85\xdb\xc0 garbage")
-        assert exc_info.value.server_type is None
+        for line in ("\x85\xdb\xc0 garbage", "OK " + NESTED):
+            with pytest.raises(ProtocolError) as exc_info:
+                decode_response(line)
+            assert exc_info.value.server_type is None
 
 
 class TestRoundTrips:
@@ -292,9 +300,19 @@ class TestConnectionEdges:
 
     def test_binary_garbage_request_is_survivable(self, server):
         raw = socket.create_connection(server.address, timeout=5.0)
-        raw.sendall(bytes(range(128, 256)) + b"\n")
-        reply = raw.makefile("rb").readline()
-        assert reply.startswith(b"ERR ")
+        stream = raw.makefile("rwb")
+        for garbage, refusal in (
+            (bytes(range(128, 256)), b"ERR "),
+            (NESTED.encode("ascii"), b"ERR ProtocolError "),
+        ):
+            stream.write(garbage + b"\n")
+            stream.flush()
+            assert stream.readline().startswith(refusal)
+        # The connection survived both: it still answers.
+        stream.write(b'{"op": "ping"}\n')
+        stream.flush()
+        assert stream.readline().startswith(b"OK ")
+        stream.close()
         raw.close()
         with QueryClient(*server.address) as client:
             assert client.request(op="ping")["pong"] is True
@@ -314,6 +332,30 @@ class TestConnectionEdges:
         assert _wait_for(lambda: service.sessions_active == 0)
         with QueryClient(*server.address) as client:
             assert client.request(op="ping")["pong"] is True
+
+    def test_overlong_reply_breaks_the_client(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def stub():
+            conn, _ = listener.accept()
+            with conn:
+                conn.makefile("rb").readline()
+                # One byte past the bound and no newline, then hold the
+                # connection open: only the bound can end the read.
+                conn.sendall(b"x" * (MAX_REPLY + 1))
+                conn.recv(1)
+
+        thread = threading.Thread(target=stub, daemon=True)
+        thread.start()
+        try:
+            with QueryClient(*listener.getsockname()[:2]) as client:
+                with pytest.raises(ProtocolError, match="reply line longer") as exc_info:
+                    client.request(op="ping")
+                assert exc_info.value.server_type is None
+                assert client.broken
+        finally:
+            thread.join(timeout=5.0)
+            listener.close()
 
     def test_connection_threads_are_reaped(self, server):
         for _ in range(5):

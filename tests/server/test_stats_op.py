@@ -1,9 +1,9 @@
-"""The ``stats`` protocol op: SLO percentiles, flight tail, fleet merge.
+"""The ``stats`` protocol op: SLO percentiles, flight tail, fleet health.
 
 ``stats`` is the observability front door: everything ``health`` knows,
-plus the flight recorder's recent events, per-op latency percentiles
-from ``server.latency_seconds`` and -- with a shard runtime attached --
-the fleet-merged per-shard metrics.  These tests pin the payload shape
+plus the flight recorder's recent events and per-op latency percentiles
+from ``server.latency_seconds``.  Per-shard cost and dispatch counts are
+the ``shards`` op's.  These tests pin the payload shape
 (the CLI dashboard and remote clients both parse it), verify the whole
 thing survives the one-line JSON wire format, and check that admission
 refusals carry the flight tail onto the wire via ``encode_error``.
@@ -116,12 +116,16 @@ class TestStatsOverTheWire:
             with service.open_session() as session:
                 session.shard_join("r", "s", Overlaps())
                 payload = handle_request(session, {"op": "stats"})
+                status = handle_request(session, {"op": "shards"})
             service.close()
-        fleet = payload["fleet"]
-        # Fleet series are shard-labelled; every live shard contributed.
-        ops = fleet["shard.ops"]
-        shards = {s["labels"]["shard"] for s in ops}
-        assert shards == {"0", "1", "2"}
+        # Each shard reports its own dispatches and cost; every live
+        # shard contributed.
+        assert "fleet" not in payload
+        per_shard = {s["shard"]: s for s in status["shards"]}
+        assert set(per_shard) == {0, 1, 2}
+        for shard in per_shard.values():
+            assert shard["dispatches"] > 0
+            assert shard["cost"]["theta_filter_evals"] > 0
         assert payload["shards"]["n_shards"] == 3
 
 

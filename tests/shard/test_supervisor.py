@@ -6,20 +6,12 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.geometry.rect import Rect
-from repro.obs.metrics import MetricsRegistry
 from repro.predicates.theta import Overlaps
 
 from tests import oracle
 from tests.shard.conftest import loaded_runtime
 
 WINDOW = Rect(10.0, 10.0, 45.0, 45.0)
-
-
-def metric_value(snapshot, name, **labels):
-    for series in snapshot.get(name, []):
-        if all(series["labels"].get(k) == v for k, v in labels.items()):
-            return series["value"]
-    return None
 
 
 class TestHeartbeats:
@@ -102,33 +94,27 @@ class TestRestart:
             assert tid in [t for t, _ in result.matches]
 
     def test_restarts_metered_exactly_once_per_kill(self):
-        metrics = MetricsRegistry()
         plan = FaultPlan(seed=7, kill_shard_at={3: -1, 6: -1})
-        runtime, rel_r, rel_s = loaded_runtime(
-            3, fault_plan=plan, metrics=metrics
-        )
+        runtime, rel_r, rel_s = loaded_runtime(3, fault_plan=plan)
         with runtime:
             result = runtime.router.join("r", "s", Overlaps())
             assert result.pairs == oracle.pairs(rel_r, "shape", rel_s, "shape", Overlaps())
-            snap = metrics.snapshot()
             injected = plan.summary()["injected"]
             assert injected == 2
-            total_restarts = sum(
-                s["value"] for s in snap.get("shard.restarts", [])
-            )
+            total_restarts = runtime.status()["restarts"]
             assert total_restarts == injected
             assert total_restarts == sum(
                 s.restarts for s in runtime.shards
             )
 
-    def test_generation_gauge_tracks_restarts(self):
-        metrics = MetricsRegistry()
-        runtime, _, _ = loaded_runtime(2, metrics=metrics)
+    def test_generation_tracks_restarts(self):
+        runtime, _, _ = loaded_runtime(2)
         with runtime:
             runtime.kill_shard(1)
             runtime.supervisor.restart(runtime.shards[1])
-            snap = metrics.snapshot()
-            assert metric_value(snap, "shard.generation", shard="1") == 1
+            status = runtime.status()["shards"]
+            assert [s["generation"] for s in status] == [0, 1]
+            assert [s["restarts"] for s in status] == [0, 1]
 
     def test_kill_consumed_in_fault_audit(self):
         plan = FaultPlan(seed=1, kill_shard_at={2: 0})
