@@ -6,8 +6,9 @@ Public surface:
   (exact / containment / miss), wired into
   :class:`~repro.core.executor.SpatialQueryExecutor` via its ``cache=``
   parameter;
-* :class:`~repro.cache.policy.CachePolicy` -- cost-model-aware
-  admission plus LRU-by-predicted-cost eviction under a byte budget;
+* :class:`~repro.cache.policy.CachePolicy` -- admission by the seconds
+  of a miss's metered work, plus LRU-by-cost eviction under a byte
+  budget;
 * :func:`~repro.cache.keys.geometry_fingerprint` and the operator
   monotonicity predicates backing the containment tier.
 """

@@ -15,7 +15,8 @@ tiers:
   predicate -- justified by the Table 1 filter contract:
   ``Theta-hits(W)`` is a superset of ``Theta-hits(W')``;
 * **miss** -- the query executes normally and is admitted under the
-  cost-model-aware policy of :mod:`repro.cache.policy`.
+  policy of :mod:`repro.cache.policy`, by the seconds its metered work
+  takes.
 
 Invalidation is *epoch-based* (DESIGN.md, "Epochs and derived state"):
 entries live in *groups* -- one query shape over the same operands at
@@ -124,7 +125,8 @@ class _Entry:
     extra: list | None
     #: Can an exact-monotone operator re-test the matches' payloads?
     refinable_matches: bool
-    predicted_cost: float
+    #: Seconds the answer's metered work takes (what eviction ranks by).
+    cost: float
     nbytes: int
     tick: int = 0
 
@@ -281,7 +283,7 @@ class QueryCache:
                 refinable_matches=query is not None and all(
                     hasattr(payload, "__getitem__") for _tid, payload in matches
                 ),
-                predicted_cost=cost,
+                cost=cost,
                 nbytes=nbytes,
                 tick=self._tick,
             )
@@ -400,21 +402,19 @@ class QueryCache:
         result: SelectResult,
         candidates: list[tuple[Any, Any, Any]] | None,
         measured_cost: float,
-        predicted_cost: float | None = None,
         epoch: int | None = None,
     ) -> bool:
         """Consider caching a freshly executed selection.
 
-        ``predicted_cost`` is the Section 4 model prediction when the
-        caller planned the query; the metered actual of this execution
-        is the fallback predictor.  ``epoch`` is the relation's
-        modification count pinned before execution (see :meth:`_admit`).
-        Returns True when admitted.
+        ``measured_cost`` is the seconds this execution's metered work
+        takes, the predictor of what a repeat would cost.  ``epoch`` is
+        the relation's modification count pinned before execution (see
+        :meth:`_admit`).  Returns True when admitted.
         """
         return self._admit(
             self._select_shape(relation, column, theta, strategy, order),
             geometry_fingerprint(query), (relation,), (epoch,),
-            predicted_cost if predicted_cost is not None else measured_cost,
+            measured_cost,
             estimate_select_bytes(
                 len(result.matches),
                 len(candidates) if candidates is not None else 0,
@@ -468,20 +468,19 @@ class QueryCache:
         result: JoinResult,
         collect_tuples: bool,
         measured_cost: float,
-        predicted_cost: float | None = None,
         epoch_r: int | None = None,
         epoch_s: int | None = None,
     ) -> bool:
         """Consider caching a freshly executed join.
 
-        ``epoch_r``/``epoch_s`` are the operands' modification counts
+        ``measured_cost`` is the seconds this execution's metered work
+        takes.  ``epoch_r``/``epoch_s`` are the operands' modification counts
         pinned before execution; a result computed while either operand
         mutated is refused (see :meth:`_admit`).
         """
         shape, swapped = self._join_shape(rel_r, column_r, rel_s, column_s, theta)
         return self._admit(
-            shape, strategy, (rel_r, rel_s), (epoch_r, epoch_s),
-            predicted_cost if predicted_cost is not None else measured_cost,
+            shape, strategy, (rel_r, rel_s), (epoch_r, epoch_s), measured_cost,
             estimate_join_bytes(
                 len(result.pairs),
                 len(result.tuples) if collect_tuples else 0,
@@ -544,7 +543,7 @@ class QueryCache:
         self._publish_gauges()
 
     def _evict_over_budget(self, protect: tuple) -> None:
-        """LRU-by-predicted-cost eviction down to the byte budget."""
+        """LRU-by-cost eviction down to the byte budget."""
         while self.total_bytes > self.policy.byte_budget and len(self._entries) > 1:
             lru = sorted(
                 (k for k in self._entries if k != protect),
@@ -554,10 +553,7 @@ class QueryCache:
                 break
             victim = min(
                 lru,
-                key=lambda k: (
-                    self._entries[k].predicted_cost,
-                    self._entries[k].tick,
-                ),
+                key=lambda k: (self._entries[k].cost, self._entries[k].tick),
             )
             self._drop(victim)
             self.stats.evictions += 1

@@ -1,33 +1,34 @@
 """Admission and eviction policy for the query-result cache.
 
 The cache is only worth its memory when the entries it holds would be
-expensive to recompute.  Admission is therefore *cost-model aware*: an
-entry is admitted only when its predicted re-execution cost -- the
-Section 4 formula that priced the strategy when a plan is available,
-else the metered actual of the miss execution (the best single-sample
-predictor of the next run) -- exceeds a threshold, by default one page
-I/O (``C_IO = 1000``, Table 3).  Anything cheaper than a single disk
-access is recomputed faster than it is worth tracking.
+expensive to recompute.  An entry is therefore admitted only when its
+re-execution cost -- the seconds the miss execution's metered work
+takes under the measured profile
+(:func:`~repro.core.strategies.metered_work`,
+:data:`~repro.costmodel.profile.MEASURED_PROFILE`), the best
+single-sample predictor of the next run -- reaches a threshold, by
+default one page read.  Anything cheaper than a single page read is
+recomputed faster than it is worth tracking.
 
-Eviction is LRU-by-predicted-cost under a byte budget: when the cache
-overflows, the victim is chosen among the least-recently-used entries
-as the one whose re-execution would cost the least -- recency guards
-the hot working set, predicted cost breaks ties in favour of keeping
-expensive answers.
+Eviction is LRU-by-cost under a byte budget: when the cache overflows,
+the victim is chosen among the least-recently-used entries as the one
+whose re-execution would take the least time -- recency guards the hot
+working set, cost breaks ties in favour of keeping expensive answers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.costmodel.profile import MEASURED_PROFILE
 from repro.errors import JoinError
 
 #: Default byte budget: generous for the simulated engine's workloads,
 #: small enough that soak tests actually exercise eviction.
 DEFAULT_BYTE_BUDGET = 8 * 1024 * 1024
 
-#: Default admission threshold in the paper's cost units: one C_IO.
-DEFAULT_ADMISSION_THRESHOLD = 1000.0
+#: Default admission threshold in seconds: one page read.
+DEFAULT_ADMISSION_THRESHOLD = MEASURED_PROFILE["io"]
 
 #: Fixed per-entry bookkeeping estimate (keys, epochs, dataclass).
 ENTRY_OVERHEAD_BYTES = 512
@@ -36,7 +37,7 @@ ENTRY_OVERHEAD_BYTES = 512
 PAIR_BYTES = 48
 
 #: How many least-recently-used entries compete for eviction; the one
-#: with the lowest predicted re-execution cost loses.
+#: with the lowest re-execution cost loses.
 EVICTION_WINDOW = 8
 
 
@@ -63,14 +64,14 @@ class CachePolicy:
                 f"eviction window must be positive, got {self.eviction_window}"
             )
 
-    def admits(self, predicted_cost: float, entry_bytes: int) -> bool:
-        """Should an entry of this predicted value and size be cached?
+    def admits(self, cost: float, entry_bytes: int) -> bool:
+        """Should an entry this costly to recompute, and this size, be cached?
 
         Entries larger than the whole budget are refused outright --
         admitting one would evict everything else for a single answer.
         """
         return (
-            predicted_cost >= self.admission_threshold
+            cost >= self.admission_threshold
             and entry_bytes <= self.byte_budget
         )
 

@@ -275,6 +275,11 @@ def cmd_trace(args: argparse.Namespace) -> str:
         ir_r.relation, "shape", query, theta, strategy="tree", meter=meter
     )
 
+    join_index = args.strategy == "join-index"
+    if join_index:
+        executor.precompute_join_index(
+            ir_r.relation, ir_s.relation, "shape", "shape", theta
+        )
     plan = None
     if args.drift and args.strategy != "auto":
         # ``auto`` reports drift against the plan that picked it; an
@@ -283,6 +288,7 @@ def cmd_trace(args: argparse.Namespace) -> str:
 
         plan = plan_join(
             ir_r.relation, "shape", ir_s.relation, "shape", theta,
+            join_index_available=join_index,
             memory_pages=executor.memory_pages, workers=executor.workers,
         )
     result, report = executor.execute_join(
@@ -552,6 +558,8 @@ def cmd_obs(args: argparse.Namespace) -> str:
     """
     from repro.core.executor import SpatialQueryExecutor
     from repro.core.optimizer import plan_join
+    from repro.core.strategies import JoinOperands, metered_work, strategy_for_label
+    from repro.costmodel.profile import seconds
     from repro.geometry.rect import Rect
     from repro.obs import sum_cost_self
     from repro.obs.drift import drift_from_plan
@@ -569,13 +577,13 @@ def cmd_obs(args: argparse.Namespace) -> str:
         relations["r"].relation, "shape",
         relations["s"].relation, "shape", theta, strategy="scan",
     ).pairs)
-    # The Section-4 prediction for the sharded join: D_PAR at one worker
-    # per shard (the reference-point rule keeps total work invariant
-    # under the split, so the formula prices the merged meter).
-    join_plan = plan_join(
-        relations["r"].relation, "shape",
-        relations["s"].relation, "shape", theta, workers=args.shards,
+    # The prediction for the sharded join: the partition sweep's work
+    # (the reference-point rule keeps total work invariant under the
+    # split, so the unsharded price holds for the merged meter).
+    ops = JoinOperands(
+        relations["r"].relation, "shape", relations["s"].relation, "shape", theta
     )
+    join_plan = plan_join(*ops.positional, workers=args.shards)
 
     service = QueryService()
     lines = []
@@ -659,11 +667,13 @@ def cmd_obs(args: argparse.Namespace) -> str:
     else:
         lines.append("  (no incidents)")
 
-    measured = next(
-        (r["cost"].get("total", 0.0) for r in records
-         if r["name"] == "session.shard_join"),
-        0.0,
+    counted = next(
+        (r["cost"] for r in records if r["name"] == "session.shard_join"), {}
     )
+    measured = seconds(metered_work(
+        strategy_for_label(join_result.strategy).name, counted,
+        kinds=ops.kinds, rows=ops.rows, matches=len(join_result.pairs),
+    ))
     lines.append("")
     lines.append(drift_from_plan(
         join_plan, join_result.strategy, measured,
@@ -812,7 +822,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--drift", action="store_true",
-        help="plan with the Section 4 formulas and report model drift",
+        help="report drift: the seconds the plan predicted for the join "
+        "beside the seconds of the work its meter counted",
     )
     trace.add_argument(
         "--metrics", action="store_true",

@@ -25,15 +25,15 @@ import gc
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from repro.core.executor import SpatialQueryExecutor
-from repro.core.optimizer import JoinPlan, executable_strategy, plan_join, rank
-from repro.core.strategies import INTERVAL_SUFFIX, JoinOperands, applicable
+from repro.core.optimizer import JoinPlan, plan_join, rank
+from repro.core.strategies import INTERVAL_SUFFIX, JoinOperands, applicable, metered_work
 from repro.costmodel import profile as profile_module
-from repro.costmodel.profile import MEASURED_PROFILE, WORK_KINDS, predicate_kinds
+from repro.costmodel.profile import MEASURED_PROFILE, WORK_KINDS
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
@@ -209,8 +209,7 @@ class CellResult:
     def pick(self, profile: Mapping[str, float]) -> str:
         """The strategy ``plan_join`` picks for this cell under
         ``profile`` (ranked over the plan's predicted work)."""
-        best = rank(self.plan.predicted_work, profile)
-        return executable_strategy(replace(self.plan, strategy=best))
+        return rank(self.plan.predicted_work, profile)
 
     def regret(self, profile: Mapping[str, float]) -> tuple[str, float | None]:
         """``(pick, measured time of the pick / the fastest)``; ``None``
@@ -225,7 +224,7 @@ class CellResult:
 def _timed_strategies(cell: Cell, ops: JoinOperands) -> list[str]:
     names = []
     for strategy in applicable(ops):
-        if not strategy.models:
+        if strategy.price is None:
             continue  # unpriced: the planner never picks it
         if strategy.name == "scan" and cell.n * cell.n > SCAN_PAIRS:
             continue
@@ -235,34 +234,8 @@ def _timed_strategies(cell: Cell, ops: JoinOperands) -> list[str]:
     return names
 
 
-def _work(run_strategy: str, ops: JoinOperands, meter: CostMeter, matches: int) -> dict[str, float]:
-    """What a run's meter counted, as work kinds (the fit's regressors)."""
-    exact, pair = predicate_kinds(
-        ops.theta,
-        ops.rel_r.schema.column(ops.column_r).type,
-        ops.rel_s.schema.column(ops.column_s).type,
-    )
-    work = {"io": float(meter.page_reads)}
-    if run_strategy == "scan":
-        # Every pair is tested; the matching ones run the full test.
-        work[pair] = float(meter.theta_exact_evals)
-        work[exact] = float(matches)
-        return work
-    work[exact] = float(meter.theta_exact_evals)
-    work["interval_probe"] = float(meter.interval_probes)
-    if run_strategy == "partition":
-        work["sweep_row"] = float(len(ops.rel_r) + len(ops.rel_s))
-        work["sweep_pair"] = float(meter.interval_probes or meter.theta_exact_evals)
-        return work
-    work["theta"] = float(meter.theta_filter_evals)
-    if run_strategy == "index-nl":
-        work["probe"] = float(len(ops.rel_s))
-    elif run_strategy == "index-nl-swapped":
-        work["probe"] = float(len(ops.rel_r))
-    return work
-
-
 def _time(executor, ops: JoinOperands, strategy: str, reps: int, interval=False):
+    """The best wall time of ``reps`` runs, and the work its meter counted."""
     best = None
     for _ in range(reps):
         gc.collect()
@@ -273,7 +246,10 @@ def _time(executor, ops: JoinOperands, strategy: str, reps: int, interval=False)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best[0]:
             best = (elapsed, meter, len(result.pairs))
-    return best
+    elapsed, meter, matches = best
+    return elapsed, metered_work(
+        strategy, meter.snapshot(), kinds=ops.kinds, rows=ops.rows, matches=matches
+    )
 
 
 def measure(cell: Cell, seed: int, reps: int = 3) -> CellResult:
@@ -293,8 +269,7 @@ def measure(cell: Cell, seed: int, reps: int = 3) -> CellResult:
     )
     runs = []
     for name in _timed_strategies(cell, ops):
-        elapsed, meter, matches = _time(executor, ops, name, reps)
-        runs.append(Run(cell, seed, name, elapsed, _work(name, ops, meter, matches)))
+        runs.append(Run(cell, seed, name, *_time(executor, ops, name, reps)))
     if cell.interval:
         from repro.intermediate import IntervalSpec
 
@@ -306,13 +281,11 @@ def measure(cell: Cell, seed: int, reps: int = 3) -> CellResult:
             return IntervalSpec(Rect(universe.xmin - grow, universe.ymin,
                                      universe.xmax, universe.ymax))
 
-        elapsed, meter, matches = _time(executor, ops, "partition", reps, cold)
-        work = _work("partition", ops, meter, matches)
+        elapsed, work = _time(executor, ops, "partition", reps, cold)
         work["interval_build"] = float(len(rel_r) + len(rel_s))
         runs.append(Run(cell, seed, "partition+INT cold", elapsed, work))
         warm = IntervalSpec(universe)
-        elapsed, meter, matches = _time(executor, ops, "partition", reps + 1, warm)
-        runs.append(Run(cell, seed, "partition+INT", elapsed, _work("partition", ops, meter, matches)))
+        runs.append(Run(cell, seed, "partition+INT", *_time(executor, ops, "partition", reps + 1, warm)))
     return CellResult(cell, seed, plan, runs)
 
 

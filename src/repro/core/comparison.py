@@ -19,7 +19,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.obs.drift import DriftReport
 from repro.core.executor import SpatialQueryExecutor
 from repro.core.report import ExecutionReport
-from repro.core.strategies import JoinOperands, applicable
+from repro.core.strategies import JoinOperands, applicable, metered_work
+from repro.costmodel.profile import seconds
 from repro.join.result import JoinResult
 from repro.predicates.theta import ThetaOperator
 from repro.relational.relation import Relation
@@ -155,10 +156,10 @@ class StrategyComparison:
         whatever survived must produce the reference pair set.
 
         With ``check_drift=True`` the join is additionally planned once
-        with the Section 4 cost formulas and every measured strategy the
-        plan can price gets a predicted-vs-measured row in
-        ``report.drift`` -- the empirical table and the model's claims
-        about it, side by side.
+        and every measured strategy the plan priced gets a row in
+        ``report.drift``: its predicted seconds beside the seconds of
+        the work its meter counted -- the empirical table and the
+        planner's claims about it, side by side.
 
         ``interval`` forwards the raster-interval second-tier setting to
         every strategy run (see :meth:`SpatialQueryExecutor.join`); the
@@ -223,7 +224,13 @@ class StrategyComparison:
             )
             report.drift = drift_from_measurements(
                 plan,
-                [(r.strategy, r.total_cost) for r in report.rows],
+                [
+                    (r.strategy, seconds(metered_work(
+                        r.strategy, r.counters,
+                        kinds=ops.kinds, rows=ops.rows, matches=r.matches,
+                    )))
+                    for r in report.rows
+                ],
                 query=report.query,
             )
         return report

@@ -14,17 +14,20 @@ from dataclasses import replace
 from typing import Any
 
 from repro.core.cancel import CancellationToken, check_cancel
-from repro.core.optimizer import JoinPlan, executable_strategy, plan_join
+from repro.core.optimizer import JoinPlan, plan_join
 from repro.core.report import AttemptRecord, ExecutionReport
 from repro.core.strategies import (
     JOIN_STRATEGIES,
+    METERED_COUNTERS,
     SELECT_STRATEGIES,
     ExecContext,
     JoinOperands,
     JoinStrategy,
     applicable,
     lookup,
+    metered_work,
 )
+from repro.costmodel.profile import predicate_kinds, seconds
 from repro.errors import ExecutionError, JoinError, StorageError
 from repro.join.join_index import JoinIndex
 from repro.join.result import JoinResult, SelectResult
@@ -40,9 +43,8 @@ class SpatialQueryExecutor:
     """Executes spatial selections and joins with pluggable strategies.
 
     ``workers`` is a sizing input of the ``partition`` strategy (the
-    minimum tile count of its grid and the divisor of the planner's
-    ``D_PAR``); per-join overrides go through :meth:`join`.  The join
-    itself always runs in this process.
+    minimum tile count of its grid); per-join overrides go through
+    :meth:`join`.  The join itself always runs in this process.
 
     ``tracer`` (a :class:`~repro.obs.trace.Tracer`) makes every
     select/join emit a strategy-level span with per-phase and per-level
@@ -54,8 +56,8 @@ class SpatialQueryExecutor:
     ``cache`` (a :class:`~repro.cache.QueryCache`) short-circuits
     repeated selections and joins: an exact repeat is served at zero
     page reads, a SELECT window nested inside a cached one is refined
-    from the stored Theta-candidate set, and misses are admitted under
-    the cache's cost-aware policy.  Entries are invalidated by the
+    from the stored Theta-candidate set, and misses are admitted by the
+    seconds their metered work takes.  Entries are invalidated by the
     operand relations' modification epochs, so a cached executor never
     serves stale answers.  Default off; with no cache the dispatch path
     is byte-identical to previous behavior.
@@ -251,17 +253,21 @@ class SpatialQueryExecutor:
 
                 want_candidates = window_monotone(theta)
             epoch = relation.modification_count
-            cost_before = meter.total()
+            before = _counted(meter)
             result, candidates = run(
                 ctx, relation, column, query, theta, want_candidates
             )
             check_cancel(cancel)  # a post-deadline result must not be cached
             if cache is not None:
+                work = metered_work(
+                    strategy, _counted(meter, before),
+                    kinds=predicate_kinds(theta, relation.schema.column(column).type),
+                    rows=(len(relation), 1), matches=len(result.matches),
+                )
                 cache.admit_select(
                     relation, column, query, theta,
                     strategy=strategy, order=order, result=result,
-                    candidates=candidates,
-                    measured_cost=meter.total() - cost_before,
+                    candidates=candidates, measured_cost=seconds(work),
                     epoch=epoch,
                 )
             return result
@@ -324,24 +330,19 @@ class SpatialQueryExecutor:
             workers=workers, tracer=tracer, metrics=metrics, cache=cache,
             cancel=cancel, interval=interval,
         )
-        ctx, first, plan = self._strategy_for(strategy, ops, ctx)
-        return self._attempt(ctx, ops, first, plan)
+        ctx, first, _plan = self._strategy_for(strategy, ops, ctx)
+        return self._attempt(ctx, ops, first)
 
     def _attempt(
-        self,
-        ctx: ExecContext,
-        ops: JoinOperands,
-        strategy: JoinStrategy,
-        plan=None,
+        self, ctx: ExecContext, ops: JoinOperands, strategy: JoinStrategy
     ) -> JoinResult:
         """One strategy run: span, cache probe, run, post-deadline check,
         epoch-pinned admission.
 
         The entry is admitted under the strategy that *ran* (in a
         fallback chain never the one originally requested), priced by
-        ``plan``'s prediction for that same strategy -- the
-        ``<model>+INT`` one when the interval refiner was threaded --
-        so admission never sees strategy A labelled with B's cost.
+        the seconds of this run's own metered work, so admission never
+        sees strategy A labelled with B's cost.
         """
         meter, cache = ctx.meter, ctx.cache
         with ctx.tracer.span(
@@ -357,28 +358,25 @@ class SpatialQueryExecutor:
             reason = strategy.refusal(ops)
             if reason is not None:
                 raise JoinError(reason)
-            filtered = strategy.filters(ctx.interval, ops.theta)
-            if filtered:
+            if strategy.filters(ctx.interval, ops.theta):
                 refiner = self._interval_filter(ctx.interval, ops)
                 span.set_tag("interval", refiner.spec.level)
                 ctx = replace(ctx, refiner=refiner)
             epoch_r = ops.rel_r.modification_count
             epoch_s = ops.rel_s.modification_count
-            cost_before = meter.total()
+            before = _counted(meter)
             result = strategy.run(ctx, ops)
             check_cancel(ctx.cancel)  # a post-deadline result must not be cached
             if cache is not None:
-                price = None
-                if plan is not None:
-                    model = strategy.model_in(plan.predicted_costs, filtered)
-                    if model is not None:
-                        price = plan.predicted_costs[model]
+                work = metered_work(
+                    strategy.name, _counted(meter, before),
+                    kinds=ops.kinds, rows=ops.rows, matches=len(result.pairs),
+                )
                 cache.admit_join(
                     *ops.positional,
                     strategy=strategy.name, result=result,
                     collect_tuples=ctx.collect_tuples,
-                    measured_cost=meter.total() - cost_before,
-                    predicted_cost=price,
+                    measured_cost=seconds(work),
                     epoch_r=epoch_r, epoch_s=epoch_s,
                 )
             return result
@@ -431,14 +429,14 @@ class SpatialQueryExecutor:
         The run's plan -- ``plan`` (a
         :class:`~repro.core.optimizer.JoinPlan`) when the caller passes
         one, else the plan behind ``auto``'s pick -- enables
-        model-vs-measured drift detection: the winning attempt's metered
-        total is compared against the cost formula that prices the
-        strategy which actually ran -- its ``<model>+INT`` prediction
-        when that attempt ran the interval filter -- and the resulting
+        model-vs-measured drift detection: the seconds of the winning
+        attempt's metered work are compared with the seconds the plan
+        predicted for the strategy which actually ran -- its
+        ``<strategy>+INT`` prediction when that attempt ran the interval
+        filter -- and the resulting
         :class:`~repro.obs.drift.DriftReport` is attached to the
-        execution report (``report.drift``).  With a cache attached the
-        same per-attempt price drives admission.  An explicit strategy
-        with no ``plan`` reports no drift.
+        execution report (``report.drift``).  An explicit strategy with
+        no ``plan`` reports no drift.
 
         ``cancel`` is re-checked before every attempt of the chain, and
         :class:`~repro.errors.QueryCancelled` /
@@ -468,8 +466,7 @@ class SpatialQueryExecutor:
         operands, and when that dies on a storage failure it is recorded
         as a failed ``auto`` attempt and the chain starts at its first
         fallback link.  The run has one plan, the caller's or else
-        ``auto``'s: it prices every attempt's cache admission and the
-        winner's drift.
+        ``auto``'s: it prices the winner's drift.
         """
         meter = ctx.meter
         fault_plan = self._fault_plan_for(ops.rel_r, ops.rel_s)
@@ -494,9 +491,7 @@ class SpatialQueryExecutor:
             attempt_meter = CostMeter(charges=meter.charges)
             failure: StorageError | None = None
             try:
-                result = self._attempt(
-                    replace(ctx, meter=attempt_meter), ops, strategy, plan,
-                )
+                result = self._attempt(replace(ctx, meter=attempt_meter), ops, strategy)
             except StorageError as exc:
                 failure = exc
             meter.absorb(attempt_meter)
@@ -534,8 +529,12 @@ class SpatialQueryExecutor:
             # Drift compares the model against a *measured execution*;
             # a cache hit measured ~zero by design, which is savings,
             # not model drift -- cached runs are skipped.
+            work = metered_work(
+                winner.name, report.attempts[-1].stats,
+                kinds=ops.kinds, rows=ops.rows, matches=len(result.pairs),
+            )
             report.drift = drift_from_plan(
-                plan, winner.name, report.attempts[-1].stats.get("total", 0.0),
+                plan, winner.name, seconds(work),
                 interval=winner.filters(ctx.interval, ops.theta),
                 query=report.query,
             )
@@ -643,7 +642,7 @@ class SpatialQueryExecutor:
             interval=interval,
         ))
         ctx = replace(ctx, interval=plan.interval_spec if plan.use_interval else False)
-        return ctx, lookup(JOIN_STRATEGIES, executable_strategy(plan), "join"), plan
+        return ctx, lookup(JOIN_STRATEGIES, plan.strategy, "join"), plan
 
     def _interval_filter(self, interval, ops: JoinOperands):
         """A fresh :class:`~repro.intermediate.filter.IntervalFilter` for
@@ -669,6 +668,16 @@ class SpatialQueryExecutor:
         tables = dict(approximation_table(ops.rel_r, ops.column_r, spec))
         tables.update(approximation_table(ops.rel_s, ops.column_s, spec))
         return IntervalFilter(ops.theta, spec, tables)
+
+
+def _counted(meter: CostMeter, since: dict[str, int] | None = None) -> dict[str, int]:
+    """The counters :func:`~repro.core.strategies.metered_work` reads, as
+    ``meter`` holds them now -- or their growth ``since`` an earlier
+    reading, which is one run's on a meter shared across calls."""
+    now = {name: getattr(meter, name) for name in METERED_COUNTERS}
+    if since is None:
+        return now
+    return {name: count - since[name] for name, count in now.items()}
 
 
 def _probe(ctx: ExecContext, span, probe, *query, **key):

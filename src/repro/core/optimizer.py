@@ -3,17 +3,17 @@
 The comparative study (Section 4.5) tells a query optimizer exactly what
 it needs: given a selectivity, which strategy is cheapest?  This module
 closes the loop -- it estimates the selectivity from the actual data by
-sampling, instantiates the Section 4 cost formulas at the *actual*
-relation geometry (tree height and fan-out read off the attached index,
-page arithmetic off the relation), and ranks the applicable strategies
-by the *seconds* their predicted work takes under the measured profile
-(:mod:`repro.costmodel.profile`).  Table 3's units, in which the 1993
-study ranks, are kept beside them: drift detection and cache admission
-compare them with metered totals.
+sampling, fits the Section 4 model parameters to the *actual* relation
+geometry (tree height and fan-out read off the attached index, page
+arithmetic off the relation), has each applicable strategy predict the
+work it would do, and ranks the strategies by the *seconds* that work
+takes under the measured profile (:mod:`repro.costmodel.profile`).
+Seconds are the plan's only unit: Table 3's, in which the 1993 study
+ranks, stay in :mod:`repro.costmodel` for the paper's figures.
 
 ``format_explain`` returns the full decision record: the estimate, each
-strategy's predicted seconds and cost, and the pick -- so callers can
-audit a choice the way they would read an EXPLAIN plan.
+strategy's predicted seconds, and the pick -- so callers can audit a
+choice the way they would read an EXPLAIN plan.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.costmodel.estimation import (
     sample_interval_resolution,
     sample_join_selectivity,
 )
-from repro.costmodel.join_costs import with_interval_filter
 from repro.costmodel.parameters import ModelParameters
 from repro.costmodel.profile import MEASURED_PROFILE, seconds
 from repro.predicates.theta import Overlaps, ThetaOperator
@@ -53,21 +52,18 @@ INTERVAL_SAMPLE_PAIRS = 200
 class JoinPlan:
     """The optimizer's decision record for one join."""
 
-    #: The model with the least ``predicted_seconds``.
+    #: The strategy with the least ``predicted_seconds``.
     strategy: str
     estimate: SelectivityEstimate
     parameters: ModelParameters
-    #: Each model's cost in Table 3's units (what drift and admission
-    #: compare with a metered total).
-    predicted_costs: dict[str, float] = field(default_factory=dict)
     #: Whether the raster-interval second tier is predicted to pay for
-    #: the chosen strategy (its ``<model>+INT`` entry beats the base).
+    #: the chosen strategy (its ``<strategy>+INT`` entry beats the base).
     use_interval: bool = False
     #: The sampled resolution estimate the decision was based on.
     interval_resolution: IntervalResolutionEstimate | None = None
     #: The grid the filter would rasterize on (an ``IntervalSpec``).
     interval_spec: object | None = None
-    #: Each model's predicted work by kind (``repro.costmodel.profile``).
+    #: Each strategy's predicted work by kind (``repro.costmodel.profile``).
     predicted_work: dict[str, dict[str, float]] = field(default_factory=dict)
     #: ``predicted_work`` under the measured profile: the ranking.
     predicted_seconds: dict[str, float] = field(default_factory=dict)
@@ -79,13 +75,11 @@ class JoinPlan:
             f"std err {self.estimate.std_error:.1e})",
             f"model: n={self.parameters.n} k={self.parameters.k} "
             f"N={self.parameters.N} m={self.parameters.m}",
-            "predicted seconds, and costs in Table 3 units:",
+            "predicted seconds:",
         ]
         for name, secs in sorted(self.predicted_seconds.items(), key=lambda kv: kv[1]):
             marker = "  -> " if name == self.strategy else "     "
-            lines.append(
-                f"{marker}{name:12s} {secs:12.6f} s {self.predicted_costs[name]:16.1f}"
-            )
+            lines.append(f"{marker}{name:20s} {secs:12.6f} s")
         if self.interval_resolution is not None:
             res = self.interval_resolution
             lines.append(
@@ -151,15 +145,16 @@ def plan_join(
     entry of :data:`~repro.core.strategies.JOIN_STRATEGIES` prices
     itself: the tree strategies require indices on both columns, the
     index nested loops one, the join-index strategy requires
-    ``join_index_available``, and the partition-parallel sweep
-    (``D_PAR``, whose Table-3 cost is predicted at ``workers`` workers)
-    requires the ``overlaps`` operator.  Each price is a cost in Table 3's
-    units (``predicted_costs``) and the work behind it
-    (``predicted_work``); ``plan.strategy`` is the model whose work takes
-    the fewest seconds under the measured profile
+    ``join_index_available``, and the partition-parallel sweep requires
+    the ``overlaps`` operator.  Each price is the work the strategy is
+    predicted to do (``predicted_work``, keyed by strategy name);
+    ``plan.strategy`` is the strategy whose work takes the fewest
+    seconds under the measured profile
     (:data:`~repro.costmodel.profile.MEASURED_PROFILE`,
     ``predicted_seconds``), under the :data:`DISTRIBUTION` the study
     assumes when nothing is known about the operator's locality.
+    ``workers`` is accepted for the callers that size the sweep's grid
+    by it; the sweep runs in one process, so no price depends on it.
 
     ``interval`` asks the planner to also weigh the raster-interval
     second tier: pass an
@@ -167,9 +162,8 @@ def plan_join(
     data-fitted default grid).  The planner samples how many candidate
     pairs the intervals resolve outright
     (:func:`~repro.costmodel.estimation.estimate_interval_resolution`),
-    adds a ``<model>+INT`` predicted cost and work per filter-capable
-    strategy (:func:`~repro.costmodel.join_costs.with_interval_filter`,
-    :func:`interval_work`) and sets ``plan.use_interval`` when the chosen
+    adds a ``<strategy>+INT`` predicted work per filter-capable strategy
+    (:func:`interval_work`) and sets ``plan.use_interval`` when the chosen
     strategy's filtered variant takes fewer seconds.  The base ranking --
     and thus ``plan.strategy`` -- is computed exactly as without
     ``interval``.  One rule runs the verdict: the executor's ``auto``
@@ -195,15 +189,10 @@ def plan_join(
         rel_r, column_r, rel_s, column_s, theta,
         join_index=join_index_available or None,
     )
-    costs: dict[str, float] = {}
-    work: dict[str, dict[str, float]] = {}
-    filterable: list[str] = []
-    for strategy in applicable(ops):
-        priced = strategy.price(ops, dist, workers)
-        for name, price in priced.items():
-            costs[name], work[name] = price
-        if strategy.interval:
-            filterable += priced
+    work = {
+        strategy.name: strategy.price(ops, dist)
+        for strategy in applicable(ops) if strategy.price is not None
+    }
     best = rank(work)
 
     use_interval = False
@@ -223,13 +212,7 @@ def plan_join(
             resolution.mbr_fraction * float(len(rel_r)) * float(len(rel_s))
         )
         build_objects = float(len(rel_r) + len(rel_s))
-        for name in filterable:
-            costs[name + INTERVAL_SUFFIX] = with_interval_filter(
-                costs[name], params,
-                candidates=candidates,
-                resolve_fraction=resolution.resolve_fraction,
-                build_objects=build_objects,
-            )
+        for name in [name for name in work if JOIN_STRATEGIES[name].interval]:
             work[name + INTERVAL_SUFFIX] = interval_work(
                 work[name], candidates=candidates,
                 resolve_fraction=resolution.resolve_fraction,
@@ -242,7 +225,6 @@ def plan_join(
         strategy=best,
         estimate=estimate,
         parameters=params,
-        predicted_costs=costs,
         use_interval=use_interval,
         interval_resolution=resolution,
         interval_spec=spec,
@@ -255,8 +237,8 @@ def rank(
     work: Mapping[str, Mapping[str, float]],
     profile: Mapping[str, float] = MEASURED_PROFILE,
 ) -> str:
-    """The model whose predicted ``work`` takes the fewest seconds under
-    ``profile``: ``plan_join``'s pick.  ``<model>+INT`` entries are not
+    """The strategy whose predicted ``work`` takes the fewest seconds
+    under ``profile``: ``plan_join``'s pick.  ``<strategy>+INT`` entries are not
     ranked -- the interval tier is weighed for the pick afterwards, it
     is no strategy of its own."""
     return min(
@@ -274,9 +256,7 @@ def interval_work(
 ) -> dict[str, float]:
     """``base`` with the raster-interval tier threaded in: every
     candidate pair is probed, every object approximated once, and the
-    resolved share of the refinements is saved
-    (:func:`~repro.costmodel.join_costs.interval_filter_delta`'s three
-    terms, as work)."""
+    resolved share of the refinements is saved."""
     work = {
         kind: count * (1.0 - resolve_fraction) if kind.startswith("exact.") else count
         for kind, count in base.items()
@@ -288,6 +268,4 @@ def interval_work(
 
 def executable_strategy(plan: JoinPlan) -> str:
     """The :class:`SpatialQueryExecutor` strategy name for a plan."""
-    return next(
-        s.name for s in JOIN_STRATEGIES.values() if plan.strategy in s.models
-    )
+    return plan.strategy

@@ -1,13 +1,20 @@
 """The join-strategy registry and the per-query execution context.
 
 The paper's comparative study (Sections 4.4-4.5) treats a join strategy
-as one thing: an algorithm, the operands it applies to, and one cost
-formula ``D_*``.  :data:`JOIN_STRATEGIES` holds exactly that, one
+as one thing: an algorithm, the operands it applies to, and what it
+costs.  :data:`JOIN_STRATEGIES` holds exactly that, one
 :class:`JoinStrategy` per algorithm, and every consumer -- executor
-dispatch and fallback chain, the planner's ``predicted_costs``, the
-drift detector's model lookup, the strategy comparison and the CLI's
+dispatch and fallback chain, the planner's ``predicted_seconds``, the
+drift detector's lookup, the strategy comparison and the CLI's
 ``--strategy`` choices -- reads the table.  Adding a strategy is adding
 an entry here.
+
+A strategy's ``price`` is the *work* it is predicted to do, by kind
+(:data:`~repro.costmodel.profile.WORK_KINDS`); :func:`metered_work` is
+the same vector read off a run's meter.  The measured profile turns
+both into seconds, the one unit every runtime price is in: the plan's
+ranking, cache admission and drift.  Table 3's units stay in
+:mod:`repro.costmodel`, where they draw the paper's figures.
 
 Strategies know nothing of caching, tracing spans around them, fallback
 or sharding: ``run(ctx, operands)`` unpacks the :class:`ExecContext`
@@ -17,19 +24,12 @@ into the keywords its kernel takes and returns the kernel's result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping
 
 from repro.core.cancel import CancellationToken
 from repro.costmodel.distributions import Distribution
 from repro.costmodel.estimation import sample_select_evals
-from repro.costmodel.join_costs import (
-    d_join_index,
-    d_nested_loop,
-    d_partition,
-    d_tree_clustered,
-    d_tree_unclustered,
-    join_index_ios,
-)
+from repro.costmodel.join_costs import join_index_ios
 from repro.costmodel.profile import predicate_kinds
 from repro.errors import JoinError
 from repro.join.accessor import RelationAccessor
@@ -49,8 +49,8 @@ from repro.relational.relation import Relation
 from repro.storage.buffer import BufferPool
 from repro.storage.costs import CostMeter
 
-#: Suffix of the ``predicted_costs`` entry that prices a model *with* the
-#: raster-interval tier's probe/build/save delta (``D_PAR+INT``).
+#: Suffix of the ``predicted_work`` entry that prices a strategy *with*
+#: the raster-interval tier threaded in (``partition+INT``).
 INTERVAL_SUFFIX = "+INT"
 
 
@@ -112,6 +112,19 @@ class JoinOperands:
             f"{self.rel_s.name}.{self.column_s}"
         )
 
+    @property
+    def rows(self) -> tuple[int, int]:
+        return len(self.rel_r), len(self.rel_s)
+
+    @property
+    def kinds(self) -> tuple[str, str]:
+        """The ``(exact, pair)`` work kinds of these operands' predicate."""
+        return predicate_kinds(
+            self.theta,
+            self.rel_r.schema.column(self.column_r).type,
+            self.rel_s.schema.column(self.column_s).type,
+        )
+
     def universe(self):
         """Union of both columns' MBRs, off each operand's retained
         snapshot (a metered scan only for an operand nothing has read
@@ -137,30 +150,13 @@ class JoinStrategy:
     interval: bool = False
     #: A link of the storage-failure fallback chain, tried in table order.
     fallback: bool = False
-    #: Section-4 model names ``price`` may emit, preferred first.
-    models: tuple[str, ...] = ()
-    #: ``(operands, distribution, workers) -> {model name: Price}``.
-    price: Callable[[JoinOperands, Distribution, int], dict[str, "Price"]] = (
-        lambda ops, dist, workers: {}
-    )
+    #: ``(operands, distribution) -> predicted work by kind``; ``None``
+    #: for a strategy the planner never picks.
+    price: Callable[[JoinOperands, Distribution], dict[str, float]] | None = None
 
     def filters(self, interval: Any, theta: ThetaOperator) -> bool:
         """Does a run under this second-tier setting thread the refiner?"""
         return bool(interval) and self.interval and isinstance(theta, Overlaps)
-
-    def model_in(self, predicted_costs: Mapping[str, float], interval: bool) -> str | None:
-        """The entry of a plan's ``predicted_costs`` that prices a run.
-
-        A run that threaded the interval refiner is held to the
-        ``<model>+INT`` prediction -- the cost of the path that executed
-        -- and to the base formula when the plan never priced the filter.
-        """
-        for model in self.models:
-            if interval and model + INTERVAL_SUFFIX in predicted_costs:
-                return model + INTERVAL_SUFFIX
-            if model in predicted_costs:
-                return model
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -254,50 +250,69 @@ def _run_join_index(ctx: ExecContext, ops: JoinOperands) -> JoinResult:
 
 
 # ----------------------------------------------------------------------
-# Prices: Table 3 units and the work the profile turns into seconds
+# Work: predicted by each strategy's price, counted by a run's meter
 # ----------------------------------------------------------------------
 
-class Price(NamedTuple):
-    """One model's prediction for a run.
+#: The meter counters :func:`metered_work` reads.
+METERED_COUNTERS = ("page_reads", "theta_filter_evals", "theta_exact_evals", "interval_probes")
 
-    ``units`` is the Section-4 cost in Table 3's units, which drift
-    detection and cache admission compare with the metered total;
-    ``work`` is the predicted work by kind
-    (:data:`~repro.costmodel.profile.WORK_KINDS`), which the measured
-    profile turns into the seconds the planner ranks by.
+
+def metered_work(
+    strategy: str,
+    counted: Mapping[str, float],
+    *,
+    kinds: tuple[str, str],
+    rows: tuple[int, int],
+    matches: int,
+) -> dict[str, float]:
+    """What a run of ``strategy`` did, as work kinds: the profile's fit
+    regresses wall time on it, and cache admission and drift price it in
+    seconds.
+
+    ``counted`` holds the run's meter counters (a
+    :meth:`~repro.storage.costs.CostMeter.snapshot`, or the growth of
+    the counters over the run); ``kinds`` are the operands' ``(exact,
+    pair)`` kinds, ``rows`` their ``(|R|, |S|)`` and ``matches`` the
+    answer's size.  A selection is read the same way: a tree traversal
+    as ``tree``, a scan as ``scan``.
     """
-
-    units: float
-    work: dict[str, float]
-
-
-def _kinds(ops: JoinOperands) -> tuple[str, str]:
-    """The ``(exact, pair)`` work kinds of these operands' predicate."""
-    return predicate_kinds(
-        ops.theta,
-        ops.rel_r.schema.column(ops.column_r).type,
-        ops.rel_s.schema.column(ops.column_s).type,
-    )
+    exact, pair = kinds
+    work = {"io": float(counted.get("page_reads", 0))}
+    if strategy == "scan":
+        # Every pair is tested; the matching ones run the full test.
+        work[pair] = float(counted.get("theta_exact_evals", 0))
+        work[exact] = float(matches)
+        return work
+    work[exact] = float(counted.get("theta_exact_evals", 0))
+    work["interval_probe"] = float(counted.get("interval_probes", 0))
+    if strategy == "partition":
+        work["sweep_row"] = float(sum(rows))
+        work["sweep_pair"] = float(
+            counted.get("interval_probes", 0) or counted.get("theta_exact_evals", 0)
+        )
+        return work
+    work["theta"] = float(counted.get("theta_filter_evals", 0))
+    if strategy == "index-nl":
+        work["probe"] = float(rows[1])
+    elif strategy == "index-nl-swapped":
+        work["probe"] = float(rows[0])
+    return work
 
 
 def _refinements(ops: JoinOperands, dist: Distribution) -> dict[str, float]:
     """The exact refinements of a filter-and-refine run: one per
     expected match of the ``|R| x |S|`` pairs."""
-    return {_kinds(ops)[0]: dist.params.p * len(ops.rel_r) * len(ops.rel_s)}
+    return {ops.kinds[0]: dist.params.p * len(ops.rel_r) * len(ops.rel_s)}
 
 
-def _price_partition(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str, Price]:
+def _price_partition(ops: JoinOperands, dist: Distribution) -> dict[str, float]:
     # Both column snapshots were just read by the planner's sampler, so
     # the join finds them as buffer hits: no page is read.
-    rows = (len(ops.rel_r), len(ops.rel_s))
     refine = _refinements(ops, dist)
-    return {"D_PAR": Price(
-        d_partition(dist.params, rows, workers),
-        {"sweep_row": float(sum(rows)), "sweep_pair": sum(refine.values()), **refine},
-    )}
+    return {"sweep_row": float(sum(ops.rows)), "sweep_pair": sum(refine.values()), **refine}
 
 
-def _price_tree(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str, Price]:
+def _price_tree(ops: JoinOperands, dist: Distribution) -> dict[str, float]:
     # Counted on the actual trees, not the fitted full tree (whose count
     # is ~10x low at 100 rows).  Algorithm JOIN tests a pair of nodes
     # once for both its sides, where an index nested loop tests each node
@@ -306,26 +321,23 @@ def _price_tree(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str
     # within 0.75-1.4x on the calibration's rectangles and 12-gons of
     # 100-3,000 rows (EXPERIMENTS.md), 0.6x on denser data.  Each
     # relation's pages are read once, as the index nested loops read them.
-    work = {
+    return {
         "theta": (_probe_evals(ops, False) + _probe_evals(ops, True)) / 4.0,
         "io": float(ops.rel_r.num_pages + ops.rel_s.num_pages),
         **_refinements(ops, dist),
     }
-    if ops.rel_r.is_clustered and ops.rel_s.is_clustered:
-        return {"D_IIb": Price(d_tree_clustered(dist), work)}
-    return {"D_IIa": Price(d_tree_unclustered(dist), work)}
 
 
-def _price_scan(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str, Price]:
+def _price_scan(ops: JoinOperands, dist: Distribution) -> dict[str, float]:
     # The blocked loop as it runs: every pair of the actual operands
     # tested, the matching ones in full, R read once in (M-10)-page
     # chunks and S once per chunk.
     chunks = -(-ops.rel_r.num_pages // (dist.params.big_m - 10))
-    return {"D_I": Price(d_nested_loop(dist.params), {
-        _kinds(ops)[1]: float(len(ops.rel_r) * len(ops.rel_s)),
+    return {
+        ops.kinds[1]: float(len(ops.rel_r) * len(ops.rel_s)),
         **_refinements(ops, dist),
         "io": float(ops.rel_r.num_pages + chunks * ops.rel_s.num_pages),
-    })}
+    }
 
 
 def _probe_evals(ops: JoinOperands, swapped: bool) -> float:
@@ -351,25 +363,23 @@ def _probe_evals(ops: JoinOperands, swapped: bool) -> float:
     return inner.derive_with(key, outer, count)
 
 
-def _price_index_nl(model: str, swapped: bool):
+def _price_index_nl(swapped: bool):
     """Section 4.3's index-supported join: one tree selection per tuple
     of the scanned relation (S, or R when ``swapped``) on the other's
     tree (:func:`_probe_evals`); both relations' pages are read once
     (the probes' pages stay in the pool)."""
-    def price(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str, Price]:
-        params = dist.params
-        probes = float(len(ops.rel_r if swapped else ops.rel_s))
-        evals = _probe_evals(ops, swapped)
-        pages = float(ops.rel_r.num_pages + ops.rel_s.num_pages)
-        return {model: Price(
-            evals * params.c_theta + pages * params.c_io,
-            {"probe": probes, "theta": evals, "io": pages, **_refinements(ops, dist)},
-        )}
+    def price(ops: JoinOperands, dist: Distribution) -> dict[str, float]:
+        return {
+            "probe": float(len(ops.rel_r if swapped else ops.rel_s)),
+            "theta": _probe_evals(ops, swapped),
+            "io": float(ops.rel_r.num_pages + ops.rel_s.num_pages),
+            **_refinements(ops, dist),
+        }
     return price
 
 
-def _price_join_index(ops: JoinOperands, dist: Distribution, workers: int) -> dict[str, Price]:
-    return {"D_III": Price(d_join_index(dist), {"io": join_index_ios(dist)})}
+def _price_join_index(ops: JoinOperands, dist: Distribution) -> dict[str, float]:
+    return {"io": join_index_ios(dist)}
 
 
 #: Every join algorithm, keyed by its executor name.  Table order is the
@@ -388,16 +398,14 @@ JOIN_STRATEGIES: dict[str, JoinStrategy] = {s.name: s for s in (
             "'overlaps' operator only (its plane-sweep filter is "
             "MBR intersection)"
         ),
-        interval=True, fallback=True, models=("D_PAR",),
-        price=_price_partition,
+        interval=True, fallback=True, price=_price_partition,
     ),
     JoinStrategy(
         "tree", _run_tree,
         refusal=lambda ops: (
             _no_index(ops.rel_r, ops.column_r) or _no_index(ops.rel_s, ops.column_s)
         ),
-        interval=True, fallback=True, models=("D_IIb", "D_IIa"),
-        price=_price_tree,
+        interval=True, fallback=True, price=_price_tree,
     ),
     JoinStrategy(
         "zorder", _run_zorder,
@@ -407,22 +415,20 @@ JOIN_STRATEGIES: dict[str, JoinStrategy] = {s.name: s for s in (
         ),
         interval=True, fallback=True,
     ),
-    JoinStrategy(
-        "scan", _run_scan, fallback=True, models=("D_I",), price=_price_scan,
-    ),
+    JoinStrategy("scan", _run_scan, fallback=True, price=_price_scan),
     JoinStrategy(
         "index-nl", _run_index_nl,
         refusal=lambda ops: _no_index(ops.rel_r, ops.column_r),
-        models=("D_INL",), price=_price_index_nl("D_INL", swapped=False),
+        price=_price_index_nl(swapped=False),
     ),
     JoinStrategy(
         "index-nl-swapped", _run_index_nl_swapped,
         refusal=lambda ops: _no_index(ops.rel_s, ops.column_s),
-        models=("D_INL'",), price=_price_index_nl("D_INL'", swapped=True),
+        price=_price_index_nl(swapped=True),
     ),
     JoinStrategy(
         "join-index", _run_join_index, refusal=_unregistered,
-        models=("D_III",), price=_price_join_index,
+        price=_price_join_index,
     ),
 )}
 
@@ -438,7 +444,7 @@ def strategy_for_label(label: str) -> JoinStrategy | None:
     Router labels carry the shard count in a bracket suffix and a
     ``shard-`` prefix (``"shard-partition[3]"``): a sharded join is the
     same grid-partition sweep with the grid spread across workers, and
-    its formula prices the *fleet-merged* meter, which the
+    its price holds for the *fleet-merged* meter, which the
     reference-point rule keeps invariant under the split.
     """
     return JOIN_STRATEGIES.get(label.split("[")[0].removeprefix("shard-"))

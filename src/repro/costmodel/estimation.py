@@ -162,8 +162,8 @@ def estimate_interval_resolution(
     estimator), keeps the MBR-intersecting ones as Theta-candidates and
     classifies each on ``spec``'s grid
     (:func:`~repro.intermediate.approx.classify`).  The resolve fraction
-    feeds :func:`~repro.costmodel.join_costs.interval_filter_delta`,
-    letting ``plan_join`` decide per query whether the second tier pays.
+    feeds :func:`~repro.core.optimizer.interval_work`, letting
+    ``plan_join`` decide per query whether the second tier pays.
     """
     return sample_interval_resolution(
         column_snapshot(rel_r, column_r).geoms,

@@ -29,80 +29,6 @@ def d_nested_loop(params: ModelParameters) -> float:
     )
 
 
-def d_partition(params: ModelParameters, rows: tuple[int, int], workers: int = 1) -> float:
-    """``D_PAR`` (beyond the paper): grid-partitioned parallel plane sweep
-    over ``rows = (|R|, |S|)`` tuples.
-
-    The sweep's sorted merge (``2n log2(2n)`` advance steps) plus the
-    expected ``p * |R| * |S|`` candidate filter/refinement pairs, divided
-    across ``workers`` since the tiles are independent.  No page is
-    read: the planner has just read both column snapshots, which the
-    join then finds as buffer hits.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    n_r, n_s = rows
-    n = float(n_r + n_s)
-    pairs = params.p * float(n_r) * float(n_s)
-    return (n * math.log2(n + 1.0) + pairs) * params.c_theta / workers
-
-
-def interval_filter_delta(
-    params: ModelParameters,
-    *,
-    candidates: float,
-    resolve_fraction: float,
-    build_objects: float,
-    cells_per_object: float = 16.0,
-) -> float:
-    """Cost delta of the raster-interval second tier (beyond the paper).
-
-    The filter inserts itself between the Theta-filter and exact
-    refinement: every surviving candidate pair pays one interval probe
-    (``C_interval``), every approximated object pays a one-off build
-    charge proportional to its cell-interval count, and the fraction of
-    candidates the intervals resolve outright (sure hit or sure miss)
-    saves its exact evaluation:
-
-    ``Delta = candidates * C_interval
-              + build_objects * cells_per_object * C_interval
-              - resolve_fraction * candidates * C_Theta``
-
-    Negative delta means the filter pays for itself; ``plan_join``
-    enables it per query on that sign.
-    """
-    if not 0.0 <= resolve_fraction <= 1.0:
-        raise ValueError(
-            f"resolve_fraction must be in [0, 1], got {resolve_fraction}"
-        )
-    if candidates < 0 or build_objects < 0 or cells_per_object < 0:
-        raise ValueError("candidates, build_objects and cells_per_object "
-                         "must be non-negative")
-    probe = candidates * params.c_interval
-    build = build_objects * cells_per_object * params.c_interval
-    saved = resolve_fraction * candidates * params.c_theta
-    return probe + build - saved
-
-
-def with_interval_filter(
-    base_cost: float,
-    params: ModelParameters,
-    *,
-    candidates: float,
-    resolve_fraction: float,
-    build_objects: float,
-    cells_per_object: float = 16.0,
-) -> float:
-    """A strategy's predicted cost with the interval tier switched on."""
-    return base_cost + interval_filter_delta(
-        params,
-        candidates=candidates,
-        resolve_fraction=resolve_fraction,
-        build_objects=build_objects,
-        cells_per_object=cells_per_object,
-    )
-
-
 def d_tree_computation(dist: Distribution) -> float:
     """``D_II^Theta``: predicate evaluations of Algorithm JOIN.
 

@@ -12,8 +12,8 @@ Five pieces, all zero-dependency and all optional at every call site:
   join kernels publish into;
 * :mod:`repro.obs.flight` -- the bounded flight recorder of structured
   incident events (restarts, failovers, sheds, deadline hits);
-* :mod:`repro.obs.drift` -- predicted-vs-measured cost comparison with
-  the fitting module's log-space tolerance.
+* :mod:`repro.obs.drift` -- predicted-vs-measured seconds comparison
+  with the fitting module's log-space tolerance.
 """
 
 from repro.obs.context import TraceContext
@@ -24,7 +24,6 @@ from repro.obs.drift import (
     drift_from_measurements,
     drift_from_plan,
     log_error,
-    model_for_strategy,
 )
 from repro.obs.flight import DEFAULT_CAPACITY, FlightEvent, FlightRecorder
 from repro.obs.metrics import (
@@ -67,7 +66,6 @@ __all__ = [
     "drift_from_measurements",
     "drift_from_plan",
     "log_error",
-    "model_for_strategy",
     "render_records",
     "sum_cost_self",
 ]

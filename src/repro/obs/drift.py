@@ -1,11 +1,13 @@
 """Model-vs-measured drift detection.
 
-The optimizer picks strategies from the Section 4 cost formulas; nothing
-so far verified that the formulas still track the engine they describe
-after three PRs of parallel, fault-injection and WAL machinery.  This
-module closes the loop: after an executed query, compare the cost the
-formula predicted (the number the strategy was *chosen by*) against the
-metered actuals, and flag disagreement beyond a threshold.
+The optimizer picks strategies by the seconds their predicted work
+takes under the measured profile; this module closes the loop: after an
+executed query, compare the seconds the plan predicted for the strategy
+that ran (the number it was *chosen by*) with the seconds of the work
+its meter counted (:func:`~repro.core.strategies.metered_work`), and
+flag disagreement beyond a threshold.  Both sides are priced by the
+same profile from deterministic counts, never by a wall clock, so a
+drift row reads the same on every run.
 
 The error metric is the one :mod:`repro.costmodel.fitting` already uses
 to score distributions against measured pi tables: the squared
@@ -42,32 +44,14 @@ def log_error(predicted: float, measured: float) -> float:
     ) ** 2
 
 
-def model_for_strategy(
-    strategy: str, predicted_costs: dict[str, float], interval: bool = False
-) -> str | None:
-    """The model formula in ``predicted_costs`` that prices ``strategy``.
-
-    ``strategy`` is an executor strategy name or a router label such as
-    ``"shard-partition[3]"``; the registry resolves both and declares
-    which formulas price each strategy.  ``interval`` says the run
-    threaded the raster-interval refiner, which prefers the matching
-    ``<model>+INT`` entry (see
-    :meth:`~repro.core.strategies.JoinStrategy.model_in`).
-    """
-    from repro.core.strategies import strategy_for_label
-
-    descriptor = strategy_for_label(strategy)
-    if descriptor is None:
-        return None
-    return descriptor.model_in(predicted_costs, interval)
-
-
 @dataclass(slots=True)
 class DriftRow:
-    """One strategy's predicted-vs-measured comparison."""
+    """One strategy's predicted-vs-measured comparison, in seconds."""
 
     strategy: str
-    model: str
+    #: The plan entry that priced the run: the strategy's name, with
+    #: ``+INT`` when the run threaded the interval tier.
+    priced: str
     predicted: float
     measured: float
     log_error: float
@@ -81,8 +65,8 @@ class DriftRow:
     def describe(self) -> str:
         flag = "DRIFT" if self.drifted else "ok"
         return (
-            f"{self.strategy:<12} {self.model:<6} "
-            f"predicted={self.predicted:14.1f} measured={self.measured:14.1f} "
+            f"{self.strategy:<12} {self.priced:<14} "
+            f"predicted={self.predicted:10.6f} s measured={self.measured:10.6f} s "
             f"x{self.ratio:8.3f} log-err={self.log_error:7.3f} [{flag}]"
         )
 
@@ -117,7 +101,7 @@ class DriftReport:
         ]
         lines += [f"  {r.describe()}" for r in self.rows]
         if not self.rows:
-            lines.append("  (no strategy with a model formula was measured)")
+            lines.append("  (no measured strategy was priced by the plan)")
         elif self.drifted:
             worst = self.worst
             lines.append(
@@ -132,7 +116,7 @@ class DriftReport:
 def drift_from_plan(
     plan: "JoinPlan",
     strategy: str,
-    measured_total: float,
+    measured: float,
     *,
     interval: bool = False,
     query: str = "",
@@ -142,13 +126,13 @@ def drift_from_plan(
 
     ``strategy`` is the executor strategy that actually ran (it may
     differ from the plan's pick after a fallback), ``interval`` whether
-    it ran the raster-interval tier; ``measured_total`` is the weighted
-    meter total of the winning attempt.  When the executed strategy has
-    no formula in the plan, the report has zero rows and never flags --
-    absence of a model is not drift.
+    it ran the raster-interval tier; ``measured`` is the seconds of the
+    winning attempt's metered work.  When the plan did not price the
+    executed strategy, the report has zero rows and never flags --
+    absence of a prediction is not drift.
     """
     return drift_from_measurements(
-        plan, [(strategy, measured_total)],
+        plan, [(strategy, measured)],
         interval=interval, query=query, threshold=threshold,
     )
 
@@ -161,22 +145,29 @@ def drift_from_measurements(
     query: str = "",
     threshold: float = DEFAULT_DRIFT_TOLERANCE,
 ) -> DriftReport:
-    """Drift rows for every measured strategy the plan can price.
+    """Drift rows for every measured strategy the plan priced.
 
-    ``measurements`` are ``(executor_strategy, measured_total)`` pairs --
-    exactly what a :class:`~repro.core.comparison.ComparisonReport`'s
-    rows provide.  Strategies without a formula are skipped.
+    ``measurements`` are ``(strategy, measured seconds)`` pairs; a
+    strategy is an executor name or a router label such as
+    ``"shard-partition[3]"``.  A run that threaded the interval tier is
+    held to the plan's ``<strategy>+INT`` prediction where the plan made
+    one.  Strategies the plan did not price are skipped.
     """
+    from repro.core.strategies import INTERVAL_SUFFIX, strategy_for_label
+
     report = DriftReport(query=query, threshold=threshold)
     for strategy, measured in measurements:
-        model = model_for_strategy(strategy, plan.predicted_costs, interval)
-        if model is None:
+        descriptor = strategy_for_label(strategy)
+        if descriptor is None or descriptor.name not in plan.predicted_seconds:
             continue
-        predicted = plan.predicted_costs[model]
+        priced = descriptor.name
+        if interval and priced + INTERVAL_SUFFIX in plan.predicted_seconds:
+            priced += INTERVAL_SUFFIX
+        predicted = plan.predicted_seconds[priced]
         err = log_error(predicted, measured)
         report.rows.append(DriftRow(
             strategy=strategy,
-            model=model,
+            priced=priced,
             predicted=predicted,
             measured=measured,
             log_error=err,

@@ -16,6 +16,8 @@ from repro.cache.keys import (
     window_monotone,
 )
 from repro.core.executor import SpatialQueryExecutor
+from repro.core.strategies import metered_work
+from repro.costmodel.profile import MEASURED_PROFILE, predicate_kinds, seconds
 from repro.errors import JoinError, RelationError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -26,7 +28,7 @@ from repro.predicates.theta import (
     Overlaps,
     WithinDistance,
 )
-from repro.storage.costs import CostMeter
+from repro.storage.costs import PAPER_CHARGES, CostMeter
 from repro.workloads.assembly import build_indexed_relation
 
 QUERY = Rect(100.0, 100.0, 400.0, 420.0)
@@ -254,6 +256,41 @@ def test_admission_threshold_rejects_cheap_queries(workload):
     assert cache.stats.rejections == 1
 
 
+def test_every_select_worth_one_c_io_is_admitted_in_seconds():
+    """The default threshold is one page read in seconds, and it admits
+    every tree select the Table 3 rule (one ``C_IO`` = 1000 units)
+    admitted: such a select read a page, or ran >= 500 Theta-filter
+    evaluations (each exact evaluation follows one), which take longer."""
+    import random
+
+    ir = build_indexed_relation(400, seed=3)
+    cache = QueryCache()
+    assert cache.policy.admission_threshold == MEASURED_PROFILE["io"]
+    executor = SpatialQueryExecutor(cache=cache)
+    kinds = predicate_kinds(Overlaps(), ir.relation.schema.column("shape").type)
+    rng = random.Random(36)
+    worth = 0
+    for _ in range(150):
+        x, y = rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)
+        side = rng.choice((2.0, 20.0, 200.0))
+        meter = CostMeter()
+        admitted = cache.stats.admissions
+        result = executor.select(
+            ir.relation, "shape", Rect(x, y, x + side, y + side), Overlaps(),
+            strategy="tree", meter=meter,
+        )
+        if meter.total() < PAPER_CHARGES.c_io:
+            continue
+        worth += 1
+        work = metered_work(
+            "tree", meter.snapshot(), kinds=kinds,
+            rows=(len(ir.relation), 1), matches=len(result.matches),
+        )
+        assert seconds(work) >= MEASURED_PROFILE["io"]
+        assert cache.stats.admissions == admitted + 1
+    assert worth >= 50
+
+
 def test_oversized_entry_is_refused_outright():
     policy = CachePolicy(byte_budget=1024, admission_threshold=0.0)
     assert not policy.admits(1e9, 2048)
@@ -290,7 +327,7 @@ def test_eviction_prefers_cheap_lru_entries():
     ir = build_indexed_relation(30, seed=5)
     from repro.join.result import SelectResult
 
-    # Three manual admissions with controlled predicted costs; entry
+    # Three manual admissions with controlled costs; entry
     # sizes are identical, so eviction order isolates the cost rule.
     for name, cost in (("a", 50.0), ("b", 5000.0), ("c", 70.0)):
         ok = cache.admit_select(
@@ -367,7 +404,7 @@ def test_drift_skips_cached_runs(workload):
     _, cold = executor.execute_join(*args, strategy="tree", plan=plan)
     assert cold.drift is not None
     warm_plan = plan_join(*args, memory_pages=4000)
-    assert warm_plan.predicted_costs["D_IIa"] > 0.0
+    assert warm_plan.predicted_seconds["tree"] > 0.0
     _, warm = executor.execute_join(*args, strategy="tree", plan=warm_plan)
     assert warm.cached == "exact"
     assert warm.drift is None

@@ -2,20 +2,20 @@
 
 When the requested strategy dies and the fallback chain executes a
 different one, the admitted cache entry must carry the *winning*
-attempt's strategy and, when a plan is supplied, the model price of
-that same strategy -- never the requested strategy's label or cost.
-An entry admitted under the wrong strategy key would miss on the next
-identical request; an entry priced with the wrong model would skew the
-cost-aware eviction policy.
+attempt's strategy and the seconds of that attempt's metered work --
+never the requested strategy's label or cost.  An entry admitted under
+the wrong strategy key would miss on the next identical request; an
+entry priced by the wrong run would skew the cost-aware eviction
+policy.
 """
 
 import pytest
 
 from repro.cache import QueryCache
 from repro.core import SpatialQueryExecutor
-from repro.core.optimizer import plan_join
+from repro.core.strategies import JoinOperands, metered_work
+from repro.costmodel.profile import seconds
 from repro.faults import FaultPlan, FaultyDisk
-from repro.obs.drift import model_for_strategy
 from repro.predicates.theta import Overlaps
 from repro.storage.costs import CostMeter
 from repro.workloads.assembly import build_indexed_relation
@@ -63,36 +63,26 @@ class TestAdmitAfterFallback:
         assert warm.strategy == "cached-exact"
         assert warm.pair_set() == cold.pair_set()
 
-    def test_predicted_cost_is_the_winning_strategys_model_price(self):
+    def test_cost_is_the_winning_attempts_metered_seconds(self):
         rel_r, rel_s, _ = faulted_pair(read_outages={0: 8})
         cache = QueryCache()
         executor = SpatialQueryExecutor(cache=cache)
-        # Planned on a twin pair: planning the faulted one would retain
-        # its column snapshots, and a partition attempt that finds them
-        # never reads page 0 -- so never dies and never falls back.
-        twin_r, twin_s, _ = faulted_pair()
-        plan = plan_join(
-            twin_r, "shape", twin_s, "shape", Overlaps(),
-            memory_pages=executor.memory_pages, workers=executor.workers,
-        )
-        _, report = executor.execute_join(
-            rel_r, "shape", rel_s, "shape", Overlaps(),
-            strategy="partition", plan=plan,
+        result, report = executor.execute_join(
+            rel_r, "shape", rel_s, "shape", Overlaps(), strategy="partition"
         )
         assert report.strategy == "tree"
         (entry,) = cache.entries()
-        tree_model = model_for_strategy("tree", plan.predicted_costs)
-        partition_model = model_for_strategy(
-            "partition", plan.predicted_costs
-        )
-        assert entry.predicted_cost == plan.predicted_costs[tree_model]
-        if partition_model is not None:
-            assert (
-                entry.predicted_cost
-                != pytest.approx(plan.predicted_costs[partition_model])
-                or plan.predicted_costs[tree_model]
-                == plan.predicted_costs[partition_model]
-            )
+        ops = JoinOperands(rel_r, "shape", rel_s, "shape", Overlaps())
+        failed, won = report.attempts
+
+        def priced(strategy, attempt):
+            return seconds(metered_work(
+                strategy, attempt.stats,
+                kinds=ops.kinds, rows=ops.rows, matches=len(result.pairs),
+            ))
+
+        assert entry.cost == priced("tree", won)
+        assert entry.cost != priced("partition", failed)
 
     def test_clean_run_admits_under_the_requested_strategy(self):
         rel_r, rel_s, _ = faulted_pair()

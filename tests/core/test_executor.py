@@ -4,14 +4,13 @@ import pytest
 
 import repro.core.executor as executor_module
 from repro.cache import QueryCache
-from repro.cache.policy import DEFAULT_ADMISSION_THRESHOLD
 from repro.core.executor import SpatialQueryExecutor
 from repro.core.optimizer import executable_strategy, plan_join
 from repro.errors import JoinError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.predicates.theta import NorthwestOf, Overlaps, WithinDistance
-from repro.storage.costs import CostMeter
+from repro.storage.costs import PAPER_CHARGES, CostMeter
 
 from tests import oracle
 from tests.join.conftest import (
@@ -163,7 +162,7 @@ class TestAutoPick:
             )
             _, report = executor.execute_join(rel_r, "shape", rel_s, "shape", theta)
             assert report.strategy == executable_strategy(plan)
-            assert report.drift.row(report.strategy).model in plan.predicted_costs
+            assert report.drift.row(report.strategy).priced == plan.strategy
 
     def test_the_pick_is_planned_once_per_epoch(self, executor, monkeypatch):
         """A repeat of an ``auto`` join -- a cache hit above all -- does
@@ -202,17 +201,18 @@ class TestAutoPick:
             executor.plan_and_execute_join(rel_r, "shape", rel_s, "shape", Overlaps())
         assert len(planned) == 5
 
-    def test_auto_admission_is_priced_by_its_plan(self):
-        """A warm partition sweep reads no page, so its metered cost falls
-        under the one-``C_IO`` admission threshold; an ``auto`` join is a
-        planned join, and its plan's ``D_PAR`` price admits it."""
-        rel_r = make_rect_relation("r", 100, seed=120)
-        rel_s = make_rect_relation("s", 100, seed=121)
+    def test_a_cold_small_auto_join_is_cached(self):
+        """Admission prices a run by the seconds of its metered work.  A
+        cold 60-row ``auto`` join meters under one ``C_IO`` in Table 3's
+        units, yet its sweep takes longer than one page read, so a
+        default cache admits it and serves the repeat."""
+        rel_r = make_rect_relation("r", 60, seed=120)
+        rel_s = make_rect_relation("s", 60, seed=121)
         executor = SpatialQueryExecutor(cache=QueryCache())
         meter = CostMeter()
         first = executor.join(rel_r, "shape", rel_s, "shape", Overlaps(), meter=meter)
         assert first.strategy == "partition-sweep"
-        assert meter.total() < DEFAULT_ADMISSION_THRESHOLD
+        assert meter.total() < PAPER_CHARGES.c_io
         again = executor.join(rel_r, "shape", rel_s, "shape", Overlaps())
         assert again.strategy == "cached-exact"
         assert again.pair_set() == first.pair_set()

@@ -1,16 +1,15 @@
-"""The interval tier's planning surface: cost delta, sampling, plan, drift."""
+"""The interval tier's planning surface: charge, sampling, plan, drift."""
 
 import pytest
 
 from repro.core.executor import SpatialQueryExecutor
 from repro.core.optimizer import plan_join
 from repro.costmodel.estimation import estimate_interval_resolution
-from repro.costmodel.join_costs import interval_filter_delta, with_interval_filter
 from repro.costmodel.parameters import ModelParameters
 from repro.errors import CostModelError
 from repro.geometry.rect import Rect
 from repro.intermediate import IntervalSpec
-from repro.obs.drift import model_for_strategy
+from repro.obs.drift import drift_from_plan
 from repro.predicates.theta import Overlaps, WithinDistance
 from repro.storage.costs import CostMeter
 
@@ -33,33 +32,8 @@ def params(**kw):
 
 
 class TestIntervalFilterDelta:
-    def test_filter_pays_when_resolution_is_high(self):
-        p = params()
-        delta = interval_filter_delta(
-            p, candidates=10_000, resolve_fraction=0.9, build_objects=200
-        )
-        assert delta < 0  # saved exact evals dwarf probe + build cost
-        base = 5000.0
-        assert with_interval_filter(
-            base, p, candidates=10_000, resolve_fraction=0.9, build_objects=200
-        ) == base + delta
-
-    def test_filter_loses_when_nothing_resolves(self):
-        delta = interval_filter_delta(
-            params(), candidates=10_000, resolve_fraction=0.0, build_objects=200
-        )
-        assert delta > 0  # pure overhead: probes and builds, no savings
-
-    def test_validation(self):
-        p = params()
-        with pytest.raises(ValueError):
-            interval_filter_delta(
-                p, candidates=10, resolve_fraction=1.5, build_objects=1
-            )
-        with pytest.raises(ValueError):
-            interval_filter_delta(
-                p, candidates=-1, resolve_fraction=0.5, build_objects=1
-            )
+    """What is left of the tier's Table 3 pricing: its ``c_interval``
+    charge.  The planner prices the tier in seconds (``interval_work``)."""
 
     def test_c_interval_parameter_validated(self):
         with pytest.raises(CostModelError):
@@ -104,23 +78,23 @@ class TestPlanJoinInterval:
         plan = plan_join(rel_r, "shape", rel_s, "shape", Overlaps())
         assert plan.use_interval is False
         assert plan.interval_resolution is None
-        assert not any("+INT" in name for name in plan.predicted_costs)
+        assert not any("+INT" in name for name in plan.predicted_seconds)
 
     def test_interval_adds_filtered_costs(self, indexed_pair):
         rel_r, rel_s = indexed_pair
         plan = plan_join(
             rel_r, "shape", rel_s, "shape", Overlaps(), interval=SPEC
         )
-        filtered = [n for n in plan.predicted_costs if n.endswith("+INT")]
+        filtered = [n for n in plan.predicted_seconds if n.endswith("+INT")]
         assert filtered, "capable strategies must get a +INT price"
         assert plan.interval_spec is SPEC
         assert plan.interval_resolution is not None
         # The decision is exactly the price comparison for the pick.
         key = plan.strategy + "+INT"
-        if key in plan.predicted_costs:
+        if key in plan.predicted_seconds:
             expected = (
-                plan.predicted_costs[key]
-                < plan.predicted_costs[plan.strategy]
+                plan.predicted_seconds[key]
+                < plan.predicted_seconds[plan.strategy]
             )
             assert plan.use_interval is expected
         else:
@@ -145,7 +119,7 @@ class TestPlanJoinInterval:
             rel_r, "shape", rel_s, "shape", WithinDistance(10.0), interval=SPEC
         )
         assert plan.use_interval is False
-        assert not any("+INT" in name for name in plan.predicted_costs)
+        assert not any("+INT" in name for name in plan.predicted_seconds)
 
     def test_explain_mentions_the_decision(self, indexed_pair):
         rel_r, rel_s = indexed_pair
@@ -158,21 +132,22 @@ class TestPlanJoinInterval:
 
 
 class TestDriftLabels:
-    COSTS = {"D_PAR": 100.0, "D_PAR+INT": 80.0, "D_IIa": 200.0}
+    class Plan:
+        predicted_seconds = {"partition": 1.0, "partition+INT": 0.8, "tree": 2.0}
+
+    def priced(self, strategy, interval=False):
+        return drift_from_plan(self.Plan, strategy, 1.0, interval=interval).rows[0].priced
 
     def test_interval_label_prefers_filtered_model(self):
-        assert model_for_strategy("partition", self.COSTS, interval=True) == "D_PAR+INT"
-        assert model_for_strategy("partition", self.COSTS) == "D_PAR"
+        assert self.priced("partition", interval=True) == "partition+INT"
+        assert self.priced("partition") == "partition"
 
     def test_interval_label_falls_back_to_base(self):
-        # Plan never priced the filter: the base formula still applies.
-        assert model_for_strategy("tree", self.COSTS, interval=True) == "D_IIa"
+        # Plan never priced the filter: the base prediction still applies.
+        assert self.priced("tree", interval=True) == "tree"
 
     def test_parameterized_and_filtered_compose(self):
-        assert (
-            model_for_strategy("shard-partition[3]", self.COSTS, interval=True)
-            == "D_PAR+INT"
-        )
+        assert self.priced("shard-partition[3]", interval=True) == "partition+INT"
 
 
 class TestPlanAndExecuteInterval:

@@ -47,11 +47,11 @@ class TestPlanJoin:
             rel_r, "shape", rel_s, "shape", Overlaps(),
             join_index_available=True,
         )
-        assert set(plan.predicted_costs) == {
-            "D_I", "D_IIa", "D_III", "D_PAR", "D_INL", "D_INL'",
+        assert set(plan.predicted_seconds) == {
+            "scan", "tree", "join-index", "partition", "index-nl", "index-nl-swapped",
         }
-        assert set(plan.predicted_seconds) == set(plan.predicted_costs)
-        # The pick is the fastest prediction, not the cheapest in units.
+        assert set(plan.predicted_work) == set(plan.predicted_seconds)
+        # The pick is the fastest prediction.
         assert plan.predicted_seconds[plan.strategy] == min(
             plan.predicted_seconds.values()
         )
@@ -59,7 +59,7 @@ class TestPlanJoin:
     def test_never_picks_nested_loop_when_tree_exists(self, indexed_pair):
         rel_r, rel_s = indexed_pair
         plan = plan_join(rel_r, "shape", rel_s, "shape", Overlaps())
-        assert plan.strategy != "D_I"
+        assert plan.strategy != "scan"
 
     def test_join_index_wins_at_very_low_selectivity(self, indexed_pair):
         rel_r, rel_s = indexed_pair
@@ -69,7 +69,7 @@ class TestPlanJoin:
             join_index_available=True, sample_pairs=3000,
         )
         assert plan.estimate.matches == 0
-        assert plan.predicted_costs["D_III"] <= plan.predicted_costs["D_I"]
+        assert plan.predicted_seconds["join-index"] <= plan.predicted_seconds["scan"]
 
     def test_without_indices_only_scan(self):
         """Non-overlap predicates without indices rank the nested loop
@@ -78,12 +78,12 @@ class TestPlanJoin:
         rel_r = make_rect_relation("r", 40, seed=64)
         rel_s = make_rect_relation("s", 40, seed=65)
         plan = plan_join(rel_r, "shape", rel_s, "shape", WithinDistance(8.0))
-        assert plan.strategy == "D_I"
-        assert set(plan.predicted_costs) == {"D_I"}
+        assert plan.strategy == "scan"
+        assert set(plan.predicted_seconds) == {"scan"}
 
         plan = plan_join(rel_r, "shape", rel_s, "shape", Overlaps())
-        assert set(plan.predicted_costs) == {"D_I", "D_PAR"}
-        assert plan.strategy == "D_PAR"
+        assert set(plan.predicted_seconds) == {"scan", "partition"}
+        assert plan.strategy == "partition"
 
     @pytest.mark.parametrize("theta", [Overlaps(), WithinDistance(5.0)], ids=lambda t: t.name)
     def test_tree_work_is_counted_on_the_actual_trees(self, indexed_pair, theta):
@@ -95,7 +95,7 @@ class TestPlanJoin:
         SpatialQueryExecutor().join(
             rel_r, "shape", rel_s, "shape", theta, strategy="tree", meter=meter
         )
-        work = plan.predicted_work["D_IIa"]
+        work = plan.predicted_work["tree"]
         assert 0.5 < work["theta"] / meter.theta_filter_evals < 2.0
         assert meter.page_reads <= work["io"] == rel_r.num_pages + rel_s.num_pages
 
@@ -105,6 +105,10 @@ class TestPlanJoin:
         text = plan.format_explain()
         assert "estimated selectivity" in text
         assert "->" in text  # the chosen row is marked
+        # Seconds are the plan's one unit.
+        assert "predicted seconds:" in text and "Table 3" not in text
+        for name, secs in plan.predicted_seconds.items():
+            assert f"{name} " in text and f"{secs:.6f} s" in text
 
     def test_plan_executes_correctly(self, indexed_pair):
         """End to end: plan, map to an executor strategy, run, verify."""

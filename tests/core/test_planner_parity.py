@@ -4,14 +4,14 @@ The planner reads each relation once (one columnar extraction) instead
 of three ``list(rel.scan())`` passes.  Its sampling must not move: the
 same ``random.Random(seed)`` draws in the same order (``r`` then ``s``
 per pair, over rows in file order), the same data universe, hence the
-same estimate, predicted costs, interval resolution and spec.  The
-expected values below were produced by the three-scan planner; a change
-in draw order or universe derivation shows up as a diff here.
+same estimate, predicted seconds, interval resolution and spec.  The
+expected estimates, resolutions and specs below were produced by the
+three-scan planner; a change in draw order or universe derivation shows
+up as a diff here.
 
-``D_PAR`` and ``D_PAR+INT`` were re-pinned when ``D_PAR`` came to price
-what runs: the operands' actual ``|R|`` and ``|S|`` instead of the
-fitted tree's ``N``, and no page reads, because the sampler has just read
-both column snapshots.  Every other pin is the three-scan planner's.
+The predictions were re-pinned when the plan came to price in seconds
+only: they are the seconds the planner predicted before, under the
+strategies' names instead of Table 3's model names.
 """
 
 import random
@@ -59,7 +59,7 @@ def planned(kind: str, seed: int) -> dict:
     return {
         "strategy": plan.strategy,
         "estimate": (plan.estimate.p, plan.estimate.sample_pairs, plan.estimate.matches),
-        "predicted_costs": plan.predicted_costs,
+        "predicted_seconds": plan.predicted_seconds,
         "use_interval": plan.use_interval,
         "interval_resolution": (
             res.mbr_fraction, res.resolve_fraction, res.sample_pairs,
@@ -71,12 +71,12 @@ def planned(kind: str, seed: int) -> dict:
 
 EXPECTED = {
     ("rect", 1): {
-        "strategy": "D_PAR",
+        "strategy": "partition",
         "estimate": (0.0075, 400, 3),
-        "predicted_costs": {
-            "D_I": 1680321.0,
-            "D_PAR": 2423.8893696618593,
-            "D_PAR+INT": 3397.6393696618593,
+        "predicted_seconds": {
+            "partition": 0.00080192,
+            "scan": 0.01340255,
+            "partition+INT": 0.10071111,
         },
         "use_interval": False,
         "interval_resolution": (0.01, 1.0, 200, 2, 2),
@@ -91,12 +91,12 @@ EXPECTED = {
         ),
     },
     ("rect", 7): {
-        "strategy": "D_PAR",
+        "strategy": "partition",
         "estimate": (0.005, 400, 2),
-        "predicted_costs": {
-            "D_I": 1680321.0,
-            "D_PAR": 2375.1393696618593,
-            "D_PAR+INT": 3446.3893696618593,
+        "predicted_seconds": {
+            "partition": 0.00080192,
+            "scan": 0.01340255,
+            "partition+INT": 0.10071111,
         },
         "use_interval": False,
         "interval_resolution": (0.01, 0.5, 200, 2, 1),
@@ -111,12 +111,12 @@ EXPECTED = {
         ),
     },
     ("rect", 42): {
-        "strategy": "D_PAR",
+        "strategy": "partition",
         "estimate": (0.0125, 400, 5),
-        "predicted_costs": {
-            "D_I": 1680321.0,
-            "D_PAR": 2521.3893696618593,
-            "D_PAR+INT": 3592.6393696618593,
+        "predicted_seconds": {
+            "partition": 0.00080192,
+            "scan": 0.01340255,
+            "partition+INT": 0.10071111,
         },
         "use_interval": False,
         "interval_resolution": (0.01, 0.5, 200, 2, 1),
@@ -131,12 +131,12 @@ EXPECTED = {
         ),
     },
     ("polygon", 1): {
-        "strategy": "D_PAR",
+        "strategy": "partition",
         "estimate": (0.0425, 400, 17),
-        "predicted_costs": {
-            "D_I": 1680321.0,
-            "D_PAR": 3106.3893696618593,
-            "D_PAR+INT": 3933.8893696618593,
+        "predicted_seconds": {
+            "partition": 0.012951395000000001,
+            "scan": 0.028026574999999998,
+            "partition+INT": 0.110322733125,
         },
         "use_interval": False,
         "interval_resolution": (0.04, 0.625, 200, 8, 5),
@@ -151,12 +151,12 @@ EXPECTED = {
         ),
     },
     ("polygon", 7): {
-        "strategy": "D_PAR",
+        "strategy": "partition",
         "estimate": (0.04, 400, 16),
-        "predicted_costs": {
-            "D_I": 1680321.0,
-            "D_PAR": 3057.6393696618593,
-            "D_PAR+INT": 3300.1393696618593,
+        "predicted_seconds": {
+            "partition": 0.01223672,
+            "scan": 0.0273119,
+            "partition+INT": 0.10913706000000001,
         },
         "use_interval": False,
         "interval_resolution": (0.06, 1.0, 200, 12, 12),
@@ -171,12 +171,12 @@ EXPECTED = {
         ),
     },
     ("polygon", 42): {
-        "strategy": "D_PAR",
+        "strategy": "partition",
         "estimate": (0.0325, 400, 13),
-        "predicted_costs": {
-            "D_I": 1680321.0,
-            "D_PAR": 2911.3893696618593,
-            "D_PAR+INT": 3714.5143696618593,
+        "predicted_seconds": {
+            "partition": 0.010092694999999999,
+            "scan": 0.025167875,
+            "partition+INT": 0.10757859214285714,
         },
         "use_interval": False,
         "interval_resolution": (0.035, 0.7142857142857143, 200, 7, 5),

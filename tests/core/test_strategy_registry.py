@@ -2,10 +2,11 @@
 
 Three groups: the *one-file property* (a descriptor dropped into
 ``JOIN_STRATEGIES`` reaches every consumer with no other module
-touched), the *table invariants* (fallback order, refusal texts and
-model names are the ones the engine had before the registry existed),
-and the structural pins that keep the strategy tables from growing back
-in the consumers.
+touched), the *table invariants* (fallback order and refusal texts are
+the ones the engine had before the registry existed, and every strategy
+the planner may pick is priced), and the structural pins that keep the
+strategy tables from growing back in the consumers, and Table 3's units
+out of the runtime.
 """
 
 import ast
@@ -14,17 +15,18 @@ from pathlib import Path
 
 import pytest
 
+import repro.core.executor as executor_module
 from repro.cli import build_parser
 from repro.core import SpatialQueryExecutor, StrategyComparison, plan_join
 from repro.core.strategies import (
     JOIN_STRATEGIES,
     JoinOperands,
     JoinStrategy,
-    Price,
     applicable,
 )
 from repro.costmodel.distributions import make_distribution
 from repro.costmodel.parameters import ModelParameters
+from repro.costmodel.profile import WORK_KINDS, seconds
 from repro.errors import ExecutionError, JoinError
 from repro.faults import FaultPlan, FaultyDisk
 from repro.geometry.rect import Rect
@@ -41,9 +43,8 @@ from tests.join.conftest import (
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
-#: What ``plan_join`` could emit before the registry priced anything,
-#: and the index nested loops' Section 4.3 prices (one per direction).
-PARENT_MODELS = {"D_I", "D_IIa", "D_IIb", "D_III", "D_PAR", "D_INL", "D_INL'"}
+#: The Section 4 model names the planner once priced in Table 3's units.
+TABLE_3_MODELS = {"D_I", "D_IIa", "D_IIb", "D_III", "D_PAR", "D_INL", "D_INL'"}
 
 
 @pytest.fixture
@@ -66,10 +67,7 @@ def _probe_run(ctx, ops):
     )
 
 
-PROBE = JoinStrategy(
-    "probe", _probe_run, models=("D_PROBE",),
-    price=lambda ops, dist, workers: {"D_PROBE": Price(1e12, {"io": 1e12})},
-)
+PROBE = JoinStrategy("probe", _probe_run, price=lambda ops, dist: {"io": 1e12})
 
 
 def test_a_registered_descriptor_reaches_every_consumer(monkeypatch, indexed_pair):
@@ -83,15 +81,15 @@ def test_a_registered_descriptor_reaches_every_consumer(monkeypatch, indexed_pai
     assert executor.join(*args, strategy="probe").pair_set() == set(expected)
 
     plan = plan_join(*args)
-    assert plan.predicted_costs["D_PROBE"] == 1e12
+    assert plan.predicted_seconds["probe"] == seconds({"io": 1e12})
     result, report = executor.execute_join(*args, strategy="probe", plan=plan)
     assert result.pair_set() == set(expected)
     assert report.strategy == "probe"
-    assert report.drift.row("probe").model == "D_PROBE"
+    assert report.drift.row("probe").priced == "probe"
 
     comparison = StrategyComparison().compare_join(*args, check_drift=True)
     assert comparison.row("probe").matches == len(expected)
-    assert comparison.drift.row("probe").predicted == 1e12
+    assert comparison.drift.row("probe").predicted == seconds({"io": 1e12})
 
     parsed = build_parser().parse_args(["trace", "--strategy", "probe"])
     assert parsed.strategy == "probe"
@@ -171,16 +169,18 @@ def test_every_strategy_applies_to_indexed_overlap_operands(indexed_pair):
 
 
 def test_priced_models_are_declared_and_are_the_parents(indexed_pair):
+    """The strategies priced are the ones priced before the plan came to
+    price in seconds only -- all but the z-order merge, which is never
+    picked -- and each price is work of the profile's declared kinds."""
     rel_r, rel_s = indexed_pair
     ops = JoinOperands(rel_r, "shape", rel_s, "shape", Overlaps(), join_index=object())
     dist = make_distribution("uniform", ModelParameters())
-    declared = set()
-    for strategy in JOIN_STRATEGIES.values():
-        assert set(strategy.price(ops, dist, 2)) <= set(strategy.models)
-        declared |= set(strategy.models)
-    assert declared == PARENT_MODELS
-    # Tree prices one layout at a time, by clusteredness.
-    assert set(JOIN_STRATEGIES["tree"].price(ops, dist, 1)) == {"D_IIa"}
+    priced = {
+        s.name: s.price(ops, dist) for s in JOIN_STRATEGIES.values() if s.price is not None
+    }
+    assert set(priced) == set(JOIN_STRATEGIES) - {"zorder"}
+    for work in priced.values():
+        assert work and set(work) <= set(WORK_KINDS)
 
 
 def test_interval_capable_strategies_are_the_three_with_a_refine_site():
@@ -197,7 +197,14 @@ def test_interval_capable_strategies_are_the_three_with_a_refine_site():
 # One context per public call
 # ----------------------------------------------------------------------
 
-def test_plan_and_execute_prices_the_workers_it_runs_with():
+def test_plan_and_execute_prices_the_workers_it_runs_with(monkeypatch):
+    planned = []
+
+    def recording_plan_join(*args, **kwargs):
+        planned.append(kwargs["workers"])
+        return plan_join(*args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "plan_join", recording_plan_join)
     rel_r = make_rect_relation("r", 100, seed=111)
     rel_s = make_rect_relation("s", 90, seed=112)
     args = (rel_r, "shape", rel_s, "shape", Overlaps())
@@ -205,8 +212,8 @@ def test_plan_and_execute_prices_the_workers_it_runs_with():
         *args, workers=4
     )
     assert report.strategy == "partition"
-    at_four = plan_join(*args, workers=4).predicted_costs["D_PAR"]
-    assert at_four != plan_join(*args, workers=1).predicted_costs["D_PAR"]
+    assert planned == [4]
+    at_four = plan_join(*args, workers=4).predicted_seconds["partition"]
     assert report.drift.row("partition").predicted == at_four
 
 
@@ -245,15 +252,23 @@ def _string_constants(path: Path) -> set[str]:
     }
 
 
-def test_model_names_are_spelled_in_the_registry_only():
-    """A strategy's ``D_*`` formula is declared beside it, nowhere else."""
-    spellers = {
-        path.relative_to(SRC).as_posix()
-        for package in ("core", "obs")
-        for path in (SRC / package).glob("*.py")
-        if _string_constants(path) & PARENT_MODELS
-    }
-    assert spellers == {"core/strategies.py"}
+def test_table_3_stays_out_of_the_runtime():
+    """Seconds are the one runtime unit: no module of ``core/``,
+    ``cache/`` or ``obs/`` spells a Section 4 model name or imports a
+    ``d_*`` formula (they draw the paper's figures, in ``costmodel/``)."""
+    offenders = set()
+    for package in ("core", "cache", "obs"):
+        for path in (SRC / package).glob("*.py"):
+            tree = ast.parse(path.read_text())
+            imported = {
+                alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names
+            }
+            if _string_constants(path) & TABLE_3_MODELS or any(
+                name.startswith("d_") for name in imported
+            ):
+                offenders.add(path.relative_to(SRC).as_posix())
+    assert offenders == set()
 
 
 def test_handles_are_resolved_by_is_none_never_by_truthiness():

@@ -6,7 +6,6 @@ from repro.costmodel.distributions import make_distribution
 from repro.costmodel.join_costs import (
     d_join_index,
     d_nested_loop,
-    d_partition,
     d_tree_clustered,
     d_tree_computation,
     d_tree_unclustered,
@@ -135,29 +134,3 @@ class TestJoinCosts:
         d = make_distribution("no-loc", small)
         assert d_tree_unclustered(d) >= d_tree_computation(d)
         assert d_tree_clustered(d) >= d_tree_computation(d)
-
-
-class TestPartitionCost:
-    ROWS = (PAPER_PARAMETERS.N, PAPER_PARAMETERS.N)
-
-    def test_beats_nested_loop_at_low_selectivity(self):
-        p = PAPER_PARAMETERS.with_p(1e-9)
-        assert d_partition(p, self.ROWS) < d_nested_loop(p)
-
-    def test_cpu_divides_across_workers(self):
-        p = PAPER_PARAMETERS.with_p(1e-6)
-        seq, quad = d_partition(p, self.ROWS, workers=1), d_partition(p, self.ROWS, workers=4)
-        assert seq / quad == pytest.approx(4.0)
-
-    def test_grows_with_p(self):
-        assert d_partition(PAPER_PARAMETERS.with_p(1e-3), self.ROWS) > d_partition(
-            PAPER_PARAMETERS.with_p(1e-9), self.ROWS
-        )
-
-    def test_prices_the_rows_it_is_given(self):
-        p = PAPER_PARAMETERS.with_p(1e-6)
-        assert d_partition(p, (1000, 1000)) < d_partition(p, (1000, 10_000))
-
-    def test_workers_validated(self):
-        with pytest.raises(ValueError):
-            d_partition(PAPER_PARAMETERS, self.ROWS, workers=0)

@@ -2,25 +2,27 @@
 
 Three claims, in increasing strength:
 
-* ``model_for_strategy`` normalises parameterised strategy names --
-  ``"shard-partition[3]"`` prices under ``D_PAR`` exactly like
-  ``"partition[8]"`` does;
+* ``strategy_for_label`` normalises parameterised strategy names --
+  ``"shard-partition[3]"`` is priced as ``partition`` exactly like
+  ``"partition[8]"`` is;
 * :func:`drift_from_plan` on a sharded join produces a one-row
-  ``D_PAR`` report from the router-merged per-query meter;
+  ``partition`` report from the router-merged per-query meter;
 * **differential parity**: the reference-point rule keeps the CPU work
   (predicate evaluations) of a sharded join invariant under the split,
   so the router-merged meter tracks the unsharded partition join's
   predicate counts across seeds and shard counts.  (I/O is *not*
   invariant -- the standing fleet sweeps volatile in-memory replicas
   and pays none -- and neither does a planned partition join, whose
-  snapshots the planner read, so ``D_PAR`` prices none.)
+  snapshots the planner read, so its price holds none.)
 """
 
 import pytest
 
 from repro.core.executor import SpatialQueryExecutor
 from repro.core.optimizer import plan_join
-from repro.obs import drift_from_plan, model_for_strategy
+from repro.core.strategies import JoinOperands, metered_work, strategy_for_label
+from repro.costmodel.profile import seconds
+from repro.obs import drift_from_plan
 from repro.predicates.theta import Overlaps
 from repro.shard import ShardRuntime
 from repro.storage.costs import CostMeter
@@ -31,16 +33,17 @@ from tests.shard.conftest import UNIVERSE, build_relations
 
 class TestStrategyNormalisation:
     def test_bracket_suffix_is_stripped(self):
-        costs = {"D_PAR": 4.0}
-        assert model_for_strategy("partition[8]", costs) == "D_PAR"
-        assert model_for_strategy("shard-partition[3]", costs) == "D_PAR"
-        assert model_for_strategy("shard-partition", costs) == "D_PAR"
+        for label in ("partition[8]", "shard-partition[3]", "shard-partition"):
+            assert strategy_for_label(label).name == "partition"
 
     def test_unknown_base_still_unpriced(self):
-        assert model_for_strategy("shard-select[2/4]", {"D_PAR": 1.0}) is None
+        assert strategy_for_label("shard-select[2/4]") is None
+        plan = type("Plan", (), {"predicted_seconds": {"partition": 1.0}})
+        assert drift_from_plan(plan, "shard-select[2/4]", 1.0).rows == []
 
     def test_missing_formula_means_no_model(self):
-        assert model_for_strategy("shard-partition[3]", {"D_I": 1.0}) is None
+        plan = type("Plan", (), {"predicted_seconds": {"scan": 1.0}})
+        assert drift_from_plan(plan, "shard-partition[3]", 1.0).rows == []
 
 
 class TestShardedDriftReport:
@@ -58,20 +61,25 @@ class TestShardedDriftReport:
             runtime.load_relation(ir_s.relation, "shape")
             meter = CostMeter()
             result = runtime.router.join("r", "s", theta, meter=meter)
+        ops = JoinOperands(ir_r.relation, "shape", ir_s.relation, "shape", theta)
+        measured = seconds(metered_work(
+            "partition", meter.snapshot(),
+            kinds=ops.kinds, rows=ops.rows, matches=len(result.pairs),
+        ))
         report = drift_from_plan(
-            plan, result.strategy, meter.total(), query="sharded join",
+            plan, result.strategy, measured, query="sharded join",
         )
         assert result.strategy.startswith("shard-partition[")
         assert len(report.rows) == 1
         row = report.rows[0]
         assert row.strategy == result.strategy
-        assert row.model == "D_PAR"
-        assert row.measured == pytest.approx(meter.total())
-        # D_PAR prices no page reads -- the planner read the snapshots,
-        # and the standing fleet sweeps in-memory replicas -- so the
-        # router-merged meter tracks it within tolerance.
+        assert row.priced == "partition"
+        assert row.measured == measured
+        # The sweep's price holds no page reads -- the planner read the
+        # snapshots, and the standing fleet sweeps in-memory replicas --
+        # so the router-merged meter tracks it within tolerance.
         assert not row.drifted
-        assert "D_PAR" in report.format()
+        assert "partition" in report.format()
 
 
 class TestDifferentialParity:

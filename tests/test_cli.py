@@ -172,7 +172,20 @@ class TestTraceCommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "drift report" in out
-        assert "tree" in out and "D_II" in out
+        assert "predicted=" in out and " s measured=" in out
+        assert "tree" in out and "D_II" not in out
+
+    def test_join_index_strategy_is_traced_with_its_drift(self, capsys):
+        """``join-index`` is an offered choice: the command registers the
+        index the strategy needs and plans with it, so the drift report
+        gets its row."""
+        assert main([
+            "trace", "--size", "150", "--strategy", "join-index", "--drift",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "JOIN (join-index)" in out
+        assert "  join-index   join-index" in out
+        assert "no measured strategy was priced" not in out
 
     def test_metrics_renders_registry(self, capsys):
         assert main(["trace", "--size", "150", "--metrics"]) == 0

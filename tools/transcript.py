@@ -309,6 +309,39 @@ def one_planned_join(lines):
             yield line
 
 
+#: Table 3's model names, by the strategy each priced.
+MODEL_STRATEGY = {
+    "D_PAR": "partition", "D_I": "scan", "D_IIa": "tree", "D_IIb": "tree",
+    "D_INL": "index-nl", "D_INL'": "index-nl-swapped", "D_III": "join-index",
+}
+#: An explain row of a plan's predictions: marker, name, seconds, and
+#: (before seconds were the plan's one unit) the Table 3 cost.
+EXPLAIN_COST = re.compile(r"^  >   (->|  ) (\S+?)(\+INT)?\s+(\d+\.\d+) s(?:\s+\S+)?$")
+#: A drift row of a report: the strategy that ran, then its prices.
+DRIFT_ROW = re.compile(r"^  \|     (\S+)\s+\S+\s+predicted=")
+
+
+def one_unit(lines):
+    """The rows that priced in Table 3's units beside seconds.
+
+    A plan prices in seconds only, under strategy names, so each explain
+    cost row is rewritten to its strategy's name and its seconds -- the
+    seconds themselves must match -- and the header loses the units.  A
+    drift row compares predicted with metered seconds where it compared
+    units: only its strategy is kept.  Every other line passes untouched.
+    """
+    for line in lines:
+        if line == "  > predicted seconds, and costs in Table 3 units:":
+            yield "  > predicted seconds:"
+        elif cost := EXPLAIN_COST.match(line):
+            marker, name, suffix, secs = cost.groups()
+            yield f"  >   {marker} {MODEL_STRATEGY.get(name, name)}{suffix or ''} {secs} s"
+        elif drift := DRIFT_ROW.match(line):
+            yield f"  |     {drift.group(1)} <drift row>"
+        else:
+            yield line
+
+
 def lacks(path: str):
     """A filter's marker: REV's ``src/`` lacks ``path``, a file the
     change adds."""
@@ -328,6 +361,7 @@ def still_has(path: str, text: str):
 FILTERS = (
     (planner_choice, lacks("repro/costmodel/profile.py")),
     (one_planned_join, still_has("repro/cache/cache.py", "def join_hit_probability(")),
+    (one_unit, still_has("repro/core/strategies.py", "class Price(")),
 )
 
 
