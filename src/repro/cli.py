@@ -275,9 +275,9 @@ def cmd_trace(args: argparse.Namespace) -> str:
         ir_r.relation, "shape", query, theta, strategy="tree", meter=meter
     )
 
-    join_index = args.strategy == "join-index"
-    if join_index:
-        executor.precompute_join_index(
+    join_index = None
+    if args.strategy == "join-index":
+        join_index = executor.precompute_join_index(
             ir_r.relation, ir_s.relation, "shape", "shape", theta
         )
     plan = None
@@ -288,8 +288,7 @@ def cmd_trace(args: argparse.Namespace) -> str:
 
         plan = plan_join(
             ir_r.relation, "shape", ir_s.relation, "shape", theta,
-            join_index_available=join_index,
-            memory_pages=executor.memory_pages, workers=executor.workers,
+            join_index=join_index, memory_pages=executor.memory_pages,
         )
     result, report = executor.execute_join(
         ir_r.relation, "shape", ir_s.relation, "shape", theta,
@@ -583,7 +582,7 @@ def cmd_obs(args: argparse.Namespace) -> str:
     ops = JoinOperands(
         relations["r"].relation, "shape", relations["s"].relation, "shape", theta
     )
-    join_plan = plan_join(*ops.positional, workers=args.shards)
+    join_plan = plan_join(*ops.positional)
 
     service = QueryService()
     lines = []

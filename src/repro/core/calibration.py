@@ -265,7 +265,7 @@ def measure(cell: Cell, seed: int, reps: int = 3) -> CellResult:
         join_index=executor.join_index_for(rel_r, rel_s, "shape", "shape", theta),
     )
     plan = plan_join(
-        *ops.positional, join_index_available=cell.join_index, memory_pages=memory,
+        *ops.positional, join_index=ops.join_index, memory_pages=memory,
     )
     runs = []
     for name in _timed_strategies(cell, ops):

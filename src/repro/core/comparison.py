@@ -218,9 +218,8 @@ class StrategyComparison:
 
             plan = plan_join(
                 *ops.positional,
-                join_index_available=ops.join_index is not None,
+                join_index=ops.join_index,
                 memory_pages=executor.memory_pages,
-                workers=executor.workers,
             )
             report.drift = drift_from_measurements(
                 plan,

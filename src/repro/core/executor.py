@@ -488,7 +488,7 @@ class SpatialQueryExecutor:
         result: JoinResult | None = None
         for strategy in chain:
             check_cancel(ctx.cancel)
-            attempt_meter = CostMeter(charges=meter.charges)
+            attempt_meter = CostMeter()
             failure: StorageError | None = None
             try:
                 result = self._attempt(replace(ctx, meter=attempt_meter), ops, strategy)
@@ -612,9 +612,10 @@ class SpatialQueryExecutor:
 
         This is the executor's one planning step.  ``auto`` is
         :func:`~repro.core.optimizer.plan_join`'s pick for these operands
-        at this call's memory, workers and interval setting, and it runs
-        the plan's verdict on the interval tier: ``plan.interval_spec``
-        where ``plan.use_interval``, the exact path elsewhere.  An
+        (and their registered join index) at this call's memory and
+        interval setting, and it runs the plan's verdict on the interval
+        tier: ``plan.interval_spec`` where ``plan.use_interval``, the
+        exact path elsewhere.  An
         explicit strategy runs under the setting as given, with no plan.
 
         The plan is kept on the left operand for as long as neither
@@ -632,13 +633,12 @@ class SpatialQueryExecutor:
         key = (
             "auto", rel_s.uid, ops.column_r, ops.column_s, ops.theta.name,
             rel_r.has_index_on(ops.column_r), rel_s.has_index_on(ops.column_s),
-            ops.join_index is not None, ctx.memory_pages, ctx.workers, interval,
+            ops.join_index is not None, ctx.memory_pages, interval,
         )
         plan = rel_r.derive_with(key, rel_s, lambda: plan_join(
             *ops.positional,
-            join_index_available=ops.join_index is not None,
+            join_index=ops.join_index,
             memory_pages=ctx.memory_pages,
-            workers=ctx.workers,
             interval=interval,
         ))
         ctx = replace(ctx, interval=plan.interval_spec if plan.use_interval else False)

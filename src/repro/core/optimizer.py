@@ -1,15 +1,16 @@
-"""Cost-based strategy choice: the paper's model used as an optimizer.
+"""Cost-based strategy choice: the comparative study's question, asked
+of the operands at hand.
 
 The comparative study (Section 4.5) tells a query optimizer exactly what
 it needs: given a selectivity, which strategy is cheapest?  This module
-closes the loop -- it estimates the selectivity from the actual data by
-sampling, fits the Section 4 model parameters to the *actual* relation
-geometry (tree height and fan-out read off the attached index, page
-arithmetic off the relation), has each applicable strategy predict the
-work it would do, and ranks the strategies by the *seconds* that work
-takes under the measured profile (:mod:`repro.costmodel.profile`).
-Seconds are the plan's only unit: Table 3's, in which the 1993 study
-ranks, stay in :mod:`repro.costmodel` for the paper's figures.
+answers it for one join -- it estimates the selectivity from the actual
+data by sampling, has each applicable strategy predict the work it
+would do from three things only (that selectivity, the memory budget
+and the structures it is handed: relations, trees, a join index), and
+ranks the strategies by the *seconds* that work takes under the
+measured profile (:mod:`repro.costmodel.profile`).  Section 4's model
+of a full tree, and Table 3's units in which the 1993 study ranks, stay
+in :mod:`repro.costmodel` for the paper's figures.
 
 ``format_explain`` returns the full decision record: the estimate, each
 strategy's predicted seconds, and the pick -- so callers can audit a
@@ -18,7 +19,6 @@ choice the way they would read an EXPLAIN plan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -28,22 +28,17 @@ from repro.core.strategies import (
     JoinOperands,
     applicable,
 )
-from repro.costmodel.distributions import make_distribution
 from repro.costmodel.estimation import (
     IntervalResolutionEstimate,
     SelectivityEstimate,
     sample_interval_resolution,
     sample_join_selectivity,
 )
-from repro.costmodel.parameters import ModelParameters
 from repro.costmodel.profile import MEASURED_PROFILE, seconds
 from repro.predicates.theta import Overlaps, ThetaOperator
 from repro.relational.columns import column_snapshot, data_universe
 from repro.relational.relation import Relation
 
-#: The Section 4.5 distribution the selectivity is instantiated under:
-#: nothing is known about the operator's locality.
-DISTRIBUTION = "uniform"
 #: Sampled pairs behind the interval tier's resolve fraction.
 INTERVAL_SAMPLE_PAIRS = 200
 
@@ -55,7 +50,6 @@ class JoinPlan:
     #: The strategy with the least ``predicted_seconds``.
     strategy: str
     estimate: SelectivityEstimate
-    parameters: ModelParameters
     #: Whether the raster-interval second tier is predicted to pay for
     #: the chosen strategy (its ``<strategy>+INT`` entry beats the base).
     use_interval: bool = False
@@ -73,8 +67,6 @@ class JoinPlan:
             f"estimated selectivity: p = {self.estimate.p:.3e} "
             f"({self.estimate.matches}/{self.estimate.sample_pairs} sampled pairs, "
             f"std err {self.estimate.std_error:.1e})",
-            f"model: n={self.parameters.n} k={self.parameters.k} "
-            f"N={self.parameters.N} m={self.parameters.m}",
             "predicted seconds:",
         ]
         for name, secs in sorted(self.predicted_seconds.items(), key=lambda kv: kv[1]):
@@ -90,41 +82,6 @@ class JoinPlan:
         return "\n".join(lines)
 
 
-def fit_parameters(
-    rel_r: Relation,
-    column_r: str,
-    p: float,
-    *,
-    memory_pages: int = 4000,
-) -> ModelParameters:
-    """Model parameters matching the actual relation and index geometry.
-
-    The balanced-tree abstraction is fitted to the attached index: ``k``
-    is the index fan-out, ``n`` the smallest height making the full tree
-    at least as large as the relation.  Page arithmetic comes from the
-    relation itself.
-    """
-    n_tuples = max(2, len(rel_r))
-    if rel_r.has_index_on(column_r):
-        index = rel_r.index_on(column_r)
-        k = getattr(index, "max_entries", None) or getattr(index, "k", 10)
-    else:
-        k = 10
-    k = max(2, int(k))
-    n = max(1, math.ceil(math.log(n_tuples * (k - 1) + 1, k)) - 1)
-    return ModelParameters(
-        n=n,
-        k=k,
-        p=min(1.0, max(0.0, p)),
-        v=rel_r.record_size,
-        l=rel_r.utilization,
-        h=n,
-        s=rel_r.buffer_pool.disk.page_size,
-        z=100,
-        big_m=max(11, memory_pages),
-    )
-
-
 def plan_join(
     rel_r: Relation,
     column_r: str,
@@ -132,7 +89,7 @@ def plan_join(
     column_s: str,
     theta: ThetaOperator,
     *,
-    join_index_available: bool = False,
+    join_index=None,
     memory_pages: int = 4000,
     sample_pairs: int = 400,
     seed: int = 0,
@@ -144,17 +101,18 @@ def plan_join(
     Only executable strategies are ranked -- each applicable, priced
     entry of :data:`~repro.core.strategies.JOIN_STRATEGIES` prices
     itself: the tree strategies require indices on both columns, the
-    index nested loops one, the join-index strategy requires
-    ``join_index_available``, and the partition-parallel sweep requires
+    index nested loops one, the join-index strategy the registered
+    :class:`~repro.join.join_index.JoinIndex` passed as ``join_index``
+    (priced by the pages it holds), and the partition-parallel sweep
     the ``overlaps`` operator.  Each price is the work the strategy is
-    predicted to do (``predicted_work``, keyed by strategy name);
-    ``plan.strategy`` is the strategy whose work takes the fewest
-    seconds under the measured profile
+    predicted to do (``predicted_work``, keyed by strategy name) from
+    the sampled selectivity, ``memory_pages`` and the structures it
+    runs on; ``plan.strategy`` is the strategy whose work takes the
+    fewest seconds under the measured profile
     (:data:`~repro.costmodel.profile.MEASURED_PROFILE`,
-    ``predicted_seconds``), under the :data:`DISTRIBUTION` the study
-    assumes when nothing is known about the operator's locality.
-    ``workers`` is accepted for the callers that size the sweep's grid
-    by it; the sweep runs in one process, so no price depends on it.
+    ``predicted_seconds``).  ``workers`` is accepted for the callers
+    that size the sweep's grid by it; the sweep runs in one process, so
+    no price depends on it.
 
     ``interval`` asks the planner to also weigh the raster-interval
     second tier: pass an
@@ -182,15 +140,9 @@ def plan_join(
         columns_r.geoms, columns_s.geoms, theta,
         sample_pairs=sample_pairs, seed=seed,
     )
-    params = fit_parameters(rel_r, column_r, estimate.p, memory_pages=memory_pages)
-    dist = make_distribution(DISTRIBUTION, params)
-
-    ops = JoinOperands(
-        rel_r, column_r, rel_s, column_s, theta,
-        join_index=join_index_available or None,
-    )
+    ops = JoinOperands(rel_r, column_r, rel_s, column_s, theta, join_index=join_index)
     work = {
-        strategy.name: strategy.price(ops, dist)
+        strategy.name: strategy.price(ops, estimate.p, memory_pages)
         for strategy in applicable(ops) if strategy.price is not None
     }
     best = rank(work)
@@ -224,7 +176,6 @@ def plan_join(
     return JoinPlan(
         strategy=best,
         estimate=estimate,
-        parameters=params,
         use_interval=use_interval,
         interval_resolution=resolution,
         interval_spec=spec,

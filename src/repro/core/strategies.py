@@ -27,9 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.core.cancel import CancellationToken
-from repro.costmodel.distributions import Distribution
 from repro.costmodel.estimation import sample_select_evals
-from repro.costmodel.join_costs import join_index_ios
 from repro.costmodel.profile import predicate_kinds
 from repro.errors import JoinError
 from repro.join.accessor import RelationAccessor
@@ -88,9 +86,9 @@ class ExecContext:
 class JoinOperands:
     """What is joined: ``rel_r.column_r theta rel_s.column_s``.
 
-    ``join_index`` is the fresh registered index for exactly this join,
-    if there is one.  (The planner, which is only told *whether* one
-    exists, passes any non-``None`` marker; only ``run`` dereferences it.)
+    ``join_index`` is the fresh registered
+    :class:`~repro.join.join_index.JoinIndex` for exactly this join, if
+    there is one: the ``join-index`` strategy prices and runs it.
     """
 
     rel_r: Relation
@@ -150,9 +148,11 @@ class JoinStrategy:
     interval: bool = False
     #: A link of the storage-failure fallback chain, tried in table order.
     fallback: bool = False
-    #: ``(operands, distribution) -> predicted work by kind``; ``None``
-    #: for a strategy the planner never picks.
-    price: Callable[[JoinOperands, Distribution], dict[str, float]] | None = None
+    #: ``(operands, p, memory_pages) -> predicted work by kind``, from
+    #: the sampled selectivity ``p``, the memory budget and the
+    #: structures the operands hold; ``None`` for a strategy the planner
+    #: never picks.
+    price: Callable[[JoinOperands, float, int], dict[str, float]] | None = None
 
     def filters(self, interval: Any, theta: ThetaOperator) -> bool:
         """Does a run under this second-tier setting thread the refiner?"""
@@ -299,23 +299,23 @@ def metered_work(
     return work
 
 
-def _refinements(ops: JoinOperands, dist: Distribution) -> dict[str, float]:
+def _refinements(ops: JoinOperands, p: float) -> dict[str, float]:
     """The exact refinements of a filter-and-refine run: one per
     expected match of the ``|R| x |S|`` pairs."""
-    return {ops.kinds[0]: dist.params.p * len(ops.rel_r) * len(ops.rel_s)}
+    return {ops.kinds[0]: p * len(ops.rel_r) * len(ops.rel_s)}
 
 
-def _price_partition(ops: JoinOperands, dist: Distribution) -> dict[str, float]:
+def _price_partition(ops: JoinOperands, p: float, memory_pages: int) -> dict[str, float]:
     # Both column snapshots were just read by the planner's sampler, so
     # the join finds them as buffer hits: no page is read.
-    refine = _refinements(ops, dist)
+    refine = _refinements(ops, p)
     return {"sweep_row": float(sum(ops.rows)), "sweep_pair": sum(refine.values()), **refine}
 
 
-def _price_tree(ops: JoinOperands, dist: Distribution) -> dict[str, float]:
-    # Counted on the actual trees, not the fitted full tree (whose count
-    # is ~10x low at 100 rows).  Algorithm JOIN tests a pair of nodes
-    # once for both its sides, where an index nested loop tests each node
+def _price_tree(ops: JoinOperands, p: float, memory_pages: int) -> dict[str, float]:
+    # Counted on the actual trees (Section 4's full tree's count is ~10x
+    # low at 100 rows).  Algorithm JOIN tests a pair of nodes once for
+    # both its sides, where an index nested loop tests each node
     # once per probing object: half the mean of the two probe directions'
     # sampled totals predicts the join's metered Θ-filter evaluations
     # within 0.75-1.4x on the calibration's rectangles and 12-gons of
@@ -324,18 +324,18 @@ def _price_tree(ops: JoinOperands, dist: Distribution) -> dict[str, float]:
     return {
         "theta": (_probe_evals(ops, False) + _probe_evals(ops, True)) / 4.0,
         "io": float(ops.rel_r.num_pages + ops.rel_s.num_pages),
-        **_refinements(ops, dist),
+        **_refinements(ops, p),
     }
 
 
-def _price_scan(ops: JoinOperands, dist: Distribution) -> dict[str, float]:
+def _price_scan(ops: JoinOperands, p: float, memory_pages: int) -> dict[str, float]:
     # The blocked loop as it runs: every pair of the actual operands
     # tested, the matching ones in full, R read once in (M-10)-page
     # chunks and S once per chunk.
-    chunks = -(-ops.rel_r.num_pages // (dist.params.big_m - 10))
+    chunks = -(-ops.rel_r.num_pages // max(1, memory_pages - 10))
     return {
         ops.kinds[1]: float(len(ops.rel_r) * len(ops.rel_s)),
-        **_refinements(ops, dist),
+        **_refinements(ops, p),
         "io": float(ops.rel_r.num_pages + chunks * ops.rel_s.num_pages),
     }
 
@@ -368,18 +368,20 @@ def _price_index_nl(swapped: bool):
     of the scanned relation (S, or R when ``swapped``) on the other's
     tree (:func:`_probe_evals`); both relations' pages are read once
     (the probes' pages stay in the pool)."""
-    def price(ops: JoinOperands, dist: Distribution) -> dict[str, float]:
+    def price(ops: JoinOperands, p: float, memory_pages: int) -> dict[str, float]:
         return {
             "probe": float(len(ops.rel_r if swapped else ops.rel_s)),
             "theta": _probe_evals(ops, swapped),
             "io": float(ops.rel_r.num_pages + ops.rel_s.num_pages),
-            **_refinements(ops, dist),
+            **_refinements(ops, p),
         }
     return price
 
 
-def _price_join_index(ops: JoinOperands, dist: Distribution) -> dict[str, float]:
-    return {"io": join_index_ios(dist)}
+def _price_join_index(ops: JoinOperands, p: float, memory_pages: int) -> dict[str, float]:
+    # The index's own pages, as the join reads them; the tuples fetched
+    # under ``collect_tuples`` stay unpriced, as for every strategy.
+    return {"io": float(ops.join_index.pages)}
 
 
 #: Every join algorithm, keyed by its executor name.  Table order is the

@@ -140,11 +140,6 @@ def d_join_index(dist: Distribution) -> float:
       fetched via Yao: ``Y(ceil(q * N), ceil(N/m), N)``;
     * the participating R tuples themselves are read once (Yao).
     """
-    return dist.params.c_io * join_index_ios(dist)
-
-
-def join_index_ios(dist: Distribution) -> float:
-    """The page reads :func:`d_join_index` charges."""
     params = dist.params
     j_pairs = expected_join_cardinality(dist)
     index_pages = math.ceil(j_pairs / params.z)
@@ -159,4 +154,4 @@ def join_index_ios(dist: Distribution) -> float:
     s_fetch = yao(math.ceil(q * params.N), params.relation_pages, params.N)
     r_fetch = yao(math.ceil(e_r), params.relation_pages, params.N)
 
-    return index_pages + passes * s_fetch + r_fetch
+    return params.c_io * (index_pages + passes * s_fetch + r_fetch)

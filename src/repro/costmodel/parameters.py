@@ -6,14 +6,18 @@ Derived variables follow the paper:
   ``n`` (with Table 3's ``k=10, n=6``: 1,111,111, as printed);
 * ``m = floor(s * l / v)`` -- tuples per page (Table 3: 5);
 * ``d = ceil(log_z N)`` -- B+-tree height of the join index (Table 3: 4).
+
+Table 3's ``C_Theta``, ``C_IO`` and ``C_U`` are declared once, in
+:mod:`repro.storage.costs`, which the meter weighs its total by too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.errors import CostModelError
+from repro.storage.costs import C_IO, C_THETA, C_UPDATE
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,9 +33,8 @@ class ModelParameters:
     System dependent: ``s`` (page size), ``z`` (join-index entries per
     page), ``big_m`` (main-memory pages ``M``).
 
-    System performance dependent: ``c_theta``, ``c_io``, ``c_update``,
-    and ``c_interval`` (beyond the paper: the cost of one raster-interval
-    probe of the second-tier filter, a fraction of ``c_theta``).
+    System performance dependent: ``c_theta``, ``c_io``, ``c_update``
+    (Table 3's values by default; the sensitivity sweeps vary them).
     """
 
     n: int = 6
@@ -44,16 +47,11 @@ class ModelParameters:
     s: int = 2000
     z: int = 100
     big_m: int = 4000
-    c_theta: float = 1.0
-    c_io: float = 1000.0
-    c_update: float = 1.0
-    c_interval: float = 0.25
+    c_theta: float = C_THETA
+    c_io: float = C_IO
+    c_update: float = C_UPDATE
 
     def __post_init__(self) -> None:
-        if self.c_interval < 0:
-            raise CostModelError(
-                f"c_interval must be non-negative, got {self.c_interval}"
-            )
         if self.n < 1:
             raise CostModelError(f"tree height n must be >= 1, got {self.n}")
         if self.k < 2:
@@ -105,16 +103,10 @@ class ModelParameters:
 
     def with_p(self, p: float) -> "ModelParameters":
         """A copy at a different join selectivity (for sweeps)."""
-        return ModelParameters(
-            n=self.n, k=self.k, p=p, v=self.v, l=self.l, h=self.h,
-            t_relations=self.t_relations, s=self.s, z=self.z,
-            big_m=self.big_m, c_theta=self.c_theta, c_io=self.c_io,
-            c_update=self.c_update, c_interval=self.c_interval,
-        )
+        return replace(self, p=p)
 
 
 #: The exact configuration of Table 3.
 PAPER_PARAMETERS = ModelParameters(
     n=6, k=10, v=300, l=0.75, h=6, s=2000, z=100, big_m=4000,
-    c_theta=1.0, c_io=1000.0, c_update=1.0,
 )

@@ -221,8 +221,7 @@ class JoinIndex:
         result = JoinResult(strategy="join-index")
         all_pairs = [(r, s) for r, s in self._forward.items()]
         result.pairs = list(all_pairs)
-        # Index scan cost: the two-column relation is packed z to a page.
-        meter.record_read(_ceil_div(len(all_pairs), self._forward.order))
+        meter.record_read(self.pages)
 
         if collect_tuples and all_pairs:
             pool_r = BufferPool(self.rel_r.buffer_pool.disk, memory_pages, meter)
@@ -247,6 +246,12 @@ class JoinIndex:
 
     def __len__(self) -> int:
         return len(self._forward)
+
+    @property
+    def pages(self) -> int:
+        """The index pages :meth:`join` reads: the two-column relation
+        packed ``z`` (the B+-tree order) entries to a page."""
+        return _ceil_div(len(self._forward), self._forward.order)
 
     @property
     def height(self) -> int:

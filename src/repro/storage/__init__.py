@@ -7,7 +7,9 @@ The paper's cost model (Section 4) charges three abstract units --
 This subpackage builds exactly that machine so the *empirical* benchmarks
 can count the same units the analytical formulas predict:
 
-* :class:`~repro.storage.costs.CostMeter` -- counters + weighted total;
+* :class:`~repro.storage.costs.CostMeter` -- counters + a total weighted
+  by Table 3's :data:`~repro.storage.costs.C_THETA`,
+  :data:`~repro.storage.costs.C_IO` and :data:`~repro.storage.costs.C_UPDATE`;
 * :class:`~repro.storage.page.Page` / :class:`~repro.storage.disk.SimulatedDisk`
   -- page-granular storage with stable page ids;
 * :class:`~repro.storage.buffer.BufferPool` -- LRU cache of ``M`` pages;
@@ -17,7 +19,7 @@ can count the same units the analytical formulas predict:
   caller-chosen order, e.g. breadth-first tree order (strategy IIb).
 """
 
-from repro.storage.costs import CostCharges, CostMeter, PAPER_CHARGES
+from repro.storage.costs import C_IO, C_THETA, C_UPDATE, CostMeter
 from repro.storage.page import Page, PAGE_SIZE
 from repro.storage.disk import SimulatedDisk
 from repro.storage.buffer import BufferPool
@@ -26,9 +28,10 @@ from repro.storage.heapfile import HeapFile
 from repro.storage.clustered import ClusteredFile
 
 __all__ = [
-    "CostCharges",
+    "C_IO",
+    "C_THETA",
+    "C_UPDATE",
     "CostMeter",
-    "PAPER_CHARGES",
     "Page",
     "PAGE_SIZE",
     "SimulatedDisk",

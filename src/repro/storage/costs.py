@@ -6,45 +6,29 @@ Table 2 defines three *system performance dependent* parameters:
 * ``C_IO``    -- cost of one disk I/O (page access);
 * ``C_U``     -- cost of one update computation.
 
-Table 3 fixes them at ``1 / 1000 / 1`` for the comparative study.  The
-:class:`CostMeter` is threaded through the storage layer and the join
-strategies so every empirical run yields the same three counters the
-analytical formulas predict, plus a weighted total.
+Table 3 fixes them at ``1 / 1000 / 1`` for the comparative study; this
+module declares them once, as :data:`C_THETA`, :data:`C_IO` and
+:data:`C_UPDATE`, and the Section 4 model's parameters default to them.
+The :class:`CostMeter` is threaded through the storage layer and the
+join strategies so every empirical run yields the same three counters
+the analytical formulas predict, plus a total weighted by them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterable
 
-from repro.errors import CostModelError
-
-
-@dataclass(frozen=True, slots=True)
-class CostCharges:
-    """Per-event weights for the abstract cost units.
-
-    ``c_interval`` (beyond the paper) prices one raster-interval probe of
-    the second-tier filter: a merge over two short sorted interval lists,
-    much cheaper than an exact geometric predicate, hence a fraction of
-    ``c_theta``.
-    """
-
-    c_theta: float = 1.0
-    c_io: float = 1000.0
-    c_update: float = 1.0
-    c_interval: float = 0.25
-
-    def __post_init__(self) -> None:
-        if (
-            self.c_theta < 0 or self.c_io < 0 or self.c_update < 0
-            or self.c_interval < 0
-        ):
-            raise CostModelError(f"cost charges must be non-negative: {self}")
-
-
-#: The charge vector of Table 3 (C_Theta=1, C_IO=1000, C_U=1).
-PAPER_CHARGES = CostCharges()
+#: Table 3: one Theta-operator computation.
+C_THETA = 1.0
+#: Table 3: one disk I/O.
+C_IO = 1000.0
+#: Table 3: one update computation.
+C_UPDATE = 1.0
+#: One raster-interval probe of the second-tier filter (beyond the
+#: paper): a merge over two short sorted interval lists, much cheaper
+#: than an exact geometric predicate, hence a fraction of ``C_THETA``.
+C_INTERVAL = 0.25
 
 
 @dataclass(slots=True)
@@ -72,7 +56,6 @@ class CostMeter:
     interval_probes: int = 0
     interval_sure_hits: int = 0
     interval_evals_saved: int = 0
-    charges: CostCharges = field(default_factory=CostCharges)
 
     @property
     def io_operations(self) -> int:
@@ -142,7 +125,7 @@ class CostMeter:
     def record_interval_probe(self, count: int = 1) -> None:
         """One raster-interval classification of a candidate pair.
 
-        Priced at ``c_interval`` in :meth:`total` -- the second-tier
+        Priced at :data:`C_INTERVAL` in :meth:`total` -- the second-tier
         filter is cheap, but it is not free.
         """
         self.interval_probes += count
@@ -166,7 +149,7 @@ class CostMeter:
         self.checkpoint_pages += pages
 
     def absorb(self, other: "CostMeter") -> None:
-        """Add another meter's counters into this one (charges are kept).
+        """Add another meter's counters into this one.
 
         This is how per-worker private meters flow back into the caller's
         meter after a parallel run.  Field-driven so a counter added to
@@ -177,18 +160,11 @@ class CostMeter:
 
     @classmethod
     def merge(cls, meters: "Iterable[CostMeter]") -> "CostMeter":
-        """One combined meter summing every counter of ``meters``.
-
-        The charge vector is taken from the first meter (workers of one
-        parallel operation all run under the same charges); merging zero
-        meters yields a fresh meter under the default charges.
-        """
-        merged: CostMeter | None = None
+        """One combined meter summing every counter of ``meters``."""
+        merged = cls()
         for m in meters:
-            if merged is None:
-                merged = cls(charges=m.charges)
             merged.absorb(m)
-        return merged if merged is not None else cls()
+        return merged
 
     def total(self) -> float:
         """Weighted cost in the paper's units.
@@ -199,18 +175,19 @@ class CostMeter:
         are priced at ``C_IO`` on top: a non-durable run has zero of them,
         so baseline totals are unchanged, while durable runs show the
         crash-safety surcharge explicitly.  Interval probes (the raster
-        second-tier filter) are priced at ``c_interval``; a run without
-        the filter has zero of them, keeping baseline totals untouched.
+        second-tier filter) are priced at :data:`C_INTERVAL`; a run
+        without the filter has zero of them, keeping baseline totals
+        untouched.
         """
         return (
-            self.predicate_evaluations * self.charges.c_theta
-            + (self.io_operations + self.durability_ios) * self.charges.c_io
-            + self.update_computations * self.charges.c_update
-            + self.interval_probes * self.charges.c_interval
+            self.predicate_evaluations * C_THETA
+            + (self.io_operations + self.durability_ios) * C_IO
+            + self.update_computations * C_UPDATE
+            + self.interval_probes * C_INTERVAL
         )
 
     def reset(self) -> None:
-        """Zero all counters (charges are kept)."""
+        """Zero all counters."""
         for name in COUNTER_FIELDS:
             setattr(self, name, 0)
 
@@ -218,8 +195,7 @@ class CostMeter:
         """Plain-dict view for reports and benchmark output.
 
         Exhaustive by construction: every declared counter field appears
-        under its own name (``charges`` stays out -- it is a weight
-        vector, not a count), plus the weighted ``total``.
+        under its own name, plus the weighted ``total``.
         """
         view: dict[str, float] = {
             name: getattr(self, name) for name in COUNTER_FIELDS
@@ -231,6 +207,4 @@ class CostMeter:
 #: Every counter field of :class:`CostMeter`, in declaration order.
 #: ``snapshot``/``absorb``/``reset`` iterate this tuple, so adding a
 #: counter to the dataclass automatically flows through all three.
-COUNTER_FIELDS: tuple[str, ...] = tuple(
-    f.name for f in fields(CostMeter) if f.name != "charges"
-)
+COUNTER_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(CostMeter))

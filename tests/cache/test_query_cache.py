@@ -28,7 +28,7 @@ from repro.predicates.theta import (
     Overlaps,
     WithinDistance,
 )
-from repro.storage.costs import PAPER_CHARGES, CostMeter
+from repro.storage.costs import C_IO, CostMeter
 from repro.workloads.assembly import build_indexed_relation
 
 QUERY = Rect(100.0, 100.0, 400.0, 420.0)
@@ -279,7 +279,7 @@ def test_every_select_worth_one_c_io_is_admitted_in_seconds():
             ir.relation, "shape", Rect(x, y, x + side, y + side), Overlaps(),
             strategy="tree", meter=meter,
         )
-        if meter.total() < PAPER_CHARGES.c_io:
+        if meter.total() < C_IO:
             continue
         worth += 1
         work = metered_work(

@@ -10,7 +10,7 @@ from repro.errors import JoinError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.predicates.theta import NorthwestOf, Overlaps, WithinDistance
-from repro.storage.costs import PAPER_CHARGES, CostMeter
+from repro.storage.costs import C_IO, CostMeter
 
 from tests import oracle
 from tests.join.conftest import (
@@ -201,6 +201,22 @@ class TestAutoPick:
             executor.plan_and_execute_join(rel_r, "shape", rel_s, "shape", Overlaps())
         assert len(planned) == 5
 
+    def test_the_pick_is_planned_once_for_every_worker_count(self, executor, monkeypatch):
+        """No price reads ``workers``: the same join at another worker
+        count reuses the kept plan instead of sampling again."""
+        planned = []
+
+        def counting_plan_join(*args, **kwargs):
+            planned.append(args[4])
+            return plan_join(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "plan_join", counting_plan_join)
+        rel_r = make_rect_relation("r", 40, seed=112)
+        rel_s = make_rect_relation("s", 40, seed=113)
+        for workers in (1, 2):
+            executor.join(rel_r, "shape", rel_s, "shape", Overlaps(), workers=workers)
+        assert len(planned) == 1
+
     def test_a_cold_small_auto_join_is_cached(self):
         """Admission prices a run by the seconds of its metered work.  A
         cold 60-row ``auto`` join meters under one ``C_IO`` in Table 3's
@@ -212,7 +228,7 @@ class TestAutoPick:
         meter = CostMeter()
         first = executor.join(rel_r, "shape", rel_s, "shape", Overlaps(), meter=meter)
         assert first.strategy == "partition-sweep"
-        assert meter.total() < PAPER_CHARGES.c_io
+        assert meter.total() < C_IO
         again = executor.join(rel_r, "shape", rel_s, "shape", Overlaps())
         assert again.strategy == "cached-exact"
         assert again.pair_set() == first.pair_set()

@@ -1,11 +1,10 @@
-"""The interval tier's planning surface: charge, sampling, plan, drift."""
+"""The interval tier's planning surface: sampling, plan, drift."""
 
 import pytest
 
 from repro.core.executor import SpatialQueryExecutor
 from repro.core.optimizer import plan_join
 from repro.costmodel.estimation import estimate_interval_resolution
-from repro.costmodel.parameters import ModelParameters
 from repro.errors import CostModelError
 from repro.geometry.rect import Rect
 from repro.intermediate import IntervalSpec
@@ -25,20 +24,6 @@ def indexed_pair():
     rtree_over(rel_r, "shape")
     rtree_over(rel_s, "shape")
     return rel_r, rel_s
-
-
-def params(**kw):
-    return ModelParameters(**kw)
-
-
-class TestIntervalFilterDelta:
-    """What is left of the tier's Table 3 pricing: its ``c_interval``
-    charge.  The planner prices the tier in seconds (``interval_work``)."""
-
-    def test_c_interval_parameter_validated(self):
-        with pytest.raises(CostModelError):
-            ModelParameters(c_interval=-0.5)
-        assert params().with_p(0.5).c_interval == params().c_interval
 
 
 class TestResolutionEstimation:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.executor import SpatialQueryExecutor
-from repro.core.optimizer import executable_strategy, fit_parameters, plan_join
+from repro.core.optimizer import executable_strategy, plan_join
+from repro.core.strategies import JoinOperands, metered_work
 from repro.predicates.theta import Overlaps, WithinDistance
 from repro.storage.costs import CostMeter
 
@@ -23,21 +24,8 @@ def indexed_pair():
     return rel_r, rel_s
 
 
-class TestFitParameters:
-    def test_geometry_from_relation(self, indexed_pair):
-        rel_r, _ = indexed_pair
-        params = fit_parameters(rel_r, "shape", p=0.01)
-        assert params.v == rel_r.record_size
-        assert params.m == rel_r.records_per_page
-        assert params.k == rel_r.index_on("shape").max_entries
-        # Fitted tree must be at least as large as the relation.
-        assert params.N >= len(rel_r)
-
-    def test_unindexed_defaults(self):
-        rel = make_rect_relation("bare", 50, seed=63)
-        params = fit_parameters(rel, "shape", p=0.5)
-        assert params.k == 10
-        assert params.p == 0.5
+def join_index(rel_r, rel_s, theta):
+    return SpatialQueryExecutor().precompute_join_index(rel_r, rel_s, "shape", "shape", theta)
 
 
 class TestPlanJoin:
@@ -45,7 +33,7 @@ class TestPlanJoin:
         rel_r, rel_s = indexed_pair
         plan = plan_join(
             rel_r, "shape", rel_s, "shape", Overlaps(),
-            join_index_available=True,
+            join_index=join_index(rel_r, rel_s, Overlaps()),
         )
         assert set(plan.predicted_seconds) == {
             "scan", "tree", "join-index", "partition", "index-nl", "index-nl-swapped",
@@ -64,9 +52,10 @@ class TestPlanJoin:
     def test_join_index_wins_at_very_low_selectivity(self, indexed_pair):
         rel_r, rel_s = indexed_pair
         # Impossible predicate: sampled selectivity bottoms out.
+        theta = WithinDistance(0.0)
         plan = plan_join(
-            rel_r, "shape", rel_s, "shape", WithinDistance(0.0),
-            join_index_available=True, sample_pairs=3000,
+            rel_r, "shape", rel_s, "shape", theta,
+            join_index=join_index(rel_r, rel_s, theta), sample_pairs=3000,
         )
         assert plan.estimate.matches == 0
         assert plan.predicted_seconds["join-index"] <= plan.predicted_seconds["scan"]
@@ -99,6 +88,24 @@ class TestPlanJoin:
         assert 0.5 < work["theta"] / meter.theta_filter_evals < 2.0
         assert meter.page_reads <= work["io"] == rel_r.num_pages + rel_s.num_pages
 
+    def test_join_index_work_is_the_pages_it_reads(self):
+        """The join index is priced by its own pages: the prediction is
+        exactly the work its run meters."""
+        rel_r = make_rect_relation("r", 120, seed=66)
+        rel_s = make_rect_relation("s", 100, seed=67)
+        args = (rel_r, "shape", rel_s, "shape", Overlaps())
+        ji = join_index(rel_r, rel_s, Overlaps())
+        assert ji.pages >= 1
+        plan = plan_join(*args, join_index=ji)
+        meter = CostMeter()
+        result = SpatialQueryExecutor().join(*args, strategy="join-index", meter=meter)
+        ops = JoinOperands(*args)
+        work = metered_work(
+            "join-index", meter.snapshot(),
+            kinds=ops.kinds, rows=ops.rows, matches=len(result.pairs),
+        )
+        assert {kind: n for kind, n in work.items() if n} == plan.predicted_work["join-index"]
+
     def test_explain_is_readable(self, indexed_pair):
         rel_r, rel_s = indexed_pair
         plan = plan_join(rel_r, "shape", rel_s, "shape", Overlaps())
@@ -107,6 +114,8 @@ class TestPlanJoin:
         assert "->" in text  # the chosen row is marked
         # Seconds are the plan's one unit.
         assert "predicted seconds:" in text and "Table 3" not in text
+        # No model of a full tree stands behind the prices.
+        assert "model:" not in text
         for name, secs in plan.predicted_seconds.items():
             assert f"{name} " in text and f"{secs:.6f} s" in text
 

@@ -24,8 +24,6 @@ from repro.core.strategies import (
     JoinStrategy,
     applicable,
 )
-from repro.costmodel.distributions import make_distribution
-from repro.costmodel.parameters import ModelParameters
 from repro.costmodel.profile import WORK_KINDS, seconds
 from repro.errors import ExecutionError, JoinError
 from repro.faults import FaultPlan, FaultyDisk
@@ -67,7 +65,7 @@ def _probe_run(ctx, ops):
     )
 
 
-PROBE = JoinStrategy("probe", _probe_run, price=lambda ops, dist: {"io": 1e12})
+PROBE = JoinStrategy("probe", _probe_run, price=lambda ops, p, memory_pages: {"io": 1e12})
 
 
 def test_a_registered_descriptor_reaches_every_consumer(monkeypatch, indexed_pair):
@@ -173,10 +171,15 @@ def test_priced_models_are_declared_and_are_the_parents(indexed_pair):
     price in seconds only -- all but the z-order merge, which is never
     picked -- and each price is work of the profile's declared kinds."""
     rel_r, rel_s = indexed_pair
-    ops = JoinOperands(rel_r, "shape", rel_s, "shape", Overlaps(), join_index=object())
-    dist = make_distribution("uniform", ModelParameters())
+    args = (rel_r, "shape", rel_s, "shape", Overlaps())
+    ops = JoinOperands(
+        *args, join_index=SpatialQueryExecutor().precompute_join_index(
+            rel_r, rel_s, "shape", "shape", Overlaps()
+        ),
+    )
     priced = {
-        s.name: s.price(ops, dist) for s in JOIN_STRATEGIES.values() if s.price is not None
+        s.name: s.price(ops, 0.01, 4000)
+        for s in JOIN_STRATEGIES.values() if s.price is not None
     }
     assert set(priced) == set(JOIN_STRATEGIES) - {"zorder"}
     for work in priced.values():
@@ -198,10 +201,12 @@ def test_interval_capable_strategies_are_the_three_with_a_refine_site():
 # ----------------------------------------------------------------------
 
 def test_plan_and_execute_prices_the_workers_it_runs_with(monkeypatch):
+    """No price reads ``workers`` (the sweep runs in one process): the
+    one plan made prices the run at any worker count."""
     planned = []
 
     def recording_plan_join(*args, **kwargs):
-        planned.append(kwargs["workers"])
+        planned.append(kwargs)
         return plan_join(*args, **kwargs)
 
     monkeypatch.setattr(executor_module, "plan_join", recording_plan_join)
@@ -212,7 +217,7 @@ def test_plan_and_execute_prices_the_workers_it_runs_with(monkeypatch):
         *args, workers=4
     )
     assert report.strategy == "partition"
-    assert planned == [4]
+    assert len(planned) == 1
     at_four = plan_join(*args, workers=4).predicted_seconds["partition"]
     assert report.drift.row("partition").predicted == at_four
 
@@ -255,18 +260,22 @@ def _string_constants(path: Path) -> set[str]:
 def test_table_3_stays_out_of_the_runtime():
     """Seconds are the one runtime unit: no module of ``core/``,
     ``cache/`` or ``obs/`` spells a Section 4 model name or imports a
-    ``d_*`` formula (they draw the paper's figures, in ``costmodel/``)."""
+    ``d_*`` formula (they draw the paper's figures, in ``costmodel/``),
+    and ``core/`` plans from the operands it holds, never from Section
+    4's fitted tree (its parameters, distributions and formulas)."""
+    model = {
+        "repro.costmodel.distributions", "repro.costmodel.parameters",
+        "repro.costmodel.join_costs",
+    }
     offenders = set()
     for package in ("core", "cache", "obs"):
         for path in (SRC / package).glob("*.py"):
             tree = ast.parse(path.read_text())
-            imported = {
-                alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) for alias in node.names
-            }
+            imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+            imported = {alias.name for node in imports for alias in node.names}
             if _string_constants(path) & TABLE_3_MODELS or any(
                 name.startswith("d_") for name in imported
-            ):
+            ) or (package == "core" and {node.module for node in imports} & model):
                 offenders.add(path.relative_to(SRC).as_posix())
     assert offenders == set()
 

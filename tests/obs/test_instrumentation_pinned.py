@@ -18,7 +18,7 @@ from repro.geometry import Rect
 from repro.core.executor import SpatialQueryExecutor
 from repro.obs import MetricsRegistry, Tracer, sum_cost_self
 from repro.predicates.theta import Overlaps
-from repro.storage.costs import COUNTER_FIELDS, CostMeter
+from repro.storage.costs import C_IO, COUNTER_FIELDS, CostMeter
 from repro.workloads.assembly import build_indexed_relation
 
 QUERY = Rect(100.0, 100.0, 400.0, 420.0)
@@ -123,7 +123,7 @@ def test_a_warm_partition_join_charges_hits_for_the_pages_it_was_spared(workload
     pages = ir_r.relation.num_pages + ir_s.relation.num_pages
     assert (cold.page_reads, cold.buffer_hits) == (pages, 0)
     assert (warm.page_reads, warm.buffer_hits) == (0, pages)
-    assert cold.total() - warm.total() == pages * warm.charges.c_io
+    assert cold.total() - warm.total() == pages * C_IO
     for name in COUNTER_FIELDS:
         if name not in ("page_reads", "buffer_hits"):
             assert getattr(warm, name) == getattr(cold, name), name

@@ -1,27 +1,24 @@
-"""Unit tests for cost charges and the meter."""
+"""Unit tests for Table 3's charges and the meter."""
 
 import dataclasses
 
-import pytest
-
-from repro.errors import CostModelError
+from repro.costmodel.parameters import PAPER_PARAMETERS
 from repro.storage.costs import (
+    C_IO,
+    C_THETA,
+    C_UPDATE,
     COUNTER_FIELDS,
-    PAPER_CHARGES,
-    CostCharges,
     CostMeter,
 )
 
 
 class TestCharges:
     def test_paper_values(self):
-        assert PAPER_CHARGES.c_theta == 1.0
-        assert PAPER_CHARGES.c_io == 1000.0
-        assert PAPER_CHARGES.c_update == 1.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(CostModelError):
-            CostCharges(c_io=-1)
+        assert (C_THETA, C_IO, C_UPDATE) == (1.0, 1000.0, 1.0)
+        # The model's parameters read the one declaration.
+        assert (
+            PAPER_PARAMETERS.c_theta, PAPER_PARAMETERS.c_io, PAPER_PARAMETERS.c_update,
+        ) == (C_THETA, C_IO, C_UPDATE)
 
 
 class TestMeter:
@@ -43,12 +40,12 @@ class TestMeter:
         assert m.buffer_hits == 100
 
     def test_reset_keeps_charges(self):
-        m = CostMeter(charges=CostCharges(c_io=5))
+        m = CostMeter()
         m.record_read()
         m.reset()
         assert m.total() == 0.0
         m.record_read()
-        assert m.total() == 5.0
+        assert m.total() == C_IO
 
     def test_snapshot_keys(self):
         snap = CostMeter().snapshot()
@@ -68,9 +65,7 @@ class TestMeter:
         counter that someone forgets to publish shows up as a test
         failure here, not as a silent hole in reports and metrics.
         """
-        declared = {
-            f.name for f in dataclasses.fields(CostMeter) if f.name != "charges"
-        }
+        declared = {f.name for f in dataclasses.fields(CostMeter)}
         assert set(COUNTER_FIELDS) == declared
         assert set(CostMeter().snapshot()) == declared | {"total"}
 
@@ -134,16 +129,6 @@ class TestMergeAndAbsorb:
         # The inputs are untouched.
         assert workers[0].page_reads == 1
 
-    def test_merge_keeps_first_charges(self):
-        first = CostMeter(charges=CostCharges(c_io=7.0))
-        first.record_read()
-        second = CostMeter()  # default charges
-        second.record_read()
-        merged = CostMeter.merge([first, second])
-        assert merged.charges.c_io == 7.0
-        assert merged.total() == 2 * 7.0
-
     def test_merge_of_nothing_is_fresh_default(self):
         merged = CostMeter.merge([])
         assert merged.total() == 0.0
-        assert merged.charges == CostCharges()

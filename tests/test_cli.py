@@ -178,7 +178,7 @@ class TestTraceCommand:
     def test_join_index_strategy_is_traced_with_its_drift(self, capsys):
         """``join-index`` is an offered choice: the command registers the
         index the strategy needs and plans with it, so the drift report
-        gets its row."""
+        gets its row -- priced by the index's own pages, so not drifted."""
         assert main([
             "trace", "--size", "150", "--strategy", "join-index", "--drift",
         ]) == 0
@@ -186,6 +186,7 @@ class TestTraceCommand:
         assert "JOIN (join-index)" in out
         assert "  join-index   join-index" in out
         assert "no measured strategy was priced" not in out
+        assert "[DRIFT]" not in out
 
     def test_metrics_renders_registry(self, capsys):
         assert main(["trace", "--size", "150", "--metrics"]) == 0

@@ -342,6 +342,17 @@ def one_unit(lines):
             yield line
 
 
+def no_fitted_model(lines):
+    """The explain rows of Section 4's fitted full tree.
+
+    A plan prices from the sampled selectivity, the memory budget and
+    the structures it is handed, so no ``model: n= k= N= m=`` line
+    follows the estimate any more; it is dropped.  Every other line
+    passes untouched.
+    """
+    return (line for line in lines if not line.startswith("  > model: "))
+
+
 def lacks(path: str):
     """A filter's marker: REV's ``src/`` lacks ``path``, a file the
     change adds."""
@@ -362,6 +373,7 @@ FILTERS = (
     (planner_choice, lacks("repro/costmodel/profile.py")),
     (one_planned_join, still_has("repro/cache/cache.py", "def join_hit_probability(")),
     (one_unit, still_has("repro/core/strategies.py", "class Price(")),
+    (no_fitted_model, still_has("repro/core/optimizer.py", "def fit_parameters(")),
 )
 
 
