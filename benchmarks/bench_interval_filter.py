@@ -8,8 +8,9 @@ Theta-only (filter-off) replay.  The claim asserted: on clustered
 of the candidate pairs outright, cutting ``theta_exact_evals`` by at
 least that much while producing the byte-identical pair list.
 
-The artifact records, per strategy: exact evals with and without the
-filter, probes, sure hits, evals saved, and the wall-clock delta.
+The artifact records, for the partition sweep (the one strategy that
+threads the tier): exact evals with and without the filter, probes,
+sure hits, evals saved, and the wall-clock delta.
 
 ``BENCH_INTERVAL_SIZE`` overrides the per-relation cardinality (the
 smoke suite sets it tiny; the full run defaults to 600 x 500).
@@ -43,7 +44,8 @@ ROUNDS = 3
 #: of the Theta-only exact evaluations on the HI-LOC replay.
 MIN_REDUCTION = 0.30
 
-STRATEGIES = ("tree", "partition", "zorder")
+#: The partition sweep is the one strategy that threads the tier.
+STRATEGIES = ("partition",)
 
 
 @pytest.fixture(scope="module")

@@ -181,14 +181,24 @@ def relations(cell: Cell, seed: int) -> tuple[Relation, Relation]:
 
 @dataclass(frozen=True)
 class Run:
-    """One timed strategy on one cell: its best wall time of ``reps``
-    and the work its meter counted, by kind."""
+    """One timed strategy on one cell: the wall time of each rep, and
+    the work its meter counted on the fastest, by kind."""
 
     cell: Cell
     seed: int
     strategy: str
-    seconds: float
+    times: tuple[float, ...]
     work: dict[str, float]
+
+    @property
+    def seconds(self) -> float:
+        """The best wall time of the reps."""
+        return min(self.times)
+
+    @property
+    def spread(self) -> float:
+        """The slowest rep over the fastest."""
+        return max(self.times) / min(self.times)
 
 
 @dataclass
@@ -234,26 +244,22 @@ def _timed_strategies(cell: Cell, ops: JoinOperands) -> list[str]:
     return names
 
 
-def _time(executor, ops: JoinOperands, strategy: str, reps: int, interval=False):
-    """The best wall time of ``reps`` runs, and the work its meter counted."""
-    best = None
-    for _ in range(reps):
-        gc.collect()
-        meter = CostMeter()
-        start = time.perf_counter()
-        result = executor.join(*ops.positional, strategy=strategy, meter=meter,
-                               interval=interval() if callable(interval) else interval)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best[0]:
-            best = (elapsed, meter, len(result.pairs))
-    elapsed, meter, matches = best
-    return elapsed, metered_work(
-        strategy, meter.snapshot(), kinds=ops.kinds, rows=ops.rows, matches=matches
-    )
+def _time(executor, ops: JoinOperands, strategy: str, interval=False):
+    """One rep: its wall time, its meter and the answer's size."""
+    gc.collect()
+    meter = CostMeter()
+    start = time.perf_counter()
+    result = executor.join(*ops.positional, strategy=strategy, meter=meter,
+                           interval=interval() if callable(interval) else interval)
+    return time.perf_counter() - start, meter, len(result.pairs)
 
 
 def measure(cell: Cell, seed: int, reps: int = 3) -> CellResult:
-    """Plan the cell's join, then time every priced strategy on it."""
+    """Plan the cell's join, then time every priced strategy on it.
+
+    The reps are taken round-robin -- one rep of every strategy, then
+    the next round -- so a slow phase of the host lands on every
+    strategy alike rather than on the one timed while it lasted."""
     rel_r, rel_s = relations(cell, seed)
     theta = Overlaps() if cell.theta == "overlaps" else WithinDistance(WITHIN)
     memory = cell.memory_pages or rel_r.num_pages + rel_s.num_pages + 64
@@ -267,9 +273,8 @@ def measure(cell: Cell, seed: int, reps: int = 3) -> CellResult:
     plan = plan_join(
         *ops.positional, join_index=ops.join_index, memory_pages=memory,
     )
-    runs = []
-    for name in _timed_strategies(cell, ops):
-        runs.append(Run(cell, seed, name, *_time(executor, ops, name, reps)))
+    # (label, strategy, interval setting, reps)
+    timed = [(name, name, False, reps) for name in _timed_strategies(cell, ops)]
     if cell.interval:
         from repro.intermediate import IntervalSpec
 
@@ -281,11 +286,25 @@ def measure(cell: Cell, seed: int, reps: int = 3) -> CellResult:
             return IntervalSpec(Rect(universe.xmin - grow, universe.ymin,
                                      universe.xmax, universe.ymax))
 
-        elapsed, work = _time(executor, ops, "partition", reps, cold)
-        work["interval_build"] = float(len(rel_r) + len(rel_s))
-        runs.append(Run(cell, seed, "partition+INT cold", elapsed, work))
-        warm = IntervalSpec(universe)
-        runs.append(Run(cell, seed, "partition+INT", *_time(executor, ops, "partition", reps + 1, warm)))
+        # The warm grid's first rep builds its tables: one rep more.
+        timed += [
+            ("partition+INT cold", "partition", cold, reps),
+            ("partition+INT", "partition", IntervalSpec(universe), reps + 1),
+        ]
+    done: dict[str, list] = {label: [] for label, *_ in timed}
+    for round_ in range(max((n for *_, n in timed), default=0)):
+        for label, strategy, interval, n in timed:
+            if round_ < n:
+                done[label].append(_time(executor, ops, strategy, interval))
+    runs = []
+    for label, strategy, _, _ in timed:
+        elapsed, meter, matches = min(done[label], key=lambda rep: rep[0])
+        work = metered_work(
+            strategy, meter.snapshot(), kinds=ops.kinds, rows=ops.rows, matches=matches
+        )
+        if label == "partition+INT cold":
+            work["interval_build"] = float(len(rel_r) + len(rel_s))
+        runs.append(Run(cell, seed, label, tuple(rep[0] for rep in done[label]), work))
     return CellResult(cell, seed, plan, runs)
 
 
@@ -346,8 +365,8 @@ def format_profile(profile: Mapping[str, float]) -> str:
 
 def format_regret(results: Iterable[CellResult], profile: Mapping[str, float]) -> str:
     lines = [
-        f"{'cell':44s} {'seed':>5s} {'fastest':>16s} {'pick':>16s} {'regret':>6s}"
-        "  measured ms per strategy"
+        f"{'cell':44s} {'seed':>5s} {'fastest':>16s} {'spread':>6s} {'pick':>16s} "
+        f"{'regret':>6s}  measured ms per strategy"
     ]
     for result in results:
         fastest = result.fastest()
@@ -355,7 +374,8 @@ def format_regret(results: Iterable[CellResult], profile: Mapping[str, float]) -
         times = " ".join(f"{run.strategy}={run.seconds * 1e3:.1f}" for run in result.runs)
         lines.append(
             f"{result.cell.label():44s} {result.seed:5d} {fastest.strategy:>16s} "
-            f"{pick:>16s} {'-' if regret is None else f'{regret:.2f}':>6s}  {times}"
+            f"{fastest.spread:6.2f} {pick:>16s} "
+            f"{'-' if regret is None else f'{regret:.2f}':>6s}  {times}"
         )
     return "\n".join(lines)
 

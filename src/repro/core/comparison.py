@@ -138,7 +138,6 @@ class StrategyComparison:
         include_zorder: bool = False,
         resilient: bool = False,
         check_drift: bool = False,
-        interval=None,
     ) -> ComparisonReport:
         """Run every applicable registered join strategy; verify agreement.
 
@@ -160,10 +159,6 @@ class StrategyComparison:
         ``report.drift``: its predicted seconds beside the seconds of
         the work its meter counted -- the empirical table and the
         planner's claims about it, side by side.
-
-        ``interval`` forwards the raster-interval second-tier setting to
-        every strategy run (see :meth:`SpatialQueryExecutor.join`); the
-        agreement check then doubles as a filter-exactness check.
         """
         executor = self.executor
         ji = executor.join_index_for(rel_r, rel_s, column_r, column_s, theta)
@@ -178,8 +173,7 @@ class StrategyComparison:
             meter = CostMeter()
             if resilient:
                 res, exec_report = executor.execute_join(
-                    rel_r, column_r, rel_s, column_s, theta,
-                    strategy=strategy, meter=meter, interval=interval,
+                    *ops.positional, strategy=strategy, meter=meter
                 )
                 report.execution_reports[strategy] = exec_report
                 # Strategy extras (grid size, workers, ...) come from the
@@ -187,10 +181,7 @@ class StrategyComparison:
                 stats = dict(res.stats)
                 stats.update(meter.snapshot())
             else:
-                res = executor.join(
-                    rel_r, column_r, rel_s, column_s, theta,
-                    strategy=strategy, meter=meter, interval=interval,
-                )
+                res = executor.join(*ops.positional, strategy=strategy, meter=meter)
                 stats = res.stats
             report.rows.append(_row_from(strategy, len(res.pair_set()), stats))
             return res

@@ -67,12 +67,10 @@ class SpatialQueryExecutor:
     ``True`` rasterizes on a data-fitted default grid, an
     :class:`~repro.intermediate.filter.IntervalSpec` fixes the grid,
     ``None``/``False`` keeps the historical exact refinement.  The tier
-    applies to the strategies whose table entry threads the refiner
-    (tree traversals, the z-order merge, the partition sweep) under the
-    ``overlaps`` operator; every other strategy/operator pair ignores it.
-    One rule decides whether it runs: ``auto`` decides the tier (the
-    planner weighs it and the plan's verdict runs), an explicit strategy
-    forces it as set.
+    applies to the partition sweep under the ``overlaps`` operator; every
+    other strategy/operator pair ignores it.  One rule decides whether
+    it runs: ``auto`` decides the tier (the planner weighs it and the
+    plan's verdict runs), an explicit ``partition`` forces it as set.
     Per-object approximations are kept per grid in each relation's
     epoch-scoped memo, so a mutated relation is re-rasterized and never
     filtered through stale intervals.
@@ -304,10 +302,11 @@ class SpatialQueryExecutor:
         this call (``None`` = instance default, ``False`` = force exact,
         ``True`` = data-fitted grid, an ``IntervalSpec`` = that grid).
         Under ``auto`` the setting is what the planner may use: the tier
-        runs only where the plan says it pays.  An explicit strategy
-        forces the tier as set.  The filter changes which pairs reach the
-        exact predicate, never which pairs are reported -- strategy
-        labels and cache keys are identical with and without it.
+        runs only where the plan says it pays.  An explicit ``partition``
+        forces the tier as set; every other strategy ignores it.  The
+        filter changes which pairs reach the exact predicate, never
+        which pairs are reported -- strategy labels and cache keys are
+        identical with and without it.
 
         With a cache attached, an exact repeat of a join (same operand
         identities and epochs, same predicate, same strategy) is served
@@ -395,14 +394,10 @@ class SpatialQueryExecutor:
         *,
         strategy: str = "auto",
         meter: CostMeter | None = None,
-        collect_tuples: bool = False,
         order: str = "bfs",
         workers: int | None = None,
         plan=None,
         tracer=None,
-        metrics=None,
-        cache=None,
-        cancel: CancellationToken | None = None,
         interval=None,
     ) -> tuple[JoinResult, ExecutionReport]:
         """Join with a strategy-fallback chain and a full execution report.
@@ -432,18 +427,16 @@ class SpatialQueryExecutor:
         model-vs-measured drift detection: the seconds of the winning
         attempt's metered work are compared with the seconds the plan
         predicted for the strategy which actually ran -- its
-        ``<strategy>+INT`` prediction when that attempt ran the interval
+        ``partition+INT`` prediction when that attempt ran the interval
         filter -- and the resulting
         :class:`~repro.obs.drift.DriftReport` is attached to the
         execution report (``report.drift``).  An explicit strategy with
         no ``plan`` reports no drift.
 
-        ``cancel`` is re-checked before every attempt of the chain, and
-        :class:`~repro.errors.QueryCancelled` /
-        :class:`~repro.errors.DeadlineExceeded` raised inside an attempt
-        are *not* fallback triggers: a cancelled partition join must not
-        burn the remaining deadline on a doomed tree join.  They unwind
-        straight out of the chain.
+        Resolving ``auto`` is the chain's first step: planning reads the
+        operands, and when that dies on a storage failure it is recorded
+        as a failed ``auto`` attempt and the chain starts at its first
+        fallback link.
 
         ``interval`` is the second-tier setting (see :meth:`join`): under
         ``auto`` every attempt runs the plan's verdict on the tier, under
@@ -451,58 +444,43 @@ class SpatialQueryExecutor:
         """
         ops = self._operands(rel_r, column_r, rel_s, column_s, theta)
         ctx = self._context(
-            meter=meter, collect_tuples=collect_tuples, order=order,
-            workers=workers, tracer=tracer, metrics=metrics, cache=cache,
-            cancel=cancel, interval=interval,
+            meter=meter, order=order, workers=workers, tracer=tracer,
+            interval=interval,
         )
-        return self._chain(ctx, ops, strategy, plan)
-
-    def _chain(
-        self, ctx: ExecContext, ops: JoinOperands, requested: str, plan
-    ) -> tuple[JoinResult, ExecutionReport]:
-        """:meth:`_attempt` down the fallback chain, with the report.
-
-        Resolving ``auto`` is the chain's first step: planning reads the
-        operands, and when that dies on a storage failure it is recorded
-        as a failed ``auto`` attempt and the chain starts at its first
-        fallback link.  The run has one plan, the caller's or else
-        ``auto``'s: it prices the winner's drift.
-        """
         meter = ctx.meter
         fault_plan = self._fault_plan_for(ops.rel_r, ops.rel_s)
         events_before = len(fault_plan.events) if fault_plan is not None else 0
 
-        report = ExecutionReport(query=ops.query, requested_strategy=requested)
+        report = ExecutionReport(query=ops.query, requested_strategy=strategy)
         try:
-            ctx, first, auto_plan = self._strategy_for(requested, ops, ctx)
+            ctx, first, auto_plan = self._strategy_for(strategy, ops, ctx)
             plan = plan or auto_plan
         except StorageError as exc:
             first = None
             report.attempts.append(AttemptRecord(
-                strategy=requested, ok=False,
+                strategy=strategy, ok=False,
                 error_type=type(exc).__name__, error=str(exc),
             ))
         chain = [first] if first is not None else []
         chain += [s for s in applicable(ops) if s.fallback and s is not first]
 
         result: JoinResult | None = None
-        for strategy in chain:
-            check_cancel(ctx.cancel)
+        for link in chain:
             attempt_meter = CostMeter()
             failure: StorageError | None = None
             try:
-                result = self._attempt(replace(ctx, meter=attempt_meter), ops, strategy)
+                result = self._attempt(replace(ctx, meter=attempt_meter), ops, link)
             except StorageError as exc:
                 failure = exc
             meter.absorb(attempt_meter)
             report.attempts.append(AttemptRecord(
-                strategy=strategy.name, ok=failure is None,
+                strategy=link.name, ok=failure is None,
                 error_type=None if failure is None else type(failure).__name__,
                 error=None if failure is None else str(failure),
                 stats=attempt_meter.snapshot(),
             ))
             if failure is None:
-                winner = strategy
+                winner = link
                 break
 
         if fault_plan is not None:
@@ -646,15 +624,16 @@ class SpatialQueryExecutor:
 
     def _interval_filter(self, interval, ops: JoinOperands):
         """A fresh :class:`~repro.intermediate.filter.IntervalFilter` for
-        one attempt under the (truthy) second-tier setting ``interval``.
+        one partition-sweep attempt under the (truthy) second-tier
+        setting ``interval``.
 
         The filter's memo is seeded from each operand's
         :func:`~repro.intermediate.store.approximation_table`, which
         lives in the relation's epoch-scoped memo -- a mutated operand
         re-rasterizes instead of reusing stale intervals.  The filter
         itself is a throwaway per-attempt object (its on-demand memo may
-        absorb tree node regions that the shared tables must not retain
-        across epochs).
+        absorb geometries that the shared tables must not retain across
+        epochs).
         """
         from repro.intermediate import (
             IntervalFilter,

@@ -51,7 +51,7 @@ class JoinPlan:
     strategy: str
     estimate: SelectivityEstimate
     #: Whether the raster-interval second tier is predicted to pay for
-    #: the chosen strategy (its ``<strategy>+INT`` entry beats the base).
+    #: the chosen strategy (its ``partition+INT`` entry beats the base).
     use_interval: bool = False
     #: The sampled resolution estimate the decision was based on.
     interval_resolution: IntervalResolutionEstimate | None = None
@@ -120,14 +120,15 @@ def plan_join(
     data-fitted default grid).  The planner samples how many candidate
     pairs the intervals resolve outright
     (:func:`~repro.costmodel.estimation.estimate_interval_resolution`),
-    adds a ``<strategy>+INT`` predicted work per filter-capable strategy
-    (:func:`interval_work`) and sets ``plan.use_interval`` when the chosen
-    strategy's filtered variant takes fewer seconds.  The base ranking --
-    and thus ``plan.strategy`` -- is computed exactly as without
-    ``interval``.  One rule runs the verdict: the executor's ``auto``
-    decides the tier (it plans with the call's interval setting and
-    threads the tier only where ``plan.use_interval`` says it pays), an
-    explicit strategy forces it as set.
+    adds a ``partition+INT`` predicted work when the partition sweep --
+    the one strategy that threads the tier -- applies
+    (:func:`interval_work`), and sets ``plan.use_interval`` when the
+    pick is the sweep and its filtered variant takes fewer seconds.  The
+    base ranking -- and thus ``plan.strategy`` -- is computed exactly as
+    without ``interval``.  One rule runs the verdict: the executor's
+    ``auto`` decides the tier (it plans with the call's interval setting
+    and threads the tier only where ``plan.use_interval`` says it pays),
+    an explicit ``partition`` forces it as set.
 
     Both samplers and the default interval grid's universe work off each
     operand's retained column snapshot
@@ -189,9 +190,9 @@ def rank(
     profile: Mapping[str, float] = MEASURED_PROFILE,
 ) -> str:
     """The strategy whose predicted ``work`` takes the fewest seconds
-    under ``profile``: ``plan_join``'s pick.  ``<strategy>+INT`` entries are not
-    ranked -- the interval tier is weighed for the pick afterwards, it
-    is no strategy of its own."""
+    under ``profile``: ``plan_join``'s pick.  The ``partition+INT`` entry is
+    not ranked -- the interval tier is weighed for the pick afterwards,
+    it is no strategy of its own."""
     return min(
         (name for name in work if INTERVAL_SUFFIX not in name),
         key=lambda name: seconds(work[name], profile),

@@ -59,7 +59,7 @@ class ExecContext:
 
     ``interval`` is the second-tier *setting* (falsy, ``True`` or an
     ``IntervalSpec``); ``refiner`` is the filter an attempt built from it
-    for the strategy it is about to run, ``None`` on the exact path.
+    for the partition sweep, ``None`` on the exact path.
     """
 
     meter: CostMeter
@@ -143,8 +143,8 @@ class JoinStrategy:
     #: text), or ``None`` when it can.
     refusal: Callable[[JoinOperands], str | None] = lambda ops: None
     #: Threads the raster-interval refiner between its Theta filter and
-    #: exact refinement (the blocked scans and the join index have no
-    #: refine site to replace).
+    #: exact refinement.  Only the partition sweep does; every other
+    #: strategy refines exactly under any interval setting.
     interval: bool = False
     #: A link of the storage-failure fallback chain, tried in table order.
     fallback: bool = False
@@ -204,7 +204,6 @@ def _run_tree(ctx: ExecContext, ops: JoinOperands) -> JoinResult:
         accessor_s=ctx.cold_accessor(ops.rel_s),
         meter=ctx.meter, order=ctx.order, collect_tuples=ctx.collect_tuples,
         tracer=ctx.tracer, metrics=ctx.metrics, cancel=ctx.cancel,
-        refiner=ctx.refiner,
     )
 
 
@@ -212,8 +211,7 @@ def _run_zorder(ctx: ExecContext, ops: JoinOperands) -> JoinResult:
     return zorder_merge_join(
         ops.rel_r, ops.rel_s, ops.column_r, ops.column_s,
         universe=ops.universe(), meter=ctx.meter,
-        memory_pages=ctx.memory_pages,
-        tracer=ctx.tracer, refiner=ctx.refiner,
+        memory_pages=ctx.memory_pages, tracer=ctx.tracer,
     )
 
 
@@ -407,7 +405,7 @@ JOIN_STRATEGIES: dict[str, JoinStrategy] = {s.name: s for s in (
         refusal=lambda ops: (
             _no_index(ops.rel_r, ops.column_r) or _no_index(ops.rel_s, ops.column_s)
         ),
-        interval=True, fallback=True, price=_price_tree,
+        fallback=True, price=_price_tree,
     ),
     JoinStrategy(
         "zorder", _run_zorder,
@@ -415,7 +413,7 @@ JOIN_STRATEGIES: dict[str, JoinStrategy] = {s.name: s for s in (
             "the z-order sort-merge strategy applies to the "
             "'overlaps' operator only (Section 2.2)"
         ),
-        interval=True, fallback=True,
+        fallback=True,
     ),
     JoinStrategy("scan", _run_scan, fallback=True, price=_price_scan),
     JoinStrategy(

@@ -41,7 +41,6 @@ class FaultKind(str, Enum):
     NET_GARBLE = "net-garble"
     NET_PARTIAL = "net-partial"
     SHARD_KILL = "shard-kill"
-    HEARTBEAT_DROP = "heartbeat-drop"
 
 
 #: Fault kinds injected on the wire (by :class:`~repro.faults.net.ChaosProxy`)
@@ -70,7 +69,7 @@ class FaultEvent:
             noun = "physical write"
         elif self.kind in NET_FAULT_KINDS:
             noun = "connection"
-        elif self.kind in (FaultKind.SHARD_KILL, FaultKind.HEARTBEAT_DROP):
+        elif self.kind is FaultKind.SHARD_KILL:
             noun = "shard"
         else:
             noun = "page"
@@ -101,13 +100,11 @@ class FaultPlan:
     one direction the next line is forced through, so a retry budget
     larger than ``max_burst`` always wins.
 
-    The shard knobs drive the supervised shard runtime
+    The shard knob drives the supervised shard runtime
     (:mod:`repro.shard`): ``kill_shard_at`` schedules process kills at
     exact global dispatch indices (shard id ``-1`` = whichever shard the
-    dispatch targets), each consumed exactly once, and
-    ``heartbeat_drop_rate`` loses supervisor heartbeat probes with a
-    per-shard ``max_burst`` cap.  Shard draws come from their own rng
-    stream, independent of both the disk and the net streams.
+    dispatch targets), each consumed exactly once.  It draws nothing at
+    random, so it leaves the disk and net streams as they are.
 
     ``enabled`` gates all injection; flip it off to verify state without
     interference (tests do this after a faulted workload).
@@ -131,15 +128,13 @@ class FaultPlan:
         net_partial_rate: float = 0.0,
         net_stall_seconds: float = 0.05,
         kill_shard_at: dict[int, int] | None = None,
-        heartbeat_drop_rate: float = 0.0,
     ) -> None:
         for name, rate in (("read_rate", read_rate), ("write_rate", write_rate),
                            ("torn_rate", torn_rate),
                            ("net_drop_rate", net_drop_rate),
                            ("net_stall_rate", net_stall_rate),
                            ("net_garble_rate", net_garble_rate),
-                           ("net_partial_rate", net_partial_rate),
-                           ("heartbeat_drop_rate", heartbeat_drop_rate)):
+                           ("net_partial_rate", net_partial_rate)):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
         if net_stall_seconds < 0:
@@ -180,15 +175,12 @@ class FaultPlan:
                 raise ValueError(
                     f"kill_shard_at indices must be >= 0, got {idx}"
                 )
-        self.heartbeat_drop_rate = heartbeat_drop_rate
         self.enabled = True
         self.events: list[FaultEvent] = []
         self._rng = random.Random(seed)
         # Independent stream for wire faults so the disk schedule is
         # identical with or without network chaos under the same seed.
         self._net_rng = random.Random(f"net:{seed}")
-        # Independent stream for shard faults, for the same reason.
-        self._shard_rng = random.Random(f"shard:{seed}")
         self._shard_kills_taken: set[int] = set()
         self._op_index = 0
         # Consecutive-failure counters per (op, page), reset on success.
@@ -318,32 +310,8 @@ class FaultPlan:
 
     def note_shard_restart(self, shard_id: int) -> None:
         """The supervisor restarted ``shard_id``: consume its pending
-        kill events and reset its heartbeat burst counter."""
+        kill events."""
         self.note_success("shard", shard_id)
-        self._bursts.pop(("heartbeat", shard_id), None)
-
-    def draw_heartbeat_drop(self, shard_id: int) -> FaultEvent | None:
-        """Decide whether this heartbeat probe of ``shard_id`` is lost.
-
-        Burst-capped per shard at ``max_burst`` so a supervisor whose
-        miss threshold exceeds the cap never declares a healthy shard
-        dead from drops alone.  Consumed via :meth:`note_heartbeat_ok`
-        when a later probe of the same shard gets through.
-        """
-        if not self.enabled or self.heartbeat_drop_rate <= 0.0:
-            return None
-        key = ("heartbeat", shard_id)
-        if self._bursts.get(key, 0) >= self.max_burst:
-            return None
-        if self._shard_rng.random() >= self.heartbeat_drop_rate:
-            return None
-        self._bursts[key] = self._bursts.get(key, 0) + 1
-        return self._log(FaultKind.HEARTBEAT_DROP, shard_id, op="heartbeat")
-
-    def note_heartbeat_ok(self, shard_id: int) -> None:
-        """A heartbeat of ``shard_id`` succeeded: its earlier drops were
-        survived; consume them and reset the burst counter."""
-        self.note_success("heartbeat", shard_id)
 
     # ------------------------------------------------------------------
     # Outcome notifications

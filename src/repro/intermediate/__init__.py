@@ -5,8 +5,9 @@ Theta-filter (MBR tests) and exact geometric refinement: per-object
 FULL/PARTIAL z-order cell intervals (:mod:`~repro.intermediate.raster`,
 :mod:`~repro.intermediate.approx`), the merge-style pair classification
 kernel (:func:`~repro.intermediate.approx.classify`), the refiner
-objects join strategies thread through their refine sites
-(:mod:`~repro.intermediate.filter`), and epoch-scoped per-relation
+objects the kernels refine through -- the interval filter on the
+partition sweep only (:mod:`~repro.intermediate.filter`) -- and
+epoch-scoped per-relation
 approximation tables (:mod:`~repro.intermediate.store`).
 """
 

@@ -9,15 +9,13 @@ form that plain selections and the scalar references call.  Two
 implementations:
 
 * :class:`ExactRefiner` -- the historical path: charge one exact
-  evaluation and run the predicate.  Strategies construct it themselves
-  when no interval filter is passed.
+  evaluation and run the predicate.  Every kernel constructs it itself;
+  the partition sweep does so when no interval filter is passed.
 * :class:`IntervalFilter` -- probes the raster-interval approximations
   first; only ambiguous pairs (PARTIAL/PARTIAL cell overlap) fall
   through to the exact predicate.  Sure hits and sure misses skip it,
   and the saved evaluations are metered (``interval_evals_saved``).
-
-The shard router ships an :class:`IntervalSpec` in the join payload for
-the worker to build its own filter from.
+  The partition sweep is the one strategy that threads it.
 
 The filter applies to the ``overlaps`` operator only -- the verdict
 algebra (FULL cell met => intersection; disjoint covers => no
@@ -60,8 +58,7 @@ DEFAULT_INTERVAL_LEVEL = 6
 class IntervalSpec:
     """The grid a filter rasterizes on: data universe + quadtree depth.
 
-    Hashable (keys each relation's approximation tables) and picklable
-    (travels in shard join payloads).
+    Hashable: it keys each relation's approximation tables.
     """
 
     universe: Rect
@@ -140,9 +137,8 @@ class IntervalFilter:
     ``tables`` optionally seeds the per-geometry approximation memo
     (e.g. from :func:`~repro.intermediate.store.approximation_table` so
     relation-resident objects are rasterized once per epoch, not once
-    per query).  Unknown geometries -- tree node regions, ad-hoc query
-    windows -- are rasterized on demand and memoized by value (all
-    geometry types hash by value).
+    per query).  Unknown geometries are rasterized on demand and
+    memoized by value (all geometry types hash by value).
 
     A geometry the rasterizer refuses (MBR outside the universe) maps to
     ``None`` in the memo; pairs involving it are refined exactly, so an

@@ -47,7 +47,6 @@ def spatial_select(
     metrics=None,
     candidates_out: list | None = None,
     cancel=None,
-    refiner=None,
 ) -> SelectResult:
     """Run Algorithm SELECT over a generalization tree.
 
@@ -103,11 +102,6 @@ def spatial_select(
         BFS checks it at every level boundary, DFS at every node pop --
         the cooperative cancellation points a deadline or drain relies
         on to stop a long traversal mid-flight.
-    refiner:
-        A refiner object (see :mod:`repro.intermediate.filter`) that
-        resolves filter survivors; ``None`` keeps the historical exact
-        refinement.  ``reverse`` swaps the operand order handed to it
-        exactly as it swaps the exact predicate's.
     """
     from repro.core.cancel import check_cancel
     if order not in ("bfs", "dfs"):
@@ -120,10 +114,9 @@ def spatial_select(
         meter = CostMeter()
     if big_theta is None:
         big_theta = theta.filter_operator()
-    if refiner is None:
-        from repro.intermediate.filter import ExactRefiner
+    from repro.intermediate.filter import ExactRefiner
 
-        refiner = ExactRefiner(theta)
+    refiner = ExactRefiner(theta)
     tracer = coalesce(tracer)
 
     result = SelectResult(strategy=f"select-{order}{'-reversed' if reverse else ''}")
@@ -147,6 +140,7 @@ def spatial_select(
         if not passed:
             return False
         if tid is not None or getattr(node, "payload", None) is not None:
+            payload = None
             if candidates_out is not None:
                 # Collect the Theta-hit before refining: the containment
                 # tier of the query cache needs every filter survivor,
@@ -155,21 +149,14 @@ def spatial_select(
                 # I/O pattern of the plain path is preserved.
                 payload = accessor.visit(tid, node)
                 candidates_out.append((tid, region, payload))
-                exact = (
-                    refiner.matches(region, query, meter)
-                    if reverse
-                    else refiner.matches(query, region, meter)
-                )
-                if exact:
-                    result.matches.append((tid, payload))
-            else:
-                exact = (
-                    refiner.matches(region, query, meter)
-                    if reverse
-                    else refiner.matches(query, region, meter)
-                )
-                if exact:
-                    result.matches.append((tid, accessor.visit(tid, node)))
+            if (
+                refiner.matches(region, query, meter)
+                if reverse
+                else refiner.matches(query, region, meter)
+            ):
+                if candidates_out is None:
+                    payload = accessor.visit(tid, node)
+                result.matches.append((tid, payload))
         return True
 
     def reached_limit() -> bool:

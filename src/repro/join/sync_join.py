@@ -38,7 +38,6 @@ def sync_tree_join(
     meter: CostMeter | None = None,
     big_theta: BigThetaOperator | None = None,
     tracer=None,
-    refiner=None,
 ) -> JoinResult:
     """Join two generalization trees by synchronized descent.
 
@@ -51,9 +50,7 @@ def sync_tree_join(
     gets one enclosing ``sync-join`` span (pairs filtered, pruned,
     emitted) rather than the per-level spans of Algorithm JOIN.
 
-    ``refiner`` (see :mod:`repro.intermediate.filter`) replaces the
-    exact refinement of qualifying application-object pairs; ``None``
-    keeps the historical exact path.  Either way the pairs are refined
+    Qualifying application-object pairs are refined
     :data:`~repro.intermediate.filter.BATCH` at a time, in discovery
     order.
     """
@@ -67,8 +64,7 @@ def sync_tree_join(
         big_theta = theta.filter_operator()
     from repro.intermediate.filter import BATCH, ExactRefiner
 
-    if refiner is None:
-        refiner = ExactRefiner(theta)
+    refiner = ExactRefiner(theta)
     tracer = coalesce(tracer)
 
     result = JoinResult(strategy="sync-tree-join")

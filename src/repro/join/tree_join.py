@@ -51,7 +51,6 @@ def tree_join(
     tracer=None,
     metrics=None,
     cancel=None,
-    refiner=None,
 ) -> JoinResult:
     """Compute ``R join_theta S`` hierarchically over two generalization trees.
 
@@ -72,15 +71,13 @@ def tree_join(
     checked at every QualPairs level boundary -- the join's cooperative
     cancellation point.
 
-    ``refiner`` (see :mod:`repro.intermediate.filter`) replaces exact
-    refinement at JOIN3 and inside the SELECT passes; ``None`` keeps the
-    historical exact path.  Either way a level's candidates -- JOIN3's
-    and both passes', in traversal order -- are refined a batch at a
-    time (``refiner.resolve`` at the end of the level, or once
-    :data:`~repro.intermediate.filter.BATCH` are pending), and a match
-    inside a pass is then re-visited as SELECT re-visits it straight
-    after the examine visit (one buffer hit on the page that visit made
-    most recent).  Pairs, tuples and every charge come out as refining
+    A level's candidates -- JOIN3's and both passes', in traversal
+    order -- are refined a batch at a time (one
+    :meth:`~repro.intermediate.filter.ExactRefiner.resolve` at the end
+    of the level, or once :data:`~repro.intermediate.filter.BATCH` are
+    pending), and a match inside a pass is then re-visited as SELECT
+    re-visits it straight after the examine visit (one buffer hit on
+    the page that visit made most recent).  Pairs, tuples and every charge come out as refining
     each candidate where it was found would leave them.  With
     ``collect_tuples`` a batch also ends where a match's payload is
     fetched: after JOIN3 and after each pass.
@@ -96,8 +93,7 @@ def tree_join(
         big_theta = theta.filter_operator()
     from repro.intermediate.filter import BATCH, ExactRefiner
 
-    if refiner is None:
-        refiner = ExactRefiner(theta)
+    refiner = ExactRefiner(theta)
     tracer = coalesce(tracer)
 
     result = JoinResult(strategy="tree-join")

@@ -68,7 +68,6 @@ def zorder_merge_join(
     memory_pages: int = 4000,
     refine: bool = True,
     tracer=None,
-    refiner=None,
 ) -> JoinResult:
     """Overlap join via z-order decomposition and a merge sweep.
 
@@ -84,10 +83,6 @@ def zorder_merge_join(
     (candidates, including Orenstein's duplicates) and ``zorder.refine``
     (unique candidates, surviving pairs) -- each carrying the meter
     delta that phase caused.
-
-    ``refiner`` (see :mod:`repro.intermediate.filter`) replaces the
-    exact verification of deduplicated candidates; ``None`` keeps the
-    historical exact path.
     """
     if max_level < 0:
         raise JoinError(f"max_level must be non-negative, got {max_level}")
@@ -148,12 +143,9 @@ def zorder_merge_join(
         result.stats = meter.snapshot()
         return result
 
-    # Deduplicate, then refine with the exact geometric test (or the
-    # interval second tier, when a refiner was supplied).
-    if refiner is None:
-        from repro.intermediate.filter import ExactRefiner
+    # Deduplicate, then refine with the exact geometric test.
+    from repro.intermediate.filter import ExactRefiner
 
-        refiner = ExactRefiner(exact_overlaps)
     with tracer.span("zorder.refine", meter=meter) as span:
         unique = sorted(set(candidates))
         geoms_r, geoms_s = [], []
@@ -166,7 +158,7 @@ def zorder_merge_join(
         finally:
             # One batch; after a failed fetch, the pairs fetched before it
             # are still charged, as a pair-at-a-time loop charged them.
-            hits = refiner.resolve(geoms_r, geoms_s, meter)
+            hits = ExactRefiner(exact_overlaps).resolve(geoms_r, geoms_s, meter)
         result.pairs = [pair for pair, hit in zip(unique, hits) if hit]
         span.set_tag("unique", len(unique))
         span.set_tag("pairs", len(result.pairs))

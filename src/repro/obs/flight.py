@@ -30,7 +30,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from repro.errors import ObservabilityError
 
@@ -113,54 +113,19 @@ class FlightRecorder:
         with self._lock:
             return self._recorded - len(self._events)
 
-    def events(
-        self,
-        *,
-        kinds: Iterable[str] | None = None,
-        since_id: int = 0,
-        limit: int | None = None,
-    ) -> list[FlightEvent]:
-        """The retained tail, oldest first, optionally filtered.
-
-        ``kinds`` keeps only matching event kinds; ``since_id`` keeps
-        events with ``event_id > since_id`` (an incremental-poll cursor);
-        ``limit`` keeps the *newest* N of whatever survived the filters.
-        """
-        wanted = set(kinds) if kinds is not None else None
+    def events(self, *, limit: int | None = None) -> list[FlightEvent]:
+        """The retained tail, oldest first; ``limit`` keeps the *newest*
+        N of it."""
         with self._lock:
-            out = [
-                e for e in self._events
-                if e.event_id > since_id
-                and (wanted is None or e.kind in wanted)
-            ]
+            out = list(self._events)
         if limit is not None and limit >= 0:
             out = out[-limit:] if limit else []
         return out
 
-    def snapshot(
-        self,
-        *,
-        kinds: Iterable[str] | None = None,
-        since_id: int = 0,
-        limit: int | None = None,
-    ) -> list[dict[str, Any]]:
-        """JSON-safe view of :meth:`events` (same filters)."""
-        return [
-            e.snapshot()
-            for e in self.events(kinds=kinds, since_id=since_id, limit=limit)
-        ]
+    def snapshot(self, *, limit: int | None = None) -> list[dict[str, Any]]:
+        """JSON-safe view of :meth:`events`."""
+        return [e.snapshot() for e in self.events(limit=limit)]
 
     def tail(self, n: int = 6) -> list[dict[str, Any]]:
         """The newest ``n`` events, JSON-safe -- what error payloads carry."""
         return self.snapshot(limit=n)
-
-    def render(self, limit: int = 12) -> str:
-        """Terminal-friendly listing of the newest events, oldest first."""
-        events = self.events(limit=limit)
-        if not events:
-            return "(flight recorder empty)"
-        lines = [e.describe() for e in events]
-        dropped = self.dropped
-        if dropped:
-            lines.insert(0, f"({dropped} older event(s) evicted by the ring)")
-        return "\n".join(lines)

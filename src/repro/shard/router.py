@@ -209,18 +209,12 @@ class ShardRouter:
         trace: TraceContext | None = None,
         meter: CostMeter | None = None,
         tracer: "Tracer | NullTracer | None" = None,
-        interval=None,
     ) -> JoinResult:
         """Distributed join: shard-local sweeps, reference-point dedup.
 
         Gated to ``overlaps`` like the other partition strategies: the
         reference-point rule is only sound for predicates that imply MBR
         intersection.
-
-        ``interval`` (an :class:`~repro.intermediate.filter.IntervalSpec`)
-        rides in the dispatch payload; each worker builds its own
-        raster-interval filter on that grid and resolves sure hits and
-        misses without exact evaluation.  ``None`` keeps the exact path.
         """
         runtime = self.runtime
         runtime._column_of(table_r)
@@ -233,8 +227,6 @@ class ShardRouter:
         payload: dict[str, Any] = {
             "table_r": table_r, "table_s": table_s, "theta": theta,
         }
-        if interval is not None:
-            payload["interval"] = interval
         if trace is not None:
             payload["trace"] = trace.to_wire()
         rows = [

@@ -1,4 +1,4 @@
-"""The shard supervisor: heartbeats, crash detection, WAL-backed restart.
+"""The shard supervisor: crash detection and WAL-backed restart.
 
 Crash detection covers the three ways a shard dies:
 
@@ -7,22 +7,13 @@ Crash detection covers the three ways a shard dies:
 * **poisoned IPC** -- the pipe broke mid-message.
 
 All three surface as :class:`~repro.errors.ShardCrashed` at the
-transport, so the supervisor has exactly one recovery path:
-:meth:`ShardSupervisor.restart`.  It replays the shard's write-ahead log
-with PR 3's :func:`repro.wal.recover` -- the same code path that
-recovers a whole database from a crashed disk image -- adopts the
+transport when a dispatch fails, so the supervisor has exactly one
+recovery path: :meth:`ShardSupervisor.restart`.  It replays the shard's
+write-ahead log with :func:`repro.wal.recover` -- the same code path
+that recovers a whole database from a crashed disk image -- adopts the
 recovered substrate, bumps the shard *generation* (the epoch stamp that
 makes stale pre-crash replies detectable), spawns a fresh worker and
 reloads its volatile tables from the recovered heaps.
-
-Heartbeats are lightweight ``ping`` probes with their own (short)
-timeout.  They deliberately bypass the runtime's dispatch gate: probes
-must not consume dispatch indices, or the fault plan's kill schedule
-would depend on supervision cadence and the exhaustive kill-at-every-
-boundary oracle would lose determinism.  A seeded fault plan can drop
-probes (``heartbeat_drop_rate``); only ``miss_threshold`` *consecutive*
-misses declare the shard dead, so a drop-prone network below the burst
-cap never triggers a spurious restart.
 """
 
 from __future__ import annotations
@@ -40,94 +31,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
 
 
 class ShardSupervisor:
-    """Health-checks the fleet and restarts crashed shards."""
+    """Restarts crashed shards from their write-ahead logs."""
 
-    def __init__(
-        self,
-        runtime: "ShardRuntime",
-        *,
-        miss_threshold: int = 3,
-        heartbeat_timeout: float = 1.0,
-    ) -> None:
-        if miss_threshold < 1:
-            raise ValueError(
-                f"miss_threshold must be >= 1, got {miss_threshold}"
-            )
+    def __init__(self, runtime: "ShardRuntime") -> None:
         self.runtime = runtime
-        self.miss_threshold = miss_threshold
-        self.heartbeat_timeout = heartbeat_timeout
-        self._misses: dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # Heartbeats
-    # ------------------------------------------------------------------
-
-    def heartbeat(self, shard: "ShardHandle") -> bool:
-        """One ping probe; True when the shard answered from the current
-        generation within the heartbeat deadline."""
-        runtime = self.runtime
-        plan = runtime.plan
-        if plan is not None and plan.draw_heartbeat_drop(shard.shard_id):
-            # The probe was lost on the (simulated) wire: the shard may
-            # be perfectly healthy, so this only counts toward the
-            # consecutive-miss threshold.
-            self._note(shard, ok=False)
-            if runtime.metrics is not None:
-                runtime.metrics.counter(
-                    "shard.heartbeat_drops", shard=str(shard.shard_id)
-                ).inc()
-            return False
-        started = time.perf_counter()
-        try:
-            status, generation, _ = shard.transport.request(
-                "ping", {}, self.heartbeat_timeout
-            )
-            ok = status == "ok" and generation == shard.generation
-        except ShardCrashed:
-            ok = False
-        if runtime.metrics is not None:
-            from repro.obs.metrics import DURATION_BUCKETS
-
-            runtime.metrics.histogram(
-                "shard.heartbeat_seconds", buckets=DURATION_BUCKETS
-            ).observe(time.perf_counter() - started)
-        self._note(shard, ok=ok)
-        if ok and plan is not None:
-            plan.note_heartbeat_ok(shard.shard_id)
-        return ok
-
-    def _note(self, shard: "ShardHandle", *, ok: bool) -> None:
-        if ok:
-            self._misses[shard.shard_id] = 0
-        else:
-            self._misses[shard.shard_id] = (
-                self._misses.get(shard.shard_id, 0) + 1
-            )
-
-    def misses(self, shard_id: int) -> int:
-        return self._misses.get(shard_id, 0)
-
-    # ------------------------------------------------------------------
-    # Crash handling
-    # ------------------------------------------------------------------
-
-    def check(self, shard: "ShardHandle") -> bool:
-        """Probe one shard; restart it after ``miss_threshold``
-        consecutive misses.  Returns True when a restart happened."""
-        if self.heartbeat(shard):
-            return False
-        if self._misses.get(shard.shard_id, 0) < self.miss_threshold:
-            return False
-        self.restart(shard)
-        return True
-
-    def check_all(self) -> list[int]:
-        """One supervision sweep; returns the ids of restarted shards."""
-        return [
-            shard.shard_id
-            for shard in self.runtime.shards
-            if self.check(shard)
-        ]
 
     def restart(self, shard: "ShardHandle") -> None:
         """Bring a crashed (or suspect) shard back from its WAL.
@@ -170,7 +77,6 @@ class ShardSupervisor:
             shard.shard_id, shard.generation
         )
         self._reload_worker(shard)
-        self._misses[shard.shard_id] = 0
         if runtime.flight is not None:
             runtime.flight.record(
                 "shard_restart",

@@ -62,11 +62,6 @@ class ShardWorkerState:
         self.shard_map = shard_map
         self.generation = generation
         self.tables: dict[str, Columns] = {}
-        #: Interval filters by spec: a join payload carrying an
-        #: ``IntervalSpec`` reuses (or builds) this incarnation's filter
-        #: for that grid, so replica geometries are rasterized once per
-        #: worker lifetime, not once per request.
-        self._interval_filters: dict[Any, Any] = {}
         #: Span ids minted by this incarnation so far.  Each traced
         #: request gets a throwaway tracer seeded here, so two requests
         #: served by the same worker never export colliding uids.
@@ -119,8 +114,6 @@ class ShardWorkerState:
 
     def apply(self, op: str, payload: dict[str, Any]) -> dict[str, Any]:
         """Execute one op; raises for unknown ops / missing tables."""
-        if op == "ping":
-            return {"pong": True, "shard": self.shard_id}
         if op == "create":
             self.tables.setdefault(payload["table"], Columns())
             return {"created": payload["table"]}
@@ -182,26 +175,6 @@ class ShardWorkerState:
             span.set_tag("matches", len(tids))
         return self._reply({"tids": tids}, meter, tracer)
 
-    def _interval_refiner(self, payload: dict[str, Any], theta: Any) -> Any:
-        """This incarnation's interval filter for the payload's spec.
-
-        Payloads without an ``"interval"`` key keep the exact path
-        (``None`` refiner).  The spec travels over the wire, not the
-        filter: each worker builds and memoizes its own approximations,
-        so a restarted incarnation rasterizes afresh rather than
-        trusting pre-crash state.
-        """
-        spec = payload.get("interval")
-        if spec is None:
-            return None
-        flt = self._interval_filters.get(spec)
-        if flt is None:
-            from repro.intermediate.filter import IntervalFilter
-
-            flt = IntervalFilter(theta, spec)
-            self._interval_filters[spec] = flt
-        return flt
-
     def _join(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Shard-local partition join: one sweep over the two resident
         tables in ``xmin`` order, keeping the pairs whose reference point
@@ -212,7 +185,6 @@ class ShardWorkerState:
         theta = payload["theta"]
         meter = CostMeter()
         tracer, tags = self._request_tracer(payload)
-        refiner = self._interval_refiner(payload, theta)
         r = self._table(payload["table_r"])
         s = self._table(payload["table_s"])
         with tracer.span("shard.join", meter=meter, **tags) as span:
@@ -223,7 +195,7 @@ class ShardWorkerState:
                     s, np.argsort(s.box_array()[:, 0]),
                 )
             with tracer.span("shard.join.sweep", meter=meter) as sweep:
-                rows = sweep_task(self.shard_map, [task], theta, meter, refiner)
+                rows = sweep_task(self.shard_map, [task], theta, meter)
                 sweep.set_tag("pairs", len(rows))
             span.set_tag("pairs", len(rows))
         return self._reply({"pairs": rows}, meter, tracer)

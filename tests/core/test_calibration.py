@@ -7,6 +7,7 @@ measured report only for its shape.
 
 import pytest
 
+from repro.core import calibration
 from repro.core.calibration import (
     Cell,
     Run,
@@ -25,7 +26,7 @@ CELL = Cell("rect", "uniform", 40)
 
 def synthetic(truth: dict[str, float], works: list[dict[str, float]]) -> list[Run]:
     return [
-        Run(CELL, 1, "tree", sum(truth[k] * v for k, v in work.items()), work)
+        Run(CELL, 1, "tree", (sum(truth[k] * v for k, v in work.items()),), work)
         for work in works
     ]
 
@@ -49,9 +50,9 @@ def test_fit_never_prices_work_below_zero():
     # The second kind only ever lowers the time: least squares would
     # give it a negative constant; the fit drops it to zero instead.
     runs = [
-        Run(CELL, 1, "tree", 1.0, {"io": 1.0, "theta": 0.0}),
-        Run(CELL, 1, "tree", 1.5, {"io": 2.0, "theta": 1.0}),
-        Run(CELL, 1, "tree", 3.0, {"io": 3.0, "theta": 0.0}),
+        Run(CELL, 1, "tree", (1.0,), {"io": 1.0, "theta": 0.0}),
+        Run(CELL, 1, "tree", (1.5,), {"io": 2.0, "theta": 1.0}),
+        Run(CELL, 1, "tree", (3.0,), {"io": 3.0, "theta": 0.0}),
     ]
     fitted = fit(runs)
     assert fitted["theta"] == 0.0
@@ -96,6 +97,37 @@ def test_a_measured_cell_picks_what_plan_join_picks(cell):
     assert "+INT" not in result.fastest().strategy
     if cell.join_index:
         assert "join-index" in timed
+
+
+def test_reps_are_taken_round_robin(monkeypatch):
+    """One rep of every strategy, then the next round: a slow phase of
+    the host lands on every strategy alike."""
+    order = []
+    real = calibration._time
+
+    def recording(executor, ops, strategy, interval=False):
+        order.append((strategy, bool(interval)))
+        return real(executor, ops, strategy, interval)
+
+    monkeypatch.setattr(calibration, "_time", recording)
+    cell = Cell("polygon", "hiloc", 30, interval=True)
+    result = measure(cell, seed=7, reps=2)
+    labels = [run.strategy for run in result.runs]
+    assert labels[-2:] == ["partition+INT cold", "partition+INT"]
+    one_round = [(run.strategy.split("+")[0], "+INT" in run.strategy) for run in result.runs]
+    # Two rounds of everything, then the warm grid's extra rep.
+    assert order == one_round + one_round + [("partition", True)]
+    assert [len(run.times) for run in result.runs] == [2] * (len(labels) - 1) + [3]
+    for run in result.runs:
+        assert run.seconds == min(run.times)
+        assert run.spread == max(run.times) / min(run.times) >= 1.0
+
+
+def test_the_regret_table_shows_the_fastest_strategys_spread():
+    result = measure(Cell("rect", "uniform", 30), seed=7, reps=2)
+    header, row = calibration.format_regret([result], MEASURED_PROFILE).splitlines()
+    assert "spread" in header.split()
+    assert f"{result.fastest().spread:6.2f}" in row
 
 
 def test_check_reports_the_profile_and_every_cell_at_both_seeds():

@@ -71,7 +71,7 @@ class TestPlanJoinInterval:
             rel_r, "shape", rel_s, "shape", Overlaps(), interval=SPEC
         )
         filtered = [n for n in plan.predicted_seconds if n.endswith("+INT")]
-        assert filtered, "capable strategies must get a +INT price"
+        assert filtered == ["partition+INT"], "the sweep alone gets a +INT price"
         assert plan.interval_spec is SPEC
         assert plan.interval_resolution is not None
         # The decision is exactly the price comparison for the pick.
@@ -87,6 +87,14 @@ class TestPlanJoinInterval:
         # The base ranking is untouched by the filter consideration.
         base = plan_join(rel_r, "shape", rel_s, "shape", Overlaps())
         assert plan.strategy == base.strategy
+
+    def test_no_tree_price_with_the_tier(self, indexed_pair):
+        rel_r, rel_s = indexed_pair
+        plan = plan_join(
+            rel_r, "shape", rel_s, "shape", Overlaps(), interval=True
+        )
+        assert "tree" in plan.predicted_work
+        assert "tree+INT" not in plan.predicted_work
 
     def test_interval_true_fits_grid_to_data(self, indexed_pair):
         rel_r, rel_s = indexed_pair

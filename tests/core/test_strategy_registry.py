@@ -186,14 +186,15 @@ def test_priced_models_are_declared_and_are_the_parents(indexed_pair):
         assert work and set(work) <= set(WORK_KINDS)
 
 
-def test_interval_capable_strategies_are_the_three_with_a_refine_site():
+def test_the_partition_sweep_alone_threads_the_interval_tier():
     capable = {s.name for s in JOIN_STRATEGIES.values() if s.interval}
-    assert capable == {"tree", "zorder", "partition"}
-    tree = JOIN_STRATEGIES["tree"]
-    assert tree.filters(True, Overlaps())
-    assert not tree.filters(False, Overlaps())
-    assert not tree.filters(True, WithinDistance(1.0))
-    assert not JOIN_STRATEGIES["scan"].filters(True, Overlaps())
+    assert capable == {"partition"}
+    sweep = JOIN_STRATEGIES["partition"]
+    assert sweep.filters(True, Overlaps())
+    assert not sweep.filters(False, Overlaps())
+    assert not sweep.filters(True, WithinDistance(1.0))
+    for name in ("tree", "zorder", "scan"):
+        assert not JOIN_STRATEGIES[name].filters(True, Overlaps())
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Pinned corners of the configuration lattice: every join strategy.
 
 ``tests/test_lattice.py`` draws configurations at random, so at the
-default profile a given corner -- ``index-nl`` behind a cache, ``zorder``
+default profile a given corner -- ``index-nl`` behind a cache, ``partition``
 under the interval tier at seed 42 -- may not come up.  These scripts
 drive the same :class:`~tests.test_lattice.Lattice` through every
 strategy at fixed corners.  Each asserts exactly what the machine
@@ -17,10 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.rect import Rect
-from repro.intermediate import IntervalSpec
 from repro.predicates.theta import NorthwestOf, Overlaps, WithinDistance
 
-from tests.test_lattice import NAMES, UNIVERSE, Config, Lattice, boxes, seeded_rects
+from tests.test_lattice import NAMES, Config, Lattice, boxes, seeded_rects
 
 WINDOW = Rect(25.0, 25.0, 75.0, 80.0)
 SEEDS = [1, 7, 42]
@@ -95,9 +94,3 @@ def test_interval_join_matches_plain_under_cache(seed, spec):
     join(lattice, spec)
     assert lattice.cache.stats.exact_hits == 1, spec
 
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_interval_sharded_join_matches_plain(seed):
-    lattice = corner(seed, interval=IntervalSpec(UNIVERSE), shards=3)
-    assert lattice.shard_join().interval_probes > 0, seed
-    lattice.close()

@@ -11,6 +11,10 @@ cells (sure miss) -- enabling the filter must:
    -- the tier exchanges exact evaluations for probes and touches
    nothing else.
 
+The partition sweep is the one strategy that runs the tier; a ``tree``
+or ``zorder`` join under an interval setting must charge exactly what
+its filter-off run charges.
+
 The filter-off signatures are pinned as exact tuples like the
 instrumentation pins in ``test_instrumentation_pinned.py``: if a
 legitimate engine change shifts them, re-pin in the same commit and say
@@ -53,6 +57,9 @@ PINNED = {
     "zorder": (84, 6, 0, 23071, 84),
     "partition": (84, 6, 0, 109, 84),
 }
+#: The strategy that threads the tier; the others refine exactly under
+#: any interval setting.
+TIER = "partition"
 
 
 def build_aligned_relation(name: str) -> Relation:
@@ -93,7 +100,24 @@ def test_filter_off_baseline_is_pinned(strategy, workload):
     assert meter.interval_probes == 0, strategy
 
 
-@pytest.mark.parametrize("strategy", sorted(PINNED))
+@pytest.mark.parametrize("strategy", sorted(set(PINNED) - {TIER}))
+def test_a_strategy_without_the_tier_ignores_it(strategy, workload):
+    """A ``tree`` or ``zorder`` join under an interval setting runs, and
+    charges, exactly what it runs with the tier off."""
+    plain_result, plain_meter = _join(
+        SpatialQueryExecutor(memory_pages=4000), workload, strategy
+    )
+    for setting in (True, SPEC):
+        result, meter = _join(
+            SpatialQueryExecutor(memory_pages=4000), workload, strategy,
+            interval=setting,
+        )
+        assert meter.interval_probes == 0, (strategy, setting)
+        assert sorted(result.pairs) == sorted(plain_result.pairs), (strategy, setting)
+        assert meter.snapshot() == plain_meter.snapshot(), (strategy, setting)
+
+
+@pytest.mark.parametrize("strategy", [TIER])
 def test_zero_ambiguity_filter_run_is_neutral(strategy, workload):
     plain_result, plain_meter = _join(
         SpatialQueryExecutor(memory_pages=4000), workload, strategy

@@ -160,15 +160,13 @@ def scalar_shard_join(entries_r, entries_s, shard_map: ShardMap, theta, interval
     return sorted(pairs), meter
 
 
-def worker_shard_join(entries_r, entries_s, shard_map: ShardMap, theta, interval=None):
+def worker_shard_join(entries_r, entries_s, shard_map: ShardMap, theta):
     """``(sorted pairs, meter)`` of the real shard workers: one
     :class:`ShardWorkerState` per shard, loaded with its replicas and
     sent the join payload the router sends."""
     meter = CostMeter()
     rows = []
     payload = {"table_r": "r", "table_s": "s", "theta": theta}
-    if interval is not None:
-        payload["interval"] = interval
     for shard in range(shard_map.n_shards):
         state = ShardWorkerState(shard, shard_map)
         for table, entries in (("r", entries_r), ("s", entries_s)):

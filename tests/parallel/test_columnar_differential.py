@@ -187,24 +187,6 @@ def test_shard_workers_match_the_scalar_sweep_under_owner_shard(
     assert counters(meter) == counters(expected_meter)
 
 
-@given(
-    data=st.data(), shard_map=shard_maps, level=st.integers(min_value=2, max_value=6)
-)
-@settings(max_examples=40, deadline=None)
-def test_shard_workers_match_the_scalar_sweep_with_the_interval_filter(
-    data, shard_map, level
-):
-    entries_r, entries_s = (data.draw(s) for s in entry_lists(polygons=True))
-    spec = IntervalSpec(universe=UNIVERSE, level=level)
-    expected_pairs, expected_meter = scalar_shard_join(
-        entries_r, entries_s, shard_map, Overlaps(), spec
-    )
-    pairs, meter = worker_shard_join(entries_r, entries_s, shard_map, Overlaps(), spec)
-    assert pairs == expected_pairs
-    assert counters(meter) == counters(expected_meter)
-    assert pairs == worker_shard_join(entries_r, entries_s, shard_map, Overlaps())[0]
-
-
 @given(data=st.data(), grid=grids)
 @settings(max_examples=40, deadline=None)
 def test_scatter_replicates_exactly_like_covering_cells(data, grid):

@@ -317,7 +317,7 @@ class TestConcurrency:
         def session(name, rel_r, rel_s):
             done[name] = executor.join(
                 rel_r, "shape", rel_s, "shape", Overlaps(),
-                strategy="zorder", interval=SPEC,
+                strategy="partition", interval=SPEC,
             )
 
         slow = threading.Thread(target=session, args=("a", *a))
@@ -348,7 +348,7 @@ def test_interval_joins_across_epochs_leave_only_current_tables():
     for epoch in range(5):
         executor.join(
             rel_r, "shape", rel_s, "shape", Overlaps(),
-            strategy="zorder", interval=True,
+            strategy="partition", interval=True,
         )
         # Each insert widens the data-fitted universe: a new grid.
         reach = 200.0 + 50.0 * epoch
@@ -356,7 +356,7 @@ def test_interval_joins_across_epochs_leave_only_current_tables():
         rel_s.insert([100 + epoch, Rect(-reach, -reach, 5 - reach, 5 - reach)])
     executor.join(
         rel_r, "shape", rel_s, "shape", Overlaps(),
-        strategy="zorder", interval=True,
+        strategy="partition", interval=True,
     )
     assert not any(isinstance(v, dict) for v in vars(executor).values())
     for rel in (rel_r, rel_s):

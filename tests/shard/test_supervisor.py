@@ -1,4 +1,4 @@
-"""Supervision: heartbeats, crash detection, WAL-backed restarts."""
+"""Supervision: crash detection on dispatch, WAL-backed restarts."""
 
 from __future__ import annotations
 
@@ -14,53 +14,6 @@ from tests.shard.conftest import loaded_runtime
 WINDOW = Rect(10.0, 10.0, 45.0, 45.0)
 
 
-class TestHeartbeats:
-    def test_healthy_fleet_passes_heartbeats(self):
-        runtime, _, _ = loaded_runtime(3)
-        with runtime:
-            for shard in runtime.shards:
-                assert runtime.supervisor.heartbeat(shard)
-            assert runtime.supervisor.check_all() == []
-
-    def test_dead_shard_fails_heartbeat_until_threshold(self):
-        runtime, _, _ = loaded_runtime(2)
-        with runtime:
-            supervisor = runtime.supervisor
-            runtime.kill_shard(0)
-            shard = runtime.shards[0]
-            # check() probes once per call; only the third consecutive
-            # miss crosses the default threshold and restarts.
-            for expected_misses in (1, 2):
-                assert not supervisor.check(shard)
-                assert supervisor.misses(0) == expected_misses
-            assert supervisor.check(shard)
-            assert shard.generation == 1
-            assert supervisor.heartbeat(shard)
-
-    def test_dropped_heartbeats_below_threshold_never_restart(self):
-        plan = FaultPlan(seed=3, heartbeat_drop_rate=1.0)
-        runtime, _, _ = loaded_runtime(2, fault_plan=plan)
-        with runtime:
-            supervisor = runtime.supervisor
-            shard = runtime.shards[0]
-            # max_burst caps consecutive drops below miss_threshold, so
-            # a healthy shard on a lossy wire is never restarted.
-            outcomes = [supervisor.heartbeat(shard) for _ in range(20)]
-            assert not all(outcomes)
-            assert any(outcomes)
-            assert shard.restarts == 0
-
-    def test_check_all_restarts_only_the_dead(self):
-        runtime, _, _ = loaded_runtime(3)
-        with runtime:
-            runtime.kill_shard(2)
-            restarted: list[int] = []
-            for _ in range(runtime.supervisor.miss_threshold):
-                restarted += runtime.supervisor.check_all()
-            assert restarted == [2]
-            assert [s.restarts for s in runtime.shards] == [0, 0, 1]
-
-
 class TestRestart:
     def test_restart_recovers_volatile_state_from_wal(self):
         runtime, rel_r, rel_s = loaded_runtime(3)
@@ -72,6 +25,14 @@ class TestRestart:
             assert after.pairs == before.pairs == oracle.pairs(
                 rel_r, "shape", rel_s, "shape", Overlaps()
             )
+
+    def test_a_failed_dispatch_restarts_only_the_dead(self):
+        runtime, rel_r, rel_s = loaded_runtime(3)
+        with runtime:
+            runtime.kill_shard(2)
+            result = runtime.router.join("r", "s", Overlaps())
+            assert result.pairs == oracle.pairs(rel_r, "shape", rel_s, "shape", Overlaps())
+            assert [s.restarts for s in runtime.shards] == [0, 0, 1]
 
     def test_restart_bumps_generation_and_restart_count(self):
         runtime, _, _ = loaded_runtime(2)

@@ -367,26 +367,22 @@ class Lattice:
         got = sorted((rel_r.get(a)["oid"], rel_s.get(b)["oid"]) for a, b in result.pairs)
         want = self.model.join(name_r, name_s, theta, epochs)
         assert got == want, (result.strategy, entry)
-        if (entry == "join" and strategy != "auto" and not result.strategy.startswith("cached-")
-                and JOIN_STRATEGIES[strategy].filters(self.config.interval, theta)):
-            self.interval_law(meter, want)
+        if entry == "join" and strategy != "auto" and not result.strategy.startswith("cached-"):
+            # The tier runs on the partition sweep only.
+            if JOIN_STRATEGIES[strategy].filters(self.config.interval, theta):
+                self.interval_law(meter, want)
+            else:
+                assert meter.interval_probes == 0, strategy
         return result
 
-    def shard_join(self, session=None) -> CostMeter:
-        meter, spec = CostMeter(), None
+    def shard_join(self, session=None) -> None:
         if session is not None:
             result = session.shard_join("r", "s", Overlaps())
         else:
-            spec = self.config.interval or None
-            if spec is True:
-                spec = IntervalSpec(UNIVERSE)
-            result = self.fleet.router.join("r", "s", Overlaps(), interval=spec, meter=meter)
+            result = self.fleet.router.join("r", "s", Overlaps())
         oids_r, oids_s = self.fleet_oids["r"], self.fleet_oids["s"]
         want = self.model.join("r", "s", Overlaps())
         assert sorted((oids_r[a], oids_s[b]) for a, b in result.pairs) == want
-        if spec is not None:
-            self.interval_law(meter, want)
-        return meter
 
     def shard_select(self, name: str, window: Rect, theta) -> None:
         result = self.fleet.router.select(name, window, theta)

@@ -81,7 +81,6 @@ ANCHORS = {
     "repro/faults/disk.py::FaultyDisk.torn_pages": "fault injection",
     "repro/faults/net.py::ChaosProxy.address": "fault injection (ChaosProxy)",
     "repro/faults/net.py::ChaosProxy.live_connections": "fault injection (ChaosProxy)",
-    "repro/shard/supervisor.py::ShardSupervisor.check_all": "failover: one supervision sweep",
     "repro/core/cancel.py::CancellationToken.remaining": "refusal path: a deadline's remaining budget",
     # Documented to users.
     "repro/cli.py::cmd_serve": "README.md: `python -m repro serve`",

@@ -9,8 +9,8 @@ The transcript walks the configuration lattice -- seeds 1/7/42 x
 rectangles/polygons x clean disk / a disk whose read outages kill each
 join's first strategy x every ``JOIN_STRATEGIES`` key plus ``auto`` x
 interval tier off / ``True`` / an ``IntervalSpec`` x cache none / cold /
-warm, then the same seeds and geometries on two inline shards with and
-without shard kills -- and prints, for every run, what the engine
+warm, then the same seeds and geometries on two inline shards (a join
+twice and a select) with and without shard kills -- and prints, for every run, what the engine
 decided and charged: the plan and its ``format_explain()``, a digest of
 the sorted pair list, ``CostMeter.snapshot()``, ``ExecutionReport.format()``,
 the names, tags and cost deltas of its spans (never wall time), and the
@@ -230,22 +230,21 @@ def selects(out, seed: int, geometry: str) -> None:
 
 
 def sharded(out, seed: int, geometry: str, kill: bool) -> None:
-    """Two inline shards: joins with and without the interval tier and a
-    select, with -- if ``kill`` -- shards killed mid-query."""
+    """Two inline shards: a join, its repeat and a select, with -- if
+    ``kill`` -- shards killed mid-query."""
     rel_r, rel_s, _ = relations(seed, geometry)
     plan = FaultPlan(seed, kill_shard_at={5: -1, 9: -1}) if kill else None
     with ShardRuntime(UNIVERSE, 2, fault_plan=plan) as fleet:
         fleet.load_relation(rel_r, "shape")
         fleet.load_relation(rel_s, "shape")
-        for interval in ("off", "spec"):
-            out.write(f"shard join interval={interval}\n")
+        for run in (1, 2):
+            out.write(f"shard join {run}\n")
             meter, tracer = CostMeter(), Tracer()
             try:
                 with tracer.span("transcript.shard_join", meter=meter) as span:
                     result = fleet.router.join(
                         "r", "s", Overlaps(), meter=meter, tracer=tracer,
                         trace=TraceContext("transcript", 1).for_span(tracer.uid_of(span)),
-                        interval=INTERVALS[interval] or None,
                     )
             except ShardUnavailable as exc:
                 refused(out, exc)
@@ -353,6 +352,36 @@ def no_fitted_model(lines):
     return (line for line in lines if not line.startswith("  > model: "))
 
 
+#: A join section whose strategy refines exactly under an interval
+#: setting it threaded the tier under before.
+EXACT_UNDER_INTERVAL = re.compile(r"^join strategy=(tree|zorder) interval=(true|spec) ")
+
+
+def sweep_only_tier(lines):
+    """The rows of the interval tier where it no longer runs.
+
+    The tier runs on the partition sweep only.  An explicit ``tree`` or
+    ``zorder`` join under an interval setting refines exactly, so its
+    meter row and span rows are masked there; its answer and report rows
+    are kept as they are.  A plan prices the tier for ``partition``
+    alone, so every other strategy's ``+INT`` explain row is dropped.
+    Every other line passes untouched.
+    """
+    masked = False
+    for line in lines:
+        if not line.startswith(" "):
+            masked = bool(EXACT_UNDER_INTERVAL.match(line))
+            yield line
+        elif (cost := EXPLAIN_COST.match(line)) and cost.group(3) and cost.group(2) != "partition":
+            continue
+        elif not masked or ANSWER.match(line) or line.startswith(("  | ", "  refused: ")):
+            yield line
+        elif line.startswith("  meter "):
+            yield "  meter <exact under an interval setting>"
+        else:
+            yield "  <span row>"
+
+
 def lacks(path: str):
     """A filter's marker: REV's ``src/`` lacks ``path``, a file the
     change adds."""
@@ -374,6 +403,7 @@ FILTERS = (
     (one_planned_join, still_has("repro/cache/cache.py", "def join_hit_probability(")),
     (one_unit, still_has("repro/core/strategies.py", "class Price(")),
     (no_fitted_model, still_has("repro/core/optimizer.py", "def fit_parameters(")),
+    (sweep_only_tier, still_has("repro/shard/worker.py", "def _interval_refiner(")),
 )
 
 
