@@ -57,11 +57,6 @@ class FlightEvent:
             "fields": dict(self.fields),
         }
 
-    def describe(self) -> str:
-        parts = [f"#{self.event_id}", self.kind]
-        parts += [f"{k}={v}" for k, v in sorted(self.fields.items())]
-        return " ".join(parts)
-
 
 class FlightRecorder:
     """Thread-safe bounded ring of :class:`FlightEvent` records."""

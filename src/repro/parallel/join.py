@@ -3,7 +3,7 @@
 End-to-end driver tying the subsystem together:
 
 1. take each relation's retained column snapshot -- MBR / record-id
-   arrays and a geometry list
+   arrays, the rows' own ``RecordId`` objects and a geometry list
    (:func:`~repro.relational.columns.column_snapshot`) -- streaming a
    relation nothing has read since it last changed once through pools
    sharing the paper's ``M``-page budget, and charging one buffer hit
@@ -12,7 +12,8 @@ End-to-end driver tying the subsystem together:
    each row into every tile its MBR intersects;
 3. sweep the tiles, a group at a time, the reference-point rule
    guaranteeing each result pair is emitted by exactly one tile (no
-   dedup pass anywhere);
+   dedup pass anywhere); rectangle ``overlaps`` pairs are decided by the
+   MBR test alone, and the sorted result is the snapshots' own ids;
 4. absorb the sweep's cost meter into the caller's meter and return one
    :class:`JoinResult` with combined stats.
 

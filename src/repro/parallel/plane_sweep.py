@@ -9,14 +9,19 @@ candidates pass through the reference-point ownership test (duplicate
 avoidance across partitions, free of charge -- it is bookkeeping, not a
 predicate) and are then refined with the exact theta-operator, a block
 of candidates per ``resolve`` call of an
-:class:`~repro.intermediate.filter.ExactRefiner`.  An optional *refiner*
-(see :mod:`repro.intermediate.filter`) replaces that exact step with the
-raster-interval second tier: sure hits and misses are resolved from cell
-intervals and only ambiguous pairs run the exact predicate.
+:class:`~repro.intermediate.filter.ExactRefiner`.  For ``overlaps`` on
+two columns of rectangles there is nothing left to refine: theta *is*
+the MBR test just passed (Table 1), so the owned candidates are the
+hits, their exact evaluations are charged in one step and no geometry
+is read.  An optional *refiner* (see :mod:`repro.intermediate.filter`)
+replaces the exact step with the raster-interval second tier: sure hits
+and misses are resolved from cell intervals and only ambiguous pairs
+run the exact predicate.
 
 :func:`sweep_task` runs that pass on MBR arrays: candidate generation,
-the y test and the ownership test are array operations, and only
-refinement touches objects.  Groups of grid tiles
+the y test and the ownership test are array operations, only
+refinement touches objects, and the result is row numbers, which the
+caller turns into the rows' ids.  Groups of grid tiles
 (:mod:`repro.parallel.pool`) and z-order range shards, a group of one
 (:mod:`repro.shard.worker`), both run it; the scalar
 merge loop in ``tests/parallel/reference.py`` is its oracle, and both
@@ -28,7 +33,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.parallel.partitioner import PartitionTask
-from repro.predicates.theta import ThetaOperator
+from repro.predicates.theta import Overlaps, ThetaOperator
 from repro.storage.costs import CostMeter
 
 
@@ -87,8 +92,8 @@ def sweep_task(
     meter: CostMeter,
     refiner=None,
 ):
-    """Matching pairs owned by ``tasks``' partitions, as integer rows
-    ``page_r, slot_r, page_s, slot_s``.
+    """Matching pairs owned by ``tasks``' partitions, as an ``(k, 2)``
+    integer array of row numbers into the two columns.
 
     ``tasks`` is a group of partitions over the same two
     :class:`~repro.relational.columns.Columns` -- consecutive tiles of
@@ -114,15 +119,26 @@ def sweep_task(
     kept where that is its partition's ``key`` -- entries are replicated
     into every partition their MBR touches, so each qualifying pair is
     emitted exactly once across the partitioning.  What is left is
-    refined on the stored geometries, one ``refiner.resolve`` per block.
+    refined on the stored geometries, one ``refiner.resolve`` per block
+    -- unless the sweep refines exactly (``refiner is None``), ``theta``
+    is :class:`Overlaps` and both columns are all rectangles
+    (``Columns.rects``): then what is left is the hits, and the block's
+    exact evaluations are charged in bulk, as ``ExactRefiner.resolve``
+    charges them.
     """
     import numpy as np
 
+    columns_r, columns_s = tasks[0].r, tasks[0].s
+    # Table 1: for ``overlaps`` on rectangles theta is the MBR test the
+    # block has just run, so its owned candidates are its hits.
+    decided = (
+        refiner is None and type(theta) is Overlaps
+        and columns_r.rects and columns_s.rects
+    )
     if refiner is None:
         from repro.intermediate.filter import ExactRefiner
 
         refiner = ExactRefiner(theta)
-    columns_r, columns_s = tasks[0].r, tasks[0].s
     rows_r = np.concatenate([task.rows_r for task in tasks])
     rows_s = np.concatenate([task.rows_s for task in tasks])
     boxes_r = columns_r.box_array()[rows_r]
@@ -152,7 +168,6 @@ def sweep_task(
 
     partition_keys = np.array([task.key for task in tasks])
     geoms_r, geoms_s = columns_r.geoms, columns_s.geoms
-    ids_r, ids_s = columns_r.id_array(), columns_s.id_array()
     found = []
     for a, b in _blocks(counts, candidates):
         opener, other = _ranges(lo[a:b], counts[a:b])
@@ -171,8 +186,13 @@ def sweep_task(
         )
         keep = keep[owner == partition_keys[part_r[i[keep]]]]
         i, j = rows_r[i[keep]], rows_s[j[keep]]
-        hits = refiner.resolve(
-            [geoms_r[x] for x in i.tolist()], [geoms_s[y] for y in j.tolist()], meter
-        )
-        found.append(np.hstack((ids_r[i[hits]], ids_s[j[hits]])))
+        if decided:
+            meter.record_exact_eval(len(i))
+        else:
+            hits = refiner.resolve(
+                [geoms_r[x] for x in i.tolist()],
+                [geoms_s[y] for y in j.tolist()], meter,
+            )
+            i, j = i[hits], j[hits]
+        found.append(np.column_stack((i, j)))
     return found[0] if len(found) == 1 else np.concatenate(found)

@@ -2,7 +2,10 @@
 
 ``run_partitions`` sweeps the tiles a group at a time
 (:func:`~repro.parallel.plane_sweep.task_groups`) on one
-:class:`CostMeter` and returns the result pairs in sorted order.  Tiles
+:class:`CostMeter` and returns the result pairs in sorted order: the
+sweeps' row numbers are ordered by the rows' integer ids and answered
+with the columns' own ``tids``, so a join builds no :class:`RecordId`
+(:func:`sorted_pairs`).  Tiles
 are a batching scheme -- they bound how far a forward scan runs, and a
 group's arrays stay block-sized and die with the group -- neither a
 unit of dispatch (a numpy call per tile costs more than the tile's
@@ -38,9 +41,24 @@ class PoolReport:
     effective_workers: int = 1
 
 
+def _pair_order(ids_r, ids_s):
+    """The order that sorts pairs of ``(k, 2)`` id rows ``page_id,
+    slot`` as their :class:`RecordId` pairs sort.  Each side is packed
+    into one int64, ``page_id * 2**32 + slot + 2**31``: exact, and
+    ordered as the two signed 32-bit ints are."""
+    import numpy as np
+
+    def packed(ids):
+        ids = ids.astype(np.int64)
+        return (ids[:, 0] << 32) + (ids[:, 1] + (1 << 31))
+
+    return np.lexsort((packed(ids_s), packed(ids_r)))
+
+
 def record_pairs(rows: list) -> list[tuple[RecordId, RecordId]]:
-    """Result rows (see :func:`sweep_task`), one array per sweep, as
-    ``(tid_r, tid_s)`` pairs in sorted order.
+    """The shard workers' join replies -- id rows ``page_r, slot_r,
+    page_s, slot_s``, one array per shard -- as ``(tid_r, tid_s)`` pairs
+    in sorted order (the shard router's result).
 
     Sorting happens on the integer rows, so :class:`RecordId` objects
     are built for the result only and never compared.
@@ -50,8 +68,25 @@ def record_pairs(rows: list) -> list[tuple[RecordId, RecordId]]:
     if not rows:
         return []
     rows = np.concatenate(rows)
-    page_r, slot_r, page_s, slot_s = rows[np.lexsort(rows.T[::-1])].T.tolist()
+    rows = rows[_pair_order(rows[:, :2], rows[:, 2:])]
+    page_r, slot_r, page_s, slot_s = rows.T.tolist()
     return list(zip(map(RecordId, page_r, slot_r), map(RecordId, page_s, slot_s)))
+
+
+def sorted_pairs(columns_r, columns_s, rows: list) -> list[tuple[RecordId, RecordId]]:
+    """Row-number pairs into ``columns_r`` and ``columns_s`` (see
+    :func:`sweep_task`), one array per sweep, as ``(tid_r, tid_s)``
+    pairs in sorted order.
+
+    The order comes from the rows' integer ids and the pairs are the
+    columns' own ``tids``: no :class:`RecordId` is built or compared.
+    """
+    import numpy as np
+
+    rows = np.concatenate(rows)
+    ids_r, ids_s = columns_r.id_array()[rows[:, 0]], columns_s.id_array()[rows[:, 1]]
+    i, j = rows[_pair_order(ids_r, ids_s)].T.tolist()
+    return list(zip(map(columns_r.tids.__getitem__, i), map(columns_s.tids.__getitem__, j)))
 
 
 def run_partitions(
@@ -102,4 +137,5 @@ def run_partitions(
             "parallel.chunk_seconds", buckets=DURATION_BUCKETS
         ).observe(time.perf_counter() - started)
         metrics.histogram("parallel.chunk_tiles").observe(len(tasks))
-    return record_pairs(rows), meter, PoolReport(requested_workers=workers)
+    pairs = sorted_pairs(tasks[0].r, tasks[0].s, rows) if rows else []
+    return pairs, meter, PoolReport(requested_workers=workers)

@@ -11,6 +11,12 @@ which exact refinement reads a batch of candidates at a time.
 The buffers are plain :mod:`array` objects, so building and reading them
 needs no third-party import; numpy views them without copying
 (``numpy.frombuffer``) where a consumer wants vectorised arithmetic.
+Beside them a column keeps each row's own :class:`RecordId` object
+(``tids``, one pointer a row), so a join over the snapshot answers with
+the ids its rows already carry and builds none, and whether every
+geometry is a :class:`Rect` (``rects``): for ``overlaps`` on rectangles
+the exact test is the MBR test (Table 1), so the sweep decides such
+columns on the box arrays alone.
 
 :func:`column_snapshot` is how those consumers get one: a relation's
 column is extracted once per epoch and retained in the relation's
@@ -36,11 +42,21 @@ class Columns:
     (doubles), ``ids[2i:2i+2]`` = ``page_id, slot`` (signed 32-bit ints:
     both are small counters, the shard runtime mints live-insert ids on
     page ``-1``, and :mod:`array` raises ``OverflowError`` rather than
-    wrap) and ``geoms[i]``, in file order."""
+    wrap), ``tids[i]`` (the :class:`RecordId` those two ints spell, the
+    very object the row was stored with) and ``geoms[i]``, in file
+    order."""
 
     boxes: array = field(default_factory=lambda: array("d"))
     ids: array = field(default_factory=lambda: array("i"))
     geoms: list[Any] = field(default_factory=list)
+    #: ``None`` for a column that keeps no id objects: what the shard
+    #: runtime ships to its workers, which answer with ``ids``.
+    tids: list[RecordId] | None = field(default_factory=list)
+    #: Every geometry is a :class:`Rect` (true of an empty column).
+    #: ``append`` and ``extend`` keep it exact; ``remove`` leaves it as
+    #: it was, so it may read ``False`` on a column of rectangles --
+    #: never ``True`` on one that holds anything else.
+    rects: bool = True
     #: Union of the rows' MBRs, set by :func:`extract_columns` (whose
     #: rows are final: a retained snapshot is read-only); ``None`` for an
     #: empty column and for one assembled row by row, like a shard
@@ -54,11 +70,20 @@ class Columns:
         self.boxes.extend((mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax))
         self.ids.extend((tid.page_id, tid.slot))
         self.geoms.append(geom)
+        if self.tids is not None:
+            self.tids.append(tid)
+        self.rects = self.rects and type(geom) is Rect
 
     def extend(self, other: "Columns") -> None:
         self.boxes.extend(other.boxes)
         self.ids.extend(other.ids)
         self.geoms.extend(other.geoms)
+        if self.tids is not None:
+            if other.tids is None:
+                self.tids = None
+            else:
+                self.tids.extend(other.tids)
+        self.rects = self.rects and other.rects
 
     def remove(self, tid: RecordId) -> int:
         """Drop every row whose id is ``tid``; returns how many went."""
@@ -71,6 +96,8 @@ class Columns:
             del self.boxes[4 * i:4 * i + 4]
             del ids[2 * i:2 * i + 2]
             del self.geoms[i]
+            if self.tids is not None:
+                del self.tids[i]
         return len(rows)
 
     def box_array(self):
@@ -94,7 +121,7 @@ def extract_columns(
     if pool is None:
         pool = relation.buffer_pool
     columns = Columns()
-    boxes, ids, geoms = columns.boxes, columns.ids, columns.geoms
+    boxes, ids, geoms, tids = columns.boxes, columns.ids, columns.geoms, columns.tids
     for pid in relation.page_ids:
         page = pool.fetch(pid)
         for slot, record in enumerate(page.slots):
@@ -105,6 +132,8 @@ def extract_columns(
             boxes.extend((mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax))
             ids.extend((pid, slot))
             geoms.append(geom)
+            tids.append(record.tid)
+    columns.rects = all(type(geom) is Rect for geom in geoms)
     columns.bounds = _bounds(boxes)
     return columns
 

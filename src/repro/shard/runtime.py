@@ -487,7 +487,7 @@ class ShardRuntime:
         name = relation.name if table is None else table
         self.create_table(name, relation.schema, column)
         batches: dict[int, tuple[Columns, list[list[Any]]]] = {
-            shard.shard_id: (Columns(), []) for shard in self.shards
+            shard.shard_id: (Columns(tids=None), []) for shard in self.shards
         }
         count = 0
         for t in relation.scan():

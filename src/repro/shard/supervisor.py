@@ -97,7 +97,7 @@ class ShardSupervisor:
         runtime = self.runtime
         for table, rel in sorted(shard.relations.items()):
             column = runtime.columns[table]
-            columns = Columns()
+            columns = Columns(tids=None)
             for t in rel.scan():
                 geom = t[column]
                 columns.append(RecordId(t["pid"], t["slot"]), geom.mbr(), geom)

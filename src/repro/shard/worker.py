@@ -115,10 +115,10 @@ class ShardWorkerState:
     def apply(self, op: str, payload: dict[str, Any]) -> dict[str, Any]:
         """Execute one op; raises for unknown ops / missing tables."""
         if op == "create":
-            self.tables.setdefault(payload["table"], Columns())
+            self.tables.setdefault(payload["table"], Columns(tids=None))
             return {"created": payload["table"]}
         if op == "load":
-            self.tables.setdefault(payload["table"], Columns()).extend(
+            self.tables.setdefault(payload["table"], Columns(tids=None)).extend(
                 payload["columns"]
             )
             return {"loaded": len(payload["columns"])}
@@ -178,8 +178,10 @@ class ShardWorkerState:
     def _join(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Shard-local partition join: one sweep over the two resident
         tables in ``xmin`` order, keeping the pairs whose reference point
-        this shard owns.  Replies integer result rows (see
-        :func:`~repro.parallel.plane_sweep.sweep_task`)."""
+        this shard owns.  The sweep
+        (:func:`~repro.parallel.plane_sweep.sweep_task`) names result
+        rows by row number; the reply carries their ids instead, as
+        integer rows ``page_r, slot_r, page_s, slot_s``."""
         import numpy as np
 
         theta = payload["theta"]
@@ -198,7 +200,8 @@ class ShardWorkerState:
                 rows = sweep_task(self.shard_map, [task], theta, meter)
                 sweep.set_tag("pairs", len(rows))
             span.set_tag("pairs", len(rows))
-        return self._reply({"pairs": rows}, meter, tracer)
+        ids = np.hstack((r.id_array()[rows[:, 0]], s.id_array()[rows[:, 1]]))
+        return self._reply({"pairs": ids}, meter, tracer)
 
 
 def shard_worker_main(

@@ -75,11 +75,6 @@ class TestReadout:
         assert [e["id"] for e in tail] == [3, 4]
         json.dumps(tail)  # must not raise
 
-    def test_describe_sorts_fields(self):
-        rec = FlightRecorder()
-        event = rec.record("failover", shard=2, attempt=1)
-        assert event.describe() == "#1 failover attempt=1 shard=2"
-
 
 class TestThreadSafety:
     def test_concurrent_recording_keeps_ids_unique(self):

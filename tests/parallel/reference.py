@@ -130,7 +130,8 @@ def columnar_sweep(entries_r, entries_s, grid: GridSpec, theta, refiner=None):
     pairs = []
     for group in task_groups(partition_pair(entries_r, entries_s, grid)):
         rows = sweep_task(grid, group, theta, meter, refiner)
-        pairs += zip(tids(rows[:, :2]), tids(rows[:, 2:]))
+        tids_r, tids_s = group[0].r.tids, group[0].s.tids
+        pairs += ((tids_r[i], tids_s[j]) for i, j in rows.tolist())
     return pairs, meter
 
 

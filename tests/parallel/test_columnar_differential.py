@@ -41,7 +41,7 @@ from repro.parallel.partitioner import (
     partition_pair,
     scatter,
 )
-from repro.parallel.pool import record_pairs, run_partitions
+from repro.parallel.pool import run_partitions, sorted_pairs
 from repro.predicates.theta import Overlaps
 from repro.shard.keyspace import ShardMap
 from repro.storage.costs import COUNTER_FIELDS, CostMeter
@@ -312,7 +312,7 @@ def test_group_boundaries_change_neither_pairs_nor_counters(
         "one-group": len(groups) == 1,
     }[grouping]
     meter = CostMeter()
-    pairs = record_pairs([
+    pairs = sorted_pairs(tasks[0].r, tasks[0].s, [
         plane_sweep.sweep_task(partitioning, group, theta, meter, refiner)
         for group in groups
     ])

@@ -522,7 +522,9 @@ def test_consumers_leave_a_retained_snapshot_byte_identical():
     partition(rel_r, rel_s)
     kept = {rel.name: rel.derived(SNAPSHOT) for rel in (rel_r, rel_s)}
     image = {
-        name: (bytes(c.boxes), bytes(c.ids), list(c.geoms), c.bounds)
+        name: (
+            bytes(c.boxes), bytes(c.ids), list(c.geoms), list(c.tids), c.rects, c.bounds
+        )
         for name, c in kept.items()
     }
     executor = SpatialQueryExecutor()
@@ -543,7 +545,8 @@ def test_consumers_leave_a_retained_snapshot_byte_identical():
         columns = rel.derived(SNAPSHOT)
         assert columns is kept[rel.name]
         assert (
-            bytes(columns.boxes), bytes(columns.ids), columns.geoms, columns.bounds
+            bytes(columns.boxes), bytes(columns.ids), columns.geoms,
+            columns.tids, columns.rects, columns.bounds,
         ) == image[rel.name]
 
 

@@ -145,7 +145,10 @@ def seeded_rects(rng: random.Random, count: int, span: float = 95.0,
 
 
 def image(columns) -> tuple:
-    return bytes(columns.boxes), bytes(columns.ids), list(columns.geoms), columns.bounds
+    return (
+        bytes(columns.boxes), bytes(columns.ids), list(columns.geoms),
+        list(columns.tids), columns.rects, columns.bounds,
+    )
 
 
 class Lattice:
