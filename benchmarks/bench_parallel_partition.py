@@ -5,8 +5,8 @@ Two questions, answered empirically on uniform rectangle workloads
 
 1. *Granularity* -- how the tile count moves sweep work (filter evals)
    and the replication overhead.
-2. *Rivals* -- the same join via the synchronized tree join and the
-   z-order merge; all three must return the identical pair set.
+2. *Rivals* -- the same join via Algorithm JOIN over the R-trees and
+   the z-order merge; all three must return the identical pair set.
 
 ``BENCH_PARTITION_COUNT`` overrides the per-relation cardinality (the
 smoke suite sets it tiny; the full run defaults to 10,000 x 10,000).
@@ -19,7 +19,7 @@ import pytest
 
 from benchmarks.artifacts import emit_bench_artifact
 from repro.geometry import Rect
-from repro.join.sync_join import sync_tree_join
+from repro.join.tree_join import tree_join
 from repro.join.zorder_merge import zorder_merge_join
 from repro.parallel import partition_join
 from repro.predicates.theta import Overlaps
@@ -104,8 +104,8 @@ def test_against_rival_strategies(benchmark, relations):
     )
 
     start = time.perf_counter()
-    sync = sync_tree_join(ir_r.tree, ir_s.tree, Overlaps(), meter=CostMeter())
-    sync_s = time.perf_counter() - start
+    tree = tree_join(ir_r.tree, ir_s.tree, Overlaps(), meter=CostMeter())
+    tree_s = time.perf_counter() - start
 
     start = time.perf_counter()
     zorder = zorder_merge_join(
@@ -114,12 +114,12 @@ def test_against_rival_strategies(benchmark, relations):
     )
     zorder_s = time.perf_counter() - start
 
-    assert sync.pair_set() == part.pair_set()
+    assert tree.pair_set() == part.pair_set()
     assert zorder.pair_set() == part.pair_set()
 
     print(f"\n{len(part.pairs)} matches on {COUNT} x {COUNT} rects")
     print(f"{'strategy':<18}{'seconds':>10}{'pred evals':>12}")
     print(f"{'partition-sweep':<18}{part_s:>10.3f}"
           f"{part_meter.predicate_evaluations:>12}")
-    print(f"{'sync-tree-join':<18}{sync_s:>10.3f}{'':>12}")
+    print(f"{'tree-join':<18}{tree_s:>10.3f}{'':>12}")
     print(f"{'zorder-merge':<18}{zorder_s:>10.3f}{'':>12}")

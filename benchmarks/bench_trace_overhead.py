@@ -4,8 +4,8 @@ The observability PR's contract is that tracing you do not ask for costs
 (essentially) nothing: span sites are per phase / per level, never per
 tuple, and the disabled path is one attribute call returning a shared
 no-op handle.  This bench quantifies that claim on the two kernels whose
-inner loops are pure predicate evaluation -- the z-order merge and the
-synchronized tree join:
+inner loops are pure predicate evaluation -- the z-order merge and
+Algorithm JOIN over two R-trees:
 
 1. measure the kernel's wall time with tracing disabled (min of
    repeats, the standard noise filter);
@@ -45,7 +45,7 @@ import pytest
 
 from benchmarks.artifacts import emit_bench_artifact, sized_down
 from repro.geometry import Rect
-from repro.join.sync_join import sync_tree_join
+from repro.join.tree_join import tree_join
 from repro.join.zorder_merge import zorder_merge_join
 from repro.obs import NULL_TRACER, MetricsRegistry, TraceContext, Tracer
 from repro.predicates.theta import Overlaps
@@ -104,15 +104,15 @@ def _run_zorder(ir_r, ir_s, tracer=None):
     return result, meter
 
 
-def _run_sync(ir_r, ir_s, tracer=None):
+def _run_tree(ir_r, ir_s, tracer=None):
     meter = CostMeter()
-    result = sync_tree_join(
+    result = tree_join(
         ir_r.tree, ir_s.tree, Overlaps(), meter=meter, tracer=tracer,
     )
     return result, meter
 
 
-KERNELS = {"zorder": _run_zorder, "sync-join": _run_sync}
+KERNELS = {"zorder": _run_zorder, "tree-join": _run_tree}
 
 
 @pytest.mark.smoke

@@ -136,9 +136,8 @@ class QueryCache:
 
     ``policy`` bounds admission and memory (see
     :class:`~repro.cache.policy.CachePolicy`); the keyword shortcuts
-    construct one.  ``attach_metrics`` publishes hit/miss/eviction/
-    invalidation counters and byte/entry gauges into a
-    :class:`~repro.obs.metrics.MetricsRegistry`.
+    construct one.  :attr:`stats` is the one store of its hit, miss,
+    admission, eviction and invalidation counts.
 
     All public methods are thread-safe; a single instance may be shared
     by every session of a concurrent query service.
@@ -165,7 +164,6 @@ class QueryCache:
         self._entries: dict[tuple, _Entry] = {}
         self._groups: dict[tuple, _Group] = {}
         self._tick = 0
-        self._metrics = None
         self._lock = threading.RLock()
         #: Shapes of groups with a dead operand, purged at the next
         #: probe/admit/sweep.  A pin's death callback only appends
@@ -189,11 +187,25 @@ class QueryCache:
         with self._lock:
             return list(self._entries.values())
 
-    def attach_metrics(self, registry: Any, **labels: Any) -> None:
-        """Publish cache events into a metrics registry from now on."""
+    def snapshot(self) -> dict[str, int]:
+        """The :attr:`stats` counters, the entry count and the bytes held."""
         with self._lock:
-            self._metrics = (registry, labels)
-            self._publish_gauges()
+            return {
+                **self.stats.snapshot(),
+                "entries": len(self._entries),
+                "bytes": self.total_bytes,
+            }
+
+    def describe(self) -> str:
+        """One-line terminal summary."""
+        s = self.stats
+        return (
+            f"cache: {len(self._entries)} entries, {self.total_bytes} bytes "
+            f"(budget {self.policy.byte_budget}); probes={s.probes} "
+            f"exact={s.exact_hits} containment={s.containment_hits} "
+            f"misses={s.misses} evictions={s.evictions} "
+            f"invalidations={s.invalidations}"
+        )
 
     # ------------------------------------------------------------------
     # The core: lookup, hit, miss, admit
@@ -219,7 +231,7 @@ class QueryCache:
             return None
         return group
 
-    def _hit(self, entry: _Entry, tier: str, kind: str, meter: CostMeter) -> None:
+    def _hit(self, entry: _Entry, tier: str, meter: CostMeter) -> None:
         self._tick += 1
         entry.tick = self._tick
         if tier == "exact":
@@ -227,11 +239,9 @@ class QueryCache:
         else:
             self.stats.containment_hits += 1
         meter.record_cache_hit()
-        self._count("cache.hits", tier=tier, kind=kind)
 
-    def _miss(self, kind: str) -> tuple[None, None]:
+    def _miss(self) -> tuple[None, None]:
         self.stats.misses += 1
-        self._count("cache.misses", kind=kind)
         return None, None
 
     def _admit(
@@ -290,8 +300,6 @@ class QueryCache:
             group.keys.add(key)
             self._evict_over_budget(protect=key)
             self.stats.admissions += 1
-            self._count("cache.admissions")
-            self._publish_gauges()
             return True
 
     # ------------------------------------------------------------------
@@ -321,7 +329,7 @@ class QueryCache:
                 geometry_fingerprint(query), meter,
             )
             if entry is not None:
-                self._hit(entry, "exact", "select", meter)
+                self._hit(entry, "exact", meter)
                 result = SelectResult(
                     strategy="cached-exact", matches=list(entry.matches)
                 )
@@ -330,7 +338,7 @@ class QueryCache:
             served = self._containment_lookup(group, column, query, theta, meter)
             if served is not None:
                 return "containment", served
-            return self._miss("select")
+            return self._miss()
 
     def _containment_lookup(
         self,
@@ -380,7 +388,7 @@ class QueryCache:
                 meter.record_exact_eval()
                 if theta(query, payload[column]):
                     result.matches.append((tid, payload))
-        self._hit(best, "containment", "select", meter)
+        self._hit(best, "containment", meter)
         result.stats = meter.snapshot()
         return result
 
@@ -446,8 +454,8 @@ class QueryCache:
             )
             _, entry = self._lookup(shape, strategy, meter)
             if entry is None or (collect_tuples and entry.extra is None):
-                return self._miss("join")
-            self._hit(entry, "exact", "join", meter)
+                return self._miss()
+            self._hit(entry, "exact", meter)
             pairs, tuples = entry.matches, entry.extra if collect_tuples else []
             result = JoinResult(
                 strategy="cached-exact",
@@ -518,8 +526,6 @@ class QueryCache:
             for key in list(self._entries):
                 self._drop(key)
                 self.stats.evictions += 1
-                self._count("cache.evictions")
-            self._publish_gauges()
             return count
 
     def _purge_dead(self) -> None:
@@ -539,8 +545,6 @@ class QueryCache:
         for key in group.keys:
             del self._entries[key]
             self.stats.invalidations += 1
-            self._count("cache.invalidations")
-        self._publish_gauges()
 
     def _evict_over_budget(self, protect: tuple) -> None:
         """LRU-by-cost eviction down to the byte budget."""
@@ -557,7 +561,6 @@ class QueryCache:
             )
             self._drop(victim)
             self.stats.evictions += 1
-            self._count("cache.evictions")
 
     def _drop(self, key: tuple) -> None:
         del self._entries[key]
@@ -598,34 +601,6 @@ class QueryCache:
         shape = ("join", rel_r.uid, column_r, rel_s.uid, column_s,
                  theta_cache_key(theta))
         return shape, swapped
-
-    # ------------------------------------------------------------------
-    # Metrics plumbing
-    # ------------------------------------------------------------------
-
-    def _count(self, name: str, **labels: Any) -> None:
-        if self._metrics is None:
-            return
-        registry, base = self._metrics
-        registry.counter(name, **base, **labels).inc()
-
-    def _publish_gauges(self) -> None:
-        if self._metrics is None:
-            return
-        registry, base = self._metrics
-        registry.gauge("cache.bytes", **base).set(self.total_bytes)
-        registry.gauge("cache.entries", **base).set(len(self._entries))
-
-    def describe(self) -> str:
-        """One-line terminal summary."""
-        s = self.stats
-        return (
-            f"cache: {len(self._entries)} entries, {self.total_bytes} bytes "
-            f"(budget {self.policy.byte_budget}); probes={s.probes} "
-            f"exact={s.exact_hits} containment={s.containment_hits} "
-            f"misses={s.misses} evictions={s.evictions} "
-            f"invalidations={s.invalidations}"
-        )
 
 
 def _oriented(pairs: list[tuple[Any, Any]], swapped: bool) -> list[tuple[Any, Any]]:

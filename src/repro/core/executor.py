@@ -105,8 +105,6 @@ class SpatialQueryExecutor:
         self.metrics = metrics
         self.cache = cache
         self.interval = interval
-        if cache is not None and metrics is not None:
-            cache.attach_metrics(metrics)
 
     def _context(
         self, *, meter=None, tracer=None, metrics=None, cache=None,

@@ -37,12 +37,6 @@ class Point:
         """Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def squared_distance_to(self, other: "Point") -> float:
-        """Squared Euclidean distance; avoids the sqrt when only comparing."""
-        dx = self.x - other.x
-        dy = self.y - other.y
-        return dx * dx + dy * dy
-
     def manhattan_distance_to(self, other: "Point") -> float:
         """L1 distance, used by the reachability operator's grid buffers."""
         return abs(self.x - other.x) + abs(self.y - other.y)

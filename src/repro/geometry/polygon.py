@@ -97,9 +97,6 @@ class Polygon:
         """Unsigned area."""
         return abs(self._area)
 
-    def perimeter(self) -> float:
-        return sum(seg.length() for seg in self.edges())
-
     def _centroid(self) -> Point:
         """Center of gravity via the standard shoelace-weighted formula."""
         cx = cy = 0.0

@@ -93,9 +93,6 @@ class Rect:
         """Area of the rectangle (zero for degenerate rectangles)."""
         return self.width * self.height
 
-    def perimeter(self) -> float:
-        return 2.0 * (self.width + self.height)
-
     def centerpoint(self) -> Point:
         """Center of gravity; the paper's centerpoint-based operators use it."""
         return Point((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)

@@ -23,7 +23,6 @@ from repro.join.accessor import NodeAccessor, RelationAccessor, DirectAccessor
 from repro.join.result import JoinResult, SelectResult
 from repro.join.select import spatial_select
 from repro.join.tree_join import tree_join
-from repro.join.sync_join import sync_tree_join
 from repro.join.nested_loop import nested_loop_join, nested_loop_select
 from repro.join.index_join import (
     index_nested_loop_join,
@@ -43,7 +42,6 @@ __all__ = [
     "SelectResult",
     "spatial_select",
     "tree_join",
-    "sync_tree_join",
     "nested_loop_join",
     "nested_loop_select",
     "index_nested_loop_join",

@@ -38,8 +38,6 @@ def spatial_select(
     accessor: NodeAccessor | None = None,
     meter: CostMeter | None = None,
     order: str = "bfs",
-    start: Any = None,
-    skip_start: bool = False,
     reverse: bool = False,
     big_theta: BigThetaOperator | None = None,
     limit: int | None = None,
@@ -70,10 +68,6 @@ def spatial_select(
         separately (their sum is the paper's single ``C_Theta`` count).
     order:
         ``"bfs"`` (the paper's formulation) or ``"dfs"``.
-    start, skip_start:
-        Restrict the traversal to the subtree under ``start`` and
-        optionally do not report ``start`` itself -- Algorithm JOIN's
-        SELECT passes use both.
     reverse:
         Evaluate ``node theta query`` instead of ``query theta node``.
     limit:
@@ -123,7 +117,6 @@ def spatial_select(
     if tree.is_empty():
         result.stats = meter.snapshot()
         return result
-    root = start if start is not None else tree.root()
 
     def examine(node: Any) -> bool:
         """Theta-filter a node; on a pass, refine and maybe emit.
@@ -169,12 +162,7 @@ def spatial_select(
             # SELECT1/SELECT2: QualNodes lists per height, processed in
             # order -- the explicit per-level batches are the paper's own
             # formulation and give the tracer its level boundaries.
-            if skip_start:
-                # The start node was already examined by the caller;
-                # schedule its children directly.
-                qual: list[Any] = list(tree.children(root))
-            else:
-                qual = [root]
+            qual: list[Any] = [tree.root()]
             level = 0
             while qual and not reached_limit():
                 check_cancel(cancel)
@@ -206,11 +194,7 @@ def spatial_select(
                 qual = next_qual
                 level += 1
         else:
-            stack: list[Any] = []
-            if skip_start:
-                stack.extend(reversed(tree.children(root)))
-            else:
-                stack.append(root)
+            stack: list[Any] = [tree.root()]
             while stack and not reached_limit():
                 check_cancel(cancel)
                 node = stack.pop()
@@ -237,9 +221,9 @@ def select_pass_candidates(
     """One JOIN4 SELECT pass below ``start``, refinement left to the caller.
 
     Examines the strict descendants of ``start`` in Algorithm SELECT's
-    order, charging the visits and Theta-filter evaluations
-    ``spatial_select(..., start=start, skip_start=True)`` charges, and
-    returns the qualifying direct children of ``start``.  Each
+    order, charging one visit and one Theta-filter evaluation per
+    examined node as :func:`spatial_select` does, and returns the
+    qualifying direct children of ``start``.  Each
     payload-bearing node that passes the filter is handed to
     ``found(tid, node, region, payload)`` as it is met, with the payload
     its visit returned: the caller refines it (in a batch, with

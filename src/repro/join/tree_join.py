@@ -26,7 +26,6 @@ from repro.join.accessor import DirectAccessor, NodeAccessor
 from repro.join.result import JoinResult
 from repro.join.select import qualifying_children_only, select_pass_candidates
 from repro.obs.trace import coalesce
-from repro.predicates.big_theta import BigThetaOperator
 from repro.predicates.theta import ThetaOperator
 from repro.storage.costs import CostMeter
 from repro.storage.record import RecordId
@@ -45,7 +44,6 @@ def tree_join(
     accessor_r: NodeAccessor | None = None,
     accessor_s: NodeAccessor | None = None,
     meter: CostMeter | None = None,
-    big_theta: BigThetaOperator | None = None,
     order: str = "bfs",
     collect_tuples: bool = False,
     tracer=None,
@@ -89,8 +87,7 @@ def tree_join(
         accessor_s = DirectAccessor()
     if meter is None:
         meter = CostMeter()
-    if big_theta is None:
-        big_theta = theta.filter_operator()
+    big_theta = theta.filter_operator()
     from repro.intermediate.filter import BATCH, ExactRefiner
 
     refiner = ExactRefiner(theta)

@@ -18,7 +18,8 @@ Supported operations (fields beyond ``op``):
                [, strategy, deadline_ms]``
 ``insert``     ``relation, oid, rect`` (the demo OBJECT schema)
 ``delete``     ``relation, oid``
-``metrics``    snapshot of the shared metrics registry
+``metrics``    snapshot of the shared metrics registry, and of the
+               shared cache's own counters, entry count and bytes
 ``shards``     status of the attached shard fleet (per-shard
                generation, restarts, dispatches, cost, liveness)
 ``stats``      health + per-op SLO latency percentiles + the flight
@@ -226,7 +227,11 @@ def handle_request(session: Any, request: dict[str, Any]) -> dict[str, Any]:
     if op == "relations":
         return {"relations": session.service.state.names()}
     if op == "metrics":
-        return {"metrics": session.service.metrics.snapshot()}
+        cache = session.service.cache
+        return {
+            "metrics": session.service.metrics.snapshot(),
+            "cache": None if cache is None else cache.snapshot(),
+        }
     if op == "shards":
         return session.service.require_shards().status()
     if op == "stats":

@@ -32,11 +32,11 @@ that outlive their deadline, so a read stalled between checkpoints is
 reaped at the next boundary it crosses.  Draining cancels every
 in-flight token once the ``drain_timeout`` grace expires.
 
-Everything is metered: ``server.sessions_active``,
-``server.queries_inflight``, ``server.queries``, ``server.conflicts``
-(pin invalidations absorbed by retries), ``server.shed`` and
+Everything is metered: ``server.queries``, ``server.conflicts`` (pin
+invalidations absorbed by retries), ``server.shed`` and
 ``server.deadline_exceeded`` (exactly once per expired query, whoever
-notices first).
+notices first).  Open sessions and queries in flight are the service's
+own fields, read through :meth:`QueryService.health`.
 """
 
 from __future__ import annotations
@@ -144,8 +144,6 @@ class QueryService:
         elif cache is None:
             self.cache = executor.cache
         self.executor = executor
-        if self.cache is not None:
-            self.cache.attach_metrics(self.metrics)
         self.config = config if config is not None else ServiceConfig()
         self._sessions: dict[int, Session] = {}
         self._session_ids = itertools.count(1)
@@ -171,13 +169,11 @@ class QueryService:
             sid = next(self._session_ids)
             session = Session(self, sid, client)
             self._sessions[sid] = session
-            self._gauge("server.sessions_active", len(self._sessions))
         return session
 
     def close_session(self, session: "Session") -> None:
         with self._admission:
             self._sessions.pop(session.session_id, None)
-            self._gauge("server.sessions_active", len(self._sessions))
 
     @property
     def sessions_active(self) -> int:
@@ -196,8 +192,8 @@ class QueryService:
         ``cancel`` (when the query carries a token) is registered for
         the lifetime of the admission so the watchdog can expire it and
         a drain can cancel it; it is always unregistered on the way
-        out, which is what guarantees ``server.queries_inflight``
-        returns to zero even for queries that died on their deadline.
+        out, which is what guarantees ``health()["inflight"]`` returns
+        to zero even for queries that died on their deadline.
         """
         with self._admission:
             if self._draining:
@@ -236,7 +232,6 @@ class QueryService:
                 )
             self._inflight += 1
             session.queries_issued += 1
-            self._gauge("server.queries_inflight", self._inflight)
             query_id = next(self._query_ids)
             if cancel is not None:
                 self._inflight_tokens[query_id] = cancel
@@ -262,7 +257,6 @@ class QueryService:
             with self._admission:
                 self._inflight_tokens.pop(query_id, None)
                 self._inflight -= 1
-                self._gauge("server.queries_inflight", self._inflight)
                 if self._inflight == 0:
                     self._idle.notify_all()
 
@@ -279,9 +273,6 @@ class QueryService:
         )
         exc.flight_events = self.flight.tail(6)
         return exc
-
-    def _gauge(self, name: str, value: float) -> None:
-        self.metrics.gauge(name).set(value)
 
     # ------------------------------------------------------------------
     # Deadlines & the watchdog

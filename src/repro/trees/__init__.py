@@ -6,8 +6,8 @@ contained in the object corresponding to its parent node" -- siblings may
 overlap and dead space is allowed.  The class includes:
 
 * :class:`~repro.trees.rtree.RTree` -- Guttman's R-tree (Figure 2), with
-  linear and quadratic node splitting; interior nodes are technical
-  entities (no application payload);
+  quadratic node splitting; interior nodes are technical entities (no
+  application payload);
 * :class:`~repro.trees.cartotree.CartoTree` -- an application-specific
   hierarchy of detail (Figure 3), every node an application object;
 * :class:`~repro.trees.balanced.BalancedKTree` -- the balanced k-ary tree
@@ -23,7 +23,6 @@ from repro.trees.base import GeneralizationTree
 from repro.trees.balanced import BalancedKTree
 from repro.trees.cartotree import CartoTree
 from repro.trees.rtree import RTree
-from repro.trees.rstar import RStarTree
 from repro.trees.packing import str_pack, packing_quality
 from repro.trees.knn import nearest_neighbor, nearest_neighbors
 
@@ -33,7 +32,6 @@ __all__ = [
     "BalancedKTree",
     "CartoTree",
     "RTree",
-    "RStarTree",
     "str_pack",
     "packing_quality",
     "nearest_neighbor",

@@ -6,7 +6,7 @@ that are of no interest to the user".  This is a from-scratch
 implementation with:
 
 * ChooseLeaf by least MBR enlargement (ties by smaller area);
-* node splitting via Guttman's **quadratic** or **linear** algorithm;
+* node splitting via Guttman's **quadratic** algorithm;
 * AdjustTree with split propagation and root growth;
 * deletion with CondenseTree (orphan re-insertion) and root shrinkage;
 * rectangle search and the :class:`GeneralizationTree` traversal protocol
@@ -64,18 +64,16 @@ class RTreeNode:
 
 
 class RTree(GeneralizationTree):
-    """R-tree with configurable fan-out and split algorithm.
+    """R-tree with configurable fan-out and Guttman's quadratic split.
 
     ``max_entries`` is Guttman's ``M`` (the paper's branching factor k for
     a full node); ``min_entries`` defaults to ``max_entries // 2``.
-    ``split`` selects ``"quadratic"`` (default) or ``"linear"``.
     """
 
     def __init__(
         self,
         max_entries: int = 10,
         min_entries: int | None = None,
-        split: str = "quadratic",
     ) -> None:
         if max_entries < 2:
             raise TreeError(f"max_entries must be at least 2, got {max_entries}")
@@ -85,11 +83,8 @@ class RTree(GeneralizationTree):
             raise TreeError(
                 f"min_entries must be in [1, max_entries//2], got {min_entries}"
             )
-        if split not in ("quadratic", "linear"):
-            raise TreeError(f"split must be 'quadratic' or 'linear', got {split!r}")
         self.max_entries = max_entries
         self.min_entries = min_entries
-        self.split_algorithm = split
         self._root = RTreeNode(is_leaf=True)
         self._size = 0
 
@@ -180,11 +175,7 @@ class RTree(GeneralizationTree):
 
     def _split_node(self, node: RTreeNode) -> RTreeNode:
         """Distribute ``node``'s entries over it and a new sibling."""
-        entries = node.entries
-        if self.split_algorithm == "quadratic":
-            group_a, group_b = self._quadratic_split(entries)
-        else:
-            group_a, group_b = self._linear_split(entries)
+        group_a, group_b = self._quadratic_split(node.entries)
         sibling = RTreeNode(is_leaf=node.is_leaf)
         node.entries = group_a
         sibling.entries = group_b
@@ -243,59 +234,6 @@ class RTree(GeneralizationTree):
                 if waste > best_waste:
                     best_waste = waste
                     best = (i, j)
-        return best
-
-    def _linear_split(
-        self, entries: list[RTreeEntry]
-    ) -> tuple[list[RTreeEntry], list[RTreeEntry]]:
-        """Guttman's linear split: extreme pair by normalized separation."""
-        seed_a, seed_b = self._pick_seeds_linear(entries)
-        group_a = [entries[seed_a]]
-        group_b = [entries[seed_b]]
-        mbr_a = entries[seed_a].mbr
-        mbr_b = entries[seed_b].mbr
-        rest = [e for i, e in enumerate(entries) if i not in (seed_a, seed_b)]
-        while rest:
-            # Force-assign the remainder when a group must absorb it to
-            # reach the minimum entry count.
-            if len(group_a) + len(rest) == self.min_entries:
-                group_a.extend(rest)
-                break
-            if len(group_b) + len(rest) == self.min_entries:
-                group_b.extend(rest)
-                break
-            e = rest.pop()
-            da = mbr_a.enlargement(e.mbr)
-            db = mbr_b.enlargement(e.mbr)
-            if da < db or (da == db and len(group_a) <= len(group_b)):
-                group_a.append(e)
-                mbr_a = mbr_a.union(e.mbr)
-            else:
-                group_b.append(e)
-                mbr_b = mbr_b.union(e.mbr)
-        return group_a, group_b
-
-    @staticmethod
-    def _pick_seeds_linear(entries: list[RTreeEntry]) -> tuple[int, int]:
-        best = (0, 1)
-        best_sep = float("-inf")
-        for axis in ("x", "y"):
-            if axis == "x":
-                lows = [(e.mbr.xmin, e.mbr.xmax) for e in entries]
-            else:
-                lows = [(e.mbr.ymin, e.mbr.ymax) for e in entries]
-            total_lo = min(lo for lo, _ in lows)
-            total_hi = max(hi for _, hi in lows)
-            width = max(total_hi - total_lo, 1e-12)
-            # Highest low side and lowest high side.
-            hi_lo = max(range(len(entries)), key=lambda i: lows[i][0])
-            lo_hi = min(range(len(entries)), key=lambda i: lows[i][1])
-            if hi_lo == lo_hi:
-                continue
-            sep = (lows[hi_lo][0] - lows[lo_hi][1]) / width
-            if sep > best_sep:
-                best_sep = sep
-                best = (lo_hi, hi_lo)
         return best
 
     # ------------------------------------------------------------------

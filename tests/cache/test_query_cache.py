@@ -374,11 +374,12 @@ def test_metrics_and_describe(workload):
     )
     executor.select(ir_r.relation, "shape", QUERY, Overlaps(), strategy="tree")
     executor.select(ir_r.relation, "shape", QUERY, Overlaps(), strategy="tree")
-    rendered = registry.render()
-    assert "cache.hits" in rendered
-    assert "cache.misses" in rendered
-    assert "cache.admissions" in rendered
-    assert "cache.bytes" in rendered
+    # The cache's own counters are the one store; the registry holds no copy.
+    assert cache.snapshot() == {
+        **cache.stats.snapshot(), "entries": 1, "bytes": cache.total_bytes,
+    }
+    assert cache.stats.misses == cache.stats.admissions == 1
+    assert "cache." not in registry.render()
     summary = cache.describe()
     assert "probes=2" in summary and "exact=1" in summary
 

@@ -41,9 +41,6 @@ class TestDistances:
     def test_pythagorean(self):
         assert Point(0, 0).distance_to(Point(3, 4)) == pytest.approx(5.0)
 
-    def test_squared_distance(self):
-        assert Point(0, 0).squared_distance_to(Point(3, 4)) == pytest.approx(25.0)
-
     def test_manhattan(self):
         assert Point(0, 0).manhattan_distance_to(Point(3, -4)) == pytest.approx(7.0)
 

@@ -79,9 +79,6 @@ class TestMeasures:
         )
         assert p.centerpoint() == Point(0.25, 0.25)
 
-    def test_perimeter(self):
-        assert unit_square().perimeter() == pytest.approx(4.0)
-
     def test_mbr(self):
         assert triangle().mbr() == Rect(0, 0, 4, 3)
 

@@ -5,8 +5,8 @@ import pytest
 from repro.errors import JoinError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.join.accessor import RelationAccessor
-from repro.join.select import spatial_select
+from repro.join.accessor import DirectAccessor, RelationAccessor
+from repro.join.select import select_pass_candidates, spatial_select
 from repro.predicates.theta import NorthwestOf, Overlaps, WithinDistance
 from repro.storage.costs import CostMeter
 from repro.storage.record import RecordId
@@ -88,23 +88,35 @@ class TestReverseOperandOrder:
 
 
 class TestSubtreeTraversal:
+    """Algorithm JOIN's SELECT pass: the strict descendants of a node."""
+
+    @staticmethod
+    def pass_below(t, start):
+        found = []
+        meter = CostMeter()
+        qualifying = select_pass_candidates(
+            t, Rect(0, 0, 100, 100), start,
+            accessor=DirectAccessor(), meter=meter, reverse=False,
+            big_theta=Overlaps().filter_operator(),
+            found=lambda tid, node, region, payload: found.append(tid),
+        )
+        return found, qualifying, meter
+
     def test_start_limits_scope(self):
         t = balanced_with_tids(k=2, n=3)
         left = t.root().children[0]
-        res = spatial_select(
-            t, Rect(0, 0, 100, 100), Overlaps(), start=left
-        )
-        # Only the left subtree's nodes qualify.
-        assert len(res.tids) == left.subtree_size()
+        found, qualifying, meter = self.pass_below(t, left)
+        # Only the left subtree's nodes are examined, and all qualify.
+        assert len(found) == meter.theta_filter_evals == left.subtree_size() - 1
+        assert qualifying == list(left.children)
 
     def test_skip_start_excludes_root_of_subtree(self):
         t = balanced_with_tids(k=2, n=3)
         left = t.root().children[0]
-        with_start = spatial_select(t, Rect(0, 0, 100, 100), Overlaps(), start=left)
-        without = spatial_select(
-            t, Rect(0, 0, 100, 100), Overlaps(), start=left, skip_start=True
-        )
-        assert set(with_start.tids) - set(without.tids) == {left.tid}
+        found, _qualifying, _meter = self.pass_below(t, left)
+        whole = spatial_select(t, Rect(0, 0, 100, 100), Overlaps())
+        assert left.tid not in found
+        assert set(found) < set(whole.tids)
 
 
 class TestCostAccounting:

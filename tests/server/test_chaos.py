@@ -16,8 +16,8 @@ retry policies must absorb every injected fault:
   the differential check stays intact under wire chaos.
 
 Afterwards the plan's audit must balance (every injected fault consumed
-by a retry), the server must drain to zero in-flight with zero leaked
-connection threads, and ``server.queries_inflight`` must read 0.
+by a retry), and the server must drain to zero in-flight with zero
+leaked connection threads.
 
 ``CHAOS_SEED`` seeds both the fault plan and the workload; the CI
 ``chaos-soak`` matrix runs 1/7/42.
@@ -185,7 +185,6 @@ def test_chaos_soak_retrying_clients_survive_wire_faults():
 
     # Shutdown invariants: nothing in flight, nothing leaked.
     assert service.health()["inflight"] == 0
-    assert service.metrics.gauge("server.queries_inflight").value == 0
     assert server._reap_conn_threads() == []
     leaked = [
         t.name for t in threading.enumerate()

@@ -130,6 +130,7 @@ class TestRoundTrips:
             )
             payload = client.request(op="metrics")
             assert "server.queries" in payload["metrics"]
+            assert payload["cache"] is None  # this service runs uncached
 
     def test_close_ends_the_session(self, server):
         client = QueryClient(*server.address)
@@ -268,8 +269,8 @@ class TestConnectionEdges:
     """Half-written lines, mid-request disconnects, accept failures.
 
     The invariant under every rude-client scenario: the session closes,
-    ``server.sessions_active`` returns to zero (no gauge leak), and the
-    server keeps serving well-behaved clients.
+    ``health()["sessions_active"]`` returns to zero (no session leak),
+    and the server keeps serving well-behaved clients.
     """
 
     def test_mid_request_disconnect_releases_the_session(self, server):
@@ -281,8 +282,7 @@ class TestConnectionEdges:
         raw.close()
         assert _wait_for(lambda: service.sessions_active == 0), \
             "session leaked after mid-request disconnect"
-        gauge = service.metrics.gauge("server.sessions_active")
-        assert gauge.value == 0
+        assert service.health()["sessions_active"] == 0
         with QueryClient(*server.address) as client:
             assert client.request(op="ping")["pong"] is True
 

@@ -9,6 +9,7 @@ from repro.errors import ServerBusy, SessionError, SnapshotConflict
 from repro.geometry.rect import Rect
 from repro.predicates.theta import Overlaps
 from repro.server import ServiceConfig
+from repro.server.protocol import handle_request
 
 from tests.server.conftest import build_service
 
@@ -20,18 +21,13 @@ def counter_value(metrics, name, **labels):
     return 0
 
 
-def gauge_value(metrics, name):
-    series = metrics.series(name)
-    return series[0].value if series else None
-
-
 class TestSessions:
     def test_open_close_updates_active_gauge(self, service):
         s1 = service.open_session()
         s2 = service.open_session()
-        assert gauge_value(service.metrics, "server.sessions_active") == 2
+        assert service.health()["sessions_active"] == 2
         s1.close()
-        assert gauge_value(service.metrics, "server.sessions_active") == 1
+        assert service.health()["sessions_active"] == 1
         s2.close()
         assert service.sessions_active == 0
 
@@ -149,7 +145,7 @@ class TestAdmissionControl:
     def test_inflight_gauge_returns_to_zero(self, service):
         with service.open_session() as session:
             session.select("r", "shape", Rect(0, 0, 10, 10), Overlaps())
-        assert gauge_value(service.metrics, "server.queries_inflight") == 0
+        assert service.health()["inflight"] == 0
 
     def test_config_validation(self):
         with pytest.raises(SessionError):
@@ -240,3 +236,17 @@ class TestSharedCache:
             )
             assert warm.strategy != "cached-exact"
             assert len(warm.matches) == len(cold.matches) + 1
+
+    def test_metrics_op_exports_the_cache_store(self):
+        cache = QueryCache()
+        service, _ = build_service(cache=cache)
+        window = Rect(0, 0, 60, 60)
+        with service.open_session() as session:
+            for _ in range(2):
+                session.select("r", "shape", window, Overlaps(), strategy="tree")
+            payload = handle_request(session, {"op": "metrics"})
+        assert payload["cache"] == {
+            **cache.stats.snapshot(), "entries": 1, "bytes": cache.total_bytes,
+        }
+        assert payload["cache"]["exact_hits"] == 1
+        assert not any(name.startswith("cache.") for name in payload["metrics"])

@@ -102,8 +102,8 @@ def test_trace_overhead_bench_runs_tiny(tmp_path):
     assert artifact.exists(), sorted(p.name for p in tmp_path.iterdir())
     payload = json.loads(artifact.read_text())
     assert payload["exit_status"] == 0
-    assert set(payload["payloads"]) >= {"zorder", "sync-join", "metrics_snapshot"}
-    for key in ("zorder", "sync-join", "distributed"):
+    assert set(payload["payloads"]) >= {"zorder", "tree-join", "metrics_snapshot"}
+    for key in ("zorder", "tree-join", "distributed"):
         stats = payload["payloads"][key]
         assert stats["overhead_fraction"] >= 0.0
         assert stats["tolerance"] > 0.0

@@ -595,3 +595,25 @@ def test_nested_select_after_a_crash_reads_the_recovered_relation():
             machine.agrees_with_the_model()
     finally:
         machine.teardown()
+
+
+
+def test_partition_join_refines_the_tiers_ambiguous_pairs():
+    """A corner the random draw reaches at few seeds, pinned: polygons,
+    the tier on a coarse grid and an explicit ``partition`` join.  Each
+    pair of diamonds shares only PARTIAL cells, so the tier must call it
+    ambiguous and leave it to exact refinement: the first pair's boxes
+    overlap while the diamonds do not, the second pair's diamonds nest."""
+    lattice = Lattice(
+        Config(geometry="polygon", interval=IntervalSpec(UNIVERSE, 3)),
+        ([diamond(Rect(0, 0, 10, 10)), diamond(Rect(40, 40, 60, 60))],
+         [diamond(Rect(8, 8, 18, 18)), diamond(Rect(45, 45, 55, 55))]),
+    )
+    try:
+        assert len(lattice.join("r", "s", Overlaps(), "partition").pairs) == 1
+        meter = CostMeter()
+        lattice.executor.join(lattice.rels["r"], "shape", lattice.rels["s"], "shape",
+                              Overlaps(), strategy="partition", meter=meter)
+        assert meter.interval_probes == meter.theta_exact_evals == 2
+    finally:
+        lattice.close()

@@ -23,8 +23,8 @@ def random_rects(count: int, seed: int = 0) -> list[Rect]:
     return out
 
 
-def loaded_tree(rects, max_entries=8, split="quadratic") -> RTree:
-    t = RTree(max_entries=max_entries, split=split)
+def loaded_tree(rects, max_entries=8) -> RTree:
+    t = RTree(max_entries=max_entries)
     for i, r in enumerate(rects):
         t.insert(r, RecordId(0, i))
     return t
@@ -36,8 +36,6 @@ class TestConstruction:
             RTree(max_entries=1)
         with pytest.raises(TreeError):
             RTree(max_entries=8, min_entries=5)  # > max/2
-        with pytest.raises(TreeError):
-            RTree(split="diagonal")
 
     def test_empty(self):
         t = RTree()
@@ -46,19 +44,18 @@ class TestConstruction:
         assert t.search(Rect(0, 0, 1, 1)) == []
 
 
-@pytest.mark.parametrize("split", ["quadratic", "linear"])
 class TestInsertSearch:
-    def test_search_matches_brute_force(self, split):
+    def test_search_matches_brute_force(self):
         rects = random_rects(400, seed=1)
-        t = loaded_tree(rects, split=split)
+        t = loaded_tree(rects)
         t.check_invariants()
         for q in (Rect(10, 10, 30, 30), Rect(0, 0, 100, 100), Rect(95, 95, 99, 99)):
             got = {tid.slot for tid in t.search_tids(q)}
             assert got == set(oracle.select(dict(enumerate(rects)), q, Overlaps()))
 
-    def test_point_data(self, split):
+    def test_point_data(self):
         rng = random.Random(2)
-        t = RTree(max_entries=6, split=split)
+        t = RTree(max_entries=6)
         pts = [Point(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(200)]
         for i, p in enumerate(pts):
             t.insert(p, RecordId(0, i))
@@ -67,9 +64,9 @@ class TestInsertSearch:
         got = {tid.slot for tid in t.search_tids(q)}
         assert got == set(oracle.select(dict(enumerate(pts)), q, Overlaps()))
 
-    def test_invariants_across_sizes(self, split):
+    def test_invariants_across_sizes(self):
         for n in (1, 5, 9, 50, 137):
-            t = loaded_tree(random_rects(n, seed=n), max_entries=4, split=split)
+            t = loaded_tree(random_rects(n, seed=n), max_entries=4)
             t.check_invariants()
             assert len(t) == n
             assert len(list(t.data_entries())) == n
@@ -147,13 +144,3 @@ class TestGeneralizationProtocol:
         t.remap_tids(mapping)
         assert all(e.tid.page_id == 1 for e in t.data_entries())
 
-
-class TestSplitQuality:
-    def test_linear_and_quadratic_same_results(self):
-        rects = random_rects(300, seed=12)
-        tq = loaded_tree(rects, max_entries=6, split="quadratic")
-        tl = loaded_tree(rects, max_entries=6, split="linear")
-        q = Rect(25, 25, 55, 55)
-        assert set(t.slot for t in tq.search_tids(q)) == set(
-            t.slot for t in tl.search_tids(q)
-        )

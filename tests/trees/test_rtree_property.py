@@ -32,10 +32,10 @@ def query_rects(draw):
     return Rect(x, y, x + draw(sizes) * 3, y + draw(sizes) * 3)
 
 
-@given(rect_lists(), query_rects(), st.sampled_from(["quadratic", "linear"]))
+@given(rect_lists(), query_rects())
 @settings(max_examples=40)
-def test_search_equals_brute_force(rects, query, split):
-    tree = RTree(max_entries=5, split=split)
+def test_search_equals_brute_force(rects, query):
+    tree = RTree(max_entries=5)
     for i, r in enumerate(rects):
         tree.insert(r, RecordId(0, i))
     tree.check_invariants()

@@ -2,7 +2,7 @@
 
 The paper's framework promises that SELECT / JOIN work over *any*
 generalization tree.  This suite runs the same queries over every tree
-variant in the library -- Guttman R-tree (both splits), R*-tree, and the
+variant in the library -- the Guttman R-tree built by insertion and the
 STR-packed tree -- and demands identical answers.
 """
 
@@ -18,7 +18,6 @@ from repro.predicates.theta import NorthwestOf, Overlaps, WithinDistance
 from repro.storage.record import RecordId
 from repro.trees.knn import nearest_neighbors
 from repro.trees.packing import str_pack
-from repro.trees.rstar import RStarTree
 from repro.trees.rtree import RTree
 
 
@@ -33,20 +32,11 @@ def random_rects(count: int, seed: int) -> list[Rect]:
 
 def all_variants(rects):
     pairs = [(r, RecordId(0, i)) for i, r in enumerate(rects)]
-    guttman_q = RTree(max_entries=7, split="quadratic")
-    guttman_l = RTree(max_entries=7, split="linear")
-    rstar = RStarTree(max_entries=7)
+    guttman = RTree(max_entries=7)
     for r, tid in pairs:
-        guttman_q.insert(r, tid)
-        guttman_l.insert(r, tid)
-        rstar.insert(r, tid)
+        guttman.insert(r, tid)
     packed = str_pack(pairs, max_entries=7)
-    return {
-        "guttman-quadratic": guttman_q,
-        "guttman-linear": guttman_l,
-        "rstar": rstar,
-        "str-packed": packed,
-    }
+    return {"guttman": guttman, "str-packed": packed}
 
 
 @pytest.fixture(scope="module")
