@@ -353,25 +353,21 @@ class QueryCache:
             return None
         if not (window_monotone(theta) or exact_monotone(theta)):
             return None
-        best: _Entry | None = None
-        for entry_key in sorted(group.keys):
+        usable = []
+        for key in group.keys:
             # The group is fresh, so each of its entries is.
-            entry = self._entries[entry_key]
+            entry = self._entries[key]
             window = entry.query
             if not isinstance(window, Rect) or not window.contains_rect(query):
                 continue
-            usable = (
-                entry.extra is not None and window_monotone(theta)
-            ) or (entry.refinable_matches and exact_monotone(theta))
-            if not usable:
-                continue
-            # Prefer the entry needing the least refinement work.
-            if best is None or (
-                self._refine_work(entry, theta) < self._refine_work(best, theta)
+            if (entry.extra is not None and window_monotone(theta)) or (
+                entry.refinable_matches and exact_monotone(theta)
             ):
-                best = entry
-        if best is None:
+                usable.append((self._refine_work(entry, theta), key))
+        if not usable:
             return None
+        # The entry needing the least refinement work, then the least key.
+        best = self._entries[min(usable)[1]]
 
         result = SelectResult(strategy="cached-containment")
         if best.extra is not None and window_monotone(theta):

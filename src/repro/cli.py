@@ -560,7 +560,7 @@ def cmd_obs(args: argparse.Namespace) -> str:
     from repro.core.strategies import JoinOperands, metered_work, strategy_for_label
     from repro.costmodel.profile import seconds
     from repro.geometry.rect import Rect
-    from repro.obs import sum_cost_self
+    from repro.obs import Tracer, sum_cost_self
     from repro.obs.drift import drift_from_plan
     from repro.predicates.theta import Overlaps
     from repro.server import QueryService
@@ -594,6 +594,7 @@ def cmd_obs(args: argparse.Namespace) -> str:
             for ir in relations.values():
                 runtime.load_relation(ir.relation, "shape")
             with service.open_session("obs") as session:
+                session.tracer = Tracer(process=f"s{session.session_id}")
                 join_result = session.shard_join("r", "s", theta)
                 select_result = session.shard_select("r", window, theta)
                 records = session.tracer.to_records()

@@ -81,8 +81,8 @@ class SpatialQueryExecutor:
     mutable state on ``self`` -- registered join indices and interval
     tables live on the relations they derive from -- so one executor
     instance can serve many concurrent sessions, each tracing into its
-    own tracer while sharing one cache and one metrics registry (see
-    :mod:`repro.server`).
+    own tracer (when it was handed one) while sharing one cache and one
+    metrics registry (see :mod:`repro.server`).
     """
 
     def __init__(
@@ -218,7 +218,8 @@ class SpatialQueryExecutor:
         answer computed under a concurrent writer belongs to no epoch.
 
         ``tracer``/``metrics``/``cache`` override the instance handles
-        for this call (per-session tracing over shared state).
+        for this call (a session's own tracer, when it was handed one,
+        over shared state).
         ``cancel`` (a :class:`~repro.core.cancel.CancellationToken`) is
         checked on entry, at every tree level of the traversal, and
         once more before admission -- a result that finished past its
@@ -315,7 +316,8 @@ class SpatialQueryExecutor:
         computed while either operand mutated are refused.
 
         ``tracer``/``metrics``/``cache`` override the instance handles
-        for this call (per-session tracing over shared state).
+        for this call (a session's own tracer, when it was handed one,
+        over shared state).
         ``cancel`` is checked on entry, at tree-level and
         tile-group boundaries inside the strategies, and once more
         before admission (no post-deadline cache fills).

@@ -7,7 +7,7 @@ Layering, bottom up:
   that gives readers snapshot semantics without blocking;
 * :mod:`repro.server.service` -- :class:`QueryService` (shared executor,
   cache, metrics, admission control) and :class:`Session` (per-client
-  front-end with its own tracer);
+  front-end, traced only when handed a tracer);
 * :mod:`repro.server.protocol` -- the JSON line protocol shared by every
   transport;
 * :mod:`repro.server.net` -- TCP server (thread per session) with

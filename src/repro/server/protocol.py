@@ -248,30 +248,24 @@ def handle_request(session: Any, request: dict[str, Any]) -> dict[str, Any]:
                 table, window, theta,
                 deadline_ms=_deadline_from_request(request),
             )
-            oids = _oids_of(result.matches)
-            payload = {
-                "count": len(result.matches),
-                "strategy": result.strategy,
-            }
-            if oids is not None:
-                payload["oids"] = oids
-            return payload
-        relation = _require_str(request, "relation")
-        column = _require_str(request, "column")
-        theta = theta_from_request(request)
-        window = rect_from_request(request)
-        result, epoch = session.select(
-            relation, column, window, theta,
-            strategy=_require_str(request, "strategy", "auto"),
-            order=_require_str(request, "order", "bfs"),
-            deadline_ms=_deadline_from_request(request),
-        )
-        oids = _oids_of(result.matches)
+            epochs: dict[str, int] = {}
+        else:
+            relation = _require_str(request, "relation")
+            column = _require_str(request, "column")
+            theta = theta_from_request(request)
+            window = rect_from_request(request)
+            result, epoch = session.select(
+                relation, column, window, theta,
+                strategy=_require_str(request, "strategy", "auto"),
+                order=_require_str(request, "order", "bfs"),
+                deadline_ms=_deadline_from_request(request),
+            )
+            epochs = {"epoch": epoch}
         payload: dict[str, Any] = {
-            "count": len(result.matches),
-            "epoch": epoch,
+            "count": len(result.matches), **epochs,
             "strategy": result.strategy,
         }
+        oids = _oids_of(result.matches)
         if oids is not None:
             payload["oids"] = oids
         return payload
@@ -283,24 +277,21 @@ def handle_request(session: Any, request: dict[str, Any]) -> dict[str, Any]:
                 theta_from_request(request),
                 deadline_ms=_deadline_from_request(request),
             )
-            return {
-                "count": len(result.pairs),
-                "strategy": result.strategy,
-            }
-        rel_r = _require_str(request, "relation_r")
-        rel_s = _require_str(request, "relation_s")
-        column_r = _require_str(request, "column_r")
-        column_s = _require_str(request, "column_s")
-        theta = theta_from_request(request)
-        result, (epoch_r, epoch_s) = session.join(
-            rel_r, column_r, rel_s, column_s, theta,
-            strategy=_require_str(request, "strategy", "auto"),
-            deadline_ms=_deadline_from_request(request),
-        )
+            epochs = {}
+        else:
+            rel_r = _require_str(request, "relation_r")
+            rel_s = _require_str(request, "relation_s")
+            column_r = _require_str(request, "column_r")
+            column_s = _require_str(request, "column_s")
+            theta = theta_from_request(request)
+            result, (epoch_r, epoch_s) = session.join(
+                rel_r, column_r, rel_s, column_s, theta,
+                strategy=_require_str(request, "strategy", "auto"),
+                deadline_ms=_deadline_from_request(request),
+            )
+            epochs = {"epoch_r": epoch_r, "epoch_s": epoch_s}
         return {
-            "count": len(result.pairs),
-            "epoch_r": epoch_r,
-            "epoch_s": epoch_s,
+            "count": len(result.pairs), **epochs,
             "strategy": result.strategy,
         }
     if op == "insert":

@@ -6,10 +6,10 @@ one reentrant :class:`~repro.core.executor.SpatialQueryExecutor`, one
 :class:`~repro.cache.QueryCache` and one
 :class:`~repro.obs.metrics.MetricsRegistry` -- and hands out
 :class:`Session` objects as the per-client execution front-end.  Each
-session carries its *own* :class:`~repro.obs.trace.Tracer` (tracers are
-deliberately not thread-safe; a session is single-threaded by contract)
-while publishing into the shared registry, so per-query spans stay
-readable per client and fleet-wide counters aggregate in one place.
+session publishes into the shared registry, so fleet-wide counters
+aggregate in one place, and records spans only into a
+:class:`~repro.obs.trace.Tracer` its owner hands it (tracers are not
+thread-safe; a session is single-threaded by contract).
 
 Reads are epoch-pinned snapshot reads (see :mod:`repro.server.state`);
 writes serialize behind per-relation write locks.  Admission control
@@ -62,7 +62,7 @@ from repro.join.result import JoinResult, SelectResult
 from repro.obs.context import TraceContext
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import DURATION_BUCKETS, MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.predicates.theta import ThetaOperator
 from repro.relational.relation import EpochPin
 from repro.server.state import DEFAULT_READ_RETRIES, StateManager
@@ -118,7 +118,6 @@ class QueryService:
         cache: QueryCache | None = None,
         metrics: MetricsRegistry | None = None,
         config: ServiceConfig | None = None,
-        shards: Any = None,
     ) -> None:
         self.state = state if state is not None else StateManager()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -130,12 +129,10 @@ class QueryService:
         #: a total order over every traced request the service admitted.
         self._trace_seq = itertools.count(1)
         #: Optional :class:`~repro.shard.ShardRuntime` serving sharded
-        #: reads next to the shared-relation engine.  Attached here or
-        #: later via :meth:`attach_shards`; sessions reach it through
+        #: reads next to the shared-relation engine, attached via
+        #: :meth:`attach_shards`; sessions reach it through
         #: :meth:`Session.shard_select` / :meth:`Session.shard_join`.
         self.shards = None
-        if shards is not None:
-            self.attach_shards(shards)
         self.cache = cache
         if executor is None:
             executor = SpatialQueryExecutor(
@@ -593,15 +590,15 @@ class Session:
     accounting assume one query at a time *from this session* (queries
     from different sessions overlap freely).  Obtain via
     :meth:`QueryService.open_session`; usable as a context manager.
+    It runs untraced until its owner assigns ``tracer``, say
+    ``Tracer(process=f"s{session.session_id}")``.
     """
 
     def __init__(self, service: QueryService, session_id: int, client: str) -> None:
         self.service = service
         self.session_id = session_id
         self.client = client
-        # Each session's spans export under its own process label, so
-        # traces from different sessions can be pooled without colliding.
-        self.tracer = Tracer(process=f"s{session_id}")
+        self.tracer: Tracer | NullTracer = NULL_TRACER
         self.queries_issued = 0
         self.closed = False
 
@@ -706,33 +703,13 @@ class Session:
         Admitted like any read; survives shard crashes via the router's
         failover or raises a typed
         :class:`~repro.errors.ShardUnavailable` -- never a partial
-        answer.
-
-        The read is traced end to end: a ``session.shard_select`` span
-        opens over a per-query meter, the minted
-        :class:`~repro.obs.context.TraceContext` rides every dispatch,
-        and the workers' remote spans graft back under the session span
-        -- so the whole distributed read is one tree obeying the cost
-        conservation law.
+        answer.  Traced as :meth:`_shard_read` says.
         """
-        svc = self.service
-        shards = svc.require_shards()
-        token = cancel if cancel is not None else svc.token_for(deadline_ms)
-        ctx = svc.mint_trace(self, "shard_select")
-        meter = CostMeter()
-
-        def run() -> SelectResult:
-            with self.tracer.span(
-                "session.shard_select", meter=meter,
-                table=table, trace_id=ctx.trace_id, seq=ctx.seq,
-            ) as span:
-                return shards.router.select(
-                    table, window, theta, cancel=token,
-                    trace=ctx.for_span(self.tracer.uid_of(span)),
-                    meter=meter, tracer=self.tracer,
-                )
-
-        return svc.run_shard(self, "shard_select", run, cancel=token)
+        return self._shard_read(
+            "shard_select",
+            lambda router, **kw: router.select(table, window, theta, **kw),
+            deadline_ms, cancel, table=table,
+        )
 
     def shard_join(
         self,
@@ -743,31 +720,55 @@ class Session:
         deadline_ms: float | None = None,
         cancel: CancellationToken | None = None,
     ) -> JoinResult:
-        """Distributed join against the attached shard fleet.
+        """Distributed join against the attached shard fleet; admitted,
+        failed over and traced exactly like :meth:`shard_select`."""
+        return self._shard_read(
+            "shard_join",
+            lambda router, **kw: router.join(table_r, table_s, theta, **kw),
+            deadline_ms, cancel, table_r=table_r, table_s=table_s,
+        )
 
-        Traced end to end exactly like :meth:`shard_select`: one
-        ``session.shard_join`` span, one minted context, remote spans
-        grafted back -- one conserving tree per request.
+    def _shard_read(
+        self,
+        op: str,
+        route: Callable[..., Any],
+        deadline_ms: float | None,
+        cancel: CancellationToken | None,
+        **tags: Any,
+    ) -> Any:
+        """One admitted sharded read: ``route(router, cancel=...)``.
+
+        With a tracer handed to the session, the read is traced end to
+        end: a ``session.<op>`` span opens over a per-query meter, the
+        minted :class:`~repro.obs.context.TraceContext` rides every
+        dispatch, and the workers' remote spans graft back under the
+        session span -- so the whole distributed read is one tree
+        obeying the cost conservation law.  Untraced, the router gets no
+        context, so the workers build no tracer and ship no spans.
         """
         svc = self.service
-        shards = svc.require_shards()
+        router = svc.require_shards().router
         token = cancel if cancel is not None else svc.token_for(deadline_ms)
-        ctx = svc.mint_trace(self, "shard_join")
+        tracer = self.tracer
+        if not tracer.enabled:
+            return svc.run_shard(
+                self, op, lambda: route(router, cancel=token), cancel=token
+            )
+        ctx = svc.mint_trace(self, op)
         meter = CostMeter()
 
-        def run() -> JoinResult:
-            with self.tracer.span(
-                "session.shard_join", meter=meter,
-                table_r=table_r, table_s=table_s,
+        def run() -> Any:
+            with tracer.span(
+                f"session.{op}", meter=meter, **tags,
                 trace_id=ctx.trace_id, seq=ctx.seq,
             ) as span:
-                return shards.router.join(
-                    table_r, table_s, theta, cancel=token,
-                    trace=ctx.for_span(self.tracer.uid_of(span)),
-                    meter=meter, tracer=self.tracer,
+                return route(
+                    router, cancel=token,
+                    trace=ctx.for_span(tracer.uid_of(span)),
+                    meter=meter, tracer=tracer,
                 )
 
-        return svc.run_shard(self, "shard_join", run, cancel=token)
+        return svc.run_shard(self, op, run, cancel=token)
 
     # -- writes ---------------------------------------------------------
 

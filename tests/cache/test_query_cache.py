@@ -131,6 +131,43 @@ def test_containment_not_served_for_non_monotone_theta(workload):
     assert cache.stats.containment_hits == 0
 
 
+@pytest.mark.parametrize("admit_larger_first", [True, False])
+def test_containment_tie_picks_the_least_key(admit_larger_first):
+    """Two containing windows with equal refinement work: the least key
+    (here the smaller window's fingerprint) serves, whatever the order
+    of admission."""
+    from repro.join.result import SelectResult
+
+    cache = QueryCache(CachePolicy(admission_threshold=0.0))
+    ir = build_indexed_relation(30, seed=5)
+    inner = Rect(10.0, 10.0, 20.0, 20.0)
+    # One stored candidate each, so the work ties; each window's
+    # candidate is its own tid, so the answer names the window served.
+    windows = [
+        (Rect(0.0, 0.0, 100.0, 100.0), "small"),
+        (Rect(0.0, 0.0, 200.0, 200.0), "large"),
+    ]
+    if admit_larger_first:
+        windows.reverse()
+    for window, tid in windows:
+        assert cache.admit_select(
+            ir.relation, "shape", window, Overlaps(),
+            strategy="tree", order="bfs",
+            result=SelectResult(strategy="tree"),
+            candidates=[(tid, Rect(12.0, 12.0, 14.0, 14.0), None)],
+            measured_cost=1.0,
+        )
+    meter = CostMeter()
+    tier, served = cache.probe_select(
+        ir.relation, "shape", inner, Overlaps(),
+        strategy="tree", order="bfs", meter=meter,
+    )
+    assert tier == "containment"
+    assert served.matches == [("small", None)]
+    assert meter.theta_exact_evals == 1
+    assert cache.stats.containment_hits == 1
+
+
 def test_enlarged_window_misses(workload):
     ir_r, _ = workload
     executor, cache = make_executor(workload)

@@ -7,6 +7,7 @@ import pytest
 from repro.cache import QueryCache
 from repro.errors import ServerBusy, SessionError, SnapshotConflict
 from repro.geometry.rect import Rect
+from repro.obs import Tracer
 from repro.predicates.theta import Overlaps
 from repro.server import ServiceConfig
 from repro.server.protocol import handle_request
@@ -45,8 +46,15 @@ class TestSessions:
 
     def test_each_session_has_its_own_tracer(self, service):
         with service.open_session() as a, service.open_session() as b:
+            for session in (a, b):
+                session.tracer = Tracer(process=f"s{session.session_id}")
             a.select("r", "shape", Rect(0, 0, 10, 10), Overlaps())
             assert a.tracer.spans and not b.tracer.spans
+            b.join("r", "shape", "s", "shape", Overlaps())
+            uids_a = {r["uid"] for r in a.tracer.to_records()}
+            uids_b = {r["uid"] for r in b.tracer.to_records()}
+            assert uids_b and not uids_a & uids_b
+            assert all(uid.startswith(f"s{a.session_id}:") for uid in uids_a)
 
 
 class TestQueries:

@@ -144,6 +144,40 @@ class TestShardOps:
         assert payload["count"] > 0
         assert payload["strategy"] == "shard-partition[3]"
 
+    def test_untraced_session_keeps_no_spans_and_ships_no_context(
+        self, sharded_service, monkeypatch
+    ):
+        """A session nobody handed a tracer serves every read and write
+        op, sharded ones included, without keeping a span or sending a
+        trace context to a shard."""
+        service, runtime = sharded_service
+        payloads = []
+        dispatch = runtime.dispatch
+
+        def spy(shard, op, payload, **kwargs):
+            payloads.append((op, payload))
+            return dispatch(shard, op, payload, **kwargs)
+
+        monkeypatch.setattr(runtime, "dispatch", spy)
+        requests = [
+            {"op": "select", "relation": "r", "column": "shape",
+             "rect": [0, 0, 50, 50]},
+            {"op": "join", "relation_r": "r", "column_r": "shape",
+             "relation_s": "s", "column_s": "shape"},
+            {"op": "insert", "relation": "r", "oid": 1000,
+             "rect": [1, 1, 2, 2]},
+            {"op": "select", "sharded": True, "relation": "shard_r",
+             "rect": [10, 10, 45, 45]},
+            {"op": "join", "sharded": True,
+             "relation_r": "shard_r", "relation_s": "shard_s"},
+        ]
+        with service.open_session() as session:
+            for request in requests:
+                handle_request(session, request)
+            assert session.tracer.to_records() == []
+        assert {op for op, _ in payloads} == {"select", "join"}
+        assert not [p for _, p in payloads if "trace" in p]
+
     def test_sharded_queries_are_admitted_and_metered(self, sharded_service):
         service, _ = sharded_service
         with service.open_session() as session:

@@ -1,7 +1,8 @@
 """Cross-process trace grafting and the distributed conservation law.
 
 The tentpole claim of the observability PR: a sharded query is ONE
-trace tree.  The session opens a span over a fresh per-query meter, the
+trace tree.  A session handed a tracer opens a span over a fresh
+per-query meter, the
 router carries the minted :class:`TraceContext` in every dispatch, each
 worker records remote spans and ships them back with its meter delta,
 and the router grafts them under the session span while the dispatch
@@ -125,6 +126,7 @@ class TestSessionLevelGraft:
             service = _service_over(runtime)
             try:
                 with service.open_session("c1") as session:
+                    session.tracer = Tracer(process=f"s{session.session_id}")
                     result = session.shard_join("r", "s", Overlaps())
                     records = session.tracer.to_records()
             finally:
@@ -158,6 +160,7 @@ class TestSessionLevelGraft:
             service = _service_over(runtime)
             try:
                 with service.open_session("c1") as session:
+                    session.tracer = Tracer(process=f"s{session.session_id}")
                     session.shard_join("r", "s", Overlaps())
                     session.shard_select("r", WINDOW, Overlaps())
                     records = session.tracer.to_records()
@@ -190,6 +193,7 @@ class TestKillDuringJoin:
             service = _service_over(runtime)
             try:
                 with service.open_session("c1") as session:
+                    session.tracer = Tracer(process=f"s{session.session_id}")
                     result = session.shard_join("r", "s", Overlaps())
                     records = session.tracer.to_records()
             finally:

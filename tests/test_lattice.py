@@ -198,7 +198,8 @@ class Lattice:
         self.state = StateManager()
         for rel in relations:
             self.state.register(rel)
-        self.service = QueryService(self.state, executor=self.executor, shards=self.fleet)
+        self.service = QueryService(self.state, executor=self.executor)
+        self.service.attach_shards(self.fleet)
         self.sessions = (self.service.open_session(), self.service.open_session())
 
     def close(self) -> None:
